@@ -8,7 +8,7 @@
 //! allocating legacy wrappers, so the cost of the per-block allocations is
 //! visible in the report.
 
-use corrfade::{ChannelStream, Precision, SampleBlock, SampleBlock32};
+use corrfade::{ChannelStream, SampleBlock};
 use corrfade_scenarios::lookup;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -22,17 +22,6 @@ fn bench_realtime_blocks(c: &mut Criterion) {
             let mut gen = lookup(name).unwrap().build_realtime(1).unwrap();
             let mut block = SampleBlock::empty();
             b.iter(|| gen.next_block_into(&mut block).unwrap())
-        });
-        // The f32 fast tier through its native half-width block (no
-        // widening pass) — same scenario, seed, and draw sequence.
-        group.bench_function(format!("{name}/stream_f32"), |b| {
-            let mut gen = lookup(name)
-                .unwrap()
-                .with_precision(Precision::F32)
-                .build_realtime(1)
-                .unwrap();
-            let mut block = SampleBlock32::empty();
-            b.iter(|| gen.next_block32_into(&mut block).unwrap())
         });
         group.bench_function(format!("{name}/legacy_alloc"), |b| {
             let mut gen = lookup(name).unwrap().build_realtime(1).unwrap();

@@ -8,14 +8,11 @@
 //! `N = 3` envelopes × `M = 4096` samples, plus a larger `N` to show the
 //! cache-blocked scaling.
 
-use corrfade_dsp::{
-    color_idft_block32_with, color_idft_block_with, ifft32_in_place_with, ifft_in_place_with,
-};
+use corrfade_dsp::{color_idft_block_with, ifft_in_place_with};
 use corrfade_linalg::kernel::{
-    accumulate_covariance_with, color_block_f32_with, color_block_with, envelope_into_f32_with,
-    envelope_into_with, matvec_into_with,
+    accumulate_covariance_with, color_block_with, envelope_into_with, matvec_into_with,
 };
-use corrfade_linalg::{c64, Backend, Complex32, Complex64};
+use corrfade_linalg::{c64, Backend, Complex64};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const BACKENDS: [(&str, Backend); 2] = [("scalar", Backend::Scalar), ("vector", Backend::Vector)];
@@ -27,10 +24,6 @@ fn signal(len: usize) -> Vec<Complex64> {
             c64((0.37 * t).sin(), 0.5 * (0.71 * t).cos())
         })
         .collect()
-}
-
-fn signal32(len: usize) -> Vec<Complex32> {
-    signal(len).into_iter().map(Complex32::narrow).collect()
 }
 
 fn bench_color_block(c: &mut Criterion) {
@@ -51,32 +44,14 @@ fn bench_color_block(c: &mut Criterion) {
     }
 }
 
-fn bench_color_block_f32(c: &mut Criterion) {
-    let (n, m) = (3usize, 4096usize);
-    let mut group = c.benchmark_group(format!("kernel/coloring_f32_n{n}_m{m}"));
-    group.throughput(Throughput::Elements((n * m) as u64));
-    let a = signal32(n * n);
-    let raw = signal32(n * m);
-    for (name, backend) in BACKENDS {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
-            let mut out = vec![Complex32::ZERO; n * m];
-            let mut w = Vec::new();
-            let mut planes = Vec::new();
-            b.iter(|| color_block_f32_with(bk, n, m, &a, 0.5, &raw, &mut out, &mut w, &mut planes))
-        });
-    }
-    group.finish();
-}
-
 /// The fused coloring+IDFT kernel against the two-pass composition it
-/// replaces, in both precisions, on the paper's block shape. Every variant
+/// replaces, on the paper's block shape. Every variant
 /// pays the identical `copy_from_slice` refill per iteration (the transforms
 /// destroy their input), so the medians compare like for like.
 fn bench_color_idft(c: &mut Criterion) {
     let (n, m) = (3usize, 4096usize);
     let a = signal(n * n);
     let raw = signal(n * m);
-    let (a32, raw32) = (signal32(n * n), signal32(n * m));
 
     let mut group = c.benchmark_group(format!("kernel/color_idft_two_pass_n{n}_m{m}"));
     group.throughput(Throughput::Elements((n * m) as u64));
@@ -106,31 +81,6 @@ fn bench_color_idft(c: &mut Criterion) {
             b.iter(|| {
                 work.copy_from_slice(&raw);
                 color_idft_block_with(bk, n, m, &a, 0.5, &mut work, &mut out, &mut w, &mut planes)
-            })
-        });
-    }
-    group.finish();
-
-    let mut group = c.benchmark_group(format!("kernel/color_idft_fused_f32_n{n}_m{m}"));
-    group.throughput(Throughput::Elements((n * m) as u64));
-    for (name, backend) in BACKENDS {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
-            let mut work = raw32.clone();
-            let mut out = vec![Complex32::ZERO; n * m];
-            let (mut w, mut planes) = (Vec::new(), Vec::new());
-            b.iter(|| {
-                work.copy_from_slice(&raw32);
-                color_idft_block32_with(
-                    bk,
-                    n,
-                    m,
-                    &a32,
-                    0.5,
-                    &mut work,
-                    &mut out,
-                    &mut w,
-                    &mut planes,
-                )
             })
         });
     }
@@ -180,20 +130,6 @@ fn bench_idft(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_idft_f32(c: &mut Criterion) {
-    let m = 4096;
-    let mut group = c.benchmark_group(format!("kernel/idft_f32_m{m}"));
-    group.throughput(Throughput::Elements(m as u64));
-    let x = signal32(m);
-    for (name, backend) in BACKENDS {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
-            let mut data = x.clone();
-            b.iter(|| ifft32_in_place_with(bk, &mut data))
-        });
-    }
-    group.finish();
-}
-
 fn bench_envelope(c: &mut Criterion) {
     let len = 3 * 4096;
     let mut group = c.benchmark_group(format!("kernel/envelope_{len}"));
@@ -208,30 +144,13 @@ fn bench_envelope(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_envelope_f32(c: &mut Criterion) {
-    let len = 3 * 4096;
-    let mut group = c.benchmark_group(format!("kernel/envelope_f32_{len}"));
-    group.throughput(Throughput::Elements(len as u64));
-    let data = signal32(len);
-    for (name, backend) in BACKENDS {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
-            let mut env = vec![0.0f32; len];
-            b.iter(|| envelope_into_f32_with(bk, &data, &mut env))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_color_block,
-    bench_color_block_f32,
     bench_color_idft,
     bench_matvec,
     bench_accumulate_covariance,
     bench_idft,
-    bench_idft_f32,
-    bench_envelope,
-    bench_envelope_f32
+    bench_envelope
 );
 criterion_main!(benches);

@@ -2,27 +2,14 @@
 //! single-threaded generation vs the persistent-pool engine at several
 //! worker caps, the streaming covariance estimator, and parallel Doppler
 //! blocks, on the registered `scaling-exp-rho07` scenario (N = 16).
-//!
-//! The `parallel/pool_vs_spawn_small` group is the pool-reuse gate: on a
-//! workload small enough that orchestration dominates, the persistent
-//! [`corrfade_parallel::Runtime`] pool (condvar wake per call) is measured
-//! against the historical spawn-a-scope-per-call execution
-//! ([`corrfade_parallel::spawn`], bit-identical results). Pool reuse is
-//! expected to win by ≥ 1.3× there; the committed baseline and the CI
-//! regression gate keep it that way.
 
 use corrfade_parallel::{
-    generate_realtime_paths, generate_snapshots, monte_carlo_covariance, spawn, ParallelConfig,
+    generate_realtime_paths, generate_snapshots, monte_carlo_covariance, ParallelConfig,
 };
 use corrfade_scenarios::lookup;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const TOTAL: usize = 100_000;
-
-/// The small-block configuration of the pool-vs-spawn comparison: little
-/// enough generation work (one minimum-size chunk) that per-call
-/// thread spawn/join overhead dominates the call.
-const SMALL_TOTAL: usize = 64;
 
 fn bench_snapshot_generation(c: &mut Criterion) {
     let scenario = lookup("scaling-exp-rho07").unwrap();
@@ -108,54 +95,10 @@ fn bench_realtime_blocks(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pool_vs_spawn(c: &mut Criterion) {
-    // Identical jobs, identical results — only the execution strategy
-    // differs: wake the persistent pool vs spawn-and-join a fresh
-    // `std::thread::scope` per call.
-    let k = lookup("fig4b-spatial")
-        .unwrap()
-        .covariance_matrix()
-        .unwrap();
-    let cfg = ParallelConfig {
-        threads: 0, // all cores
-        chunk_size: 256,
-        seed: 1,
-    };
-    let mut group = c.benchmark_group("parallel/pool_vs_spawn_small");
-    group.throughput(Throughput::Elements(SMALL_TOTAL as u64));
-    group.sample_size(40);
-
-    group.bench_function("snapshots/pool", |b| {
-        b.iter(|| generate_snapshots(&k, SMALL_TOTAL, &cfg).unwrap())
-    });
-    group.bench_function("snapshots/spawn", |b| {
-        b.iter(|| spawn::generate_snapshots(&k, SMALL_TOTAL, &cfg).unwrap())
-    });
-
-    group.bench_function("covariance/pool", |b| {
-        b.iter(|| monte_carlo_covariance(&k, SMALL_TOTAL, &cfg).unwrap())
-    });
-    group.bench_function("covariance/spawn", |b| {
-        b.iter(|| spawn::monte_carlo_covariance(&k, SMALL_TOTAL, &cfg).unwrap())
-    });
-
-    let mut small_rt = lookup("fig4b-spatial").unwrap().realtime_config(1).unwrap();
-    small_rt.idft_size = 64;
-    let blocks = 2usize;
-    group.bench_function("realtime/pool", |b| {
-        b.iter(|| generate_realtime_paths(&small_rt, blocks, &cfg).unwrap())
-    });
-    group.bench_function("realtime/spawn", |b| {
-        b.iter(|| spawn::generate_realtime_paths(&small_rt, blocks, &cfg).unwrap())
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_snapshot_generation,
     bench_streaming_covariance,
-    bench_realtime_blocks,
-    bench_pool_vs_spawn
+    bench_realtime_blocks
 );
 criterion_main!(benches);

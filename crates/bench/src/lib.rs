@@ -18,7 +18,6 @@ use corrfade_linalg::{CMatrix, Complex64};
 use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 
 pub mod report;
-pub mod scenarios;
 
 /// The paper's real-time generation settings (Sec. 6): `M = 4096`,
 /// `f_m = 0.05`, `σ²_orig = 1/2`.

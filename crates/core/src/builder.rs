@@ -68,14 +68,14 @@
 //! ));
 //! ```
 
-use corrfade_linalg::{CMatrix, Precision};
+use corrfade_linalg::CMatrix;
 use corrfade_models::{JakesSpectralModel, SalzWintersSpatialModel};
 use corrfade_stats::correlation_from_covariance;
 
 use crate::error::CorrfadeError;
 use crate::generator::CorrelatedRayleighGenerator;
 use crate::power::PowerSpec;
-use crate::realtime::{RealtimeConfig, RealtimeGenerator};
+use crate::realtime::{Precision, RealtimeConfig, RealtimeGenerator};
 
 /// Where the covariance structure comes from.
 #[derive(Debug, Clone)]
@@ -100,7 +100,6 @@ pub struct GeneratorBuilder {
     powers: Option<PowerSpec>,
     driving_variance: f64,
     seed: u64,
-    precision: Precision,
 }
 
 impl Default for GeneratorBuilder {
@@ -110,15 +109,13 @@ impl Default for GeneratorBuilder {
 }
 
 impl GeneratorBuilder {
-    /// Starts an empty builder (driving variance 1, seed 0, `f64`
-    /// precision).
+    /// Starts an empty builder (driving variance 1, seed 0).
     pub fn new() -> Self {
         Self {
             source: None,
             powers: None,
             driving_variance: 1.0,
             seed: 0,
-            precision: Precision::F64,
         }
     }
 
@@ -180,15 +177,6 @@ impl GeneratorBuilder {
         self
     }
 
-    /// Sets the sample precision tier of the real-time generator (default
-    /// [`Precision::F64`]; see ARCHITECTURE.md "Precision tiers"). Only
-    /// [`GeneratorBuilder::build_realtime`] consumes it — the single-instant
-    /// generator and all covariance/decomposition work are always `f64`.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Resolves the configured source (and optional power override) into the
     /// final desired covariance matrix.
     pub fn resolve_covariance(&self) -> Result<CMatrix, CorrfadeError> {
@@ -246,7 +234,7 @@ impl GeneratorBuilder {
             normalized_doppler,
             sigma_orig_sq,
             seed: self.seed,
-            precision: self.precision,
+            precision: Precision::F64,
         })
     }
 }

@@ -81,13 +81,13 @@ pub use error::CorrfadeError;
 pub use generator::{CorrelatedRayleighGenerator, Sample};
 pub use power::PowerSpec;
 pub use psd::{force_positive_semidefinite, validate_covariance, PsdForcing};
-pub use realtime::{RealtimeBlock, RealtimeConfig, RealtimeGenerator};
+pub use realtime::{Precision, RealtimeBlock, RealtimeConfig, RealtimeGenerator};
 pub use stream::ChannelStream;
 
 // The planar block buffers the streaming API writes into live in the linalg
-// crate (they are pure data layout); re-export them — and the precision tier
-// selector — so `corrfade` alone is enough to drive a `ChannelStream`.
-pub use corrfade_linalg::{BlockView, Precision, SampleBlock, SampleBlock32};
+// crate (they are pure data layout); re-export them so `corrfade` alone is
+// enough to drive a `ChannelStream`.
+pub use corrfade_linalg::{BlockView, SampleBlock};
 
 // Re-export the sibling crates under stable names so downstream users can
 // depend on `corrfade` alone.

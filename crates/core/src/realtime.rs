@@ -22,12 +22,23 @@
 //! flawed variant is reproduced in `corrfade-baselines` for the E8 ablation.
 
 use corrfade_dsp::{DopplerFilter, IdftRayleighGenerator};
-use corrfade_linalg::{CMatrix, Complex32, Complex64, Precision, SampleBlock, SampleBlock32};
+use corrfade_linalg::{CMatrix, Complex64, SampleBlock};
 use corrfade_randn::RandomStream;
 
 use crate::coloring::{eigen_coloring, Coloring};
 use crate::error::CorrfadeError;
 use crate::stream::ChannelStream;
+
+/// The sample-precision tag of a [`RealtimeConfig`]. Generation has one
+/// path, the bit-exact `f64` one; this single-variant enum survives only so
+/// existing `RealtimeConfig` struct literals keep compiling, and goes with
+/// the next benchmark revision.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum Precision {
+    /// Double precision — the only generation path.
+    #[default]
+    F64,
+}
 
 /// Configuration of the real-time generator.
 #[derive(Debug, Clone)]
@@ -48,19 +59,15 @@ pub struct RealtimeConfig {
     pub sigma_orig_sq: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Sample precision tier. [`Precision::F64`] (the default everywhere) is
-    /// the bit-exact double-precision pipeline; [`Precision::F32`] runs the
-    /// half-width fast tier — same RNG draws, decompositions and filter
-    /// design stay `f64`, samples are generated in `f32` and agree with the
-    /// f64 pipeline within the documented error bound (see
-    /// `ARCHITECTURE.md`, "Precision tiers").
+    /// Unused: nothing reads or matches on this field. It is kept only for
+    /// struct-literal compatibility and goes with the next benchmark
+    /// revision.
     pub precision: Precision,
 }
 
 impl RealtimeConfig {
     /// The paper's Sec. 6 settings (`M = 4096`, `f_m = 0.05`,
-    /// `σ²_orig = 1/2`) for a given covariance matrix and seed, in the
-    /// default f64 precision tier.
+    /// `σ²_orig = 1/2`) for a given covariance matrix and seed.
     pub fn paper_defaults(covariance: CMatrix, seed: u64) -> Self {
         Self {
             covariance,
@@ -114,22 +121,12 @@ pub struct RealtimeGenerator {
     idft: IdftRayleighGenerator,
     sigma_g_sq: f64,
     rng: RandomStream,
-    precision: Precision,
-    /// The coloring matrix narrowed once to `f32` for the fast tier.
-    coloring32: Vec<Complex32>,
     /// Planar `N × M` scratch for the raw Doppler sequences `u_j[l]`.
     raw: Vec<Complex64>,
     /// Per-instant `W[l]` gather scratch (scalar kernel backend).
     w: Vec<Complex64>,
     /// Split-complex tile scratch (vector kernel backend).
     planes: Vec<f64>,
-    /// f32 siblings of the scratch buffers, used by the fast tier only.
-    raw32: Vec<Complex32>,
-    w32: Vec<Complex32>,
-    planes32: Vec<f32>,
-    /// Native f32 block backing the widening `ChannelStream` path of an
-    /// f32-tier stream.
-    block32: SampleBlock32,
 }
 
 impl RealtimeGenerator {
@@ -152,27 +149,15 @@ impl RealtimeGenerator {
         let filter = DopplerFilter::new(config.idft_size, config.normalized_doppler)?;
         let idft = IdftRayleighGenerator::new(filter, config.sigma_orig_sq)?;
         let sigma_g_sq = idft.output_variance();
-        let coloring32 = coloring
-            .matrix
-            .as_slice()
-            .iter()
-            .map(|&z| Complex32::narrow(z))
-            .collect();
         Ok(Self {
             coloring,
             desired: config.covariance,
             idft,
             sigma_g_sq,
             rng: RandomStream::new(config.seed),
-            precision: config.precision,
-            coloring32,
             raw: Vec::new(),
             w: Vec::new(),
             planes: Vec::new(),
-            raw32: Vec::new(),
-            w32: Vec::new(),
-            planes32: Vec::new(),
-            block32: SampleBlock32::empty(),
         })
     }
 
@@ -224,11 +209,6 @@ impl RealtimeGenerator {
         &self.coloring
     }
 
-    /// The precision tier this generator produces samples in.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// The streaming hot path behind [`ChannelStream::next_block_into`]:
     /// draws the `N` Doppler-weighted spectra into the planar scratch, then
     /// runs the **fused coloring+IDFT kernel**
@@ -239,23 +219,7 @@ impl RealtimeGenerator {
     /// row, then `color_block`), so the scalar backend still reproduces the
     /// pre-kernel outputs bit for bit. No heap allocation once the scratch
     /// and the destination block are warm.
-    ///
-    /// An f32-tier generator fills its native half-width block and widens
-    /// into `block` — `ChannelStream` consumers see the same `f64` layout
-    /// regardless of tier; the native path is [`Self::next_block32_into`].
     fn fill_block(&mut self, block: &mut SampleBlock) {
-        match self.precision {
-            Precision::F64 => self.fill_block_f64(block),
-            Precision::F32 => {
-                let mut b32 = std::mem::take(&mut self.block32);
-                self.fill_block32(&mut b32);
-                b32.widen_into(block);
-                self.block32 = b32;
-            }
-        }
-    }
-
-    fn fill_block_f64(&mut self, block: &mut SampleBlock) {
         let n = self.coloring.dimension();
         let m = self.idft.filter().len();
         block.resize(n, m);
@@ -285,60 +249,13 @@ impl RealtimeGenerator {
         );
     }
 
-    fn fill_block32(&mut self, block: &mut SampleBlock32) {
-        let n = self.coloring.dimension();
-        let m = self.idft.filter().len();
-        block.resize(n, m);
-        self.raw32.resize(n * m, Complex32::ZERO);
-
-        // Same RNG stream as the f64 tier (the Gaussians are drawn in f64
-        // and narrowed at the spectrum fill), so an f32 stream is the
-        // half-width shadow of the f64 stream with the same seed.
-        for j in 0..n {
-            self.idft
-                .fill_spectrum32_into(&mut self.rng, &mut self.raw32[j * m..(j + 1) * m]);
-        }
-
-        let scale = (1.0 / self.sigma_g_sq.sqrt()) as f32;
-        corrfade_dsp::color_idft_block32(
-            n,
-            m,
-            &self.coloring32,
-            scale,
-            &mut self.raw32,
-            block.as_mut_slice(),
-            &mut self.w32,
-            &mut self.planes32,
-        );
-    }
-
-    /// The f32 fast tier's native streaming entry point: fills a caller-owned
-    /// half-width block directly — no widening pass, half the output memory
-    /// traffic of the `ChannelStream` path. Zero heap allocation once the
-    /// scratch and the destination block are warm.
-    ///
-    /// # Panics
-    /// Panics if this generator was not configured with
-    /// [`Precision::F32`] — the f64 tier has no native half-width stream
-    /// (narrow a [`SampleBlock`] explicitly if you want one).
-    pub fn next_block32_into(&mut self, block: &mut SampleBlock32) -> Result<(), CorrfadeError> {
-        assert_eq!(
-            self.precision,
-            Precision::F32,
-            "next_block32_into requires an f32-tier generator (configure RealtimeConfig::precision)"
-        );
-        self.fill_block32(block);
-        Ok(())
-    }
-
     /// Fast-forwards the stream past `blocks` blocks without generating
     /// them: only the RNG draws of each skipped block are replayed
     /// ([`IdftRayleighGenerator::skip_spectrum`], once per envelope per
     /// block) — the IDFT, the coloring matvec and every output write are
     /// skipped entirely. Afterwards the generator's next block is
     /// **bit-identical** to the `blocks + 1`-th block of an untouched
-    /// stream, in both precision tiers (the f32 tier shares the f64 RNG
-    /// stream by construction).
+    /// stream.
     ///
     /// This is the serving layer's resume primitive: a client reconnecting
     /// with a block cursor gets a fresh generator (decomposition from the
@@ -601,20 +518,6 @@ mod tests {
             .collect();
         assert_eq!(got_bits, expected);
 
-        // The f32 tier shares the RNG stream, so the same contract holds.
-        let f32_cfg = RealtimeConfig {
-            precision: Precision::F32,
-            ..small_config(k.clone(), 123)
-        };
-        let mut continuous32 = RealtimeGenerator::new(f32_cfg.clone()).unwrap();
-        for _ in 0..4 {
-            continuous32.next_block_into(&mut block).unwrap();
-        }
-        let mut resumed32 = RealtimeGenerator::new(f32_cfg).unwrap();
-        resumed32.skip_blocks(3);
-        resumed32.next_block_into(&mut got).unwrap();
-        assert_eq!(got.as_slice(), block.as_slice());
-
         // skip_blocks(0) is a no-op.
         let mut untouched = RealtimeGenerator::new(small_config(k.clone(), 9)).unwrap();
         let mut noop = RealtimeGenerator::new(small_config(k, 9)).unwrap();
@@ -648,62 +551,6 @@ mod tests {
             a.generate_block().gaussian_paths,
             b.generate_block().gaussian_paths
         );
-    }
-
-    #[test]
-    fn f32_tier_tracks_f64_within_documented_bound() {
-        let k = paper_covariance_matrix_22();
-        let mut g64 = RealtimeGenerator::new(small_config(k.clone(), 91)).unwrap();
-        let mut g32 = RealtimeGenerator::new(RealtimeConfig {
-            precision: Precision::F32,
-            ..small_config(k, 91)
-        })
-        .unwrap();
-        assert_eq!(g32.precision(), Precision::F32);
-        let mut b64 = SampleBlock::empty();
-        let mut b32 = SampleBlock::empty();
-        for _ in 0..3 {
-            g64.next_block_into(&mut b64).unwrap();
-            g32.next_block_into(&mut b32).unwrap();
-            // Same RNG stream, narrowed at the spectrum fill: the f32 tier
-            // shadows the f64 stream within the documented 1e-3 absolute
-            // bound for the paper's unit-scale covariances.
-            for (a, b) in b64.as_slice().iter().zip(b32.as_slice().iter()) {
-                let d = (*a - *b).abs();
-                assert!(d <= 1e-3, "{a} vs {b} (|Δ| = {d:e})");
-            }
-        }
-    }
-
-    #[test]
-    fn native_f32_block_is_the_widened_streams_source() {
-        let k = paper_covariance_matrix_23();
-        let cfg = RealtimeConfig {
-            precision: Precision::F32,
-            ..small_config(k, 57)
-        };
-        let mut widening = RealtimeGenerator::new(cfg.clone()).unwrap();
-        let mut native = RealtimeGenerator::new(cfg).unwrap();
-        let mut wide = SampleBlock::empty();
-        let mut half = SampleBlock32::empty();
-        for _ in 0..2 {
-            widening.next_block_into(&mut wide).unwrap();
-            native.next_block32_into(&mut half).unwrap();
-            assert_eq!(half.envelopes(), wide.envelopes());
-            assert_eq!(half.samples(), wide.samples());
-            for (w, h) in wide.as_slice().iter().zip(half.as_slice().iter()) {
-                assert_eq!(*w, h.widen());
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires an f32-tier generator")]
-    fn native_f32_entry_point_rejects_f64_streams() {
-        let k = paper_covariance_matrix_22();
-        let mut g = RealtimeGenerator::new(small_config(k, 1)).unwrap();
-        let mut half = SampleBlock32::empty();
-        let _ = g.next_block32_into(&mut half);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use corrfade::{ChannelStream, RealtimeConfig, RealtimeGenerator, SampleBlock};
-//! use corrfade_linalg::Precision;
+//! use corrfade::Precision;
 //! use corrfade_models::paper_covariance_matrix_23;
 //!
 //! let cfg = RealtimeConfig {

@@ -18,7 +18,7 @@
 //! algorithm feeds this value into its coloring step; the Sorooshyari–Daut
 //! baseline ignores it, which is exactly the flaw experiment E8 demonstrates.
 
-use corrfade_linalg::{c64, Complex32, Complex64};
+use corrfade_linalg::{c64, Complex64};
 use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
@@ -290,32 +290,6 @@ impl IdftRayleighGenerator {
             let _ = sampler.sample_with(rng, 0.0, std);
         }
     }
-
-    /// [`IdftRayleighGenerator::fill_spectrum_into`] narrowed to the f32
-    /// fast tier: the Gaussians are drawn **in `f64` from the identical RNG
-    /// stream** (same draw count and order, so a stream can switch
-    /// precision without re-seeding) and each weighted bin is narrowed once
-    /// at the fill — the single point where the fast tier leaves double
-    /// precision ahead of the transform.
-    ///
-    /// # Panics
-    /// Panics if `out.len()` differs from the filter length `M`.
-    pub fn fill_spectrum32_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [Complex32]) {
-        let m = self.filter.len();
-        assert_eq!(
-            out.len(),
-            m,
-            "generate_into: buffer length {} does not match IDFT size {m}",
-            out.len()
-        );
-        let std = self.sigma_orig_sq.sqrt();
-        let mut sampler = corrfade_randn::NormalSampler::default();
-        for (slot, &f) in out.iter_mut().zip(self.filter.coefficients()) {
-            let a = sampler.sample_with(rng, 0.0, std);
-            let b = sampler.sample_with(rng, 0.0, std);
-            *slot = Complex32::new((f * a) as f32, (-f * b) as f32);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -493,27 +467,6 @@ mod tests {
             gen.generate_into(&mut RandomStream::new(11), &mut b);
             assert_eq!(a, b, "m = {m}");
         }
-    }
-
-    #[test]
-    fn fill_spectrum32_narrows_the_same_rng_stream() {
-        let f = DopplerFilter::new(1024, 0.05).unwrap();
-        let gen = IdftRayleighGenerator::new(f, 0.5).unwrap();
-        let mut wide = vec![Complex64::ZERO; 1024];
-        gen.fill_spectrum_into(&mut RandomStream::new(19), &mut wide);
-        let mut narrow = vec![Complex32::ZERO; 1024];
-        gen.fill_spectrum32_into(&mut RandomStream::new(19), &mut narrow);
-        for (w, n) in wide.iter().zip(narrow.iter()) {
-            assert_eq!(*n, Complex32::narrow(*w));
-        }
-        // And both consume the same number of draws: the next f64 value from
-        // each stream agrees.
-        use rand::RngCore;
-        let mut r1 = RandomStream::new(19);
-        let mut r2 = RandomStream::new(19);
-        gen.fill_spectrum_into(&mut r1, &mut wide);
-        gen.fill_spectrum32_into(&mut r2, &mut narrow);
-        assert_eq!(r1.next_u64(), r2.next_u64());
     }
 
     #[test]

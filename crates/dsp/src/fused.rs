@@ -12,7 +12,7 @@
 //! registers/L1* — the raw block is never written back after the final
 //! stage, and each realtime output sample is written exactly once. For the
 //! paper's `N = 3`, `M = 4096` that removes one full block write + read
-//! (~393 KiB of round-trip memory traffic per block in f64).
+//! (~393 KiB of round-trip memory traffic per block).
 //!
 //! # Bit-exactness contract
 //!
@@ -44,14 +44,13 @@
 //! contract holds trivially there.
 
 use corrfade_linalg::kernel::{self, backend, Backend};
-use corrfade_linalg::vector::{dot, dot32};
-use corrfade_linalg::{Complex32, Complex64};
+use corrfade_linalg::vector::dot;
+use corrfade_linalg::Complex64;
 
 use crate::fft::{
     is_power_of_two, planned_bit_reverse, planned_butterflies, scalar_bit_reverse,
     scalar_butterflies, tables_for,
 };
-use crate::fft32::{bit_reverse32, butterflies32, ifft32_in_place_with, tables32_for};
 
 /// Inverse-transforms each of the `n` length-`m` rows of `raw` (including
 /// the `1/m` factor) and colors the block into `out` in a single fused
@@ -287,231 +286,6 @@ fn fused_vector_body<const FMA: bool>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// f32 fast tier
-// ---------------------------------------------------------------------------
-
-/// [`color_idft_block`] in `f32` — half the memory traffic on top of the
-/// fusion win. Bit-identical to [`crate::fft32::ifft32_in_place`] per row
-/// followed by [`corrfade_linalg::kernel::color_block_f32`] on the same
-/// backend, by the same per-sample operation-sequence argument as the f64
-/// kernel. **`raw` is destroyed.**
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn color_idft_block32(
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &mut [Complex32],
-    out: &mut [Complex32],
-    w_scratch: &mut Vec<Complex32>,
-    scratch: &mut Vec<f32>,
-) {
-    color_idft_block32_with(backend(), n, m, a, scale, raw, out, w_scratch, scratch);
-}
-
-/// [`color_idft_block32`] on an explicit kernel backend.
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn color_idft_block32_with(
-    b: Backend,
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &mut [Complex32],
-    out: &mut [Complex32],
-    w_scratch: &mut Vec<Complex32>,
-    scratch: &mut Vec<f32>,
-) {
-    assert_eq!(
-        a.len(),
-        n * n,
-        "color_idft_block32: coloring matrix storage"
-    );
-    assert_eq!(raw.len(), n * m, "color_idft_block32: raw block length");
-    assert_eq!(out.len(), n * m, "color_idft_block32: output block length");
-    if n == 0 || m == 0 {
-        return;
-    }
-    if m == 1 || !is_power_of_two(m) {
-        for j in 0..n {
-            ifft32_in_place_with(b, &mut raw[j * m..(j + 1) * m]);
-        }
-        kernel::color_block_f32_with(b, n, m, a, scale, raw, out, w_scratch, scratch);
-        return;
-    }
-    match b {
-        Backend::Scalar => fused_scalar32(n, m, a, scale, raw, out, w_scratch),
-        Backend::Vector => fused_vector32(n, m, a, scale, raw, out, scratch),
-    }
-}
-
-/// Scalar f32 fused kernel. The f32 tier's scalar transform is table-driven
-/// (see [`crate::fft32`]), so the final stage reads the same narrowed
-/// twiddle table with the same plain mul/add formula as
-/// `butterflies32_body::<false>`.
-fn fused_scalar32(
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &mut [Complex32],
-    out: &mut [Complex32],
-    w_scratch: &mut Vec<Complex32>,
-) {
-    let tables = tables32_for(m);
-    let nstages = tables.stages.len();
-    for j in 0..n {
-        let row = &mut raw[j * m..(j + 1) * m];
-        bit_reverse32(row, &tables);
-        butterflies32(Backend::Scalar, row, &tables, true, nstages - 1);
-    }
-    let final_tw = &tables.stages[nstages - 1];
-    let half = m / 2;
-    let inv_m = 1.0f32 / m as f32;
-    w_scratch.resize(2 * n, Complex32::ZERO);
-    let (w_lo, w_hi) = w_scratch.split_at_mut(n);
-    for k in 0..half {
-        let w = final_tw[k];
-        let wr = w.re;
-        let wi = -w.im; // the inverse conjugates the forward table
-        for (j, (lo, hi)) in w_lo.iter_mut().zip(w_hi.iter_mut()).enumerate() {
-            let u = raw[j * m + k];
-            let v = raw[j * m + k + half];
-            let (vr, vi) = (v.re * wr - v.im * wi, v.re * wi + v.im * wr);
-            *lo = Complex32::new((u.re + vr) * inv_m, (u.im + vi) * inv_m);
-            *hi = Complex32::new((u.re - vr) * inv_m, (u.im - vi) * inv_m);
-        }
-        for i in 0..n {
-            let row = &a[i * n..(i + 1) * n];
-            out[i * m + k] = dot32(row, w_lo).scale(scale);
-            out[i * m + k + half] = dot32(row, w_hi).scale(scale);
-        }
-    }
-}
-
-/// Vector f32 fused kernel — the half-width sibling of the f64 vector path
-/// with twice the butterfly pairs per tile at the same byte footprint.
-/// Multiversioned exactly like [`fused_vector`].
-fn fused_vector32(
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &mut [Complex32],
-    out: &mut [Complex32],
-    scratch: &mut Vec<f32>,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if kernel::vector_uses_fma() {
-        // SAFETY: guarded by the kernel layer's runtime AVX2+FMA detection.
-        unsafe { fused_vector32_avx2(n, m, a, scale, raw, out, scratch) };
-        return;
-    }
-    fused_vector32_body::<false>(n, m, a, scale, raw, out, scratch);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn fused_vector32_avx2(
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &mut [Complex32],
-    out: &mut [Complex32],
-    scratch: &mut Vec<f32>,
-) {
-    fused_vector32_body::<true>(n, m, a, scale, raw, out, scratch);
-}
-
-#[inline(always)]
-fn fused_vector32_body<const FMA: bool>(
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &mut [Complex32],
-    out: &mut [Complex32],
-    scratch: &mut Vec<f32>,
-) {
-    let tables = tables32_for(m);
-    let nstages = tables.stages.len();
-    for j in 0..n {
-        let row = &mut raw[j * m..(j + 1) * m];
-        bit_reverse32(row, &tables);
-        butterflies32(Backend::Vector, row, &tables, true, nstages - 1);
-    }
-    let final_tw = &tables.stages[nstages - 1];
-    let half = m / 2;
-    let inv_m = 1.0f32 / m as f32;
-
-    let tile = kernel::COLOR_TILE.min(half);
-    scratch.resize((4 * n + 2) * tile, 0.0);
-    let (x_planes, y_planes) = scratch.split_at_mut(4 * n * tile);
-    let (lo_planes, hi_planes) = x_planes.split_at_mut(2 * n * tile);
-    let (lo_re, lo_im) = lo_planes.split_at_mut(n * tile);
-    let (hi_re, hi_im) = hi_planes.split_at_mut(n * tile);
-    let (y_re, y_im) = y_planes.split_at_mut(tile);
-
-    let mut k0 = 0;
-    while k0 < half {
-        let t = tile.min(half - k0);
-        for j in 0..n {
-            let base = j * m;
-            for (idx, k) in (k0..k0 + t).enumerate() {
-                let u = raw[base + k];
-                let v = raw[base + k + half];
-                let w = final_tw[k];
-                let wr = w.re;
-                let wi = -w.im;
-                let (vr, vi) = if FMA {
-                    (v.re.mul_add(wr, -(v.im * wi)), v.re.mul_add(wi, v.im * wr))
-                } else {
-                    (v.re * wr - v.im * wi, v.re * wi + v.im * wr)
-                };
-                lo_re[j * tile + idx] = (u.re + vr) * inv_m;
-                lo_im[j * tile + idx] = (u.im + vi) * inv_m;
-                hi_re[j * tile + idx] = (u.re - vr) * inv_m;
-                hi_im[j * tile + idx] = (u.im - vi) * inv_m;
-            }
-        }
-        for i in 0..n {
-            for (planes_re, planes_im, off) in
-                [(&*lo_re, &*lo_im, k0), (&*hi_re, &*hi_im, half + k0)]
-            {
-                y_re[..t].fill(0.0);
-                y_im[..t].fill(0.0);
-                for j in 0..n {
-                    let c = a[i * n + j];
-                    kernel::axpy_planar_f32(
-                        c.re,
-                        c.im,
-                        &planes_re[j * tile..j * tile + t],
-                        &planes_im[j * tile..j * tile + t],
-                        &mut y_re[..t],
-                        &mut y_im[..t],
-                    );
-                }
-                kernel::interleave_scaled_into_f32(
-                    &y_re[..t],
-                    &y_im[..t],
-                    scale,
-                    &mut out[i * m + off..i * m + off + t],
-                );
-            }
-        }
-        k0 += t;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,14 +304,6 @@ mod tests {
         (0..n * n)
             .map(|i| c64(0.3 + 0.1 * i as f64, -0.05 * i as f64))
             .collect()
-    }
-
-    fn block32(n: usize, m: usize) -> Vec<Complex32> {
-        block(n, m).into_iter().map(Complex32::narrow).collect()
-    }
-
-    fn matrix32(n: usize) -> Vec<Complex32> {
-        matrix(n).into_iter().map(Complex32::narrow).collect()
     }
 
     /// Shapes covering the paper's (3, 4096), tiny powers of two (including
@@ -589,51 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_f32_is_bit_identical_to_two_pass() {
-        for b in [Backend::Scalar, Backend::Vector] {
-            for (n, m) in SHAPES {
-                let a = matrix32(n);
-                let raw = block32(n, m);
-                let scale = 0.83f32;
-
-                let mut two_pass_raw = raw.clone();
-                let mut expected = vec![Complex32::ZERO; n * m];
-                let (mut w, mut s) = (Vec::new(), Vec::new());
-                for j in 0..n {
-                    ifft32_in_place_with(b, &mut two_pass_raw[j * m..(j + 1) * m]);
-                }
-                kernel::color_block_f32_with(
-                    b,
-                    n,
-                    m,
-                    &a,
-                    scale,
-                    &two_pass_raw,
-                    &mut expected,
-                    &mut w,
-                    &mut s,
-                );
-
-                let mut fused_raw = raw;
-                let mut got = vec![Complex32::ZERO; n * m];
-                let (mut w, mut s) = (Vec::new(), Vec::new());
-                color_idft_block32_with(
-                    b,
-                    n,
-                    m,
-                    &a,
-                    scale,
-                    &mut fused_raw,
-                    &mut got,
-                    &mut w,
-                    &mut s,
-                );
-                assert_eq!(got, expected, "{b:?} n={n} m={m}");
-            }
-        }
-    }
-
-    #[test]
     fn fused_backends_agree_within_vector_tolerance() {
         let (n, m) = (3, 256);
         let a = matrix(n);
@@ -655,7 +376,5 @@ mod tests {
     fn empty_dimensions_are_no_ops() {
         let (mut w, mut s) = (Vec::new(), Vec::new());
         color_idft_block(0, 0, &[], 1.0, &mut [], &mut [], &mut w, &mut s);
-        let (mut w, mut s) = (Vec::new(), Vec::new());
-        color_idft_block32(0, 0, &[], 1.0, &mut [], &mut [], &mut w, &mut s);
     }
 }

@@ -8,11 +8,9 @@
 //!   conjugate-symmetric transforms; every transform dispatches through the
 //!   `corrfade_linalg::kernel` backend selection (scalar reference vs.
 //!   table-driven vectorized butterflies),
-//! * [`mod@fft32`] — the f32 fast tier's power-of-two IDFT core (table-driven
-//!   butterflies with twiddles narrowed from `f64`, own plan cache),
 //! * [`fused`] — the fused coloring+IDFT kernel: the realtime hot path's
-//!   final butterfly stage and coloring matvec run in one output pass, in
-//!   both precisions, bit-identical to the two-pass path per backend,
+//!   final butterfly stage and coloring matvec run in one output pass,
+//!   bit-identical to the two-pass path per backend,
 //! * [`doppler`] — Young's Doppler filter (paper Eq. 21), its output-variance
 //!   formula (Eq. 19) and the Young–Beaulieu IDFT Rayleigh generator
 //!   (paper ref. \[7\], Fig. 2) that the proposed algorithm stacks `N` of in
@@ -23,7 +21,6 @@
 pub mod doppler;
 pub mod error;
 pub mod fft;
-pub mod fft32;
 pub mod fused;
 
 pub use doppler::{DopplerFilter, IdftRayleighGenerator};
@@ -31,7 +28,4 @@ pub use error::DspError;
 pub use fft::{
     dft_naive, fft, ifft, ifft_in_place, ifft_in_place_with, irfft, is_power_of_two, rfft, rfft_len,
 };
-pub use fft32::{ifft32_in_place, ifft32_in_place_with};
-pub use fused::{
-    color_idft_block, color_idft_block32, color_idft_block32_with, color_idft_block_with,
-};
+pub use fused::{color_idft_block, color_idft_block_with};

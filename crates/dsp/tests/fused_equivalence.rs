@@ -1,29 +1,20 @@
-//! Property-based coverage of the fused coloring + IDFT kernel's two
-//! contracts, across random shapes rather than the handful of hand-picked
-//! ones in the unit tests:
-//!
-//! * **bit-identity** — in both precisions and on both backends, the fused
-//!   kernel's output equals the two-pass `ifft` + `color_block` composition
-//!   *exactly* (`assert_eq!` on the raw values, no tolerance), for
-//!   power-of-two lengths (the genuinely fused path) and non-pow2 /
-//!   `m = 1` lengths (the definitional fallback) alike;
-//! * **tier agreement** — the f32 fused kernel stays within the documented
-//!   1e-3 absolute fast-tier bound of the f64 fused kernel for unit-scale
-//!   data on every shape.
+//! Property-based coverage of the fused coloring + IDFT kernel's
+//! bit-identity contract, across random shapes rather than the handful of
+//! hand-picked ones in the unit tests: on both backends, the fused kernel's
+//! output equals the two-pass `ifft` + `color_block` composition *exactly*
+//! (`assert_eq!` on the raw values, no tolerance), for power-of-two lengths
+//! (the genuinely fused path) and non-pow2 / `m = 1` lengths (the
+//! definitional fallback) alike.
 
-use corrfade_dsp::fused::{color_idft_block32_with, color_idft_block_with};
-use corrfade_dsp::{ifft32_in_place_with, ifft_in_place_with};
-use corrfade_linalg::kernel::{color_block_f32_with, color_block_with};
-use corrfade_linalg::{c64, Backend, Complex32, Complex64};
+use corrfade_dsp::fused::color_idft_block_with;
+use corrfade_dsp::ifft_in_place_with;
+use corrfade_linalg::kernel::color_block_with;
+use corrfade_linalg::{c64, Backend, Complex64};
 use proptest::prelude::*;
 
 fn cvec(len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), len)
         .prop_map(|v| v.into_iter().map(|(re, im)| c64(re, im)).collect())
-}
-
-fn narrow(v: &[Complex64]) -> Vec<Complex32> {
-    v.iter().map(|&z| Complex32::narrow(z)).collect()
 }
 
 /// Random `(n, m)` fused-block shape: small envelope counts and sample
@@ -73,66 +64,6 @@ proptest! {
             let (mut w, mut s) = (Vec::new(), Vec::new());
             color_idft_block_with(b, n, m, a, scale, &mut fused_raw, &mut got, &mut w, &mut s);
             prop_assert_eq!(got, expected, "{:?} n={} m={}", b, n, m);
-        }
-    }
-
-    /// The f32 fused kernel is bit-identical to the two-pass f32 path on
-    /// both backends for every shape and scale.
-    #[test]
-    fn fused_f32_bit_identical_to_two_pass(
-        dims in shape(),
-        a in cvec(MAX_N * MAX_N),
-        entries in cvec(MAX_N * MAX_M),
-        scale in 0.1f64..3.0,
-    ) {
-        let (n, m) = dims;
-        let a = narrow(&a[..n * n]);
-        let raw = narrow(&entries[..n * m]);
-        let scale = scale as f32;
-        for b in [Backend::Scalar, Backend::Vector] {
-            let mut two_pass = raw.clone();
-            let mut expected = vec![Complex32::ZERO; n * m];
-            let (mut w, mut s) = (Vec::new(), Vec::new());
-            for j in 0..n {
-                ifft32_in_place_with(b, &mut two_pass[j * m..(j + 1) * m]);
-            }
-            color_block_f32_with(b, n, m, &a, scale, &two_pass, &mut expected, &mut w, &mut s);
-
-            let mut fused_raw = raw.clone();
-            let mut got = vec![Complex32::ZERO; n * m];
-            let (mut w, mut s) = (Vec::new(), Vec::new());
-            color_idft_block32_with(b, n, m, &a, scale, &mut fused_raw, &mut got, &mut w, &mut s);
-            prop_assert_eq!(got, expected, "{:?} n={} m={}", b, n, m);
-        }
-    }
-
-    /// The f32 fused kernel tracks the f64 fused kernel within the
-    /// documented fast-tier bound for unit-scale data, on both backends.
-    #[test]
-    fn fused_f32_tracks_f64_within_tier_bound(
-        dims in shape(),
-        a in cvec(MAX_N * MAX_N),
-        entries in cvec(MAX_N * MAX_M),
-    ) {
-        let (n, m) = dims;
-        let a = &a[..n * n];
-        let raw = &entries[..n * m];
-        let mut ref_raw = raw.to_vec();
-        let mut reference = vec![Complex64::ZERO; n * m];
-        let (mut w, mut s) = (Vec::new(), Vec::new());
-        color_idft_block_with(
-            Backend::Scalar, n, m, a, 1.0, &mut ref_raw, &mut reference, &mut w, &mut s,
-        );
-        let (a32, raw32) = (narrow(a), narrow(raw));
-        for b in [Backend::Scalar, Backend::Vector] {
-            let mut raw32 = raw32.clone();
-            let mut got = vec![Complex32::ZERO; n * m];
-            let (mut w, mut s) = (Vec::new(), Vec::new());
-            color_idft_block32_with(b, n, m, &a32, 1.0, &mut raw32, &mut got, &mut w, &mut s);
-            for (i, (r, h)) in reference.iter().zip(got.iter()).enumerate() {
-                let d = (*r - h.widen()).abs();
-                prop_assert!(d <= 1e-3, "{b:?} n={n} m={m} index {i}: |Δ| = {d:e}");
-            }
         }
     }
 }

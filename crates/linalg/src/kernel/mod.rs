@@ -45,7 +45,6 @@
 use std::sync::OnceLock;
 
 use crate::complex::Complex64;
-use crate::complex32::Complex32;
 
 mod scalar;
 mod vector;
@@ -175,42 +174,6 @@ pub fn interleave_scaled_into(re: &[f64], im: &[f64], scale: f64, dst: &mut [Com
     }
 }
 
-/// [`deinterleave_into`] for `f32` planes — the fast-tier layout conversion.
-///
-/// # Panics
-/// Panics if the three slices have different lengths.
-pub fn deinterleave_into_f32(src: &[Complex32], re: &mut [f32], im: &mut [f32]) {
-    assert!(
-        src.len() == re.len() && src.len() == im.len(),
-        "deinterleave_into_f32: length mismatch ({} vs {}/{})",
-        src.len(),
-        re.len(),
-        im.len()
-    );
-    for ((z, r), i) in src.iter().zip(re.iter_mut()).zip(im.iter_mut()) {
-        *r = z.re;
-        *i = z.im;
-    }
-}
-
-/// [`interleave_scaled_into`] for `f32` planes.
-///
-/// # Panics
-/// Panics if the three slices have different lengths.
-pub fn interleave_scaled_into_f32(re: &[f32], im: &[f32], scale: f32, dst: &mut [Complex32]) {
-    assert!(
-        dst.len() == re.len() && dst.len() == im.len(),
-        "interleave_scaled_into_f32: length mismatch ({} vs {}/{})",
-        dst.len(),
-        re.len(),
-        im.len()
-    );
-    for ((z, &r), &i) in dst.iter_mut().zip(re.iter()).zip(im.iter()) {
-        z.re = scale * r;
-        z.im = scale * i;
-    }
-}
-
 /// The vector backend's planar complex AXPY `y ← y + (ar + i·ai)·x`,
 /// FMA-multiversioned by the same latched CPU detection as every other
 /// vector kernel. Exposed so the fused coloring+IDFT kernel in
@@ -226,25 +189,6 @@ pub fn axpy_planar(ar: f64, ai: f64, xre: &[f64], xim: &[f64], yre: &mut [f64], 
         "axpy_planar: plane length mismatch"
     );
     vector::axpy_planar(ar, ai, xre, xim, yre, yim);
-}
-
-/// [`axpy_planar`] for `f32` planes.
-///
-/// # Panics
-/// Panics if the four plane slices have different lengths.
-pub fn axpy_planar_f32(
-    ar: f32,
-    ai: f32,
-    xre: &[f32],
-    xim: &[f32],
-    yre: &mut [f32],
-    yim: &mut [f32],
-) {
-    assert!(
-        xre.len() == xim.len() && xre.len() == yre.len() && xre.len() == yim.len(),
-        "axpy_planar_f32: plane length mismatch"
-    );
-    vector::axpy_planar32(ar, ai, xre, xim, yre, yim);
 }
 
 // ---------------------------------------------------------------------------
@@ -411,151 +355,6 @@ pub fn envelope_into_with(b: Backend, data: &[Complex64], env: &mut [f64]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// f32 fast-tier kernels
-// ---------------------------------------------------------------------------
-//
-// Same dispatch story at half width. Unlike the f64 pair, *neither* f32
-// backend carries a historical bit-exactness obligation — the tier is new —
-// so the scalar f32 kernels are simply the reference shapes transliterated
-// and the two backends cross-check each other in the proptest suite. The
-// documented contract is agreement with the f64 reference to the f32 tier's
-// error bound (see `ARCHITECTURE.md`, "Precision tiers").
-
-/// [`matvec_into`] in `f32`, on the process-wide backend.
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-pub fn matvec_into_f32(
-    rows: usize,
-    cols: usize,
-    a: &[Complex32],
-    x: &[Complex32],
-    y: &mut [Complex32],
-) {
-    matvec_into_f32_with(backend(), rows, cols, a, x, y);
-}
-
-/// [`matvec_into_f32`] on an explicit backend.
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-pub fn matvec_into_f32_with(
-    b: Backend,
-    rows: usize,
-    cols: usize,
-    a: &[Complex32],
-    x: &[Complex32],
-    y: &mut [Complex32],
-) {
-    assert_eq!(a.len(), rows * cols, "matvec_f32: matrix storage length");
-    assert_eq!(x.len(), cols, "matvec_f32: input length");
-    assert_eq!(y.len(), rows, "matvec_f32: output length");
-    match b {
-        Backend::Scalar => scalar::matvec_into32(cols, a, x, y),
-        Backend::Vector => vector::matvec_into32(cols, a, x, y),
-    }
-}
-
-/// [`color_block`] in `f32`, on the process-wide backend. Same tiling, same
-/// caller-pooled scratch contract, half the memory traffic.
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn color_block_f32(
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &[Complex32],
-    out: &mut [Complex32],
-    w_scratch: &mut Vec<Complex32>,
-    scratch: &mut Vec<f32>,
-) {
-    color_block_f32_with(backend(), n, m, a, scale, raw, out, w_scratch, scratch);
-}
-
-/// [`color_block_f32`] on an explicit backend.
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn color_block_f32_with(
-    b: Backend,
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &[Complex32],
-    out: &mut [Complex32],
-    w_scratch: &mut Vec<Complex32>,
-    scratch: &mut Vec<f32>,
-) {
-    assert_eq!(a.len(), n * n, "color_block_f32: coloring matrix storage");
-    assert_eq!(raw.len(), n * m, "color_block_f32: raw block length");
-    assert_eq!(out.len(), n * m, "color_block_f32: output block length");
-    match b {
-        Backend::Scalar => scalar::color_block32(n, m, a, scale, raw, out, w_scratch),
-        Backend::Vector => vector::color_block32(n, m, a, scale, raw, out, scratch),
-    }
-}
-
-/// [`accumulate_covariance`] over `f32` samples, folding into an **`f64`**
-/// accumulator (covariance analysis never narrows), on the process-wide
-/// backend.
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-pub fn accumulate_covariance_f32(n: usize, m: usize, data: &[Complex32], acc: &mut [Complex64]) {
-    accumulate_covariance_f32_with(backend(), n, m, data, acc);
-}
-
-/// [`accumulate_covariance_f32`] on an explicit backend.
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-pub fn accumulate_covariance_f32_with(
-    b: Backend,
-    n: usize,
-    m: usize,
-    data: &[Complex32],
-    acc: &mut [Complex64],
-) {
-    assert_eq!(data.len(), n * m, "accumulate_covariance_f32: block length");
-    assert_eq!(
-        acc.len(),
-        n * n,
-        "accumulate_covariance_f32: accumulator length"
-    );
-    match b {
-        Backend::Scalar => scalar::accumulate_covariance32(n, m, data, acc),
-        Backend::Vector => vector::accumulate_covariance32(n, m, data, acc),
-    }
-}
-
-/// [`envelope_into`] in `f32`, on the process-wide backend. Both backends
-/// compute the widened `√(re² + im²)` of [`Complex32::abs`], so the f32
-/// envelope is backend-independent bit for bit.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn envelope_into_f32(data: &[Complex32], env: &mut [f32]) {
-    envelope_into_f32_with(backend(), data, env);
-}
-
-/// [`envelope_into_f32`] on an explicit backend.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn envelope_into_f32_with(b: Backend, data: &[Complex32], env: &mut [f32]) {
-    assert_eq!(data.len(), env.len(), "envelope_into_f32: length mismatch");
-    match b {
-        Backend::Scalar => scalar::envelope_into32(data, env),
-        Backend::Vector => vector::envelope_into32(data, env),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,107 +503,6 @@ mod tests {
         }
     }
 
-    fn block32(n: usize, m: usize) -> Vec<Complex32> {
-        block(n, m).into_iter().map(Complex32::narrow).collect()
-    }
-
-    #[test]
-    fn interleave_f32_round_trip() {
-        let src = block32(1, 9);
-        let mut re = vec![0.0f32; 9];
-        let mut im = vec![0.0f32; 9];
-        deinterleave_into_f32(&src, &mut re, &mut im);
-        let mut dst = vec![Complex32::ZERO; 9];
-        interleave_scaled_into_f32(&re, &im, 1.0, &mut dst);
-        assert_eq!(src, dst);
-        interleave_scaled_into_f32(&re, &im, 2.0, &mut dst);
-        assert_eq!(dst[3], src[3].scale(2.0));
-    }
-
-    #[test]
-    fn matvec_f32_backends_agree() {
-        for n in [1usize, 2, 3, 5, 8, 13, 17] {
-            let a = block32(n, n);
-            let x = block32(1, n);
-            let mut ys = vec![Complex32::ZERO; n];
-            let mut yv = vec![Complex32::ZERO; n];
-            matvec_into_f32_with(Backend::Scalar, n, n, &a, &x, &mut ys);
-            matvec_into_f32_with(Backend::Vector, n, n, &a, &x, &mut yv);
-            for (s, v) in ys.iter().zip(yv.iter()) {
-                assert!(
-                    (s.re - v.re).abs() <= 1e-5 && (s.im - v.im).abs() <= 1e-5,
-                    "n={n}: {s} vs {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn color_block_f32_backends_agree() {
-        for (n, m) in [(1usize, 7usize), (3, 515), (4, 256), (6, 33)] {
-            let a = block32(n, n);
-            let raw = block32(n, m);
-            let mut outs = vec![Complex32::ZERO; n * m];
-            let mut outv = vec![Complex32::ZERO; n * m];
-            let mut w = Vec::new();
-            let mut planes = Vec::new();
-            color_block_f32_with(
-                Backend::Scalar,
-                n,
-                m,
-                &a,
-                0.7,
-                &raw,
-                &mut outs,
-                &mut w,
-                &mut planes,
-            );
-            color_block_f32_with(
-                Backend::Vector,
-                n,
-                m,
-                &a,
-                0.7,
-                &raw,
-                &mut outv,
-                &mut w,
-                &mut planes,
-            );
-            for (s, v) in outs.iter().zip(outv.iter()) {
-                assert!(
-                    (s.re - v.re).abs() <= 1e-4 && (s.im - v.im).abs() <= 1e-4,
-                    "n={n} m={m}: {s} vs {v}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn accumulate_covariance_f32_backends_agree_and_accumulate_in_f64() {
-        for (n, m) in [(1usize, 5usize), (2, 130), (3, 257), (5, 64)] {
-            let data = block32(n, m);
-            let mut accs = vec![Complex64::ZERO; n * n];
-            let mut accv = vec![Complex64::ZERO; n * n];
-            accumulate_covariance_f32_with(Backend::Scalar, n, m, &data, &mut accs);
-            accumulate_covariance_f32_with(Backend::Vector, n, m, &data, &mut accv);
-            for (s, v) in accs.iter().zip(accv.iter()) {
-                assert!(s.approx_eq(*v, 1e-10 * m as f64), "n={n} m={m}: {s} vs {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn envelope_f32_backends_are_bit_identical() {
-        let data = block32(1, 77);
-        let mut es = vec![0.0f32; 77];
-        let mut ev = vec![0.0f32; 77];
-        envelope_into_f32_with(Backend::Scalar, &data, &mut es);
-        envelope_into_f32_with(Backend::Vector, &data, &mut ev);
-        for (s, v) in es.iter().zip(ev.iter()) {
-            assert_eq!(s.to_bits(), v.to_bits());
-        }
-    }
-
     #[test]
     fn axpy_planar_matches_color_block_inner_loop() {
         // One AXPY accumulated by hand must equal a 1×m color_block with a
@@ -835,53 +533,5 @@ mod tests {
         let mut got = vec![Complex64::ZERO; m];
         interleave_scaled_into(&yre, &yim, 1.0, &mut got);
         assert_eq!(got, expected);
-
-        // Same story at half width.
-        let raw32 = block32(1, m);
-        let c32v = Complex32::narrow(c);
-        let mut xre = vec![0.0f32; m];
-        let mut xim = vec![0.0f32; m];
-        deinterleave_into_f32(&raw32, &mut xre, &mut xim);
-        let mut yre = vec![0.0f32; m];
-        let mut yim = vec![0.0f32; m];
-        axpy_planar_f32(c32v.re, c32v.im, &xre, &xim, &mut yre, &mut yim);
-        let mut expected32 = vec![Complex32::ZERO; m];
-        let mut w32 = Vec::new();
-        let mut planes32 = Vec::new();
-        color_block_f32_with(
-            Backend::Vector,
-            1,
-            m,
-            &[c32v],
-            1.0,
-            &raw32,
-            &mut expected32,
-            &mut w32,
-            &mut planes32,
-        );
-        let mut got32 = vec![Complex32::ZERO; m];
-        interleave_scaled_into_f32(&yre, &yim, 1.0, &mut got32);
-        assert_eq!(got32, expected32);
-    }
-
-    #[test]
-    fn f32_kernels_track_their_f64_references() {
-        // The tier's error contract: f32 vs f64 within ~1e-4 absolute for
-        // unit-scale data (documented bound 1e-3 with margin).
-        let (n, m) = (3usize, 300usize);
-        let a64 = block(n, n);
-        let raw64 = block(n, m);
-        let a32 = block32(n, n);
-        let raw32 = block32(n, m);
-        let mut out64 = vec![Complex64::ZERO; n * m];
-        let mut out32 = vec![Complex32::ZERO; n * m];
-        let (mut w, mut p) = (Vec::new(), Vec::new());
-        let (mut w32, mut p32) = (Vec::new(), Vec::new());
-        color_block(n, m, &a64, 0.9, &raw64, &mut out64, &mut w, &mut p);
-        color_block_f32(n, m, &a32, 0.9, &raw32, &mut out32, &mut w32, &mut p32);
-        for (s, v) in out64.iter().zip(out32.iter()) {
-            let d = (*s - v.widen()).abs();
-            assert!(d <= 1e-4, "{s} vs {v} (|Δ| = {d:e})");
-        }
     }
 }

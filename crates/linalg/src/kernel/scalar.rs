@@ -8,8 +8,7 @@
 //! pin (see the scope note in the [module docs](super)).
 
 use crate::complex::Complex64;
-use crate::complex32::Complex32;
-use crate::vector::{dot, dot32};
+use crate::vector::dot;
 
 /// `y = A·x`, one [`dot`] fold per row — exactly the historical
 /// `CMatrix::matvec_into`.
@@ -58,71 +57,6 @@ pub(super) fn accumulate_covariance(n: usize, m: usize, data: &[Complex64], acc:
 
 /// `env[i] = |data[i]|` via `hypot`, as the envelope view always computed it.
 pub(super) fn envelope_into(data: &[Complex64], env: &mut [f64]) {
-    for (e, z) in env.iter_mut().zip(data.iter()) {
-        *e = z.abs();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f32 fast-tier variants
-// ---------------------------------------------------------------------------
-//
-// The f32 tier has no historical output to reproduce, so these loops are
-// simply the f64 reference shapes transliterated to single precision. The
-// scalar/vector f32 pair still serves as each other's cross-check in the
-// proptest suite.
-
-/// `y = A·x` in `f32`, one [`dot32`] fold per row.
-pub(super) fn matvec_into32(cols: usize, a: &[Complex32], x: &[Complex32], y: &mut [Complex32]) {
-    for (i, yi) in y.iter_mut().enumerate() {
-        *yi = dot32(&a[i * cols..(i + 1) * cols], x);
-    }
-}
-
-/// The coloring loop in `f32`: gather `W[l]`, one dot per envelope, scale,
-/// scatter — the same shape as the f64 reference [`color_block`].
-pub(super) fn color_block32(
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &[Complex32],
-    out: &mut [Complex32],
-    w_scratch: &mut Vec<Complex32>,
-) {
-    w_scratch.resize(n, Complex32::ZERO);
-    for l in 0..m {
-        for (j, w) in w_scratch.iter_mut().enumerate() {
-            *w = raw[j * m + l];
-        }
-        for i in 0..n {
-            out[i * m + l] = dot32(&a[i * n..(i + 1) * n], w_scratch).scale(scale);
-        }
-    }
-}
-
-/// Sample-major covariance fold of `f32` samples into an `f64` accumulator:
-/// covariance *analysis* always stays double precision (only sample
-/// generation narrows), so each product is widened before folding.
-pub(super) fn accumulate_covariance32(
-    n: usize,
-    m: usize,
-    data: &[Complex32],
-    acc: &mut [Complex64],
-) {
-    for l in 0..m {
-        for a in 0..n {
-            let za = data[a * m + l].widen();
-            for b in 0..n {
-                acc[a * n + b] += za * data[b * m + l].widen().conj();
-            }
-        }
-    }
-}
-
-/// `env[i] = |data[i]|` in `f32` via the widened-`sqrt` modulus of
-/// [`Complex32::abs`].
-pub(super) fn envelope_into32(data: &[Complex32], env: &mut [f32]) {
     for (e, z) in env.iter_mut().zip(data.iter()) {
         *e = z.abs();
     }

@@ -18,16 +18,10 @@
 use std::sync::OnceLock;
 
 use crate::complex::{c64, Complex64};
-use crate::complex32::{c32, Complex32};
 
 /// Lane width of the reduction kernels: wide enough to fill one AVX2
 /// register per accumulator array and to give NEON a 2×-unrolled pair.
 const LANES: usize = 4;
-
-/// Lane width of the `f32` fast-tier kernels — half-width elements double
-/// the lane count, so one AVX2 register still holds exactly one accumulator
-/// array.
-const LANES32: usize = 8;
 
 /// `true` when the AVX2+FMA multiversions are usable on this CPU.
 pub(super) fn has_fma_isa() -> bool {
@@ -296,265 +290,5 @@ pub(super) fn accumulate_covariance(n: usize, m: usize, data: &[Complex64], acc:
 pub(super) fn envelope_into(data: &[Complex64], env: &mut [f64]) {
     for (e, z) in env.iter_mut().zip(data.iter()) {
         *e = (z.re * z.re + z.im * z.im).sqrt();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// f32 fast-tier variants — the same split-complex/lane shapes at half width
-// ---------------------------------------------------------------------------
-
-/// `y ← y + (ar + i·ai)·x` over split-complex `f32` planes.
-#[inline(always)]
-fn axpy_planar32_body<const FMA: bool>(
-    ar: f32,
-    ai: f32,
-    xre: &[f32],
-    xim: &[f32],
-    yre: &mut [f32],
-    yim: &mut [f32],
-) {
-    for ((yr, yi), (xr, xi)) in yre
-        .iter_mut()
-        .zip(yim.iter_mut())
-        .zip(xre.iter().zip(xim.iter()))
-    {
-        if FMA {
-            *yr = ar.mul_add(*xr, (-ai).mul_add(*xi, *yr));
-            *yi = ar.mul_add(*xi, ai.mul_add(*xr, *yi));
-        } else {
-            *yr += ar * *xr - ai * *xi;
-            *yi += ar * *xi + ai * *xr;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn axpy_planar32_avx2(
-    ar: f32,
-    ai: f32,
-    xre: &[f32],
-    xim: &[f32],
-    yre: &mut [f32],
-    yim: &mut [f32],
-) {
-    axpy_planar32_body::<true>(ar, ai, xre, xim, yre, yim);
-}
-
-#[inline]
-pub(super) fn axpy_planar32(
-    ar: f32,
-    ai: f32,
-    xre: &[f32],
-    xim: &[f32],
-    yre: &mut [f32],
-    yim: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if has_fma_isa() {
-        // SAFETY: guarded by the runtime AVX2+FMA detection above.
-        unsafe { axpy_planar32_avx2(ar, ai, xre, xim, yre, yim) };
-        return;
-    }
-    axpy_planar32_body::<false>(ar, ai, xre, xim, yre, yim);
-}
-
-/// Cache-blocked split-complex `f32` coloring — the half-width sibling of
-/// [`color_block`], with twice the samples per tile at the same byte
-/// footprint.
-pub(super) fn color_block32(
-    n: usize,
-    m: usize,
-    a: &[Complex32],
-    scale: f32,
-    raw: &[Complex32],
-    out: &mut [Complex32],
-    scratch: &mut Vec<f32>,
-) {
-    if n == 0 || m == 0 {
-        return;
-    }
-    let tile = super::COLOR_TILE.min(m);
-    // Layout: N re-planes, N im-planes, one y re-plane, one y im-plane.
-    scratch.resize((2 * n + 2) * tile, 0.0);
-    let (x_planes, y_planes) = scratch.split_at_mut(2 * n * tile);
-    let (xre_all, xim_all) = x_planes.split_at_mut(n * tile);
-    let (yre, yim) = y_planes.split_at_mut(tile);
-
-    let mut l0 = 0;
-    while l0 < m {
-        let t = tile.min(m - l0);
-        for j in 0..n {
-            let row = &raw[j * m + l0..j * m + l0 + t];
-            super::deinterleave_into_f32(
-                row,
-                &mut xre_all[j * tile..j * tile + t],
-                &mut xim_all[j * tile..j * tile + t],
-            );
-        }
-        for i in 0..n {
-            yre[..t].fill(0.0);
-            yim[..t].fill(0.0);
-            for j in 0..n {
-                let c = a[i * n + j];
-                axpy_planar32(
-                    c.re,
-                    c.im,
-                    &xre_all[j * tile..j * tile + t],
-                    &xim_all[j * tile..j * tile + t],
-                    &mut yre[..t],
-                    &mut yim[..t],
-                );
-            }
-            super::interleave_scaled_into_f32(
-                &yre[..t],
-                &yim[..t],
-                scale,
-                &mut out[i * m + l0..i * m + l0 + t],
-            );
-        }
-        l0 += t;
-    }
-}
-
-/// Reduces `f32` lane accumulators in a fixed sequence independent of `m`.
-#[inline(always)]
-fn reduce_lanes32(acc: &[f32; LANES32]) -> f32 {
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-}
-
-/// Unconjugated `f32` dot `Σ aᵢ·bᵢ` with per-lane accumulators.
-#[inline(always)]
-fn dot_lanes32_body<const FMA: bool>(a: &[Complex32], b: &[Complex32]) -> Complex32 {
-    let mut acc_re = [0.0f32; LANES32];
-    let mut acc_im = [0.0f32; LANES32];
-    let mut chunks_a = a.chunks_exact(LANES32);
-    let mut chunks_b = b.chunks_exact(LANES32);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        for ((p, q), (ar, ai)) in ca
-            .iter()
-            .zip(cb.iter())
-            .zip(acc_re.iter_mut().zip(acc_im.iter_mut()))
-        {
-            if FMA {
-                *ar = p.re.mul_add(q.re, (-p.im).mul_add(q.im, *ar));
-                *ai = p.re.mul_add(q.im, p.im.mul_add(q.re, *ai));
-            } else {
-                *ar += p.re * q.re - p.im * q.im;
-                *ai += p.re * q.im + p.im * q.re;
-            }
-        }
-    }
-    let mut re = reduce_lanes32(&acc_re);
-    let mut im = reduce_lanes32(&acc_im);
-    for (p, q) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        re += p.re * q.re - p.im * q.im;
-        im += p.re * q.im + p.im * q.re;
-    }
-    c32(re, im)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn dot_lanes32_avx2(a: &[Complex32], b: &[Complex32]) -> Complex32 {
-    dot_lanes32_body::<true>(a, b)
-}
-
-#[inline]
-fn dot_lanes32(a: &[Complex32], b: &[Complex32]) -> Complex32 {
-    #[cfg(target_arch = "x86_64")]
-    if has_fma_isa() {
-        // SAFETY: guarded by the runtime AVX2+FMA detection above.
-        return unsafe { dot_lanes32_avx2(a, b) };
-    }
-    dot_lanes32_body::<false>(a, b)
-}
-
-/// `y = A·x` in `f32` with the multi-lane dot kernel per row.
-pub(super) fn matvec_into32(cols: usize, a: &[Complex32], x: &[Complex32], y: &mut [Complex32]) {
-    for (i, yi) in y.iter_mut().enumerate() {
-        *yi = dot_lanes32(&a[i * cols..(i + 1) * cols], x);
-    }
-}
-
-/// `Σ_l z_a[l]·conj(z_b[l])` over two contiguous `f32` rows, widening each
-/// product and accumulating in `f64` — covariance analysis never narrows.
-#[inline(always)]
-fn pair_fold32_body<const FMA: bool>(za: &[Complex32], zb: &[Complex32]) -> Complex64 {
-    let mut acc_re = [0.0f64; LANES];
-    let mut acc_im = [0.0f64; LANES];
-    let mut chunks_a = za.chunks_exact(LANES);
-    let mut chunks_b = zb.chunks_exact(LANES);
-    for (ca, cb) in (&mut chunks_a).zip(&mut chunks_b) {
-        for ((p, q), (ar, ai)) in ca
-            .iter()
-            .zip(cb.iter())
-            .zip(acc_re.iter_mut().zip(acc_im.iter_mut()))
-        {
-            let (pre, pim) = (f64::from(p.re), f64::from(p.im));
-            let (qre, qim) = (f64::from(q.re), f64::from(q.im));
-            if FMA {
-                *ar = pre.mul_add(qre, pim.mul_add(qim, *ar));
-                *ai = pim.mul_add(qre, (-pre).mul_add(qim, *ai));
-            } else {
-                *ar += pre * qre + pim * qim;
-                *ai += pim * qre - pre * qim;
-            }
-        }
-    }
-    let mut re = reduce_lanes(&acc_re);
-    let mut im = reduce_lanes(&acc_im);
-    for (p, q) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        let (pre, pim) = (f64::from(p.re), f64::from(p.im));
-        let (qre, qim) = (f64::from(q.re), f64::from(q.im));
-        re += pre * qre + pim * qim;
-        im += pim * qre - pre * qim;
-    }
-    c64(re, im)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn pair_fold32_avx2(za: &[Complex32], zb: &[Complex32]) -> Complex64 {
-    pair_fold32_body::<true>(za, zb)
-}
-
-#[inline]
-fn pair_fold32(za: &[Complex32], zb: &[Complex32]) -> Complex64 {
-    #[cfg(target_arch = "x86_64")]
-    if has_fma_isa() {
-        // SAFETY: guarded by the runtime AVX2+FMA detection above.
-        return unsafe { pair_fold32_avx2(za, zb) };
-    }
-    pair_fold32_body::<false>(za, zb)
-}
-
-/// Pair-wise `f32` covariance fold into an `f64` accumulator, exploiting
-/// the same exact Hermitian mirror as [`accumulate_covariance`].
-pub(super) fn accumulate_covariance32(
-    n: usize,
-    m: usize,
-    data: &[Complex32],
-    acc: &mut [Complex64],
-) {
-    for a in 0..n {
-        let za = &data[a * m..(a + 1) * m];
-        for b in a..n {
-            let s = pair_fold32(za, &data[b * m..(b + 1) * m]);
-            acc[a * n + b] += s;
-            if b != a {
-                acc[b * n + a] += s.conj();
-            }
-        }
-    }
-}
-
-/// `env[i] = |data[i]|` in `f32` — the widened `√(re² + im²)` of
-/// [`Complex32::abs`] as a lane loop, so both backends produce identical
-/// `f32` envelopes.
-pub(super) fn envelope_into32(data: &[Complex32], env: &mut [f32]) {
-    for (e, z) in env.iter_mut().zip(data.iter()) {
-        let (re, im) = (f64::from(z.re), f64::from(z.im));
-        *e = (re * re + im * im).sqrt() as f32;
     }
 }

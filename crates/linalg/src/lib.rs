@@ -26,29 +26,23 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod block32;
 pub mod cache;
 pub mod cholesky;
 pub mod complex;
-pub mod complex32;
 pub mod eigen;
 pub mod error;
 pub mod kernel;
 pub mod matrix;
-pub mod precision;
 pub mod vector;
 
 pub use block::{BlockView, BlockWireError, SampleBlock, WIRE_BYTES_PER_SAMPLE};
-pub use block32::SampleBlock32;
 pub use cache::{CacheStats, FactorCache, MatrixKey};
 pub use cholesky::{cholesky, cholesky_real, cholesky_with_tol, is_positive_definite};
 pub use complex::{c64, Complex64};
-pub use complex32::{c32, Complex32};
 pub use eigen::{hermitian_eigen, symmetric_eigen, HermitianEigen, SymmetricEigen};
 pub use error::LinalgError;
 pub use kernel::Backend;
 pub use matrix::{CMatrix, RMatrix};
-pub use precision::Precision;
 
 #[cfg(test)]
 mod integration_tests {

@@ -7,7 +7,6 @@
 //! public API.
 
 use crate::complex::Complex64;
-use crate::complex32::Complex32;
 
 /// Unconjugated dot product `Σ aᵢ·bᵢ`.
 ///
@@ -24,24 +23,6 @@ pub fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
     a.iter()
         .zip(b.iter())
         .fold(Complex64::ZERO, |acc, (&x, &y)| x.mul_add(y, acc))
-}
-
-/// Unconjugated `f32` dot product `Σ aᵢ·bᵢ` — the fast-tier sibling of
-/// [`dot`], with the same `mul_add` fold shape in single precision.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn dot32(a: &[Complex32], b: &[Complex32]) -> Complex32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "dot32: length mismatch {} vs {}",
-        a.len(),
-        b.len()
-    );
-    a.iter()
-        .zip(b.iter())
-        .fold(Complex32::ZERO, |acc, (&x, &y)| x.mul_add(y, acc))
 }
 
 /// Hermitian inner product `Σ conj(aᵢ)·bᵢ` (conjugate-linear in the first

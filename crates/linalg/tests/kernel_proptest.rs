@@ -5,29 +5,17 @@
 //! reference for unit-scale data — across random dimensions, explicitly
 //! including lengths that are *not* multiples of the 4-lane width (tails)
 //! and degenerate 1×1 shapes.
-//!
-//! The f32 fast tier carries two further contracts, pinned here across the
-//! same random shapes (which are not multiples of the 8-lane f32 width
-//! either): narrowed inputs through the f32 kernels stay within the
-//! documented 1e-3 absolute bound of the f64 reference for unit-scale data,
-//! and the fused coloring+IDFT kernel is **bit-identical** to the two-pass
-//! `ifft` + `color_block` composition in f64 on both backends.
 
 use corrfade_linalg::kernel::{
-    accumulate_covariance_with, color_block_f32_with, color_block_with, envelope_into_f32_with,
-    envelope_into_with, matvec_into_f32_with, matvec_into_with,
+    accumulate_covariance_with, color_block_with, envelope_into_with, matvec_into_with,
 };
-use corrfade_linalg::{c64, Backend, Complex32, Complex64};
+use corrfade_linalg::{c64, Backend, Complex64};
 use proptest::prelude::*;
 
 /// Random complex vector with entries in the unit box.
 fn cvec(len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), len)
         .prop_map(|v| v.into_iter().map(|(re, im)| c64(re, im)).collect())
-}
-
-fn narrow(v: &[Complex64]) -> Vec<Complex32> {
-    v.iter().map(|&z| Complex32::narrow(z)).collect()
 }
 
 /// Random `(n, m)` block shape: small envelope counts, sample counts that
@@ -115,86 +103,6 @@ proptest! {
         envelope_into_with(Backend::Vector, &data, &mut ev);
         for (i, (s, v)) in es.iter().zip(ev.iter()).enumerate() {
             prop_assert!((s - v).abs() <= 1e-12, "index {i}: {s} vs {v}");
-        }
-    }
-
-    /// The f32 matvec tracks the f64 reference within the documented
-    /// fast-tier bound on both backends, across row lengths that are not
-    /// multiples of either lane width.
-    #[test]
-    fn matvec_f32_tracks_f64_within_tier_bound(
-        dims in (1usize..=17, 1usize..=19),
-        entries in cvec(17 * 19),
-        xs in cvec(19),
-    ) {
-        let (rows, cols) = dims;
-        let a = &entries[..rows * cols];
-        let x = &xs[..cols];
-        let mut reference = vec![Complex64::ZERO; rows];
-        matvec_into_with(Backend::Scalar, rows, cols, a, x, &mut reference);
-        let (a32, x32) = (narrow(a), narrow(x));
-        for b in [Backend::Scalar, Backend::Vector] {
-            let mut y32 = vec![Complex32::ZERO; rows];
-            matvec_into_f32_with(b, rows, cols, &a32, &x32, &mut y32);
-            for (i, (r, h)) in reference.iter().zip(y32.iter()).enumerate() {
-                let d = (*r - h.widen()).abs();
-                prop_assert!(
-                    d <= 1e-3,
-                    "{b:?} rows={rows} cols={cols} index {i}: |Δ| = {d:e}"
-                );
-            }
-        }
-    }
-
-    /// The f32 blocked coloring kernel tracks the f64 reference within the
-    /// tier bound for every `(N, M)` shape and scale, on both backends.
-    #[test]
-    fn color_block_f32_tracks_f64_within_tier_bound(
-        dims in shape(),
-        a in cvec(81),
-        scale in 0.1f64..3.0,
-    ) {
-        let (n, m) = dims;
-        let a = &a[..n * n];
-        let raw: Vec<Complex64> = (0..n * m)
-            .map(|i| c64((0.37 * i as f64).sin(), 0.5 * (0.71 * i as f64).cos()))
-            .collect();
-        let mut reference = vec![Complex64::ZERO; n * m];
-        let (mut w, mut planes) = (Vec::new(), Vec::new());
-        color_block_with(
-            Backend::Scalar, n, m, a, scale, &raw, &mut reference, &mut w, &mut planes,
-        );
-        let (a32, raw32) = (narrow(a), narrow(&raw));
-        for b in [Backend::Scalar, Backend::Vector] {
-            let mut out32 = vec![Complex32::ZERO; n * m];
-            let (mut w32, mut planes32) = (Vec::new(), Vec::new());
-            color_block_f32_with(
-                b, n, m, &a32, scale as f32, &raw32, &mut out32, &mut w32, &mut planes32,
-            );
-            for (i, (r, h)) in reference.iter().zip(out32.iter()).enumerate() {
-                let d = (*r - h.widen()).abs();
-                prop_assert!(d <= 1e-3, "{b:?} n={n} m={m} index {i}: |Δ| = {d:e}");
-            }
-        }
-    }
-
-    /// The f32 envelope pass computes `|z|` in f64 and narrows, so both
-    /// backends are bit-identical and within one f32 ULP-narrowing of the
-    /// f64 envelope of the same narrowed samples.
-    #[test]
-    fn envelope_f32_is_the_narrowed_f64_envelope(data in cvec(137)) {
-        let data32 = narrow(&data);
-        let mut es = vec![0.0f32; data.len()];
-        let mut ev = vec![0.0f32; data.len()];
-        envelope_into_f32_with(Backend::Scalar, &data32, &mut es);
-        envelope_into_f32_with(Backend::Vector, &data32, &mut ev);
-        prop_assert_eq!(&es, &ev, "f32 envelope must be backend-invariant");
-        for (i, (z, e)) in data32.iter().zip(es.iter()).enumerate() {
-            prop_assert_eq!(
-                *e,
-                z.widen().abs() as f32,
-                "index {} is not the narrowed f64 magnitude", i
-            );
         }
     }
 }

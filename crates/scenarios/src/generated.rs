@@ -20,7 +20,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use corrfade_linalg::Precision;
 use corrfade_models::wsn::{
     grid_positions, link_field_covariance, links_within_radius, LinkCorrelationModel,
     LogDistancePathLoss,
@@ -89,7 +88,6 @@ fn build_grid16(name: &'static str) -> Scenario {
         powers: PowerProfile::Intrinsic,
         covariance: CovarianceSpec::Explicit { entries },
         doppler: NETWORK_DOPPLER,
-        precision: Precision::F64,
     }
 }
 
@@ -109,7 +107,6 @@ fn build_grid16_link(name: &'static str, link: usize) -> Scenario {
         powers: PowerProfile::Intrinsic,
         covariance: CovarianceSpec::Explicit { entries: single },
         doppler: NETWORK_DOPPLER,
-        precision: Precision::F64,
     }
 }
 

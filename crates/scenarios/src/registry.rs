@@ -8,7 +8,6 @@
 
 use core::f64::consts::{FRAC_PI_4, PI};
 
-use corrfade_linalg::Precision;
 use corrfade_models::ChannelParams;
 
 use crate::error::ScenarioError;
@@ -82,7 +81,6 @@ pub static REGISTRY: &[Scenario] = &[
             arrival_times_s: &SPECTRAL_ARRIVAL_TIMES_S,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "fig4b-spatial",
@@ -101,7 +99,6 @@ pub static REGISTRY: &[Scenario] = &[
             angular_spread_rad: PI / 18.0,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "mimo-ula-halfwave",
@@ -119,7 +116,6 @@ pub static REGISTRY: &[Scenario] = &[
             angular_spread_rad: PI / 6.0,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "mimo-offbroadside",
@@ -137,7 +133,6 @@ pub static REGISTRY: &[Scenario] = &[
             angular_spread_rad: 0.3,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "unequal-power-spatial",
@@ -155,7 +150,6 @@ pub static REGISTRY: &[Scenario] = &[
             angular_spread_rad: PI / 18.0,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "unequal-power-geometric",
@@ -172,7 +166,6 @@ pub static REGISTRY: &[Scenario] = &[
             base: 0.5,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "two-envelope-complex",
@@ -190,7 +183,6 @@ pub static REGISTRY: &[Scenario] = &[
             rho_im: 0.4,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "indefinite-rho08",
@@ -204,7 +196,6 @@ pub static REGISTRY: &[Scenario] = &[
         powers: PowerProfile::Intrinsic,
         covariance: CovarianceSpec::Indefinite { rho: 0.8 },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "indefinite-rho09",
@@ -219,7 +210,6 @@ pub static REGISTRY: &[Scenario] = &[
         powers: PowerProfile::Intrinsic,
         covariance: CovarianceSpec::Indefinite { rho: 0.9 },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "near-singular-eps1e6",
@@ -233,7 +223,6 @@ pub static REGISTRY: &[Scenario] = &[
         powers: PowerProfile::Intrinsic,
         covariance: CovarianceSpec::NearSingular { eps: 1e-6 },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "near-singular-eps1e9",
@@ -246,7 +235,6 @@ pub static REGISTRY: &[Scenario] = &[
         powers: PowerProfile::Intrinsic,
         covariance: CovarianceSpec::NearSingular { eps: 1e-9 },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "near-singular-eps1e13",
@@ -259,7 +247,6 @@ pub static REGISTRY: &[Scenario] = &[
         powers: PowerProfile::Intrinsic,
         covariance: CovarianceSpec::NearSingular { eps: 1e-13 },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "quickstart-demo",
@@ -274,7 +261,6 @@ pub static REGISTRY: &[Scenario] = &[
             entries: &QUICKSTART_ENTRIES,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "baseline-unequal",
@@ -290,7 +276,6 @@ pub static REGISTRY: &[Scenario] = &[
             entries: &BASELINE_UNEQUAL_ENTRIES,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "scaling-exp-rho07",
@@ -304,7 +289,6 @@ pub static REGISTRY: &[Scenario] = &[
         powers: PowerProfile::Intrinsic,
         covariance: CovarianceSpec::Exponential { rho: 0.7 },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
     Scenario {
         name: "complex-exp-rho08",
@@ -321,7 +305,6 @@ pub static REGISTRY: &[Scenario] = &[
             theta: 0.7,
         },
         doppler: DopplerSettings::PAPER,
-        precision: Precision::F64,
     },
 ];
 

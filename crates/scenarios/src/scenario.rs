@@ -2,10 +2,10 @@
 //! [`corrfade::GeneratorBuilder`].
 
 use corrfade::{
-    ChannelStream, Coloring, CorrelatedRayleighGenerator, GeneratorBuilder, RealtimeConfig,
-    RealtimeGenerator,
+    ChannelStream, Coloring, CorrelatedRayleighGenerator, GeneratorBuilder, Precision,
+    RealtimeConfig, RealtimeGenerator,
 };
-use corrfade_linalg::{c64, CMatrix, Precision};
+use corrfade_linalg::{c64, CMatrix};
 use corrfade_models::{
     pairwise_delays_from_arrival_times, ChannelParams, JakesSpectralModel, SalzWintersSpatialModel,
 };
@@ -242,11 +242,6 @@ pub struct Scenario {
     pub covariance: CovarianceSpec,
     /// Real-time (Doppler) mode settings.
     pub doppler: DopplerSettings,
-    /// Sample precision tier of the real-time generator (ARCHITECTURE.md
-    /// "Precision tiers"). All registered scenarios default to the bit-exact
-    /// [`Precision::F64`] reference tier; opt into the half-width fast tier
-    /// per stream with [`Scenario::with_precision`].
-    pub precision: Precision,
 }
 
 impl Scenario {
@@ -281,26 +276,6 @@ impl Scenario {
     /// ```
     pub fn with_envelopes(mut self, n: usize) -> Self {
         self.envelopes = n;
-        self
-    }
-
-    /// Returns a copy of the scenario with the real-time sample precision
-    /// tier replaced — the per-stream opt-in for the f32 fast tier.
-    ///
-    /// Precision only affects real-time (Doppler) generation; the covariance
-    /// resolution, decomposition and single-instant mode are always `f64`.
-    ///
-    /// ```
-    /// use corrfade_linalg::Precision;
-    ///
-    /// let scenario = corrfade_scenarios::lookup("fig4a-spectral")
-    ///     .unwrap()
-    ///     .with_precision(Precision::F32);
-    /// let cfg = scenario.realtime_config(7).unwrap();
-    /// assert_eq!(cfg.precision, Precision::F32);
-    /// ```
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -429,7 +404,7 @@ impl Scenario {
             normalized_doppler: self.doppler.normalized_doppler,
             sigma_orig_sq: self.doppler.sigma_orig_sq,
             seed,
-            precision: self.precision,
+            precision: Precision::F64,
         })
     }
 
@@ -527,7 +502,6 @@ mod tests {
             powers: PowerProfile::Intrinsic,
             covariance,
             doppler: DopplerSettings::PAPER,
-            precision: Precision::F64,
         }
     }
 

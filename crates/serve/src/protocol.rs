@@ -123,8 +123,8 @@ pub mod code {
     pub const FRAME_SIZE_MISMATCH: u16 = 9;
     /// The server is shutting down and stopped the stream early.
     pub const SERVER_SHUTDOWN: u16 = 10;
-    /// The request asked for a sample precision the protocol version cannot
-    /// stream (the f32 fast tier is reserved for a future wire revision).
+    /// The request asked for a sample precision the server cannot stream
+    /// (every stream is `f64`; the flag and this code stay reserved).
     pub const PRECISION_UNSUPPORTED: u16 = 11;
     /// The server is at its configured session capacity and declined the
     /// request; retry with backoff. (Wire v2; a v1-era client sees it as an
@@ -133,11 +133,12 @@ pub mod code {
 }
 
 /// Request-header flag (bit 15 of the name-length field, which
-/// [`MAX_NAME_LEN`] leaves free) reserved for requesting an f32 fast-tier
-/// stream. Wire v1 carries every block as planar little-endian `f64`
-/// ([`SampleBlock::encode_le_into`]), so a v1 server answers the flag with a
-/// typed [`code::PRECISION_UNSUPPORTED`] error frame instead of silently
-/// widening; a future v2 will honour it with half-width block frames.
+/// [`MAX_NAME_LEN`] leaves free) reserved for requesting an `f32` stream.
+/// Every block travels as planar little-endian `f64`
+/// ([`SampleBlock::encode_le_into`]) and generation has no other precision,
+/// so the server answers the flag with a typed
+/// [`code::PRECISION_UNSUPPORTED`] error frame instead of misreading the
+/// name length.
 pub const FLAG_F32_STREAM: u16 = 1 << 15;
 
 /// Everything that can be wrong with bytes on the wire, as a typed error.
@@ -428,8 +429,8 @@ pub fn encode_request(request: &Request, buf: &mut Vec<u8>) {
 
 /// [`encode_request`] with explicit header flag bits OR-ed into the
 /// name-length field (currently only [`FLAG_F32_STREAM`]). What a
-/// forward-looking client — or the lifecycle test pinning the v1 guard —
-/// uses to ask for a fast-tier stream.
+/// forward-looking client — or the lifecycle test pinning the guard — uses
+/// to set the reserved bit.
 pub fn encode_request_with_flags(request: &Request, flags: u16, buf: &mut Vec<u8>) {
     let version = if request.cursor == 0 {
         VERSION_V1

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use corrfade::{
     ChannelStream, CorrelatedRayleighGenerator, Precision, RealtimeConfig, RealtimeGenerator,
-    SampleBlock, SampleBlock32,
+    SampleBlock,
 };
 use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 
@@ -114,40 +114,6 @@ fn next_block_into_is_allocation_free_after_warmup() {
         );
     }
 
-    // The f32 fast tier: both the widening `ChannelStream` surface and the
-    // native `SampleBlock32` entry point must be allocation-free once warm.
-    {
-        let cfg = RealtimeConfig {
-            covariance: paper_covariance_matrix_23(),
-            idft_size: 1024,
-            normalized_doppler: 0.05,
-            sigma_orig_sq: 0.5,
-            seed: 3,
-            precision: Precision::F32,
-        };
-        let mut f32_stream = RealtimeGenerator::new(cfg.clone()).unwrap();
-        let delta = measure(&mut f32_stream, &mut block);
-        assert_eq!(
-            delta, 0,
-            "a warm f32-tier stream allocated {delta} time(s) through next_block_into"
-        );
-
-        let mut native = RealtimeGenerator::new(cfg).unwrap();
-        let mut half = SampleBlock32::empty();
-        for _ in 0..2 {
-            native.next_block32_into(&mut half).unwrap();
-        }
-        let before = allocations();
-        for _ in 0..8 {
-            native.next_block32_into(&mut half).unwrap();
-        }
-        let delta = allocations() - before;
-        assert_eq!(
-            delta, 0,
-            "a warm f32-tier stream allocated {delta} time(s) through next_block32_into"
-        );
-    }
-
     // The baseline streams honour the same contract: the flawed realtime
     // combination, the real-embedding generator (its own scratch path), and
     // one user of the shared snapshot-batching helper (which also covers
@@ -214,7 +180,6 @@ fn next_block_into_is_allocation_free_after_warmup() {
                 normalized_doppler: 0.05,
                 sigma_orig_sq: 0.5,
             },
-            precision: Precision::from_test_env(),
             ..NetworkSimConfig::default()
         };
         let mut sim = NetworkSim::open(Topology::grid(3, 3, 1.0).unwrap(), &cfg, 1).unwrap();

@@ -120,21 +120,14 @@ fn pool_choice_cannot_influence_the_blocks() {
 }
 
 #[test]
-fn precision_tier_is_fleet_invariant() {
-    // The CI precision matrix re-runs this binary under
-    // CORRFADE_TEST_PRECISION=f32: a fleet of tier-overridden scenarios must
-    // stay bit-identical to standalone streams of the same tier (both sides
-    // share precision + backend + RNG stream, so the comparison is exact in
-    // either tier).
-    use corrfade::Precision;
-
+fn open_scenarios_matches_standalone_streams() {
+    // The registry-free entry point: a fleet over caller-resolved scenario
+    // references must stay bit-identical to standalone streams of the same
+    // scenarios and per-stream seeds.
     const MASTER_SEED: u64 = 0x9A7E;
-    let precision = Precision::from_test_env();
     let names = ["fig4a-spectral", "two-envelope-complex"];
-    let scenarios: Vec<&'static corrfade_scenarios::Scenario> = names
-        .iter()
-        .map(|name| &*Box::leak(Box::new(lookup(name).unwrap().with_precision(precision))))
-        .collect();
+    let scenarios: Vec<&'static corrfade_scenarios::Scenario> =
+        names.iter().map(|name| lookup(name).unwrap()).collect();
 
     let mut fleet = StreamFleet::open_scenarios(&scenarios, MASTER_SEED).unwrap();
     let mut block = SampleBlock::empty();
@@ -150,8 +143,7 @@ fn precision_tier_is_fleet_invariant() {
             assert_eq!(
                 fleet.block(i).as_slice(),
                 block.as_slice(),
-                "stream {i} ({precision}) diverged from standalone generation \
-                 in advance {round}"
+                "stream {i} diverged from standalone generation in advance {round}"
             );
         }
     }

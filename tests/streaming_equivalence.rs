@@ -23,9 +23,7 @@ fn realtime_config(k: corrfade_linalg::CMatrix, seed: u64) -> RealtimeConfig {
         normalized_doppler: 0.05,
         sigma_orig_sq: 0.5,
         seed,
-        // Both sides of every comparison share the tier, so the CI precision
-        // matrix (CORRFADE_TEST_PRECISION=f32) keeps these suites bit-exact.
-        precision: corrfade::Precision::from_test_env(),
+        precision: corrfade::Precision::F64,
     }
 }
 
