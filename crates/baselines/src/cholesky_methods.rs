@@ -102,11 +102,6 @@ impl BeaulieuMeraniGenerator {
     pub fn sample_envelopes(&mut self) -> Vec<f64> {
         self.sample_gaussian().iter().map(|z| z.abs()).collect()
     }
-
-    /// Draws `count` snapshots.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
-    }
 }
 
 impl ChannelStream for BeaulieuMeraniGenerator {
@@ -217,11 +212,6 @@ impl NatarajanGenerator {
     pub fn sample_envelopes(&mut self) -> Vec<f64> {
         self.sample_gaussian().iter().map(|z| z.abs()).collect()
     }
-
-    /// Draws `count` snapshots.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
-    }
 }
 
 impl ChannelStream for NatarajanGenerator {
@@ -252,15 +242,16 @@ mod tests {
     use super::*;
     use corrfade_linalg::c64;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-    use corrfade_stats::{relative_frobenius_error, sample_covariance};
+    use corrfade_stats::relative_frobenius_error;
+
+    use crate::streaming::stream_covariance;
 
     #[test]
     fn beaulieu_merani_reproduces_equal_power_pd_covariance() {
         let k = paper_covariance_matrix_23();
         let mut g = BeaulieuMeraniGenerator::new(&k, 2).unwrap();
         assert_eq!(g.dimension(), 3);
-        let snaps = g.generate_snapshots(60_000);
-        let khat = sample_covariance(&snaps);
+        let khat = stream_covariance(&mut g, 59);
         assert!(relative_frobenius_error(&khat, &k) < 0.04);
         assert_eq!(g.sample_envelopes().len(), 3);
     }
@@ -283,8 +274,7 @@ mod tests {
     fn natarajan_supports_unequal_powers_with_real_covariances() {
         let k = CMatrix::from_real_slice(3, 3, &[2.0, 0.4, 0.1, 0.4, 1.0, 0.3, 0.1, 0.3, 0.5]);
         let mut g = NatarajanGenerator::new(&k, 4).unwrap();
-        let snaps = g.generate_snapshots(60_000);
-        let khat = sample_covariance(&snaps);
+        let khat = stream_covariance(&mut g, 59);
         assert!(relative_frobenius_error(&khat, &k) < 0.04);
     }
 
@@ -304,8 +294,7 @@ mod tests {
         let k = paper_covariance_matrix_22();
         let mut g = NatarajanGenerator::new_lossy(&k, 7).unwrap();
         assert_eq!(g.dimension(), 3);
-        let snaps = g.generate_snapshots(60_000);
-        let khat = sample_covariance(&snaps);
+        let khat = stream_covariance(&mut g, 59);
         // It converges to Re(K) ...
         assert!(relative_frobenius_error(&khat, g.realified_covariance()) < 0.04);
         // ... which is far from the true target K.

@@ -213,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_baselines_match_their_legacy_sampling_bit_for_bit() {
+    fn streaming_baselines_match_their_per_snapshot_sampling_bit_for_bit() {
         use corrfade::{ChannelStream, SampleBlock};
         let k = paper_covariance_matrix_23();
         let mut block = SampleBlock::empty();
@@ -227,25 +227,29 @@ mod tests {
             stream.next_block_into(&mut block).unwrap();
             let m = block.samples();
             assert_eq!(block.envelopes(), 3, "{}", method.name());
-            // The same seed through the legacy per-snapshot API must produce
-            // the identical sample sequence.
-            let legacy_snaps = match method {
-                BaselineMethod::SalzWinters => SalzWintersGenerator::new(&k, 42)
-                    .unwrap()
-                    .generate_snapshots(m),
-                BaselineMethod::BeaulieuMerani => BeaulieuMeraniGenerator::new(&k, 42)
-                    .unwrap()
-                    .generate_snapshots(m),
-                BaselineMethod::Natarajan => NatarajanGenerator::new(&k, 42)
-                    .unwrap()
-                    .generate_snapshots(m),
-                BaselineMethod::SorooshyariDaut => SorooshyariDautGenerator::new(&k, 42)
-                    .unwrap()
-                    .generate_snapshots(m),
+            // The same seed through the per-snapshot API must produce the
+            // identical sample sequence.
+            let mut sample_gaussian: Box<dyn FnMut() -> Vec<_>> = match method {
+                BaselineMethod::SalzWinters => {
+                    let mut g = SalzWintersGenerator::new(&k, 42).unwrap();
+                    Box::new(move || g.sample_gaussian())
+                }
+                BaselineMethod::BeaulieuMerani => {
+                    let mut g = BeaulieuMeraniGenerator::new(&k, 42).unwrap();
+                    Box::new(move || g.sample_gaussian())
+                }
+                BaselineMethod::Natarajan => {
+                    let mut g = NatarajanGenerator::new(&k, 42).unwrap();
+                    Box::new(move || g.sample_gaussian())
+                }
+                BaselineMethod::SorooshyariDaut => {
+                    let mut g = SorooshyariDautGenerator::new(&k, 42).unwrap();
+                    Box::new(move || g.sample_gaussian())
+                }
                 _ => unreachable!(),
             };
-            for (l, snap) in legacy_snaps.iter().enumerate() {
-                for (j, &expected) in snap.iter().enumerate() {
+            for l in 0..m {
+                for (j, expected) in sample_gaussian().into_iter().enumerate() {
                     assert_eq!(block.path(j)[l], expected, "{} sample {l}", method.name());
                 }
             }

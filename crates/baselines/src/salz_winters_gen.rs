@@ -115,7 +115,7 @@ impl SalzWintersGenerator {
     }
 
     /// Draws one real `2N` colored embedding vector into the internal
-    /// scratch — the allocation-free primitive behind both the legacy
+    /// scratch — the allocation-free primitive behind both the per-snapshot
     /// sampling methods and the streaming path.
     fn draw_embedding(&mut self) {
         let dim = 2 * self.n;
@@ -139,11 +139,6 @@ impl SalzWintersGenerator {
     /// Draws one vector of correlated Rayleigh envelopes.
     pub fn sample_envelopes(&mut self) -> Vec<f64> {
         self.sample_gaussian().iter().map(|z| z.abs()).collect()
-    }
-
-    /// Draws `count` snapshots of the complex Gaussian vector.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
     }
 }
 
@@ -175,15 +170,16 @@ impl ChannelStream for SalzWintersGenerator {
 mod tests {
     use super::*;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-    use corrfade_stats::{relative_frobenius_error, sample_covariance};
+    use corrfade_stats::relative_frobenius_error;
+
+    use crate::streaming::stream_covariance;
 
     #[test]
     fn reproduces_equal_power_psd_covariance() {
         for k in [paper_covariance_matrix_22(), paper_covariance_matrix_23()] {
             let mut g = SalzWintersGenerator::new(&k, 5).unwrap();
             assert_eq!(g.dimension(), 3);
-            let snaps = g.generate_snapshots(60_000);
-            let khat = sample_covariance(&snaps);
+            let khat = stream_covariance(&mut g, 59);
             let err = relative_frobenius_error(&khat, &k);
             assert!(err < 0.04, "relative covariance error {err}");
         }

@@ -158,11 +158,6 @@ impl SorooshyariDautGenerator {
     pub fn sample_envelopes(&mut self) -> Vec<f64> {
         self.sample_gaussian().iter().map(|z| z.abs()).collect()
     }
-
-    /// Draws `count` snapshots.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
-    }
 }
 
 impl ChannelStream for SorooshyariDautGenerator {
@@ -252,17 +247,6 @@ impl SorooshyariDautRealtimeGenerator {
     pub fn actual_doppler_variance(&self) -> f64 {
         self.idft.output_variance()
     }
-
-    /// Generates one block of `M` time samples per envelope using the flawed
-    /// unit-variance assumption: `Z[l] = L·W[l]` with no `1/σ_g` scaling.
-    ///
-    /// Compatibility wrapper over the [`ChannelStream`] path.
-    pub fn generate_block(&mut self) -> Vec<Vec<Complex64>> {
-        let mut block = SampleBlock::empty();
-        self.next_block_into(&mut block)
-            .expect("baseline streaming is infallible after construction");
-        block.to_paths()
-    }
 }
 
 impl ChannelStream for SorooshyariDautRealtimeGenerator {
@@ -274,6 +258,8 @@ impl ChannelStream for SorooshyariDautRealtimeGenerator {
         self.idft.filter().len()
     }
 
+    /// Generates one block of `M` time samples per envelope using the flawed
+    /// unit-variance assumption: `Z[l] = L·W[l]` with no `1/σ_g` scaling.
     fn next_block_into(&mut self, block: &mut SampleBlock) -> Result<(), CorrfadeError> {
         let n = self.n;
         let m = self.idft.filter().len();
@@ -305,9 +291,9 @@ impl ChannelStream for SorooshyariDautRealtimeGenerator {
 mod tests {
     use super::*;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-    use corrfade_stats::{
-        relative_frobenius_error, sample_covariance, sample_covariance_from_paths,
-    };
+    use corrfade_stats::relative_frobenius_error;
+
+    use crate::streaming::stream_covariance;
 
     #[test]
     fn single_instant_mode_works_on_pd_covariances() {
@@ -315,8 +301,7 @@ mod tests {
         let mut g = SorooshyariDautGenerator::new(&k, 3).unwrap();
         assert_eq!(g.dimension(), 3);
         assert_eq!(g.replaced_eigenvalues(), 0);
-        let snaps = g.generate_snapshots(60_000);
-        let khat = sample_covariance(&snaps);
+        let khat = stream_covariance(&mut g, 59);
         assert!(relative_frobenius_error(&khat, &k) < 0.04);
         assert_eq!(g.sample_envelopes().len(), 3);
     }
@@ -369,14 +354,7 @@ mod tests {
             "test premise: σ_g² must differ from 1"
         );
 
-        let mut paths: Vec<Vec<Complex64>> = vec![Vec::new(); 3];
-        for _ in 0..30 {
-            let block = flawed.generate_block();
-            for j in 0..3 {
-                paths[j].extend_from_slice(&block[j]);
-            }
-        }
-        let khat = sample_covariance_from_paths(&paths);
+        let khat = stream_covariance(&mut flawed, 30);
         // Large error against the desired covariance ...
         let err_against_desired = relative_frobenius_error(&khat, &k);
         // ... but consistent with the σ_g²-scaled covariance, confirming the

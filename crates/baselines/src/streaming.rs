@@ -19,7 +19,7 @@ pub(crate) const SNAPSHOT_STREAM_BLOCK_LEN: usize =
 
 /// Fills `block` with [`SNAPSHOT_STREAM_BLOCK_LEN`] unit-variance snapshots
 /// colored by `coloring`, drawing the white vectors in exactly the order of
-/// the generator's legacy `sample_gaussian` loop (bit-identical for equal
+/// repeated `sample_gaussian` calls on the generator (bit-identical for equal
 /// seeds). `w`/`z` are generator-owned scratch vectors; nothing is
 /// allocated once they and `block` are warm.
 pub(crate) fn fill_snapshot_block(
@@ -43,4 +43,20 @@ pub(crate) fn fill_snapshot_block(
             data[j * m + l] = z[j];
         }
     }
+}
+
+/// Sample covariance of `blocks` streamed blocks, folded block by block.
+#[cfg(test)]
+pub(crate) fn stream_covariance(
+    stream: &mut dyn corrfade::ChannelStream,
+    blocks: usize,
+) -> CMatrix {
+    let n = stream.dimension();
+    let mut acc = CMatrix::zeros(n, n);
+    let mut block = SampleBlock::empty();
+    for _ in 0..blocks {
+        stream.next_block_into(&mut block).unwrap();
+        block.accumulate_covariance(&mut acc);
+    }
+    acc.scale_real(1.0 / (blocks * stream.block_len()) as f64)
 }

@@ -107,11 +107,6 @@ impl ErtelReedGenerator {
     pub fn sample_envelopes(&mut self) -> Vec<f64> {
         self.sample_gaussian().iter().map(|z| z.abs()).collect()
     }
-
-    /// Draws `count` snapshots.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
-    }
 }
 
 /// The Beaulieu two-envelope generator (baseline \[3\]), which additionally
@@ -150,11 +145,6 @@ impl BeaulieuGenerator {
     pub fn sample_envelopes(&mut self) -> Vec<f64> {
         self.inner.sample_envelopes()
     }
-
-    /// Draws `count` snapshots.
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        self.inner.generate_snapshots(count)
-    }
 }
 
 /// Builds the 2×2 equal-power covariance matrix with complex correlation
@@ -177,7 +167,7 @@ mod tests {
         let k = two_envelope_covariance(1.0, rho);
         let mut g = ErtelReedGenerator::new(&k, 11).unwrap();
         assert!(g.rho().approx_eq(rho, 1e-12));
-        let snaps = g.generate_snapshots(80_000);
+        let snaps: Vec<_> = (0..80_000).map(|_| g.sample_gaussian()).collect();
         let khat = sample_covariance(&snaps);
         assert!(relative_frobenius_error(&khat, &k) < 0.03);
     }
@@ -227,7 +217,7 @@ mod tests {
     fn beaulieu_accepts_real_and_rejects_complex_correlation() {
         let real_k = two_envelope_covariance(1.0, c64(0.6, 0.0));
         let mut g = BeaulieuGenerator::new(&real_k, 5).unwrap();
-        let snaps = g.generate_snapshots(60_000);
+        let snaps: Vec<_> = (0..60_000).map(|_| g.sample_gaussian()).collect();
         let khat = sample_covariance(&snaps);
         assert!(relative_frobenius_error(&khat, &real_k) < 0.03);
         assert_eq!(g.sample_envelopes().len(), 2);

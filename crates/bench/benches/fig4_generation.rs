@@ -3,10 +3,8 @@
 //! `fig4a-spectral` and `fig4b-spatial` scenarios, plus the single-instant
 //! mode for reference.
 //!
-//! Each mode is measured twice: through the zero-allocation streaming API
-//! (`next_block_into` with a pooled planar `SampleBlock`) and through the
-//! allocating legacy wrappers, so the cost of the per-block allocations is
-//! visible in the report.
+//! Both modes are measured through the zero-allocation streaming API
+//! (`next_block_into` with a pooled planar `SampleBlock`).
 
 use corrfade::{ChannelStream, SampleBlock};
 use corrfade_scenarios::lookup;
@@ -22,10 +20,6 @@ fn bench_realtime_blocks(c: &mut Criterion) {
             let mut gen = lookup(name).unwrap().build_realtime(1).unwrap();
             let mut block = SampleBlock::empty();
             b.iter(|| gen.next_block_into(&mut block).unwrap())
-        });
-        group.bench_function(format!("{name}/legacy_alloc"), |b| {
-            let mut gen = lookup(name).unwrap().build_realtime(1).unwrap();
-            b.iter(|| gen.generate_block())
         });
     }
     group.finish();
@@ -43,10 +37,6 @@ fn bench_single_instant(c: &mut Criterion) {
                 .with_stream_block_len(4096);
             let mut block = SampleBlock::empty();
             b.iter(|| gen.next_block_into(&mut block).unwrap())
-        });
-        group.bench_function(format!("{name}/legacy_alloc"), |b| {
-            let mut gen = lookup(name).unwrap().build(1).unwrap();
-            b.iter(|| gen.generate_snapshots(4096))
         });
     }
     group.finish();

@@ -9,6 +9,7 @@
 //! All three configurations are resolved from the scenario registry:
 //! `fig4a-spectral`, `unequal-power-spatial` and `indefinite-rho09`.
 
+use corrfade::ChannelStream;
 use corrfade_bench::{report, stream_covariance};
 use corrfade_scenarios::{lookup, PowerProfile};
 use corrfade_stats::relative_frobenius_error;
@@ -37,10 +38,16 @@ fn main() {
         relative_frobenius_error(&khat, &k),
     );
 
-    // Envelope moments, per envelope (sigma_g^2 = 1).
-    let mut gen = spectral.build(0xE51).unwrap();
-    let paths = gen.generate_envelope_paths(SNAPSHOTS);
-    for (j, path) in paths.iter().enumerate() {
+    // Envelope moments, per envelope (sigma_g^2 = 1), over one planar block
+    // of all the snapshots.
+    let mut block = spectral
+        .build(0xE51)
+        .unwrap()
+        .with_stream_block_len(SNAPSHOTS)
+        .next_block()
+        .unwrap();
+    for j in 0..block.envelopes() {
+        let path = block.envelope_path(j);
         let check = corrfade_stats::check_envelope_moments(path, 1.0);
         report::compare_scalar(
             &format!("envelope {} mean (Eq. 14)", j + 1),
@@ -73,13 +80,17 @@ fn main() {
     let PowerProfile::Envelope(envelope_powers) = unequal.powers else {
         unreachable!("unequal-power-spatial declares envelope powers");
     };
-    let mut gen = unequal.build(0xE52).unwrap();
-    let paths = gen.generate_envelope_paths(SNAPSHOTS);
-    for (j, path) in paths.iter().enumerate() {
+    let mut block = unequal
+        .build(0xE52)
+        .unwrap()
+        .with_stream_block_len(SNAPSHOTS)
+        .next_block()
+        .unwrap();
+    for (j, &requested) in envelope_powers.iter().enumerate() {
         report::compare_scalar(
             &format!("envelope {} variance vs requested sigma_r^2", j + 1),
-            envelope_powers[j],
-            corrfade_stats::variance(path),
+            requested,
+            corrfade_stats::variance(block.envelope_path(j)),
         );
     }
 

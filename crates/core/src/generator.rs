@@ -62,8 +62,8 @@ pub struct CorrelatedRayleighGenerator {
     stream_block_len: usize,
     /// Per-snapshot white vector `W` scratch.
     w: Vec<Complex64>,
-    /// Per-snapshot colored vector `Z` scratch (streaming path only; the
-    /// legacy sampling methods write into caller-owned buffers).
+    /// Per-snapshot colored vector `Z` scratch of the [`ChannelStream`]
+    /// path, scattered into the planar block.
     z: Vec<Complex64>,
 }
 
@@ -100,6 +100,7 @@ impl CorrelatedRayleighGenerator {
                 value: driving_variance,
             });
         }
+        let n = coloring.dimension();
         Ok(Self {
             coloring,
             desired,
@@ -107,8 +108,8 @@ impl CorrelatedRayleighGenerator {
             rng: RandomStream::new(seed),
             gaussian: ComplexGaussian::default(),
             stream_block_len: Self::DEFAULT_STREAM_BLOCK_LEN,
-            w: Vec::new(),
-            z: Vec::new(),
+            w: vec![Complex64::ZERO; n],
+            z: vec![Complex64::ZERO; n],
         })
     }
 
@@ -165,39 +166,10 @@ impl CorrelatedRayleighGenerator {
         self.driving_variance
     }
 
-    /// Colors an externally supplied white complex Gaussian vector of
-    /// variance `w_variance`: `Z = L·W/σ_g` (step 7). This is the entry point
-    /// the real-time algorithm uses with the Doppler-filtered samples and the
-    /// Eq.-19 variance.
-    ///
-    /// # Panics
-    /// Panics if `w.len()` differs from the generator dimension or
-    /// `w_variance` is not strictly positive.
-    pub fn color(&self, w: &[Complex64], w_variance: f64) -> Vec<Complex64> {
-        assert_eq!(
-            w.len(),
-            self.dimension(),
-            "color: expected a vector of length {}, got {}",
-            self.dimension(),
-            w.len()
-        );
-        assert!(
-            w_variance > 0.0,
-            "color: variance must be strictly positive"
-        );
-        let scale = 1.0 / w_variance.sqrt();
-        self.coloring
-            .matrix
-            .matvec(w)
-            .into_iter()
-            .map(|z| z.scale(scale))
-            .collect()
-    }
-
     /// Draws the next correlated complex Gaussian vector `Z` (step 6 + 7)
     /// into a caller-owned buffer, using only internal scratch — the
-    /// allocation-free primitive behind both the legacy sampling methods and
-    /// the [`ChannelStream`] implementation.
+    /// allocation-free primitive behind [`Self::sample_gaussian`] and the
+    /// [`ChannelStream`] implementation.
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the generator dimension.
@@ -209,17 +181,28 @@ impl CorrelatedRayleighGenerator {
             "sample_gaussian_into: expected a buffer of length {n}, got {}",
             out.len()
         );
-        self.w.resize(n, Complex64::ZERO);
-        let variance = self.driving_variance;
-        let Self {
-            rng, gaussian, w, ..
-        } = self;
-        gaussian.fill(rng, w, variance);
-        self.coloring.matrix.matvec_into(&self.w, out);
-        let scale = 1.0 / variance.sqrt();
+        self.color_white_into(out);
+        let scale = 1.0 / self.driving_variance.sqrt();
         for zj in out.iter_mut() {
             *zj = zj.scale(scale);
         }
+    }
+
+    /// Steps 6 + 7 without the final `1/σ_g` scaling: draws a white `W`
+    /// into the internal scratch and writes `L·W` into `out`.
+    // Forced inline: as an out-of-line call the streaming loop below ran
+    // ~5% slower at N = 3 (fig4 single-instant bench).
+    #[inline(always)]
+    fn color_white_into(&mut self, out: &mut [Complex64]) {
+        let Self {
+            rng,
+            gaussian,
+            w,
+            driving_variance,
+            ..
+        } = self;
+        gaussian.fill(rng, w, *driving_variance);
+        self.coloring.matrix.matvec_into(&self.w, out);
     }
 
     /// Draws the next correlated complex Gaussian vector `Z` (step 6 + 7).
@@ -238,27 +221,6 @@ impl CorrelatedRayleighGenerator {
             gaussian,
             envelopes,
         }
-    }
-
-    /// Draws `count` independent snapshots (each a length-`N` vector `Z`).
-    pub fn generate_snapshots(&mut self, count: usize) -> Vec<Vec<Complex64>> {
-        (0..count).map(|_| self.sample_gaussian()).collect()
-    }
-
-    /// Draws `count` independent time samples and returns them as `N`
-    /// envelope paths of length `count` (the layout of the paper's Fig. 4
-    /// plots).
-    pub fn generate_envelope_paths(&mut self, count: usize) -> Vec<Vec<f64>> {
-        let n = self.dimension();
-        let mut z = vec![Complex64::ZERO; n];
-        let mut paths = vec![Vec::with_capacity(count); n];
-        for _ in 0..count {
-            self.sample_gaussian_into(&mut z);
-            for (j, path) in paths.iter_mut().enumerate() {
-                path.push(z[j].abs());
-            }
-        }
-        paths
     }
 }
 
@@ -281,23 +243,16 @@ impl ChannelStream for CorrelatedRayleighGenerator {
         let n = self.coloring.dimension();
         let m = self.stream_block_len;
         block.resize(n, m);
-        self.w.resize(n, Complex64::ZERO);
-        self.z.resize(n, Complex64::ZERO);
-        let variance = self.driving_variance;
-        let scale = 1.0 / variance.sqrt();
+        let mut z = std::mem::take(&mut self.z);
+        let scale = 1.0 / self.driving_variance.sqrt();
+        let data = block.as_mut_slice();
         for l in 0..m {
-            {
-                let Self {
-                    rng, gaussian, w, ..
-                } = self;
-                gaussian.fill(rng, w, variance);
-            }
-            self.coloring.matrix.matvec_into(&self.w, &mut self.z);
-            let data = block.as_mut_slice();
-            for j in 0..n {
-                data[j * m + l] = self.z[j].scale(scale);
+            self.color_white_into(&mut z);
+            for (j, zj) in z.iter().enumerate() {
+                data[j * m + l] = zj.scale(scale);
             }
         }
+        self.z = z;
         Ok(())
     }
 }
@@ -307,7 +262,7 @@ mod tests {
     use super::*;
     use corrfade_linalg::c64;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-    use corrfade_stats::{relative_frobenius_error, sample_covariance};
+    use corrfade_stats::{relative_frobenius_error, sample_covariance_from_block};
 
     #[test]
     fn basic_accessors() {
@@ -346,9 +301,9 @@ mod tests {
     fn sample_covariance_converges_to_desired_covariance() {
         // The central claim of Sec. 4.5: E[Z Z^H] = K.
         let k = paper_covariance_matrix_22();
-        let mut g = CorrelatedRayleighGenerator::new(k.clone(), 7).unwrap();
-        let snaps = g.generate_snapshots(60_000);
-        let khat = sample_covariance(&snaps);
+        let g = CorrelatedRayleighGenerator::new(k.clone(), 7).unwrap();
+        let khat =
+            sample_covariance_from_block(&g.with_stream_block_len(60_000).next_block().unwrap());
         let err = relative_frobenius_error(&khat, &k);
         assert!(err < 0.03, "relative covariance error {err}");
     }
@@ -358,10 +313,10 @@ mod tests {
         // E[Z Z^H] = K for any σ_g² of the white vector W.
         let k = paper_covariance_matrix_23();
         for &var in &[0.1, 1.0, 17.0] {
-            let mut g =
-                CorrelatedRayleighGenerator::with_driving_variance(k.clone(), var, 11).unwrap();
-            let snaps = g.generate_snapshots(40_000);
-            let khat = sample_covariance(&snaps);
+            let g = CorrelatedRayleighGenerator::with_driving_variance(k.clone(), var, 11).unwrap();
+            let khat = sample_covariance_from_block(
+                &g.with_stream_block_len(40_000).next_block().unwrap(),
+            );
             let err = relative_frobenius_error(&khat, &k);
             assert!(err < 0.04, "driving variance {var}: relative error {err}");
         }
@@ -375,10 +330,10 @@ mod tests {
             vec![c64(0.5, -0.5), c64(4.0, 0.0), c64(0.2, -0.3)],
             vec![c64(0.1, 0.0), c64(0.2, 0.3), c64(0.25, 0.0)],
         ]);
-        let mut g = CorrelatedRayleighGenerator::new(k.clone(), 3).unwrap();
-        let paths = g.generate_envelope_paths(50_000);
-        for (j, path) in paths.iter().enumerate() {
-            let power = corrfade_stats::mean_square(path);
+        let g = CorrelatedRayleighGenerator::new(k.clone(), 3).unwrap();
+        let mut block = g.with_stream_block_len(50_000).next_block().unwrap();
+        for j in 0..3 {
+            let power = corrfade_stats::mean_square(block.envelope_path(j));
             let expected = k[(j, j)].re;
             assert!(
                 (power - expected).abs() / expected < 0.05,
@@ -390,10 +345,10 @@ mod tests {
     #[test]
     fn envelope_moments_match_paper_eq_14_15() {
         let k = paper_covariance_matrix_22();
-        let mut g = CorrelatedRayleighGenerator::new(k, 5).unwrap();
-        let paths = g.generate_envelope_paths(60_000);
-        for path in &paths {
-            let check = corrfade_stats::check_envelope_moments(path, 1.0);
+        let g = CorrelatedRayleighGenerator::new(k, 5).unwrap();
+        let mut block = g.with_stream_block_len(60_000).next_block().unwrap();
+        for j in 0..3 {
+            let check = corrfade_stats::check_envelope_moments(block.envelope_path(j), 1.0);
             assert!(
                 check.max_relative_error() < 0.05,
                 "envelope moments deviate: {check:?}"
@@ -404,11 +359,13 @@ mod tests {
     #[test]
     fn generated_envelopes_pass_rayleigh_ks_test() {
         let k = paper_covariance_matrix_23();
-        let mut g = CorrelatedRayleighGenerator::new(k, 13).unwrap();
-        let paths = g.generate_envelope_paths(20_000);
-        for path in &paths {
+        let g = CorrelatedRayleighGenerator::new(k, 13).unwrap();
+        let mut block = g.with_stream_block_len(20_000).next_block().unwrap();
+        for j in 0..3 {
             let sigma = corrfade_stats::rayleigh_scale(1.0);
-            let t = corrfade_stats::ks_test(path, |r| corrfade_specfun::rayleigh_cdf(r, sigma));
+            let t = corrfade_stats::ks_test(block.envelope_path(j), |r| {
+                corrfade_specfun::rayleigh_cdf(r, sigma)
+            });
             assert!(
                 t.passes(0.001),
                 "KS test rejected a generated envelope: {t:?}"
@@ -419,11 +376,11 @@ mod tests {
     #[test]
     fn indefinite_covariance_realizes_its_psd_projection() {
         let k = CMatrix::from_real_slice(3, 3, &[1.0, 0.9, -0.9, 0.9, 1.0, 0.9, -0.9, 0.9, 1.0]);
-        let mut g = CorrelatedRayleighGenerator::new(k.clone(), 21).unwrap();
+        let g = CorrelatedRayleighGenerator::new(k.clone(), 21).unwrap();
         assert!(g.coloring().psd.clipped_count > 0);
         let forced = g.realized_covariance();
-        let snaps = g.generate_snapshots(60_000);
-        let khat = sample_covariance(&snaps);
+        let khat =
+            sample_covariance_from_block(&g.with_stream_block_len(60_000).next_block().unwrap());
         // Converges to the forced matrix, not (and necessarily not) to K.
         assert!(relative_frobenius_error(&khat, &forced) < 0.03);
         assert!(relative_frobenius_error(&forced, &k) > 0.01);
@@ -437,12 +394,11 @@ mod tests {
             .unwrap()
             .with_stream_block_len(17);
         assert_eq!(ChannelStream::block_len(&stream), 17);
-        let snaps = snap.generate_snapshots(2 * 17);
         let mut block = SampleBlock::empty();
-        for b in 0..2 {
+        for _ in 0..2 {
             stream.next_block_into(&mut block).unwrap();
             for l in 0..17 {
-                for (j, &expected) in snaps[b * 17 + l].iter().enumerate() {
+                for (j, &expected) in snap.sample_gaussian().iter().enumerate() {
                     assert_eq!(block.path(j)[l], expected);
                 }
             }
@@ -463,12 +419,5 @@ mod tests {
             CorrelatedRayleighGenerator::with_driving_variance(k, 0.0, 1),
             Err(CorrfadeError::InvalidDrivingVariance { .. })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "expected a vector of length")]
-    fn color_checks_dimension() {
-        let g = CorrelatedRayleighGenerator::new(paper_covariance_matrix_22(), 1).unwrap();
-        let _ = g.color(&[Complex64::ZERO], 1.0);
     }
 }

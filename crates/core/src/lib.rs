@@ -81,7 +81,7 @@ pub use error::CorrfadeError;
 pub use generator::{CorrelatedRayleighGenerator, Sample};
 pub use power::PowerSpec;
 pub use psd::{force_positive_semidefinite, validate_covariance, PsdForcing};
-pub use realtime::{Precision, RealtimeBlock, RealtimeConfig, RealtimeGenerator};
+pub use realtime::{Precision, RealtimeConfig, RealtimeGenerator};
 pub use stream::ChannelStream;
 
 // The planar block buffers the streaming API writes into live in the linalg

@@ -80,30 +80,6 @@ impl RealtimeConfig {
     }
 }
 
-/// One generated block: `N` correlated fading processes observed over `M`
-/// consecutive time samples.
-#[derive(Debug, Clone)]
-pub struct RealtimeBlock {
-    /// `gaussian_paths[j][l]` — complex Gaussian sample of envelope `j` at
-    /// time instant `l`.
-    pub gaussian_paths: Vec<Vec<Complex64>>,
-    /// `envelope_paths[j][l] = |gaussian_paths[j][l]|` — the Rayleigh
-    /// envelopes.
-    pub envelope_paths: Vec<Vec<f64>>,
-}
-
-impl RealtimeBlock {
-    /// Number of envelopes `N`.
-    pub fn envelopes(&self) -> usize {
-        self.gaussian_paths.len()
-    }
-
-    /// Number of time samples `M`.
-    pub fn samples(&self) -> usize {
-        self.gaussian_paths.first().map_or(0, Vec::len)
-    }
-}
-
 /// Generator of `N` correlated, Doppler-band-limited Rayleigh fading
 /// processes (paper Fig. 3).
 ///
@@ -111,9 +87,7 @@ impl RealtimeBlock {
 /// writes `Z[l] = L·W[l]/σ_g` directly into a caller-owned planar
 /// [`SampleBlock`] and keeps all working memory (the `N × M` Doppler
 /// scratch, the per-instant `W`/`Z` vectors) inside the generator — zero
-/// heap allocation per block in steady state. [`Self::generate_block`] and
-/// [`Self::generate_blocks`] remain as thin compatibility wrappers that
-/// materialize the legacy [`RealtimeBlock`] layout.
+/// heap allocation per block in steady state.
 #[derive(Debug, Clone)]
 pub struct RealtimeGenerator {
     coloring: Coloring,
@@ -269,49 +243,6 @@ impl RealtimeGenerator {
             }
         }
     }
-
-    /// Generates one block of `M` consecutive time samples of all `N`
-    /// correlated fading processes.
-    ///
-    /// Compatibility wrapper over the streaming path: allocates the legacy
-    /// per-envelope `Vec`s on every call. Prefer
-    /// [`ChannelStream::next_block_into`] with a pooled [`SampleBlock`] on
-    /// hot paths.
-    pub fn generate_block(&mut self) -> RealtimeBlock {
-        let mut block = SampleBlock::empty();
-        self.fill_block(&mut block);
-        RealtimeBlock {
-            gaussian_paths: block.to_paths(),
-            envelope_paths: block.to_envelope_paths(),
-        }
-    }
-
-    /// Generates `blocks` consecutive blocks and concatenates them per
-    /// envelope (convenience for long Monte-Carlo runs).
-    ///
-    /// Compatibility wrapper over the streaming path; one internal
-    /// [`SampleBlock`] is reused across all blocks and each block's lazily
-    /// computed envelopes are appended directly — the envelopes are not
-    /// recomputed over the concatenated paths.
-    pub fn generate_blocks(&mut self, blocks: usize) -> RealtimeBlock {
-        let n = self.dimension();
-        let mut gaussian_paths: Vec<Vec<Complex64>> = vec![Vec::new(); n];
-        let mut envelope_paths: Vec<Vec<f64>> = vec![Vec::new(); n];
-        let mut block = SampleBlock::empty();
-        for _ in 0..blocks {
-            self.fill_block(&mut block);
-            for (j, path) in gaussian_paths.iter_mut().enumerate() {
-                path.extend_from_slice(block.path(j));
-            }
-            for (j, path) in envelope_paths.iter_mut().enumerate() {
-                path.extend_from_slice(block.envelope_path(j));
-            }
-        }
-        RealtimeBlock {
-            gaussian_paths,
-            envelope_paths,
-        }
-    }
 }
 
 impl ChannelStream for RealtimeGenerator {
@@ -333,9 +264,7 @@ impl ChannelStream for RealtimeGenerator {
 mod tests {
     use super::*;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-    use corrfade_stats::{
-        normalized_autocorrelation, relative_frobenius_error, sample_covariance_from_paths,
-    };
+    use corrfade_stats::{normalized_autocorrelation, relative_frobenius_error};
 
     fn small_config(k: CMatrix, seed: u64) -> RealtimeConfig {
         // Smaller M than the paper to keep unit tests quick; the benches use
@@ -348,6 +277,18 @@ mod tests {
             seed,
             precision: Precision::F64,
         }
+    }
+
+    /// Sample covariance folded block by block over `blocks` streamed blocks.
+    fn streamed_covariance(g: &mut RealtimeGenerator, blocks: usize) -> CMatrix {
+        let n = g.dimension();
+        let mut acc = CMatrix::zeros(n, n);
+        let mut block = SampleBlock::empty();
+        for _ in 0..blocks {
+            g.next_block_into(&mut block).unwrap();
+            block.accumulate_covariance(&mut acc);
+        }
+        acc.scale_real(1.0 / (blocks * g.block_len()) as f64)
     }
 
     #[test]
@@ -366,14 +307,12 @@ mod tests {
     #[test]
     fn block_shape() {
         let mut g = RealtimeGenerator::new(small_config(paper_covariance_matrix_23(), 3)).unwrap();
-        let b = g.generate_block();
+        let mut b = g.next_block().unwrap();
         assert_eq!(b.envelopes(), 3);
         assert_eq!(b.samples(), 1024);
-        for j in 0..3 {
-            assert_eq!(b.gaussian_paths[j].len(), 1024);
-            for (z, &r) in b.gaussian_paths[j].iter().zip(b.envelope_paths[j].iter()) {
-                assert!((z.abs() - r).abs() < 1e-15);
-            }
+        let envelopes = b.envelope_slice().to_vec();
+        for (z, &r) in b.as_slice().iter().zip(&envelopes) {
+            assert!((z.abs() - r).abs() < 1e-15);
         }
     }
 
@@ -384,8 +323,7 @@ mod tests {
         // the desired Eq.-22 matrix.
         let k = paper_covariance_matrix_22();
         let mut g = RealtimeGenerator::new(small_config(k.clone(), 17)).unwrap();
-        let block = g.generate_blocks(40);
-        let khat = sample_covariance_from_paths(&block.gaussian_paths);
+        let khat = streamed_covariance(&mut g, 40);
         let err = relative_frobenius_error(&khat, &k);
         assert!(err < 0.08, "relative covariance error {err}");
     }
@@ -394,8 +332,7 @@ mod tests {
     fn realized_covariance_matches_desired_spatial_case() {
         let k = paper_covariance_matrix_23();
         let mut g = RealtimeGenerator::new(small_config(k.clone(), 29)).unwrap();
-        let block = g.generate_blocks(40);
-        let khat = sample_covariance_from_paths(&block.gaussian_paths);
+        let khat = streamed_covariance(&mut g, 40);
         let err = relative_frobenius_error(&khat, &k);
         assert!(err < 0.08, "relative covariance error {err}");
     }
@@ -409,10 +346,11 @@ mod tests {
         let target = g.filter().normalized_autocorrelation(40);
         let mut acc = vec![0.0f64; 41];
         let runs = 30;
+        let mut block = SampleBlock::empty();
         for _ in 0..runs {
-            let block = g.generate_block();
-            for path in &block.gaussian_paths {
-                let rho = normalized_autocorrelation(path, 40);
+            g.next_block_into(&mut block).unwrap();
+            for j in 0..3 {
+                let rho = normalized_autocorrelation(block.path(j), 40);
                 for (a, r) in acc.iter_mut().zip(rho.iter()) {
                     *a += r;
                 }
@@ -433,12 +371,19 @@ mod tests {
 
     #[test]
     fn envelopes_are_rayleigh() {
+        // One long block stands in for many short ones: each envelope path
+        // holds 16384 time samples.
         let k = paper_covariance_matrix_22();
-        let mut g = RealtimeGenerator::new(small_config(k, 53)).unwrap();
-        let block = g.generate_blocks(20);
-        for path in &block.envelope_paths {
+        let cfg = RealtimeConfig {
+            idft_size: 16_384,
+            ..small_config(k, 53)
+        };
+        let mut block = RealtimeGenerator::new(cfg).unwrap().next_block().unwrap();
+        for j in 0..3 {
             let sigma = corrfade_stats::rayleigh_scale(1.0);
-            let t = corrfade_stats::ks_test(path, |r| corrfade_specfun::rayleigh_cdf(r, sigma));
+            let t = corrfade_stats::ks_test(block.envelope_path(j), |r| {
+                corrfade_specfun::rayleigh_cdf(r, sigma)
+            });
             // The samples are correlated in time, which weakens the KS test's
             // independence assumption, so use a lenient significance level;
             // the statistic itself must still be small.
@@ -457,38 +402,12 @@ mod tests {
                 ..small_config(k.clone(), 61)
             };
             let mut g = RealtimeGenerator::new(cfg).unwrap();
-            let block = g.generate_blocks(30);
-            let khat = sample_covariance_from_paths(&block.gaussian_paths);
+            let khat = streamed_covariance(&mut g, 30);
             let err = relative_frobenius_error(&khat, &k);
             assert!(
                 err < 0.09,
                 "sigma_orig_sq {sigma_orig_sq}: relative covariance error {err}"
             );
-        }
-    }
-
-    #[test]
-    fn streaming_is_bit_identical_to_legacy_wrappers() {
-        let k = paper_covariance_matrix_22();
-        let mut legacy = RealtimeGenerator::new(small_config(k.clone(), 77)).unwrap();
-        let mut streaming = RealtimeGenerator::new(small_config(k, 77)).unwrap();
-        let reference = legacy.generate_blocks(3);
-        let mut block = SampleBlock::empty();
-        let mut offset = 0;
-        for _ in 0..3 {
-            streaming.next_block_into(&mut block).unwrap();
-            let m = block.samples();
-            for j in 0..3 {
-                assert_eq!(
-                    &reference.gaussian_paths[j][offset..offset + m],
-                    block.path(j)
-                );
-                assert_eq!(
-                    &reference.envelope_paths[j][offset..offset + m],
-                    block.envelope_path(j)
-                );
-            }
-            offset += m;
         }
     }
 
@@ -522,23 +441,17 @@ mod tests {
         let mut untouched = RealtimeGenerator::new(small_config(k.clone(), 9)).unwrap();
         let mut noop = RealtimeGenerator::new(small_config(k, 9)).unwrap();
         noop.skip_blocks(0);
-        assert_eq!(
-            untouched.generate_block().gaussian_paths,
-            noop.generate_block().gaussian_paths
-        );
+        assert_eq!(untouched.next_block().unwrap(), noop.next_block().unwrap());
     }
 
     #[test]
     fn reseeded_matches_fresh_generator() {
         let k = paper_covariance_matrix_23();
         let mut used = RealtimeGenerator::new(small_config(k.clone(), 5)).unwrap();
-        let _ = used.generate_block(); // advance the RNG
+        let _ = used.next_block().unwrap(); // advance the RNG
         let mut reseeded = used.reseeded(9);
         let mut fresh = RealtimeGenerator::new(small_config(k, 9)).unwrap();
-        assert_eq!(
-            reseeded.generate_block().gaussian_paths,
-            fresh.generate_block().gaussian_paths
-        );
+        assert_eq!(reseeded.next_block().unwrap(), fresh.next_block().unwrap());
     }
 
     #[test]
@@ -547,10 +460,7 @@ mod tests {
         let coloring = crate::coloring::eigen_coloring(&k).unwrap();
         let mut a = RealtimeGenerator::from_coloring(coloring, small_config(k.clone(), 3)).unwrap();
         let mut b = RealtimeGenerator::new(small_config(k, 3)).unwrap();
-        assert_eq!(
-            a.generate_block().gaussian_paths,
-            b.generate_block().gaussian_paths
-        );
+        assert_eq!(a.next_block().unwrap(), b.next_block().unwrap());
     }
 
     #[test]

@@ -304,38 +304,6 @@ impl SampleBlock {
         }
         Ok(())
     }
-
-    /// Copies the block out into the legacy `Vec<Vec<Complex64>>` per-path
-    /// representation (one allocation per envelope — compatibility only; hot
-    /// paths should stay planar).
-    #[must_use]
-    pub fn to_paths(&self) -> Vec<Vec<Complex64>> {
-        (0..self.envelopes).map(|j| self.path(j).to_vec()).collect()
-    }
-
-    /// Copies the block out as `M` snapshot vectors of length `N` —
-    /// sample-major, the transpose of the planar layout (compatibility with
-    /// snapshot-ensemble consumers; hot paths should stay planar).
-    #[must_use]
-    pub fn to_snapshots(&self) -> Vec<Vec<Complex64>> {
-        (0..self.samples)
-            .map(|l| {
-                (0..self.envelopes)
-                    .map(|j| self.data[j * self.samples + l])
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Copies the lazy envelope view out into the legacy `Vec<Vec<f64>>`
-    /// representation (compatibility only).
-    #[must_use]
-    pub fn to_envelope_paths(&mut self) -> Vec<Vec<f64>> {
-        self.ensure_envelopes();
-        (0..self.envelopes)
-            .map(|j| self.env[j * self.samples..(j + 1) * self.samples].to_vec())
-            .collect()
-    }
 }
 
 /// Bytes one complex sample occupies in the [`SampleBlock::encode_le_into`]
@@ -526,20 +494,6 @@ mod tests {
         // instead of bit equality (the scalar backend is bit-exact).
         assert!(acc.approx_eq(&expected, 1e-12));
         assert!(acc.is_hermitian(1e-12));
-    }
-
-    #[test]
-    fn legacy_conversions_round_trip() {
-        let mut b = filled(2, 3);
-        let paths = b.to_paths();
-        assert_eq!(paths.len(), 2);
-        assert_eq!(paths[1], b.path(1).to_vec());
-        let envs = b.to_envelope_paths();
-        assert_eq!(envs[0].len(), 3);
-        assert!((envs[1][0] - b.path(1)[0].abs()).abs() < 1e-15);
-        let snaps = b.to_snapshots();
-        assert_eq!(snaps.len(), 3);
-        assert_eq!(snaps[2], vec![b.path(0)[2], b.path(1)[2]]);
     }
 
     #[test]

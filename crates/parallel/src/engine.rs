@@ -1,9 +1,11 @@
-//! Multi-threaded Monte-Carlo generation of correlated Rayleigh envelopes.
+//! Multi-threaded Monte-Carlo estimation of the covariance realized by the
+//! single-instant generator.
 //!
-//! The expensive part of validating (or using) the generator is drawing
-//! millions of snapshots, not computing the coloring matrix — the
-//! decomposition is done once per covariance matrix (and shared process-wide
-//! through [`corrfade::cached_eigen_coloring`]). The engine therefore:
+//! The expensive part of validating the generator is drawing millions of
+//! snapshots, not computing the coloring matrix — the decomposition is done
+//! once per covariance matrix (and shared process-wide through
+//! [`corrfade::cached_eigen_coloring`]). [`monte_carlo_covariance`]
+//! therefore:
 //!
 //! 1. resolves the eigen-coloring through the decomposition cache (a hit for
 //!    every covariance matrix the process has seen before),
@@ -16,30 +18,27 @@
 //!    and steals stragglers' backlogs; every worker owns **one pinned planar
 //!    [`SampleBlock`]** that the generators stream into through
 //!    [`ChannelStream::next_block_into`] — no per-chunk buffer allocation —
-//!    and either stores the snapshots or folds covariance accumulators
-//!    straight from the planar data,
-//! 4. merges the per-chunk results in chunk order.
+//!    and folds the chunk's covariance accumulator straight from the planar
+//!    data,
+//! 4. merges the per-chunk accumulators in chunk order.
 //!
 //! Because chunk seeds depend only on `(master seed, chunk index)` and the
-//! chunk layout depends only on `(total, chunk_size)`, the produced ensemble
-//! is identical for any thread count.
+//! chunk layout depends only on `(total, chunk_size)`, the estimate is
+//! bit-identical for any thread count.
 //!
-//! The free functions run on [`Runtime::global()`]; the `*_on` variants take
-//! an explicit pool.
+//! [`monte_carlo_covariance`] runs on [`Runtime::global()`];
+//! [`monte_carlo_covariance_on`] takes an explicit pool.
 //!
-//! All per-sample work inside the workers (the coloring matvec, the
-//! covariance fold, the Doppler IDFT) runs on the
+//! All per-sample work inside the workers (the coloring matvec and the
+//! covariance fold) runs on the
 //! [`corrfade_linalg::kernel`] dispatch layer; pool workers latch the
 //! backend at spawn, so `CORRFADE_KERNEL` is honoured deterministically
 //! across the pool.
 
 use std::sync::Mutex;
 
-use corrfade::{
-    ChannelStream, Coloring, CorrelatedRayleighGenerator, RealtimeConfig, RealtimeGenerator,
-    SampleBlock,
-};
-use corrfade_linalg::{CMatrix, Complex64};
+use corrfade::{ChannelStream, Coloring, CorrelatedRayleighGenerator, SampleBlock};
+use corrfade_linalg::CMatrix;
 
 use crate::error::ParallelError;
 use crate::partition::{balanced_chunk_size, chunk_seed, partition, Chunk};
@@ -117,63 +116,6 @@ impl ParallelConfig {
         let _ = corrfade_linalg::kernel::backend();
         Ok(())
     }
-}
-
-/// Generates `total` independent snapshots of the correlated complex
-/// Gaussian vector on the global worker pool. The result is ordered and
-/// identical for any thread count.
-///
-/// # Errors
-/// [`ParallelError::InvalidChunkSize`] for a zero chunk size; covariance
-/// validation errors from the core crate otherwise.
-pub fn generate_snapshots(
-    covariance: &CMatrix,
-    total: usize,
-    config: &ParallelConfig,
-) -> Result<Vec<Vec<Complex64>>, ParallelError> {
-    generate_snapshots_on(Runtime::global(), covariance, total, config)
-}
-
-/// [`generate_snapshots`] on an explicit [`Runtime`].
-///
-/// # Errors
-/// See [`generate_snapshots`].
-pub fn generate_snapshots_on(
-    runtime: &Runtime,
-    covariance: &CMatrix,
-    total: usize,
-    config: &ParallelConfig,
-) -> Result<Vec<Vec<Complex64>>, ParallelError> {
-    config.validate()?;
-    let coloring = corrfade::cached_eigen_coloring(covariance)?;
-    let chunks = partition(total, config.effective_chunk_size(total));
-    let slots: Vec<Mutex<Vec<Vec<Complex64>>>> =
-        chunks.iter().map(|_| Mutex::new(Vec::new())).collect();
-    let participants = config.effective_threads().min(chunks.len()).max(1);
-    let queues = StealQueues::new(chunks.len(), participants);
-
-    runtime.run(&|id, scratch| {
-        if id >= participants {
-            return;
-        }
-        queues.for_each_claimed(id, |i| {
-            let chunk = chunks[i];
-            stream_chunk(
-                &coloring,
-                covariance,
-                chunk,
-                config.seed,
-                &mut scratch.block,
-            );
-            *slots[chunk.index].lock().unwrap() = scratch.block.to_snapshots();
-        });
-    });
-
-    let mut out = Vec::with_capacity(total);
-    for slot in slots {
-        out.extend(slot.into_inner().unwrap());
-    }
-    Ok(out)
 }
 
 /// Streams one chunk of snapshots into the worker's pooled block: sample `l`
@@ -275,84 +217,11 @@ pub fn monte_carlo_covariance_on(
     Ok(sum.scale_real(1.0 / total as f64))
 }
 
-/// Generates `blocks` real-time Doppler blocks on the global worker pool
-/// (one block is one full `M`-sample realization of all `N` envelopes) and
-/// concatenates them per envelope. Block `i` always uses the RNG stream
-/// derived from `(seed, i)`, so the result is thread-count invariant.
-///
-/// The eigendecomposition is resolved through the process-wide
-/// decomposition cache and the Doppler filter is designed once on the
-/// calling thread; each worker streams into its own pinned [`SampleBlock`]
-/// through cheaply [reseeded](RealtimeGenerator::reseeded) copies.
-/// [`ParallelConfig::chunk_size`] is not consulted — the unit of work here
-/// is one full Doppler block.
-///
-/// # Errors
-/// Configuration errors from the core crate.
-pub fn generate_realtime_paths(
-    base: &RealtimeConfig,
-    blocks: usize,
-    config: &ParallelConfig,
-) -> Result<Vec<Vec<Complex64>>, ParallelError> {
-    generate_realtime_paths_on(Runtime::global(), base, blocks, config)
-}
-
-/// [`generate_realtime_paths`] on an explicit [`Runtime`].
-///
-/// # Errors
-/// See [`generate_realtime_paths`].
-pub fn generate_realtime_paths_on(
-    runtime: &Runtime,
-    base: &RealtimeConfig,
-    blocks: usize,
-    config: &ParallelConfig,
-) -> Result<Vec<Vec<Complex64>>, ParallelError> {
-    // Validate the configuration (and pay for the filter design) once up
-    // front so workers cannot fail; the decomposition comes from the
-    // process-wide cache. Latch the kernel backend before any worker runs.
-    let _ = corrfade_linalg::kernel::backend();
-    let coloring = corrfade::cached_eigen_coloring(&base.covariance)?;
-    let prototype = RealtimeGenerator::from_coloring(
-        Coloring::clone(&coloring),
-        RealtimeConfig {
-            covariance: base.covariance.clone(),
-            ..*base
-        },
-    )?;
-    let n = prototype.dimension();
-
-    let slots: Vec<Mutex<Vec<Vec<Complex64>>>> =
-        (0..blocks).map(|_| Mutex::new(Vec::new())).collect();
-    let participants = config.effective_threads().min(blocks.max(1));
-    let queues = StealQueues::new(blocks, participants);
-
-    runtime.run(&|id, scratch| {
-        if id >= participants {
-            return;
-        }
-        queues.for_each_claimed(id, |i| {
-            let mut gen = prototype.reseeded(chunk_seed(base.seed, i));
-            gen.next_block_into(&mut scratch.block)
-                .expect("configuration validated above");
-            *slots[i].lock().unwrap() = scratch.block.to_paths();
-        });
-    });
-
-    let mut paths: Vec<Vec<Complex64>> = vec![Vec::new(); n];
-    for slot in slots {
-        let block = slot.into_inner().unwrap();
-        for (j, path) in block.into_iter().enumerate() {
-            paths[j].extend(path);
-        }
-    }
-    Ok(paths)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-    use corrfade_stats::{relative_frobenius_error, sample_covariance};
+    use corrfade_stats::{relative_frobenius_error, sample_covariance_from_block};
 
     fn config(threads: usize, seed: u64) -> ParallelConfig {
         ParallelConfig {
@@ -389,39 +258,9 @@ mod tests {
         };
         assert_eq!(bad.validate(), Err(ParallelError::InvalidChunkSize));
         assert!(matches!(
-            generate_snapshots(&k, 100, &bad),
-            Err(ParallelError::InvalidChunkSize)
-        ));
-        assert!(matches!(
             monte_carlo_covariance(&k, 100, &bad),
             Err(ParallelError::InvalidChunkSize)
         ));
-        // generate_realtime_paths partitions by block index, not chunk_size,
-        // so it is unaffected by the zero chunk size.
-        let base = RealtimeConfig {
-            idft_size: 64,
-            normalized_doppler: 0.1,
-            ..RealtimeConfig::paper_defaults(k, 1)
-        };
-        assert!(generate_realtime_paths(&base, 1, &bad).is_ok());
-    }
-
-    #[test]
-    fn snapshot_count_and_shape() {
-        let k = paper_covariance_matrix_22();
-        let snaps = generate_snapshots(&k, 1000, &config(2, 1)).unwrap();
-        assert_eq!(snaps.len(), 1000);
-        assert!(snaps.iter().all(|s| s.len() == 3));
-    }
-
-    #[test]
-    fn result_is_thread_count_invariant() {
-        let k = paper_covariance_matrix_23();
-        let a = generate_snapshots(&k, 2000, &config(1, 7)).unwrap();
-        let b = generate_snapshots(&k, 2000, &config(4, 7)).unwrap();
-        assert_eq!(a, b, "ensemble must not depend on the worker count");
-        let c = generate_snapshots(&k, 2000, &config(4, 8)).unwrap();
-        assert_ne!(a, c, "different seeds must give different ensembles");
     }
 
     #[test]
@@ -430,8 +269,10 @@ mod tests {
         let cfg = config(2, 5);
         let rt = Runtime::new(2);
         assert_eq!(
-            generate_snapshots_on(&rt, &k, 900, &cfg).unwrap(),
-            generate_snapshots(&k, 900, &cfg).unwrap(),
+            monte_carlo_covariance_on(&rt, &k, 900, &cfg)
+                .unwrap()
+                .as_slice(),
+            monte_carlo_covariance(&k, 900, &cfg).unwrap().as_slice(),
         );
     }
 
@@ -441,23 +282,26 @@ mod tests {
         let a = monte_carlo_covariance(&k, 6000, &config(1, 3)).unwrap();
         let b = monte_carlo_covariance(&k, 6000, &config(4, 3)).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
+        let c = monte_carlo_covariance(&k, 6000, &config(4, 4)).unwrap();
+        assert_ne!(a.as_slice(), c.as_slice(), "seeds must change the estimate");
     }
 
     #[test]
-    fn snapshots_match_the_sequential_generator_bit_for_bit() {
-        // Chunk 0 of the parallel ensemble must equal a sequential generator
-        // seeded with the same chunk seed — pool scheduling must not change
-        // the produced values.
+    fn single_chunk_matches_the_sequential_generator_bit_for_bit() {
+        // A single-chunk estimate must equal the covariance of a sequential
+        // generator seeded with chunk 0's seed — pool scheduling must not
+        // change the produced values.
         let k = paper_covariance_matrix_22();
         let cfg = config(2, 13);
-        let total = 700;
-        let chunk0 = cfg.effective_chunk_size(total);
-        let snaps = generate_snapshots(&k, total, &cfg).unwrap();
-        let mut gen =
-            corrfade::CorrelatedRayleighGenerator::new(k, crate::partition::chunk_seed(13, 0))
-                .unwrap();
-        let sequential = gen.generate_snapshots(chunk0);
-        assert_eq!(&snaps[..chunk0], &sequential[..]);
+        let total = crate::MIN_CHUNK_SAMPLES;
+        assert_eq!(cfg.effective_chunk_size(total), total);
+        let khat = monte_carlo_covariance(&k, total, &cfg).unwrap();
+        let block = CorrelatedRayleighGenerator::new(k, chunk_seed(13, 0))
+            .unwrap()
+            .with_stream_block_len(total)
+            .next_block()
+            .unwrap();
+        assert!(khat.approx_eq(&sample_covariance_from_block(&block), 0.0));
     }
 
     #[test]
@@ -469,60 +313,11 @@ mod tests {
     }
 
     #[test]
-    fn streaming_covariance_agrees_with_materialized_snapshots() {
-        let k = paper_covariance_matrix_23();
-        let cfg = config(3, 11);
-        let snaps = generate_snapshots(&k, 8192, &cfg).unwrap();
-        let k_mat = sample_covariance(&snaps);
-        let k_stream = monte_carlo_covariance(&k, 8192, &cfg).unwrap();
-        assert!(k_mat.approx_eq(&k_stream, 1e-10));
-    }
-
-    #[test]
-    fn realtime_paths_shape_and_covariance() {
-        let k = paper_covariance_matrix_22();
-        let base = RealtimeConfig {
-            idft_size: 512,
-            ..RealtimeConfig::paper_defaults(k.clone(), 5)
-        };
-        let paths = generate_realtime_paths(&base, 24, &config(4, 5)).unwrap();
-        assert_eq!(paths.len(), 3);
-        assert!(paths.iter().all(|p| p.len() == 24 * 512));
-        let khat = corrfade_stats::sample_covariance_from_paths(&paths);
-        let err = relative_frobenius_error(&khat, &k);
-        assert!(err < 0.12, "relative covariance error {err}");
-    }
-
-    #[test]
-    fn realtime_paths_are_thread_count_invariant() {
-        let k = paper_covariance_matrix_23();
-        let base = RealtimeConfig {
-            idft_size: 256,
-            normalized_doppler: 0.1,
-            ..RealtimeConfig::paper_defaults(k, 9)
-        };
-        let a = generate_realtime_paths(&base, 6, &config(1, 0)).unwrap();
-        let b = generate_realtime_paths(&base, 6, &config(3, 0)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn invalid_covariance_is_reported() {
         let bad = CMatrix::zeros(2, 3);
-        assert!(matches!(
-            generate_snapshots(&bad, 100, &config(2, 0)),
-            Err(ParallelError::Core(_))
-        ));
         assert!(matches!(
             monte_carlo_covariance(&bad, 100, &config(2, 0)),
             Err(ParallelError::Core(_))
         ));
-    }
-
-    #[test]
-    fn zero_total_yields_empty_ensemble() {
-        let k = paper_covariance_matrix_22();
-        let snaps = generate_snapshots(&k, 0, &config(2, 0)).unwrap();
-        assert!(snaps.is_empty());
     }
 }

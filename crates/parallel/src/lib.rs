@@ -14,16 +14,13 @@
 //!   are dealt round-robin for deterministic affinity, executors pop their
 //!   own lane front and steal stragglers' backs, so skewed workloads keep
 //!   every core busy,
-//! * [`engine::generate_snapshots`] — ordered, thread-count-invariant
-//!   ensembles of independent snapshots,
 //! * [`engine::monte_carlo_covariance`] — streaming estimation of
 //!   `E[Z·Zᴴ]` without materializing the ensemble (bit-identical for any
 //!   thread count thanks to per-chunk accumulator slots),
-//! * [`engine::generate_realtime_paths`] — parallel generation of Doppler
-//!   blocks (paper Sec. 5 mode), one block per RNG sub-stream,
 //! * [`fleet::StreamFleet`] — the multi-stream batch engine: open many
 //!   named scenarios from `corrfade-scenarios` at once and generate blocks
-//!   for all of them concurrently on the pool, sharing the process-wide
+//!   (real-time Doppler blocks included) for all of them concurrently on
+//!   the pool, sharing the process-wide
 //!   decomposition cache ([`corrfade::cached_eigen_coloring`]) and FFT plan
 //!   cache so per-stream setup is paid once per covariance matrix.
 //!
@@ -54,10 +51,7 @@ pub mod partition;
 pub mod runtime;
 pub mod stealing;
 
-pub use engine::{
-    generate_realtime_paths, generate_realtime_paths_on, generate_snapshots, generate_snapshots_on,
-    monte_carlo_covariance, monte_carlo_covariance_on, ParallelConfig,
-};
+pub use engine::{monte_carlo_covariance, monte_carlo_covariance_on, ParallelConfig};
 pub use error::ParallelError;
 pub use fleet::{stream_seed, StreamFleet, StreamKey};
 pub use partition::{

@@ -10,7 +10,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use corrfade_parallel::{generate_snapshots, generate_snapshots_on, ParallelConfig, Runtime};
+use corrfade_parallel::{
+    monte_carlo_covariance, monte_carlo_covariance_on, ParallelConfig, Runtime,
+};
 
 fn paper_k() -> corrfade_linalg::CMatrix {
     corrfade_models::paper_covariance_matrix_22()
@@ -73,7 +75,7 @@ fn dropping_an_explicit_pool_shuts_down_cleanly() {
 #[test]
 fn pool_reuse_across_many_calls_is_deterministic() {
     // The same pool answering a stream of requests must produce exactly the
-    // same ensembles as fresh pools and as the global pool — reuse cannot
+    // same estimates as fresh pools and as the global pool — reuse cannot
     // leak state between calls.
     let k = paper_k();
     let cfg = ParallelConfig {
@@ -81,17 +83,17 @@ fn pool_reuse_across_many_calls_is_deterministic() {
         chunk_size: 128,
         seed: 99,
     };
+    let estimate = |rt: &Runtime| monte_carlo_covariance_on(rt, &k, 600, &cfg).unwrap();
     let reused = Runtime::new(2);
-    let first = generate_snapshots_on(&reused, &k, 600, &cfg).unwrap();
+    let first = estimate(&reused);
     for _ in 0..3 {
-        assert_eq!(
-            first,
-            generate_snapshots_on(&reused, &k, 600, &cfg).unwrap()
-        );
+        assert_eq!(first.as_slice(), estimate(&reused).as_slice());
     }
-    let fresh = Runtime::new(4);
-    assert_eq!(first, generate_snapshots_on(&fresh, &k, 600, &cfg).unwrap());
-    assert_eq!(first, generate_snapshots(&k, 600, &cfg).unwrap());
+    assert_eq!(first.as_slice(), estimate(&Runtime::new(4)).as_slice());
+    assert_eq!(
+        first.as_slice(),
+        monte_carlo_covariance(&k, 600, &cfg).unwrap().as_slice()
+    );
 }
 
 #[test]
@@ -105,8 +107,12 @@ fn pools_of_different_sizes_agree() {
     let small = Runtime::new(1);
     let large = Runtime::new(4);
     assert_eq!(
-        generate_snapshots_on(&small, &k, 1500, &cfg).unwrap(),
-        generate_snapshots_on(&large, &k, 1500, &cfg).unwrap(),
-        "worker count must never influence the ensemble"
+        monte_carlo_covariance_on(&small, &k, 1500, &cfg)
+            .unwrap()
+            .as_slice(),
+        monte_carlo_covariance_on(&large, &k, 1500, &cfg)
+            .unwrap()
+            .as_slice(),
+        "worker count must never influence the estimate"
     );
 }

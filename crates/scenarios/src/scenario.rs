@@ -619,8 +619,8 @@ mod tests {
         let mut cached = s.build_realtime_cached(11).unwrap();
         let mut fresh = s.build_realtime(11).unwrap();
         assert_eq!(
-            cached.generate_block().gaussian_paths,
-            fresh.generate_block().gaussian_paths,
+            cached.next_block().unwrap(),
+            fresh.next_block().unwrap(),
             "the decomposition cache must not change the generated values"
         );
     }

@@ -68,8 +68,9 @@ pub fn sample_covariance_from_paths(paths: &[Vec<Complex64>]) -> CMatrix {
 
 /// Sample covariance straight from a planar [`SampleBlock`] — no snapshot
 /// or path vectors are materialized. Every sample of the block counts as one
-/// snapshot, matching [`sample_covariance`] over
-/// [`SampleBlock::to_snapshots`] bit for bit.
+/// snapshot: on the scalar kernel backend the result matches
+/// [`sample_covariance`] over the block's `M` length-`N` snapshots bit for
+/// bit.
 ///
 /// # Panics
 /// Panics if the block is empty.

@@ -65,11 +65,15 @@ fn main() {
     );
 
     // Envelope statistics per antenna (all powers are 1).
-    let mut gen = paper.build(0x313E).expect("valid configuration");
-    let paths = gen.generate_envelope_paths(100_000);
+    let mut gen = paper
+        .build(0x313E)
+        .expect("valid configuration")
+        .with_stream_block_len(100_000);
+    gen.next_block_into(&mut block)
+        .expect("valid configuration");
     println!();
-    for (j, p) in paths.iter().enumerate() {
-        let check = corrfade_stats::check_envelope_moments(p, 1.0);
+    for j in 0..block.envelopes() {
+        let check = corrfade_stats::check_envelope_moments(block.envelope_path(j), 1.0);
         println!(
             "antenna {}: envelope mean {:.4} (theory {:.4}), variance {:.4} (theory {:.4})",
             j + 1,

@@ -62,16 +62,18 @@ fn main() {
         .envelope_powers(&requested)
         .seed(7)
         .build()
+        .expect("valid configuration")
+        .with_stream_block_len(50_000);
+    gen2.next_block_into(&mut block)
         .expect("valid configuration");
-    let paths = gen2.generate_envelope_paths(50_000);
     println!();
     println!("builder with envelope powers {requested:?}:");
-    for (j, p) in paths.iter().enumerate() {
+    for (j, &r) in requested.iter().enumerate() {
         println!(
             "  envelope {} variance: {:.4} (requested {:.4})",
             j + 1,
-            corrfade_stats::variance(p),
-            requested[j]
+            corrfade_stats::variance(block.envelope_path(j)),
+            r
         );
     }
 

@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example unequal_power`
 
+use corrfade::{ChannelStream, SampleBlock};
 use corrfade_scenarios::{lookup, PowerProfile};
 use corrfade_stats::{relative_frobenius_error, sample_covariance_from_block};
 
@@ -16,18 +17,23 @@ fn main() {
     let PowerProfile::Envelope(requested) = scenario.powers else {
         unreachable!("unequal-power-spatial declares envelope powers");
     };
-    let mut gen = scenario.build(0xAB).expect("valid configuration");
+    let mut gen = scenario
+        .build(0xAB)
+        .expect("valid configuration")
+        .with_stream_block_len(150_000);
     println!("scenario: {} — {}", scenario.name, scenario.title);
     println!("desired covariance with unequal powers (Eq. 11 applied):");
     println!("{:.4}", gen.desired_covariance());
 
-    let paths = gen.generate_envelope_paths(150_000);
-    for (j, p) in paths.iter().enumerate() {
+    let mut block = SampleBlock::empty();
+    gen.next_block_into(&mut block)
+        .expect("valid configuration");
+    for (j, &r) in requested.iter().enumerate() {
         println!(
             "envelope {}: requested sigma_r^2 = {:.3}, measured envelope variance = {:.3}",
             j + 1,
-            requested[j],
-            corrfade_stats::variance(p)
+            r,
+            corrfade_stats::variance(block.envelope_path(j))
         );
     }
 
@@ -59,8 +65,8 @@ fn main() {
     println!("{:.4}", gen.realized_covariance());
 
     gen.set_stream_block_len(150_000);
-    let mut block = corrfade::SampleBlock::empty();
-    corrfade::ChannelStream::next_block_into(&mut gen, &mut block).expect("valid configuration");
+    gen.next_block_into(&mut block)
+        .expect("valid configuration");
     let khat = sample_covariance_from_block(&block);
     println!("sample covariance of the generated envelopes:");
     println!("{khat:.4}");

@@ -2,15 +2,28 @@
 //! physical parameters → correlation model → covariance matrix → coloring →
 //! generation → statistical validation.
 
-use corrfade::{CorrelatedRayleighGenerator, GeneratorBuilder, RealtimeConfig, RealtimeGenerator};
+use corrfade::{
+    ChannelStream, CorrelatedRayleighGenerator, GeneratorBuilder, RealtimeConfig,
+    RealtimeGenerator, SampleBlock,
+};
 use corrfade_linalg::{c64, CMatrix};
 use corrfade_models::{
     paper_covariance_matrix_22, paper_covariance_matrix_23, paper_spatial_scenario,
     paper_spectral_scenario, ChannelParams,
 };
-use corrfade_stats::{
-    ks_test, relative_frobenius_error, sample_covariance, sample_covariance_from_paths,
-};
+use corrfade_stats::{ks_test, relative_frobenius_error, sample_covariance_from_block};
+
+/// Sample covariance of `blocks` streamed blocks, folded block by block.
+fn stream_covariance(stream: &mut dyn ChannelStream, blocks: usize) -> CMatrix {
+    let n = stream.dimension();
+    let mut acc = CMatrix::zeros(n, n);
+    let mut block = SampleBlock::empty();
+    for _ in 0..blocks {
+        stream.next_block_into(&mut block).unwrap();
+        block.accumulate_covariance(&mut acc);
+    }
+    acc.scale_real(1.0 / (blocks * stream.block_len()) as f64)
+}
 
 /// The full paper pipeline for the spectral (OFDM) experiment: physical
 /// parameters produce Eq. (22); the generator realizes it; the envelopes are
@@ -24,14 +37,19 @@ fn spectral_experiment_end_to_end() {
     let k = model.covariance_matrix(&freqs, &delays).unwrap();
     assert!(k.max_abs_diff(&paper_covariance_matrix_22()) < 5e-4);
 
-    let mut gen = CorrelatedRayleighGenerator::new(k.clone(), 0xE2E).unwrap();
-    let snaps = gen.generate_snapshots(80_000);
-    let khat = sample_covariance(&snaps);
+    let snapshots = |seed| {
+        CorrelatedRayleighGenerator::new(k.clone(), seed)
+            .unwrap()
+            .with_stream_block_len(80_000)
+            .next_block()
+            .unwrap()
+    };
+    let khat = sample_covariance_from_block(&snapshots(0xE2E));
     assert!(relative_frobenius_error(&khat, &k) < 0.03);
 
-    let mut gen = CorrelatedRayleighGenerator::new(k, 0xE2E1).unwrap();
-    let paths = gen.generate_envelope_paths(80_000);
-    for path in &paths {
+    let mut block = snapshots(0xE2E1);
+    for j in 0..block.envelopes() {
+        let path = block.envelope_path(j);
         let moments = corrfade_stats::check_envelope_moments(path, 1.0);
         assert!(moments.max_relative_error() < 0.05, "{moments:?}");
         let sigma = corrfade_stats::rayleigh_scale(1.0);
@@ -52,16 +70,28 @@ fn spatial_experiment_end_to_end_realtime() {
         .seed(0xE2E2)
         .build_realtime(1024, 0.05, 0.5)
         .unwrap();
-    let block = gen.generate_blocks(30);
-    let khat = sample_covariance_from_paths(&block.gaussian_paths);
+    const BLOCKS: usize = 30;
+    let mut acc = CMatrix::zeros(3, 3);
+    let mut rho = [[0.0f64; 31]; 3];
+    let mut block = SampleBlock::empty();
+    for _ in 0..BLOCKS {
+        gen.next_block_into(&mut block).unwrap();
+        block.accumulate_covariance(&mut acc);
+        for (j, rho_j) in rho.iter_mut().enumerate() {
+            let r = corrfade_stats::normalized_autocorrelation(block.path(j), 30);
+            for (mean, r) in rho_j.iter_mut().zip(r) {
+                *mean += r / BLOCKS as f64;
+            }
+        }
+    }
+    let khat = acc.scale_real(1.0 / (BLOCKS * gen.block_len()) as f64);
     assert!(relative_frobenius_error(&khat, &k) < 0.08);
 
     // Each envelope keeps the Doppler autocorrelation after coloring.
     let target = gen.filter().normalized_autocorrelation(30);
-    for path in &block.gaussian_paths {
-        let rho = corrfade_stats::normalized_autocorrelation(&path[..4096], 30);
+    for rho_j in &rho {
         for d in 0..=30 {
-            assert!((rho[d] - target[d]).abs() < 0.25, "lag {d}");
+            assert!((rho_j[d] - target[d]).abs() < 0.25, "lag {d}");
         }
     }
 }
@@ -85,9 +115,10 @@ fn proposed_covers_scenarios_baselines_cannot() {
             method.name()
         );
     }
-    let mut gen = CorrelatedRayleighGenerator::new(hard.clone(), 0xE2E3).unwrap();
+    let gen = CorrelatedRayleighGenerator::new(hard.clone(), 0xE2E3).unwrap();
     let forced = gen.realized_covariance();
-    let khat = sample_covariance(&gen.generate_snapshots(60_000));
+    let khat =
+        sample_covariance_from_block(&gen.with_stream_block_len(60_000).next_block().unwrap());
     assert!(relative_frobenius_error(&khat, &forced) < 0.04);
 }
 
@@ -120,21 +151,12 @@ fn variance_aware_combination_beats_the_flawed_one() {
         precision: corrfade::Precision::F64,
     })
     .unwrap();
-    let block = proposed.generate_blocks(20);
-    let err_proposed =
-        relative_frobenius_error(&sample_covariance_from_paths(&block.gaussian_paths), &k);
+    let err_proposed = relative_frobenius_error(&stream_covariance(&mut proposed, 20), &k);
 
     let mut flawed =
         corrfade_baselines::SorooshyariDautRealtimeGenerator::new(&k, 1024, 0.05, 0.5, 0xE2E5)
             .unwrap();
-    let mut paths: Vec<Vec<corrfade_linalg::Complex64>> = vec![Vec::new(); 3];
-    for _ in 0..20 {
-        let b = flawed.generate_block();
-        for j in 0..3 {
-            paths[j].extend_from_slice(&b[j]);
-        }
-    }
-    let err_flawed = relative_frobenius_error(&sample_covariance_from_paths(&paths), &k);
+    let err_flawed = relative_frobenius_error(&stream_covariance(&mut flawed, 20), &k);
 
     assert!(
         err_flawed > 4.0 * err_proposed,

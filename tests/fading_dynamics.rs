@@ -8,30 +8,30 @@
 //! model (Rappaport, the paper's ref. [9]); they fail loudly if either the
 //! Doppler filter or the coloring step distorts the temporal statistics.
 
-use corrfade::{RealtimeConfig, RealtimeGenerator};
+use corrfade::{ChannelStream, RealtimeConfig, RealtimeGenerator};
 use corrfade_models::paper_covariance_matrix_23;
 use corrfade_stats::{
     empirical_afd, empirical_lcr, envelope_rms, theoretical_afd, theoretical_lcr,
 };
 
-fn long_envelope(fm: f64, blocks: usize, seed: u64) -> Vec<f64> {
+/// Envelope 0 of one real-time block of `samples` time samples.
+fn long_envelope(fm: f64, samples: usize, seed: u64) -> Vec<f64> {
     let mut gen = RealtimeGenerator::new(RealtimeConfig {
         covariance: paper_covariance_matrix_23(),
-        idft_size: 4096,
+        idft_size: samples,
         normalized_doppler: fm,
         sigma_orig_sq: 0.5,
         seed,
         precision: corrfade::Precision::F64,
     })
     .unwrap();
-    let block = gen.generate_blocks(blocks);
-    block.envelope_paths[0].clone()
+    gen.next_block().unwrap().envelope_path(0).to_vec()
 }
 
 #[test]
 fn level_crossing_rate_matches_rayleigh_theory() {
     let fm = 0.05;
-    let env = long_envelope(fm, 20, 0xFAD0);
+    let env = long_envelope(fm, 1 << 17, 0xFAD0);
     let rms = envelope_rms(&env);
     // LCR is most accurately estimated around the peak (rho ≈ 0.7); deep
     // thresholds have few events and need longer runs.
@@ -49,7 +49,7 @@ fn level_crossing_rate_matches_rayleigh_theory() {
 #[test]
 fn average_fade_duration_matches_rayleigh_theory() {
     let fm = 0.05;
-    let env = long_envelope(fm, 20, 0xFAD1);
+    let env = long_envelope(fm, 1 << 17, 0xFAD1);
     let rms = envelope_rms(&env);
     for &rho in &[0.3f64, 0.5, 1.0] {
         let measured = empirical_afd(&env, rho * rms);
@@ -67,8 +67,8 @@ fn lcr_scales_with_the_doppler_frequency() {
     // Doubling fm doubles the fade rate — the first-order sanity check of the
     // Doppler filter design.
     let rho = 0.7f64;
-    let env_slow = long_envelope(0.02, 12, 0xFAD2);
-    let env_fast = long_envelope(0.08, 12, 0xFAD3);
+    let env_slow = long_envelope(0.02, 1 << 16, 0xFAD2);
+    let env_fast = long_envelope(0.08, 1 << 16, 0xFAD3);
     let lcr_slow = empirical_lcr(&env_slow, rho * envelope_rms(&env_slow));
     let lcr_fast = empirical_lcr(&env_fast, rho * envelope_rms(&env_fast));
     let ratio = lcr_fast / lcr_slow;
@@ -82,7 +82,7 @@ fn lcr_scales_with_the_doppler_frequency() {
 fn outage_probability_is_rayleigh() {
     // Pr[r < rho * Rrms] = 1 - exp(-rho^2) for a Rayleigh envelope,
     // independent of the Doppler rate.
-    let env = long_envelope(0.05, 20, 0xFAD4);
+    let env = long_envelope(0.05, 1 << 17, 0xFAD4);
     let rms = envelope_rms(&env);
     for &rho in &[0.1f64, 0.3, 1.0] {
         let measured = env.iter().filter(|&&r| r < rho * rms).count() as f64 / env.len() as f64;

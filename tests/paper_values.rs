@@ -5,6 +5,7 @@
 //! Sources: Sec. 6 of the paper (parameter derivations, Eq. 22, Eq. 23) and
 //! the analytic constants of Eq. (11), (14), (15) and (21).
 
+use corrfade::ChannelStream;
 use corrfade_dsp::DopplerFilter;
 use corrfade_linalg::c64;
 use corrfade_models::{
@@ -133,7 +134,11 @@ fn off_broadside_spatial_covariances_are_complex() {
     assert!(k.is_hermitian(1e-12));
     assert!(k[(0, 1)].im.abs() > 1e-3);
     // And the generator still realizes it.
-    let mut gen = corrfade::CorrelatedRayleighGenerator::new(k.clone(), 0xFACE).unwrap();
-    let khat = corrfade_stats::sample_covariance(&gen.generate_snapshots(60_000));
+    let block = corrfade::CorrelatedRayleighGenerator::new(k.clone(), 0xFACE)
+        .unwrap()
+        .with_stream_block_len(60_000)
+        .next_block()
+        .unwrap();
+    let khat = corrfade_stats::sample_covariance_from_block(&block);
     assert!(corrfade_stats::relative_frobenius_error(&khat, &k) < 0.03);
 }

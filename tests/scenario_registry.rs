@@ -4,8 +4,9 @@
 //! errors — the contract the experiment binaries, benches and examples rely
 //! on when they resolve configuration with `corrfade_scenarios::lookup`.
 
+use corrfade::ChannelStream;
 use corrfade_scenarios::{iter, lookup, names, PowerProfile, ScenarioError, REGISTRY};
-use corrfade_stats::{relative_frobenius_error, sample_covariance};
+use corrfade_stats::{relative_frobenius_error, sample_covariance_from_block};
 
 #[test]
 fn every_scenario_builds_in_single_instant_mode() {
@@ -26,9 +27,9 @@ fn every_scenario_builds_in_realtime_mode_and_produces_blocks() {
         let mut gen = scenario
             .build_realtime(2)
             .unwrap_or_else(|e| panic!("scenario `{}` real-time build failed: {e}", scenario.name));
-        let block = gen.generate_block();
-        assert_eq!(block.envelope_paths.len(), scenario.envelopes);
-        assert_eq!(block.envelope_paths[0].len(), scenario.doppler.idft_size);
+        let block = gen.next_block().unwrap();
+        assert_eq!(block.envelopes(), scenario.envelopes);
+        assert_eq!(block.samples(), scenario.doppler.idft_size);
     }
 }
 
@@ -68,7 +69,7 @@ fn power_profiles_have_matching_dimensions() {
 
 #[test]
 fn network_family_resolves_builds_and_streams_by_name() {
-    use corrfade::{ChannelStream, SampleBlock};
+    use corrfade::SampleBlock;
 
     // The generated WSN family is addressable exactly like a catalogued
     // scenario: the full 24-link grid field...
@@ -109,12 +110,13 @@ fn generated_snapshots_realize_each_psd_scenario_covariance() {
     // For every scenario whose target is realizable (no eigenvalue
     // clipping), the sample covariance must converge to the desired one.
     for scenario in iter() {
-        let mut gen = scenario.build(0x5EED).unwrap();
+        let gen = scenario.build(0x5EED).unwrap();
         if gen.coloring().psd.clipped_count > 0 {
             continue; // infeasible targets realize the *forced* matrix instead
         }
         let k = scenario.covariance_matrix().unwrap();
-        let khat = sample_covariance(&gen.generate_snapshots(20_000));
+        let block = gen.with_stream_block_len(20_000).next_block().unwrap();
+        let khat = sample_covariance_from_block(&block);
         let err = relative_frobenius_error(&khat, &k);
         assert!(
             err < 0.1,
