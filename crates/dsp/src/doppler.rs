@@ -19,6 +19,7 @@
 //! baseline ignores it, which is exactly the flaw experiment E8 demonstrates.
 
 use corrfade_linalg::{c64, Complex64};
+use corrfade_randn::normal::polar_points_into;
 use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
@@ -247,7 +248,18 @@ impl IdftRayleighGenerator {
     /// [`IdftRayleighGenerator::generate_into`], split out so the fused
     /// coloring+IDFT kernel ([`crate::fused`]) can own the transform.
     /// Consumes exactly the same RNG draws in the same order as
-    /// `generate_into` (two per bin).
+    /// `generate_into`.
+    ///
+    /// Each bin takes one accepted Marsaglia-polar point `x + i·y`
+    /// ([`corrfade_randn::normal::polar_points_into`] draws them all
+    /// first, into `out`). With `s = x² + y²` and `g = √(−2 ln s / s)`,
+    /// `A[k] = 0 + σ_orig·(x·g)` and `B[k] = 0 + σ_orig·(y·g)`: the
+    /// arithmetic of two `NormalSampler::sample_with(rng, 0, σ_orig)` calls
+    /// on a sampler whose pair cache starts empty. A bin with `F[k] = 0`
+    /// skips the transform and writes `F[k]·x`, `−F[k]·y`: zero times a
+    /// finite number keeps only the signs, and `A[k]` has the sign of `x`
+    /// (`B[k]` of `y`), so the spectrum is bit-identical, signed zeros
+    /// included. At the paper's `f_m = 0.05` that is 90 % of the bins.
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the filter length `M`.
@@ -259,13 +271,23 @@ impl IdftRayleighGenerator {
             "generate_into: buffer length {} does not match IDFT size {m}",
             out.len()
         );
+        // One accepted polar point per bin, in bin order, then the
+        // transform where the Doppler weight needs it.
+        polar_points_into(rng, out);
         let std = self.sigma_orig_sq.sqrt();
-        // Draw A[k], B[k] ~ N(0, σ²_orig) i.i.d. and weight by F[k].
-        let mut sampler = corrfade_randn::NormalSampler::default();
+        // `0 · ±∞` is NaN, so the sign shortcut needs a finite σ_orig.
+        let zero_bins_shortcut = std.is_finite();
         for (slot, &f) in out.iter_mut().zip(self.filter.coefficients()) {
-            let a = sampler.sample_with(rng, 0.0, std);
-            let b = sampler.sample_with(rng, 0.0, std);
-            *slot = c64(f * a, -f * b);
+            let (x, y) = (slot.re, slot.im);
+            *slot = if f == 0.0 && zero_bins_shortcut {
+                c64(f * x, -f * y)
+            } else {
+                let s = x * x + y * y;
+                let g = (-2.0 * s.ln() / s).sqrt();
+                let a = 0.0 + std * (x * g);
+                let b = 0.0 + std * (y * g);
+                c64(f * a, -f * b)
+            };
         }
     }
 
@@ -276,18 +298,18 @@ impl IdftRayleighGenerator {
     /// blocks a reconnecting client already holds only needs the RNG state
     /// moved, not the transform or coloring work.
     ///
-    /// The draw pattern must stay bit-for-bit identical to
-    /// `fill_spectrum_into`: a fresh [`corrfade_randn::NormalSampler`] per
-    /// call (the pair cache never crosses spectra) and two `N(0, σ_orig)`
-    /// samples per bin, in bin order. The polar method's rejection count
-    /// depends only on the RNG output sequence, so replaying the draws
-    /// replays the consumption exactly.
+    /// `fill_spectrum_into` takes one accepted polar point per bin, in bin
+    /// order; this draws the same points (into a stack buffer, a chunk at a
+    /// time) and transforms none of them. How many words the accept test
+    /// consumes depends only on the RNG output sequence, so skipping
+    /// consumes exactly the words of a fill.
     pub fn skip_spectrum<R: Rng + ?Sized>(&self, rng: &mut R) {
-        let std = self.sigma_orig_sq.sqrt();
-        let mut sampler = corrfade_randn::NormalSampler::default();
-        for _ in 0..self.filter.len() {
-            let _ = sampler.sample_with(rng, 0.0, std);
-            let _ = sampler.sample_with(rng, 0.0, std);
+        let mut points = [Complex64::ZERO; 256];
+        let mut left = self.filter.len();
+        while left > 0 {
+            let n = left.min(points.len());
+            polar_points_into(rng, &mut points[..n]);
+            left -= n;
         }
     }
 }

@@ -543,7 +543,7 @@ pub fn rfft(input: &[f64]) -> Vec<Complex64> {
     if n == 1 {
         return vec![c64(input[0], 0.0)];
     }
-    if n % 2 != 0 {
+    if !n.is_multiple_of(2) {
         let full = fft(&input.iter().map(|&x| c64(x, 0.0)).collect::<Vec<_>>());
         return full[..rfft_len(n)].to_vec();
     }
@@ -591,7 +591,7 @@ pub fn irfft(spectrum: &[Complex64], n: usize) -> Vec<f64> {
     if n == 1 {
         return vec![spectrum[0].re];
     }
-    if n % 2 != 0 {
+    if !n.is_multiple_of(2) {
         let mut full = vec![Complex64::ZERO; n];
         full[..spectrum.len()].copy_from_slice(spectrum);
         for k in spectrum.len()..n {

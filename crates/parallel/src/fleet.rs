@@ -82,6 +82,15 @@ struct SubscriberSlot {
     live: Option<FleetSlot>,
 }
 
+/// Exclusive access to a fixed-stream slot, recovered from poisoning like
+/// every slot lock of the fleet: a panic inside one stream's generation has
+/// already surfaced as [`ParallelError::JobPanicked`] from that advance,
+/// and the next advance rewrites the slot's block whole, so the fleet
+/// carries on instead of cascading the panic.
+fn slot_mut(slot: &mut Mutex<FleetSlot>) -> &mut FleetSlot {
+    slot.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Recovers a subscriber-slot guard from poisoning: a panic inside one
 /// connection's generation only concerns that connection, and the slot is
 /// either unsubscribed (cleanup path) or re-initialized (slot reuse) before
@@ -288,7 +297,7 @@ impl StreamFleet {
                 return;
             }
             stealing.for_each_claimed(id, |i| {
-                let mut slot = slots[i].lock().unwrap();
+                let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
                 let FleetSlot { stream, block } = &mut *slot;
                 stream
                     .next_block_into(block)
@@ -306,7 +315,7 @@ impl StreamFleet {
     /// See [`StreamFleet::advance`].
     pub fn advance_sequential(&mut self) -> Result<(), ParallelError> {
         for slot in &mut self.slots {
-            let FleetSlot { stream, block } = slot.get_mut().unwrap();
+            let FleetSlot { stream, block } = slot_mut(slot);
             stream
                 .next_block_into(block)
                 .expect("realtime generation is infallible after construction");
@@ -322,7 +331,7 @@ impl StreamFleet {
     /// Panics when `i` is out of range.
     #[must_use]
     pub fn block(&mut self, i: usize) -> &SampleBlock {
-        &self.slots[i].get_mut().unwrap().block
+        &slot_mut(&mut self.slots[i]).block
     }
 
     /// Mutable access to the most recently generated block of stream `i` —
@@ -335,7 +344,7 @@ impl StreamFleet {
     /// Panics when `i` is out of range.
     #[must_use]
     pub fn block_mut(&mut self, i: usize) -> &mut SampleBlock {
-        &mut self.slots[i].get_mut().unwrap().block
+        &mut slot_mut(&mut self.slots[i]).block
     }
 
     /// Attaches a *dynamic* stream to the fleet — the serving-side
@@ -518,6 +527,43 @@ mod tests {
             let block = fleet.block(i);
             assert_eq!(block.envelopes(), envelopes, "stream {i}");
             assert_eq!(block.samples(), samples, "stream {i}");
+        }
+    }
+
+    #[test]
+    fn fleet_advances_after_a_slot_mutex_is_poisoned() {
+        let names = ["fig4a-spectral", "two-envelope-complex"];
+        let mut fleet = StreamFleet::open(&names, 5).unwrap();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = fleet.slots[0].lock().unwrap();
+                panic!("poison fleet slot 0");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(fleet.slots[0].is_poisoned());
+
+        let mut standalone: Vec<_> = (0..names.len())
+            .map(|i| {
+                lookup(names[i])
+                    .unwrap()
+                    .build_realtime(stream_seed(5, i))
+                    .unwrap()
+            })
+            .collect();
+        let mut expected = SampleBlock::empty();
+        for round in 0..2 {
+            if round == 0 {
+                fleet.advance().unwrap();
+            } else {
+                fleet.advance_sequential().unwrap();
+            }
+            for (i, stream) in standalone.iter_mut().enumerate() {
+                stream.next_block_into(&mut expected).unwrap();
+                assert_eq!(fleet.block(i).as_slice(), expected.as_slice(), "stream {i}");
+                let envelopes = fleet.scenario(i).envelopes;
+                assert_eq!(fleet.block_mut(i).envelopes(), envelopes);
+            }
         }
     }
 

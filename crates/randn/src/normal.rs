@@ -12,6 +12,7 @@
 //! suite can cross-validate them against each other; the polar method is the
 //! default because it avoids the trigonometric calls.
 
+use corrfade_linalg::{c64, Complex64};
 use rand::Rng;
 
 /// Algorithm used to turn uniform variates into standard-normal variates.
@@ -94,24 +95,54 @@ fn box_muller_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     (r * theta.cos(), r * theta.sin())
 }
 
-/// One Marsaglia-polar pair of independent `N(0, 1)` samples.
-fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    loop {
-        let x: f64 = 2.0 * rng.gen::<f64>() - 1.0;
-        let y: f64 = 2.0 * rng.gen::<f64>() - 1.0;
-        let s = x * x + y * y;
-        if s > 0.0 && s < 1.0 {
-            let f = (-2.0 * s.ln() / s).sqrt();
-            return (x * f, y * f);
+/// The accept step of Marsaglia's polar method, for `points.len()`
+/// successive samples: `points[k] = x + i·y` is the `k`-th uniform point
+/// on `(-1, 1)²` with `s = x² + y²` in `(0, 1)`, drawn exactly as
+/// [`NormalSampler`] draws its polar pairs, and the words consumed are
+/// those of `points.len()` pair draws.
+///
+/// With `s` recomputed as `x·x + y·y` and `g = √(−2 ln s / s)`,
+/// `(x·g, y·g)` is the pair of independent `N(0, 1)` samples the sampler
+/// would hand out, bit for bit. A consumer that needs only some of the
+/// pairs transformed (a spectrum whose Doppler weight is zero on most
+/// bins, a fast-forward that needs none) calls this and skips the
+/// logarithm, square root and division for the rest.
+///
+/// The loop has no data-dependent branch: every point takes at least one
+/// candidate, so a pass draws one candidate per point still missing, keeps
+/// the accepted ones in order, and repeats until all points are accepted —
+/// never drawing a candidate past the last point's.
+pub fn polar_points_into<R: Rng + ?Sized>(rng: &mut R, points: &mut [Complex64]) {
+    let mut k = 0;
+    while k < points.len() {
+        let missing = points.len() - k;
+        for _ in 0..missing {
+            let x: f64 = 2.0 * rng.gen::<f64>() - 1.0;
+            let y: f64 = 2.0 * rng.gen::<f64>() - 1.0;
+            let s = x * x + y * y;
+            // k < points.len(): k grows by at most one per candidate, and
+            // this pass draws one candidate per point missing at its start.
+            points[k] = c64(x, y);
+            k += usize::from((s > 0.0) & (s < 1.0));
         }
     }
+}
+
+/// One Marsaglia-polar pair of independent `N(0, 1)` samples.
+fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
+    let mut point = [Complex64::ZERO];
+    polar_points_into(rng, &mut point);
+    let (x, y) = (point[0].re, point[0].im);
+    let s = x * x + y * y;
+    let f = (-2.0 * s.ln() / s).sqrt();
+    (x * f, y * f)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn moments(samples: &[f64]) -> (f64, f64, f64, f64) {
         let n = samples.len() as f64;
@@ -168,6 +199,29 @@ mod tests {
         for &b in &buf {
             assert_eq!(b, s2.sample_with(&mut rng2, 0.0, 1.0));
         }
+    }
+
+    #[test]
+    fn polar_points_transform_to_the_sampler_pairs_bit_for_bit() {
+        let mut rng_points = StdRng::seed_from_u64(5);
+        let mut rng_sampler = StdRng::seed_from_u64(5);
+        let mut sampler = NormalSampler::default();
+        let mut points = vec![Complex64::ZERO; 1000];
+        polar_points_into(&mut rng_points, &mut points);
+        for p in &points {
+            let s = p.re * p.re + p.im * p.im;
+            assert!(s > 0.0 && s < 1.0);
+            let g = (-2.0 * s.ln() / s).sqrt();
+            assert_eq!(
+                (p.re * g).to_bits(),
+                sampler.sample(&mut rng_sampler).to_bits()
+            );
+            assert_eq!(
+                (p.im * g).to_bits(),
+                sampler.sample(&mut rng_sampler).to_bits()
+            );
+        }
+        assert_eq!(rng_points.next_u64(), rng_sampler.next_u64());
     }
 
     #[test]

@@ -76,10 +76,12 @@ impl RandomStream {
 }
 
 impl RngCore for RandomStream {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         self.rng.next_u32()
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         self.rng.next_u64()
     }

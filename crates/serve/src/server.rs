@@ -37,7 +37,7 @@
 //!   still-blocked socket is forcibly interrupted; all threads are joined
 //!   and the Unix socket file is removed.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -264,8 +264,8 @@ impl Server {
     /// [`Drop`] (which performs the same teardown).
     ///
     /// # Errors
-    /// [`ServeError::Io`] when the accept thread cannot be woken; join
-    /// panics are propagated.
+    /// [`ServeError::Io`] when the accept thread panicked; the connections
+    /// are drained and joined first all the same.
     pub fn shutdown(mut self) -> Result<(), ServeError> {
         self.shutdown_in_place()
     }
@@ -279,7 +279,9 @@ impl Server {
         // connection wakes it so it can observe the flag. Failure is fine
         // when it already exited (e.g. listener error path).
         let _ = Conn::connect(&self.local_addr, Duration::from_secs(1));
-        accept.join().expect("accept thread panicked");
+        // A panicked accept thread accepts nothing more; still drain the
+        // connections it started before reporting it.
+        let accepted = accept.join();
 
         // Drain: connection threads observe the shutdown flag at their next
         // block boundary, finish the block in flight, send the
@@ -309,7 +311,7 @@ impl Server {
         if let ServeAddr::Unix(path) = &self.local_addr {
             let _ = std::fs::remove_file(path);
         }
-        Ok(())
+        accepted.map_err(|_| ServeError::Io(io::Error::other("accept thread panicked")))
     }
 }
 

@@ -132,7 +132,7 @@ pub fn bessel_jn(n: u32, x: f64) -> f64 {
         // index safely above n and normalize with the identity
         // J₀(x) + 2·Σ_{k≥1} J_{2k}(x) = 1.
         let mut start = n as usize + 2 * ((40.0 + 2.0 * (n as f64).sqrt()) as usize);
-        if start % 2 != 0 {
+        if !start.is_multiple_of(2) {
             start += 1;
         }
         let mut jkp1 = 0.0f64; // J_{k+1} (un-normalized)
