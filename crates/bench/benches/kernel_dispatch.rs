@@ -87,19 +87,22 @@ fn bench_color_idft(c: &mut Criterion) {
     group.finish();
 }
 
+/// The single-instant coloring matvec at the `snapshot-n16` shape and at a
+/// larger `N`.
 fn bench_matvec(c: &mut Criterion) {
-    let n = 64;
-    let mut group = c.benchmark_group(format!("kernel/matvec_n{n}"));
-    group.throughput(Throughput::Elements((n * n) as u64));
-    let a = signal(n * n);
-    let x = signal(n);
-    for (name, backend) in BACKENDS {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
-            let mut y = vec![Complex64::ZERO; n];
-            b.iter(|| matvec_into_with(bk, n, n, &a, &x, &mut y))
-        });
+    for n in [16usize, 64] {
+        let mut group = c.benchmark_group(format!("kernel/matvec_n{n}"));
+        group.throughput(Throughput::Elements((n * n) as u64));
+        let a = signal(n * n);
+        let x = signal(n);
+        for (name, backend) in BACKENDS {
+            group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
+                let mut y = vec![Complex64::ZERO; n];
+                b.iter(|| matvec_into_with(bk, n, n, &a, &x, &mut y))
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 fn bench_accumulate_covariance(c: &mut Criterion) {

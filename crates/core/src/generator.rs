@@ -44,6 +44,12 @@ impl Sample {
     }
 }
 
+/// Snapshots whose white vectors [`CorrelatedRayleighGenerator`] draws
+/// with one [`ComplexGaussian::fill`] call on the [`ChannelStream`] path:
+/// 16 KiB of scratch at `N = 16`, small enough to stay in L1 between the
+/// draw and the coloring.
+const SNAPSHOT_TILE: usize = 64;
+
 /// Generator of correlated Rayleigh fading envelopes at independent time
 /// instants — the proposed algorithm of Sec. 4.4.
 ///
@@ -60,7 +66,9 @@ pub struct CorrelatedRayleighGenerator {
     gaussian: ComplexGaussian,
     /// Snapshots per [`ChannelStream`] block.
     stream_block_len: usize,
-    /// Per-snapshot white vector `W` scratch.
+    /// White vector `W` scratch: one snapshot for
+    /// [`Self::sample_gaussian_into`], a tile of up to
+    /// [`SNAPSHOT_TILE`] snapshots for the [`ChannelStream`] path.
     w: Vec<Complex64>,
     /// Per-snapshot colored vector `Z` scratch of the [`ChannelStream`]
     /// path, scattered into the planar block.
@@ -168,8 +176,9 @@ impl CorrelatedRayleighGenerator {
 
     /// Draws the next correlated complex Gaussian vector `Z` (step 6 + 7)
     /// into a caller-owned buffer, using only internal scratch — the
-    /// allocation-free primitive behind [`Self::sample_gaussian`] and the
-    /// [`ChannelStream`] implementation.
+    /// allocation-free primitive behind [`Self::sample_gaussian`]. The
+    /// [`ChannelStream`] implementation draws the same bits a tile of
+    /// snapshots at a time.
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the generator dimension.
@@ -181,28 +190,13 @@ impl CorrelatedRayleighGenerator {
             "sample_gaussian_into: expected a buffer of length {n}, got {}",
             out.len()
         );
-        self.color_white_into(out);
+        let w = &mut self.w[..n];
+        self.gaussian.fill(&mut self.rng, w, self.driving_variance);
+        self.coloring.matrix.matvec_into(w, out);
         let scale = 1.0 / self.driving_variance.sqrt();
         for zj in out.iter_mut() {
             *zj = zj.scale(scale);
         }
-    }
-
-    /// Steps 6 + 7 without the final `1/σ_g` scaling: draws a white `W`
-    /// into the internal scratch and writes `L·W` into `out`.
-    // Forced inline: as an out-of-line call the streaming loop below ran
-    // ~5% slower at N = 3 (fig4 single-instant bench).
-    #[inline(always)]
-    fn color_white_into(&mut self, out: &mut [Complex64]) {
-        let Self {
-            rng,
-            gaussian,
-            w,
-            driving_variance,
-            ..
-        } = self;
-        gaussian.fill(rng, w, *driving_variance);
-        self.coloring.matrix.matvec_into(&self.w, out);
     }
 
     /// Draws the next correlated complex Gaussian vector `Z` (step 6 + 7).
@@ -239,20 +233,34 @@ impl ChannelStream for CorrelatedRayleighGenerator {
     /// sample `l` of the block is the `l`-th snapshot, drawn in exactly the
     /// order of repeated [`CorrelatedRayleighGenerator::sample_gaussian`]
     /// calls (bit-identical for equal seeds).
+    ///
+    /// The white vectors of up to 64 snapshots are drawn by one
+    /// [`ComplexGaussian::fill`] call — the same words and bits as one
+    /// call per snapshot, since each element takes one whole normal pair —
+    /// and then colored one snapshot at a time with the same `matvec_into`.
     fn next_block_into(&mut self, block: &mut SampleBlock) -> Result<(), CorrfadeError> {
         let n = self.coloring.dimension();
         let m = self.stream_block_len;
         block.resize(n, m);
-        let mut z = std::mem::take(&mut self.z);
+        let tile = SNAPSHOT_TILE.min(m);
+        if self.w.len() < n * tile {
+            self.w.resize(n * tile, Complex64::ZERO);
+        }
         let scale = 1.0 / self.driving_variance.sqrt();
         let data = block.as_mut_slice();
-        for l in 0..m {
-            self.color_white_into(&mut z);
-            for (j, zj) in z.iter().enumerate() {
-                data[j * m + l] = zj.scale(scale);
+        let mut l0 = 0;
+        while l0 < m {
+            let t = tile.min(m - l0);
+            let w = &mut self.w[..n * t];
+            self.gaussian.fill(&mut self.rng, w, self.driving_variance);
+            for (k, wk) in w.chunks_exact(n).enumerate() {
+                self.coloring.matrix.matvec_into(wk, &mut self.z);
+                for (j, zj) in self.z.iter().enumerate() {
+                    data[j * m + l0 + k] = zj.scale(scale);
+                }
             }
+            l0 += t;
         }
-        self.z = z;
         Ok(())
     }
 }
@@ -388,18 +396,41 @@ mod tests {
 
     #[test]
     fn streaming_batches_match_snapshot_draws_bit_for_bit() {
-        let k = paper_covariance_matrix_22();
-        let mut snap = CorrelatedRayleighGenerator::new(k.clone(), 31).unwrap();
-        let mut stream = CorrelatedRayleighGenerator::new(k, 31)
-            .unwrap()
-            .with_stream_block_len(17);
-        assert_eq!(ChannelStream::block_len(&stream), 17);
-        let mut block = SampleBlock::empty();
-        for _ in 0..2 {
-            stream.next_block_into(&mut block).unwrap();
-            for l in 0..17 {
-                for (j, &expected) in snap.sample_gaussian().iter().enumerate() {
-                    assert_eq!(block.path(j)[l], expected);
+        // Block lengths on both sides of the 64-snapshot draw tile, at the
+        // paper's N = 3 and at N = 16, each block followed by one single
+        // draw on the streaming generator: every bit must be that of the
+        // equally-seeded generator's repeated `sample_gaussian` calls.
+        let exponential =
+            CMatrix::from_fn(16, 16, |i, j| c64(0.7f64.powi(i.abs_diff(j) as i32), 0.0));
+        let same = |a: Complex64, b: Complex64| {
+            (a.re.to_bits(), a.im.to_bits()) == (b.re.to_bits(), b.im.to_bits())
+        };
+        for k in [paper_covariance_matrix_22(), exponential] {
+            let n = k.rows();
+            for len in [1, 17, 63, 64, 65, 4096] {
+                let new = || CorrelatedRayleighGenerator::with_driving_variance(k.clone(), 2.5, 31);
+                let mut snap = new().unwrap();
+                let mut stream = new().unwrap().with_stream_block_len(len);
+                assert_eq!(ChannelStream::block_len(&stream), len);
+                let mut block = SampleBlock::empty();
+                let mut single = vec![Complex64::ZERO; n];
+                for round in 0..2 {
+                    stream.next_block_into(&mut block).unwrap();
+                    for l in 0..len {
+                        for (j, want) in snap.sample_gaussian().into_iter().enumerate() {
+                            assert!(
+                                same(block.path(j)[l], want),
+                                "n {n}, len {len}, round {round}, snapshot {l}, envelope {j}"
+                            );
+                        }
+                    }
+                    stream.sample_gaussian_into(&mut single);
+                    for (got, want) in single.iter().zip(snap.sample_gaussian()) {
+                        assert!(
+                            same(*got, want),
+                            "n {n}, len {len}: draw after block {round}"
+                        );
+                    }
                 }
             }
         }

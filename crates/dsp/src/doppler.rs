@@ -19,7 +19,7 @@
 //! baseline ignores it, which is exactly the flaw experiment E8 demonstrates.
 
 use corrfade_linalg::{c64, Complex64};
-use corrfade_randn::normal::polar_points_into;
+use corrfade_randn::normal::{polar_normals, polar_points_into};
 use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
@@ -252,7 +252,8 @@ impl IdftRayleighGenerator {
     ///
     /// Each bin takes one accepted Marsaglia-polar point `x + i·y`
     /// ([`corrfade_randn::normal::polar_points_into`] draws them all
-    /// first, into `out`). With `s = x² + y²` and `g = √(−2 ln s / s)`,
+    /// first, into `out`). With `(x·g, y·g)` from
+    /// [`corrfade_randn::normal::polar_normals`],
     /// `A[k] = 0 + σ_orig·(x·g)` and `B[k] = 0 + σ_orig·(y·g)`: the
     /// arithmetic of two `NormalSampler::sample_with(rng, 0, σ_orig)` calls
     /// on a sampler whose pair cache starts empty. A bin with `F[k] = 0`
@@ -278,15 +279,11 @@ impl IdftRayleighGenerator {
         // `0 · ±∞` is NaN, so the sign shortcut needs a finite σ_orig.
         let zero_bins_shortcut = std.is_finite();
         for (slot, &f) in out.iter_mut().zip(self.filter.coefficients()) {
-            let (x, y) = (slot.re, slot.im);
             *slot = if f == 0.0 && zero_bins_shortcut {
-                c64(f * x, -f * y)
+                c64(f * slot.re, -f * slot.im)
             } else {
-                let s = x * x + y * y;
-                let g = (-2.0 * s.ln() / s).sqrt();
-                let a = 0.0 + std * (x * g);
-                let b = 0.0 + std * (y * g);
-                c64(f * a, -f * b)
+                let (xg, yg) = polar_normals(*slot);
+                c64(f * (0.0 + std * xg), -f * (0.0 + std * yg))
             };
         }
     }

@@ -35,7 +35,7 @@
 //! backend at spawn, so `CORRFADE_KERNEL` is honoured deterministically
 //! across the pool.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use corrfade::{ChannelStream, Coloring, CorrelatedRayleighGenerator, SampleBlock};
 use corrfade_linalg::CMatrix;
@@ -181,40 +181,55 @@ pub fn monte_carlo_covariance_on(
     let coloring = corrfade::cached_eigen_coloring(covariance)?;
     let n = coloring.dimension();
     let chunks = partition(total, config.effective_chunk_size(total));
-    let participants = config.effective_threads().min(chunks.len()).max(1);
-    let queues = StealQueues::new(chunks.len(), participants);
-    // One accumulator per chunk, merged in chunk order below: the summation
+    // One accumulator per chunk, merged in chunk order: the summation
     // order is fixed by the chunk layout, never by scheduling.
-    let slots: Vec<Mutex<CMatrix>> = chunks
+    let slots = chunks
         .iter()
         .map(|_| Mutex::new(CMatrix::zeros(n, n)))
         .collect();
+    let sum = fold_chunks(runtime, &coloring, covariance, &chunks, config, slots);
+    Ok(sum.scale_real(1.0 / total as f64))
+}
 
+/// Streams every chunk on `runtime`, folds chunk `i`'s `Σ Z·Zᴴ` into
+/// `slots[i]` and sums the slots in chunk order.
+///
+/// A poisoned slot lock is recovered rather than unwrapped. Only chunk
+/// `i`'s job locks `slots[i]`, and a job that panics makes `Runtime::run`
+/// panic before any slot is read, so a recovered guard never hands out a
+/// half-updated sum; recovering only keeps a poisoned lock from raising a
+/// second panic.
+fn fold_chunks(
+    runtime: &Runtime,
+    coloring: &Coloring,
+    covariance: &CMatrix,
+    chunks: &[Chunk],
+    config: &ParallelConfig,
+    slots: Vec<Mutex<CMatrix>>,
+) -> CMatrix {
+    let participants = config.effective_threads().min(chunks.len()).max(1);
+    let queues = StealQueues::new(chunks.len(), participants);
     runtime.run(&|id, scratch| {
         if id >= participants {
             return;
         }
         queues.for_each_claimed(id, |i| {
             let chunk = chunks[i];
-            stream_chunk(
-                &coloring,
-                covariance,
-                chunk,
-                config.seed,
-                &mut scratch.block,
-            );
-            scratch
-                .block
-                .accumulate_covariance(&mut slots[chunk.index].lock().unwrap());
+            stream_chunk(coloring, covariance, chunk, config.seed, &mut scratch.block);
+            let mut slot = slots[chunk.index]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            scratch.block.accumulate_covariance(&mut slot);
         });
     });
 
+    let n = coloring.dimension();
     let mut sum = CMatrix::zeros(n, n);
     for slot in slots {
-        let partial = slot.into_inner().unwrap();
+        let partial = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
         sum = &sum + &partial;
     }
-    Ok(sum.scale_real(1.0 / total as f64))
+    sum
 }
 
 #[cfg(test)]
@@ -302,6 +317,37 @@ mod tests {
             .next_block()
             .unwrap();
         assert!(khat.approx_eq(&sample_covariance_from_block(&block), 0.0));
+    }
+
+    #[test]
+    fn a_poisoned_covariance_slot_still_yields_the_estimate() {
+        let k = paper_covariance_matrix_23();
+        let cfg = config(2, 21);
+        let total = 6000;
+        let expected = monte_carlo_covariance(&k, total, &cfg).unwrap();
+
+        let coloring = corrfade::cached_eigen_coloring(&k).unwrap();
+        let n = coloring.dimension();
+        let chunks = partition(total, cfg.effective_chunk_size(total));
+        assert!(chunks.len() > 2);
+        let slots: Vec<_> = chunks
+            .iter()
+            .map(|_| Mutex::new(CMatrix::zeros(n, n)))
+            .collect();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = slots[1].lock().unwrap();
+                panic!("poison covariance slot 1");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(slots[1].is_poisoned());
+
+        let sum = fold_chunks(Runtime::global(), &coloring, &k, &chunks, &cfg, slots);
+        assert_eq!(
+            sum.scale_real(1.0 / total as f64).as_slice(),
+            expected.as_slice()
+        );
     }
 
     #[test]

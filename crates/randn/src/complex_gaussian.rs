@@ -13,7 +13,7 @@
 use corrfade_linalg::{c64, Complex64};
 use rand::Rng;
 
-use crate::normal::{NormalMethod, NormalSampler};
+use crate::normal::{polar_normals, polar_points_into, NormalMethod, NormalSampler};
 
 /// Sampler of zero-mean complex Gaussian variables.
 #[derive(Debug, Clone, Default)]
@@ -63,41 +63,59 @@ impl ComplexGaussian {
     }
 
     /// Draws a vector of `n` i.i.d. `CN(0, variance)` samples — exactly the
-    /// vector `W` of step 6 of the paper's algorithm.
+    /// vector `W` of step 6 of the paper's algorithm. Same draws and bits
+    /// as [`Self::fill`] on a buffer of length `n`.
     pub fn sample_vec<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         n: usize,
         variance: f64,
     ) -> Vec<Complex64> {
-        (0..n).map(|_| self.sample(rng, variance)).collect()
+        let mut out = vec![Complex64::ZERO; n];
+        self.fill(rng, &mut out, variance);
+        out
     }
 
-    /// Fills a buffer with i.i.d. `CN(0, variance)` samples.
+    /// Fills a buffer with i.i.d. `CN(0, variance)` samples, bit for bit
+    /// what a loop of [`Self::sample`] calls would write, consuming the same
+    /// words of `rng`.
+    ///
+    /// With the polar method the fill runs in two passes: it first draws
+    /// one accepted polar point per element with
+    /// [`polar_points_into`] — the words of `buf.len()` polar pair draws,
+    /// rejected candidates included — and then transforms the whole
+    /// buffer in place with [`polar_normals`], writing
+    /// `z = (0 + std·(x·g)) + i·(0 + std·(y·g))` with `std = √(variance/2)`.
+    /// That is the arithmetic of two `NormalSampler::sample_with` calls:
+    /// every method of this type consumes whole normal pairs, so the
+    /// sampler never holds a spare sample between calls and each element
+    /// takes exactly one pair. Box–Muller keeps the per-element loop.
+    ///
+    /// # Panics
+    /// Panics if `variance` is negative or NaN.
     pub fn fill<R: Rng + ?Sized>(&mut self, rng: &mut R, buf: &mut [Complex64], variance: f64) {
-        for z in buf.iter_mut() {
-            *z = self.sample(rng, variance);
+        assert!(
+            variance >= 0.0,
+            "variance must be non-negative, got {variance}"
+        );
+        let std = (variance * 0.5).sqrt();
+        match self.sampler.method() {
+            NormalMethod::Polar => {
+                polar_points_into(rng, buf);
+                for z in buf.iter_mut() {
+                    let (a, b) = polar_normals(*z);
+                    *z = c64(0.0 + std * a, 0.0 + std * b);
+                }
+            }
+            NormalMethod::BoxMuller => {
+                for z in buf.iter_mut() {
+                    *z = c64(
+                        self.sampler.sample_with(rng, 0.0, std),
+                        self.sampler.sample_with(rng, 0.0, std),
+                    );
+                }
+            }
         }
-    }
-
-    /// Draws `n` samples of `A[k] − i·B[k]` where `A`, `B` are independent
-    /// real `N(0, σ²_orig)` sequences — the input format of the Young–Beaulieu
-    /// Doppler generator (step 3 of the real-time algorithm, Sec. 5).
-    pub fn sample_doppler_input<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        n: usize,
-        sigma_orig_sq: f64,
-    ) -> Vec<Complex64> {
-        assert!(sigma_orig_sq >= 0.0, "variance must be non-negative");
-        let std = sigma_orig_sq.sqrt();
-        (0..n)
-            .map(|_| {
-                let a = self.sampler.sample_with(rng, 0.0, std);
-                let b = self.sampler.sample_with(rng, 0.0, std);
-                c64(a, -b)
-            })
-            .collect()
     }
 }
 
@@ -161,20 +179,6 @@ mod tests {
             (mean_env - expected).abs() < 0.01,
             "mean envelope {mean_env}, expected {expected}"
         );
-    }
-
-    #[test]
-    fn doppler_input_format() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut g = ComplexGaussian::default();
-        let n = 100_000;
-        let sigma_orig_sq = 0.5;
-        let samples = g.sample_doppler_input(&mut rng, n, sigma_orig_sq);
-        assert_eq!(samples.len(), n);
-        let var_re: f64 = samples.iter().map(|z| z.re * z.re).sum::<f64>() / n as f64;
-        let var_im: f64 = samples.iter().map(|z| z.im * z.im).sum::<f64>() / n as f64;
-        assert!((var_re - sigma_orig_sq).abs() < 0.02);
-        assert!((var_im - sigma_orig_sq).abs() < 0.02);
     }
 
     #[test]

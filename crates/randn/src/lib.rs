@@ -6,8 +6,8 @@
 //! * [`RandomStream`] — reproducible, splittable ChaCha20 uniform streams,
 //! * [`NormalSampler`] — `N(0, 1)` via Box–Muller or Marsaglia's polar
 //!   transform,
-//! * [`ComplexGaussian`] — circularly-symmetric `CN(0, σ²)` variables and the
-//!   `A[k] − i·B[k]` input sequences of the Young–Beaulieu Doppler generator.
+//! * [`ComplexGaussian`] — circularly-symmetric `CN(0, σ²)` variables, the
+//!   white vector `W` of the single-instant generator.
 //!
 //! The crate deliberately re-implements the normal transform instead of
 //! pulling in `rand_distr`: the offline dependency set only guarantees

@@ -101,12 +101,11 @@ fn box_muller_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
 /// [`NormalSampler`] draws its polar pairs, and the words consumed are
 /// those of `points.len()` pair draws.
 ///
-/// With `s` recomputed as `x·x + y·y` and `g = √(−2 ln s / s)`,
-/// `(x·g, y·g)` is the pair of independent `N(0, 1)` samples the sampler
-/// would hand out, bit for bit. A consumer that needs only some of the
-/// pairs transformed (a spectrum whose Doppler weight is zero on most
-/// bins, a fast-forward that needs none) calls this and skips the
-/// logarithm, square root and division for the rest.
+/// [`polar_normals`] maps each point to the pair of independent `N(0, 1)`
+/// samples the sampler would hand out, bit for bit. A consumer that needs
+/// only some of the pairs transformed (a spectrum whose Doppler weight is
+/// zero on most bins, a fast-forward that needs none) calls this and
+/// skips the logarithm, square root and division for the rest.
 ///
 /// The loop has no data-dependent branch: every point takes at least one
 /// candidate, so a pass draws one candidate per point still missing, keeps
@@ -128,14 +127,28 @@ pub fn polar_points_into<R: Rng + ?Sized>(rng: &mut R, points: &mut [Complex64])
     }
 }
 
+/// The transform step of Marsaglia's polar method: maps an accepted point
+/// `x + i·y` of [`polar_points_into`] to its pair of independent `N(0, 1)`
+/// samples `(x·g, y·g)`, with `s = x·x + y·y` and `g = √(−2 ln s / s)`.
+///
+/// This is the one place the formula lives: the sampler, the batched
+/// complex-Gaussian fill and the Doppler spectrum fill all call it, so
+/// their outputs agree bit for bit. `ln` is the scalar libm call; the
+/// square root and division are correctly rounded on every target.
+#[inline]
+#[must_use]
+pub fn polar_normals(point: Complex64) -> (f64, f64) {
+    let (x, y) = (point.re, point.im);
+    let s = x * x + y * y;
+    let g = (-2.0 * s.ln() / s).sqrt();
+    (x * g, y * g)
+}
+
 /// One Marsaglia-polar pair of independent `N(0, 1)` samples.
 fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let mut point = [Complex64::ZERO];
     polar_points_into(rng, &mut point);
-    let (x, y) = (point[0].re, point[0].im);
-    let s = x * x + y * y;
-    let f = (-2.0 * s.ln() / s).sqrt();
-    (x * f, y * f)
+    polar_normals(point[0])
 }
 
 #[cfg(test)]
