@@ -105,7 +105,7 @@ fn run() -> Result<bool, String> {
     );
 
     // Warm up both paths: decomposition/FFT caches, per-stream blocks, the
-    // pool's stealing lanes — the steady state the gate is about.
+    // pool's workers — the steady state the gate is about.
     for _ in 0..3 {
         fleet.advance_sequential().map_err(|e| e.to_string())?;
         fleet.advance().map_err(|e| e.to_string())?;

@@ -12,11 +12,10 @@
 //! 2. splits the requested ensemble into chunks sized by the load-balancing
 //!    heuristic ([`crate::balanced_chunk_size`]), each with its own
 //!    deterministic RNG seed,
-//! 3. deals the chunks into per-executor work-stealing lanes
-//!    ([`StealQueues`]) on the persistent [`Runtime`] pool — the submitting
-//!    thread participates as executor 0, each executor drains its own lane
-//!    and steals stragglers' backlogs; every worker owns **one pinned planar
-//!    [`SampleBlock`]** that the generators stream into through
+//! 3. runs the chunks on the persistent [`Runtime`] pool — the submitting
+//!    thread participates as executor 0, and each executor claims the next
+//!    chunk index from one shared atomic cursor; every worker owns **one
+//!    pinned planar [`SampleBlock`]** that the generators stream into through
 //!    [`ChannelStream::next_block_into`] — no per-chunk buffer allocation —
 //!    and folds the chunk's covariance accumulator straight from the planar
 //!    data,
@@ -35,6 +34,7 @@
 //! backend at spawn, so `CORRFADE_KERNEL` is honoured deterministically
 //! across the pool.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use corrfade::{ChannelStream, Coloring, CorrelatedRayleighGenerator, SampleBlock};
@@ -43,7 +43,6 @@ use corrfade_linalg::CMatrix;
 use crate::error::ParallelError;
 use crate::partition::{balanced_chunk_size, chunk_seed, partition, Chunk};
 use crate::runtime::Runtime;
-use crate::stealing::StealQueues;
 
 /// Configuration of the parallel engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,10 +52,10 @@ pub struct ParallelConfig {
     /// workers pick up chunks; it never affects the produced values.
     pub threads: usize,
     /// Upper bound on the snapshots generated per chunk (the unit of work
-    /// stealing). Large workloads are subdivided further for load balance —
-    /// see [`ParallelConfig::effective_chunk_size`]. Must be positive; the
-    /// engine entry points report [`ParallelError::InvalidChunkSize`]
-    /// otherwise.
+    /// an executor claims). Large workloads are subdivided further for
+    /// load balance — see [`ParallelConfig::effective_chunk_size`]. Must be
+    /// positive; the engine entry points report
+    /// [`ParallelError::InvalidChunkSize`] otherwise.
     pub chunk_size: usize,
     /// Master RNG seed.
     pub seed: u64,
@@ -208,19 +207,20 @@ fn fold_chunks(
     slots: Vec<Mutex<CMatrix>>,
 ) -> CMatrix {
     let participants = config.effective_threads().min(chunks.len()).max(1);
-    let queues = StealQueues::new(chunks.len(), participants);
+    // Relaxed: the cursor only hands out indices; the slot mutexes and the
+    // pool's completion handshake order the data.
+    let next = AtomicUsize::new(0);
     runtime.run(&|id, scratch| {
         if id >= participants {
             return;
         }
-        queues.for_each_claimed(id, |i| {
-            let chunk = chunks[i];
+        while let Some(&chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) {
             stream_chunk(coloring, covariance, chunk, config.seed, &mut scratch.block);
             let mut slot = slots[chunk.index]
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             scratch.block.accumulate_covariance(&mut slot);
-        });
+        }
     });
 
     let n = coloring.dimension();

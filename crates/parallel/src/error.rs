@@ -18,13 +18,6 @@ pub enum ParallelError {
     /// A [`crate::StreamFleet`] member failed to resolve or build from the
     /// scenario registry (unknown name, invalid resize, …).
     Scenario(ScenarioError),
-    /// A [`crate::StreamFleet`] subscriber handle did not resolve to a live
-    /// stream: the [`crate::StreamKey`] was already unsubscribed (or is a
-    /// stale copy whose slot has since been reused by a newer subscriber).
-    UnknownStream {
-        /// Slot index the stale key pointed at.
-        index: usize,
-    },
     /// One or more worker executions of a submitted job panicked. The pool
     /// itself survives — subsequent submissions run normally — but the
     /// failed job's output must not be trusted. Reported as a typed error
@@ -46,11 +39,6 @@ impl fmt::Display for ParallelError {
             }
             ParallelError::Core(e) => write!(f, "generator error: {e}"),
             ParallelError::Scenario(e) => write!(f, "fleet scenario error: {e}"),
-            ParallelError::UnknownStream { index } => write!(
-                f,
-                "no live fleet subscriber behind this stream key (slot {index}): the stream \
-                 was unsubscribed, or the key is a stale copy from a previous subscription"
-            ),
             ParallelError::JobPanicked { panicked } => write!(
                 f,
                 "{panicked} pool worker(s) panicked while executing the job \
@@ -66,9 +54,7 @@ impl std::error::Error for ParallelError {
         match self {
             ParallelError::Core(e) => Some(e),
             ParallelError::Scenario(e) => Some(e),
-            ParallelError::InvalidChunkSize
-            | ParallelError::UnknownStream { .. }
-            | ParallelError::JobPanicked { .. } => None,
+            ParallelError::InvalidChunkSize | ParallelError::JobPanicked { .. } => None,
         }
     }
 }
@@ -105,8 +91,5 @@ mod tests {
         .into();
         assert!(e.to_string().contains("fleet scenario error"));
         assert!(e.source().is_some());
-        let e = ParallelError::UnknownStream { index: 3 };
-        assert!(e.to_string().contains("slot 3"));
-        assert!(e.source().is_none());
     }
 }

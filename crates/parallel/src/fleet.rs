@@ -1,9 +1,10 @@
 //! The multi-stream batch engine: many named scenarios, one worker pool.
 //!
-//! A production channel emulator does not serve one stream — it serves
-//! *fleets* of them: K clients, each subscribed to a named scenario from
-//! `corrfade-scenarios`, each expecting its next block of correlated
-//! Doppler-shaped samples. [`StreamFleet`] is that serving surface:
+//! A network simulator or a channel emulator advances many correlated
+//! channels in lockstep: K streams, each over a named scenario from
+//! `corrfade-scenarios` (or a pre-built generator), each producing its
+//! next block of Doppler-shaped samples at every epoch. [`StreamFleet`] is
+//! that lockstep engine:
 //!
 //! * **Open by name** — [`StreamFleet::open`] resolves each name through
 //!   the scenario registry and builds its real-time generator through the
@@ -14,13 +15,12 @@
 //!   once, at open.
 //! * **Generate in batch** — [`StreamFleet::advance`] produces the next
 //!   block for *every* stream concurrently on the persistent
-//!   [`Runtime`] pool: streams are dealt into per-executor work-stealing
-//!   lanes (stable affinity, stealing for skew — see
-//!   [`crate::stealing`]), the submitting thread participates as executor
-//!   0, and each stream's block lands in that stream's own pooled
+//!   [`Runtime`] pool: executors claim stream indices from one shared
+//!   atomic cursor, the submitting thread participates as executor 0, and
+//!   each stream's block lands in that stream's own pooled
 //!   [`SampleBlock`]. After warm-up an advance performs **zero heap
 //!   allocation** (the workspace's allocation-regression test measures
-//!   this end to end through the pool, including the re-dealt lanes).
+//!   this end to end through the pool).
 //! * **Isolation by construction** — stream `i` owns an independent RNG
 //!   stream seeded with [`stream_seed`]`(master_seed, i)`. Which worker
 //!   generates which block, and how many workers exist, cannot influence
@@ -29,6 +29,7 @@
 //!   ([`Scenario::build_realtime`] + repeated `next_block_into`), on any
 //!   thread count and both kernel backends.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use corrfade::{ChannelStream, RealtimeGenerator, SampleBlock};
@@ -37,7 +38,6 @@ use corrfade_scenarios::{lookup, Scenario};
 use crate::error::ParallelError;
 use crate::partition::chunk_seed;
 use crate::runtime::Runtime;
-use crate::stealing::StealQueues;
 
 /// Derives the RNG seed of fleet stream `index` from the fleet's master
 /// seed (the same SplitMix64 derivation as [`chunk_seed`]). Running
@@ -57,46 +57,13 @@ struct FleetSlot {
     block: SampleBlock,
 }
 
-/// Handle to a dynamically subscribed fleet stream, returned by
-/// [`StreamFleet::subscribe`] and consumed by
-/// [`StreamFleet::advance_subscriber_with`] /
-/// [`StreamFleet::unsubscribe`].
-///
-/// Keys are generation-stamped: after `unsubscribe`, any retained copy of
-/// the key goes stale and is reported as
-/// [`ParallelError::UnknownStream`] instead of silently reading whichever
-/// newer subscriber happens to reuse the slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StreamKey {
-    index: usize,
-    generation: u64,
-}
-
-/// One dynamic-subscriber slot: the generation stamp outlives the
-/// subscription so stale keys are detectable, and the pooled [`FleetSlot`]
-/// is dropped on unsubscribe (a later subscriber re-sizes a fresh block —
-/// steady-state zero allocation is a per-connection property, not a
-/// cross-connection one).
-struct SubscriberSlot {
-    generation: u64,
-    live: Option<FleetSlot>,
-}
-
-/// Exclusive access to a fixed-stream slot, recovered from poisoning like
-/// every slot lock of the fleet: a panic inside one stream's generation has
-/// already surfaced as [`ParallelError::JobPanicked`] from that advance,
-/// and the next advance rewrites the slot's block whole, so the fleet
-/// carries on instead of cascading the panic.
+/// Exclusive access to a stream slot, recovered from poisoning: a panic
+/// inside one stream's generation has already surfaced as
+/// [`ParallelError::JobPanicked`] from that advance, and the next advance
+/// rewrites the slot's block whole, so the fleet carries on instead of
+/// cascading the panic.
 fn slot_mut(slot: &mut Mutex<FleetSlot>) -> &mut FleetSlot {
     slot.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Recovers a subscriber-slot guard from poisoning: a panic inside one
-/// connection's generation only concerns that connection, and the slot is
-/// either unsubscribed (cleanup path) or re-initialized (slot reuse) before
-/// any other stream touches it.
-fn lock_subscriber(slot: &Mutex<SubscriberSlot>) -> std::sync::MutexGuard<'_, SubscriberSlot> {
-    slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A batch of named real-time channel streams generated together on the
@@ -121,20 +88,6 @@ pub struct StreamFleet {
     /// once at open so it stays readable through `&self`.
     samples_per_advance: usize,
     master_seed: u64,
-    /// Reusable work-stealing lanes of the pooled advance: re-dealt per
-    /// advance (no allocation once warm), popped by executors with
-    /// stealing for skew tolerance.
-    stealing: StealQueues,
-    /// Dynamically subscribed streams (see [`StreamFleet::subscribe`]):
-    /// slot-mutexed so connection threads advance disjoint subscribers
-    /// concurrently through a shared `&StreamFleet`.
-    subscribers: Vec<Mutex<SubscriberSlot>>,
-    /// Indices of `subscribers` slots freed by unsubscribe, reused before
-    /// the vector grows again (bounds memory at the concurrency high-water
-    /// mark instead of the total connection count).
-    free_subscriber_slots: Vec<usize>,
-    /// Number of currently live subscribers.
-    active_subscribers: usize,
 }
 
 impl std::fmt::Debug for StreamFleet {
@@ -142,7 +95,6 @@ impl std::fmt::Debug for StreamFleet {
         f.debug_struct("StreamFleet")
             .field("streams", &self.scenarios.len())
             .field("master_seed", &self.master_seed)
-            .field("subscribers", &self.active_subscribers)
             .finish_non_exhaustive()
     }
 }
@@ -191,8 +143,8 @@ impl StreamFleet {
     /// The caller owns the seeding policy entirely: unlike
     /// [`StreamFleet::open`], **no** [`stream_seed`] derivation is applied,
     /// and `master_seed` is recorded for observability only. Everything
-    /// else — lockstep [`StreamFleet::advance`] on the pool, work-stealing
-    /// lanes, per-stream pooled blocks, zero steady-state allocation,
+    /// else — lockstep [`StreamFleet::advance`] on the pool, per-stream
+    /// pooled blocks, zero steady-state allocation,
     /// bit-identical results on any pool size — behaves exactly as for
     /// name-opened fleets. [`StreamFleet::scenario`] has no entries to
     /// return for such a fleet and panics for every index.
@@ -221,10 +173,6 @@ impl StreamFleet {
             slots,
             samples_per_advance,
             master_seed,
-            stealing: StealQueues::default(),
-            subscribers: Vec::new(),
-            free_subscriber_slots: Vec::new(),
-            active_subscribers: 0,
         }
     }
 
@@ -266,14 +214,11 @@ impl StreamFleet {
     /// Generates the next block for every stream concurrently on the
     /// global [`Runtime`] pool.
     ///
-    /// Streams are dealt round-robin into per-executor work-stealing
-    /// lanes ([`crate::stealing::StealQueues`]): executor `w` prefers
-    /// streams `w, w + lanes, …` every advance (stable affinity for the
-    /// per-stream locks and buffers it warmed last time), and executors
-    /// whose lane drains early steal the stragglers' backlog — a skewed
-    /// fleet (streams with very different `N` and `M`) keeps every core
-    /// busy until the whole advance is done. The submitting thread itself
-    /// is executor 0, so no core idles behind the barrier.
+    /// Executors claim stream indices from one shared atomic cursor until
+    /// every stream has been claimed, so a skewed fleet (streams with very
+    /// different `N` and `M`) keeps every core busy until the whole advance
+    /// is done. The submitting thread itself is executor 0, so no core
+    /// idles behind the barrier.
     ///
     /// # Errors
     /// [`ParallelError::JobPanicked`] when a stream's generation panicked
@@ -288,21 +233,18 @@ impl StreamFleet {
     /// # Errors
     /// See [`StreamFleet::advance`].
     pub fn advance_on(&mut self, runtime: &Runtime) -> Result<(), ParallelError> {
-        let lanes = runtime.workers().min(self.slots.len()).max(1);
-        self.stealing.reset(self.slots.len(), lanes);
         let slots = &self.slots;
-        let stealing = &self.stealing;
-        runtime.try_run(&|id, _scratch| {
-            if id >= lanes {
-                return;
-            }
-            stealing.for_each_claimed(id, |i| {
-                let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        // Relaxed: the cursor only hands out indices; the slot mutexes and
+        // the pool's completion handshake order the data.
+        let next = AtomicUsize::new(0);
+        runtime.try_run(&|_id, _scratch| {
+            while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
                 let FleetSlot { stream, block } = &mut *slot;
                 stream
                     .next_block_into(block)
                     .expect("realtime generation is infallible after construction");
-            });
+            }
         })
     }
 
@@ -345,152 +287,6 @@ impl StreamFleet {
     #[must_use]
     pub fn block_mut(&mut self, i: usize) -> &mut SampleBlock {
         &mut slot_mut(&mut self.slots[i]).block
-    }
-
-    /// Attaches a *dynamic* stream to the fleet — the serving-side
-    /// counterpart of the fixed streams passed to [`StreamFleet::open`].
-    ///
-    /// Unlike the fixed streams (whose seeds derive from the fleet master
-    /// seed via [`stream_seed`]), a subscriber uses the **exact** `seed` it
-    /// asked for: a network client that requests `(scenario, seed)` must
-    /// receive blocks bit-identical to running
-    /// [`Scenario::build_realtime`]`(seed)` standalone, so no derivation may
-    /// sit in between. The generator is built through the process-wide
-    /// decomposition cache ([`Scenario::build_realtime_cached`]) and owns a
-    /// pooled [`SampleBlock`] — one block per subscriber for its whole
-    /// lifetime, so per-connection steady state allocates nothing.
-    ///
-    /// Subscribers are **not** touched by the lockstep
-    /// [`StreamFleet::advance`] family; each one advances independently (at
-    /// its consumer's pace) via [`StreamFleet::advance_subscriber_with`],
-    /// which takes `&self` so disjoint subscribers proceed concurrently.
-    /// Unsubscribed slots are reused by later subscriptions.
-    ///
-    /// # Errors
-    /// [`ParallelError::Scenario`] when the scenario fails to build.
-    pub fn subscribe(
-        &mut self,
-        scenario: &'static Scenario,
-        seed: u64,
-    ) -> Result<StreamKey, ParallelError> {
-        let stream = scenario.build_realtime_cached(seed)?;
-        let live = Some(FleetSlot {
-            stream,
-            block: SampleBlock::empty(),
-        });
-        let key = if let Some(index) = self.free_subscriber_slots.pop() {
-            let generation = match self.subscribers[index].get_mut() {
-                Ok(slot) => slot.generation,
-                Err(poisoned) => poisoned.into_inner().generation,
-            } + 1;
-            // Replacing the mutex wholesale also clears any poisoning left
-            // by a previous owner's panic.
-            self.subscribers[index] = Mutex::new(SubscriberSlot { generation, live });
-            StreamKey { index, generation }
-        } else {
-            let index = self.subscribers.len();
-            self.subscribers.push(Mutex::new(SubscriberSlot {
-                generation: 1,
-                live,
-            }));
-            StreamKey {
-                index,
-                generation: 1,
-            }
-        };
-        self.active_subscribers += 1;
-        Ok(key)
-    }
-
-    /// Detaches a subscribed stream, freeing its slot for reuse. Returns
-    /// `false` when the key is stale (already unsubscribed, or superseded by
-    /// a newer subscriber in the same slot) — idempotent by design, since
-    /// connection teardown paths can race their own error handling.
-    pub fn unsubscribe(&mut self, key: StreamKey) -> bool {
-        let Some(slot) = self.subscribers.get_mut(key.index) else {
-            return false;
-        };
-        let slot = match slot.get_mut() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if slot.generation != key.generation || slot.live.is_none() {
-            return false;
-        }
-        slot.live = None;
-        self.free_subscriber_slots.push(key.index);
-        self.active_subscribers -= 1;
-        true
-    }
-
-    /// Number of currently subscribed dynamic streams.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        self.active_subscribers
-    }
-
-    /// Fast-forwards subscriber `key` past `blocks` blocks without
-    /// generating them — the serving layer's **resume** path. Only the RNG
-    /// draws of the skipped blocks are replayed
-    /// ([`RealtimeGenerator::skip_blocks`]); the IDFT/coloring kernels and
-    /// all output writes are skipped, so catching a reconnected client up
-    /// to its block cursor costs a fraction of regeneration. Afterwards
-    /// [`StreamFleet::advance_subscriber_with`] produces the
-    /// `blocks + 1`-th block of the uninterrupted stream, bit for bit.
-    ///
-    /// Takes `&self` like the advance path: the slot mutex serializes the
-    /// skip against concurrent advances of the same subscriber.
-    ///
-    /// # Errors
-    /// [`ParallelError::UnknownStream`] when the key is stale.
-    pub fn skip_subscriber_blocks(&self, key: StreamKey, blocks: u64) -> Result<(), ParallelError> {
-        let Some(slot) = self.subscribers.get(key.index) else {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        };
-        let mut slot = lock_subscriber(slot);
-        if slot.generation != key.generation {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        }
-        let Some(FleetSlot { stream, .. }) = slot.live.as_mut() else {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        };
-        stream.skip_blocks(blocks);
-        Ok(())
-    }
-
-    /// Generates subscriber `key`'s next block into its pooled block and
-    /// hands the freshly written block to `f` (typically a wire encoder)
-    /// while the slot lock is held — the zero-copy read path.
-    ///
-    /// Takes `&self`: every subscriber sits behind its own slot mutex, so
-    /// any number of connection threads advance *different* subscribers
-    /// concurrently (a serving front-end holds the fleet behind an
-    /// `RwLock`, taking read guards here and write guards only for
-    /// subscribe/unsubscribe). The produced blocks are bit-identical to a
-    /// standalone [`Scenario::build_realtime`] stream with the same seed,
-    /// whatever the interleaving.
-    ///
-    /// # Errors
-    /// [`ParallelError::UnknownStream`] when the key is stale.
-    pub fn advance_subscriber_with<R>(
-        &self,
-        key: StreamKey,
-        f: impl FnOnce(&SampleBlock) -> R,
-    ) -> Result<R, ParallelError> {
-        let Some(slot) = self.subscribers.get(key.index) else {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        };
-        let mut slot = lock_subscriber(slot);
-        if slot.generation != key.generation {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        }
-        let Some(FleetSlot { stream, block }) = slot.live.as_mut() else {
-            return Err(ParallelError::UnknownStream { index: key.index });
-        };
-        stream
-            .next_block_into(block)
-            .expect("realtime generation is infallible after construction");
-        Ok(f(block))
     }
 }
 
@@ -573,104 +369,6 @@ mod tests {
         assert!(fleet.is_empty());
         fleet.advance().unwrap();
         fleet.advance_sequential().unwrap();
-    }
-
-    #[test]
-    fn subscribers_match_standalone_streams_and_slots_are_reused() {
-        use corrfade::ChannelStream;
-
-        let mut fleet = StreamFleet::open(&[], 0).unwrap();
-        let scenario = lookup("two-envelope-complex").unwrap();
-        let a = fleet.subscribe(scenario, 41).unwrap();
-        let b = fleet.subscribe(scenario, 42).unwrap();
-        assert_eq!(fleet.subscriber_count(), 2);
-
-        // The subscriber uses the exact requested seed: bit-identical to a
-        // standalone realtime stream, block after block.
-        let mut reference = scenario.build_realtime(42).unwrap();
-        let mut expected = SampleBlock::empty();
-        for _ in 0..3 {
-            reference.next_block_into(&mut expected).unwrap();
-            let matches = fleet
-                .advance_subscriber_with(b, |block| block == &expected)
-                .unwrap();
-            assert!(matches, "subscriber block diverged from standalone stream");
-        }
-
-        // Unsubscribe frees the slot; stale keys are typed errors and
-        // re-unsubscribing is an idempotent no-op.
-        assert!(fleet.unsubscribe(b));
-        assert!(!fleet.unsubscribe(b));
-        assert_eq!(fleet.subscriber_count(), 1);
-        assert!(matches!(
-            fleet.advance_subscriber_with(b, |_| ()),
-            Err(ParallelError::UnknownStream { index: 1 })
-        ));
-
-        // The freed slot is reused with a bumped generation, so the old key
-        // stays dead even though the indices collide.
-        let c = fleet.subscribe(scenario, 43).unwrap();
-        assert!(matches!(
-            fleet.advance_subscriber_with(b, |_| ()),
-            Err(ParallelError::UnknownStream { .. })
-        ));
-        fleet.advance_subscriber_with(c, |_| ()).unwrap();
-        fleet.advance_subscriber_with(a, |_| ()).unwrap();
-        assert_eq!(fleet.subscriber_count(), 2);
-    }
-
-    #[test]
-    fn skipped_subscribers_resume_bit_identically() {
-        use corrfade::ChannelStream;
-
-        // The resume contract end to end through the fleet: skip k blocks,
-        // then advance — the produced block is the standalone stream's
-        // (k+1)-th block, bit for bit.
-        let mut fleet = StreamFleet::open(&[], 0).unwrap();
-        let scenario = lookup("two-envelope-complex").unwrap();
-        let key = fleet.subscribe(scenario, 77).unwrap();
-        fleet.skip_subscriber_blocks(key, 3).unwrap();
-
-        let mut reference = scenario.build_realtime(77).unwrap();
-        let mut expected = SampleBlock::empty();
-        for _ in 0..4 {
-            reference.next_block_into(&mut expected).unwrap();
-        }
-        let matches = fleet
-            .advance_subscriber_with(key, |block| block == &expected)
-            .unwrap();
-        assert!(matches, "resumed subscriber diverged from block 4");
-
-        // Stale keys are typed errors on the skip path too.
-        fleet.unsubscribe(key);
-        assert!(matches!(
-            fleet.skip_subscriber_blocks(key, 1),
-            Err(ParallelError::UnknownStream { .. })
-        ));
-    }
-
-    #[test]
-    fn subscribers_are_independent_of_lockstep_advances() {
-        use corrfade::ChannelStream;
-
-        // A lockstep advance of the fixed streams must not move subscriber
-        // streams, and vice versa.
-        let mut fleet = StreamFleet::open(&["fig4a-spectral"], 5).unwrap();
-        let scenario = lookup("two-envelope-complex").unwrap();
-        let key = fleet.subscribe(scenario, 9).unwrap();
-        fleet.advance().unwrap();
-        fleet.advance().unwrap();
-
-        let mut reference = scenario.build_realtime(9).unwrap();
-        let mut expected = SampleBlock::empty();
-        reference.next_block_into(&mut expected).unwrap();
-        let first_matches = fleet
-            .advance_subscriber_with(key, |block| block == &expected)
-            .unwrap();
-        assert!(
-            first_matches,
-            "lockstep advances must not consume subscriber RNG state"
-        );
     }
 
     #[test]

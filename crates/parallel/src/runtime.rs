@@ -34,8 +34,7 @@
 //!   reference counts).
 //!
 //! Work distribution is unchanged in contract: a job is one closure that
-//! every executor runs, pulling work items from a shared structure (an
-//! atomic counter or the work-stealing deques in [`crate::stealing`]).
+//! every executor runs, claiming work items from a shared atomic cursor.
 //! Which executor runs which item is irrelevant to the output because all
 //! randomness derives from `(master seed, item index)` — the
 //! thread-count-invariance guarantee is unchanged.

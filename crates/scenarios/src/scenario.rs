@@ -436,17 +436,6 @@ impl Scenario {
         )?)
     }
 
-    /// Opens this scenario as a boxed [`ChannelStream`] in real-time mode
-    /// through the decomposition cache — the by-name entry point for
-    /// services that open many concurrent streams; see
-    /// [`Scenario::build_realtime_cached`] for the sharing contract.
-    ///
-    /// # Errors
-    /// See [`Scenario::covariance_matrix`].
-    pub fn stream_cached(&self, seed: u64) -> Result<Box<dyn ChannelStream>, ScenarioError> {
-        Ok(Box::new(self.build_realtime_cached(seed)?))
-    }
-
     /// Opens this scenario as a boxed [`ChannelStream`] in real-time
     /// (Doppler) mode — the convenience entry point for services that
     /// resolve a channel simulation by name and stream blocks from it:

@@ -9,10 +9,10 @@
 //!   scenario name, seed, block count), then length-prefixed response
 //!   frames (header / block / error / end). All decoders are total: hostile
 //!   bytes produce typed [`ProtocolError`]s, never panics.
-//! * [`server`] — [`Server`]: thread-per-connection on a shared
-//!   [`StreamFleet`](corrfade_parallel::StreamFleet); one pooled block and
-//!   one pooled wire buffer per connection give a zero-allocation
-//!   steady-state send path. Graceful shutdown joins every thread.
+//! * [`server`] — [`Server`]: thread-per-connection, each connection
+//!   owning its own real-time generator; one pooled block and one pooled
+//!   wire buffer per connection give a zero-allocation steady-state send
+//!   path. Graceful shutdown joins every thread.
 //! * [`client`] — [`Client`]: blocking consumer that decodes frames
 //!   straight into a caller-owned [`SampleBlock`](corrfade::SampleBlock).
 //! * [`retry`] — fault tolerance: [`RetryPolicy`] (jittered exponential

@@ -247,17 +247,6 @@ impl ProtocolError {
             ProtocolError::Busy { .. } => code::BUSY,
         }
     }
-
-    /// Whether a client that received this error frame should retry the
-    /// request (with backoff) rather than give up: capacity and shutdown
-    /// refusals are transient, everything else is a peer bug.
-    #[must_use]
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ProtocolError::Busy { .. } | ProtocolError::ServerShutdown
-        )
-    }
 }
 
 impl core::fmt::Display for ProtocolError {

@@ -1,18 +1,16 @@
 //! The channel-as-a-service server: accepts TCP/Unix-socket connections,
 //! resolves each request against the scenario registry, and streams
-//! length-prefixed [`SampleBlock`](corrfade::SampleBlock)-framed Doppler
-//! blocks from a shared [`StreamFleet`].
+//! length-prefixed [`SampleBlock`]-framed Doppler blocks.
 //!
 //! ## Threading model
 //!
 //! One accept thread plus one thread per live connection. Every connection
-//! subscribes its `(scenario, seed)` stream into the shared fleet (behind
-//! an `RwLock`: subscribe/unsubscribe take the write lock for microseconds,
-//! block generation takes read locks, so connections generate
-//! concurrently), owns **one pooled block** inside its fleet slot and one
-//! pooled wire buffer — after the first block, a connection's steady state
-//! performs **zero heap allocation** (encode into the warm buffer, generate
-//! into the pooled block, `write_all` to the socket; the workspace
+//! builds its own `(scenario, seed)` real-time generator through the
+//! process-wide decomposition cache, so connections share no mutable state
+//! and generate concurrently. It owns **one pooled block** and one pooled
+//! wire buffer — after the first block, a connection's steady state
+//! performs **zero heap allocation** (generate into the pooled block,
+//! encode into the warm buffer, `write_all` to the socket; the workspace
 //! allocation-regression test measures this through a real socket).
 //!
 //! ## Failure behavior
@@ -22,13 +20,13 @@
 //!   typed **error frame** before the connection closes — never a silent
 //!   drop.
 //! * A client that disappears mid-stream only tears down its own
-//!   subscription; the fleet and every other connection are untouched.
+//!   stream; every other connection is untouched.
 //! * When [`ServerConfig::max_sessions`] is set, a connection beyond the
 //!   cap is answered with a typed `BUSY` error frame (admission control)
 //!   instead of queueing behind the accept backlog; the client's retry
 //!   machinery treats it as transient and backs off.
 //! * A v2 **resume** request (non-zero block cursor) fast-forwards a fresh
-//!   subscription past the cursor — replaying only the RNG draws, skipping
+//!   stream past the cursor — replaying only the RNG draws, skipping
 //!   IDFT/coloring work — so the resumed stream is bit-identical to the
 //!   uninterrupted one from that cursor.
 //! * [`Server::shutdown`] stops accepting, then **drains**: in-flight
@@ -39,11 +37,11 @@
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use corrfade_parallel::{StreamFleet, StreamKey};
+use corrfade::{ChannelStream, RealtimeGenerator, SampleBlock};
 use corrfade_scenarios::{lookup, ScenarioError};
 
 use crate::error::ServeError;
@@ -94,6 +92,7 @@ impl Default for ServerConfig {
 struct Counters {
     accepted: AtomicU64,
     active: AtomicU64,
+    subscribers: AtomicU64,
     blocks_sent: AtomicU64,
     error_frames: AtomicU64,
     resumed_sessions: AtomicU64,
@@ -117,8 +116,8 @@ pub struct ServerStats {
     /// Error frames broken down by wire code: `errors_by_code[code]` for
     /// codes `1..=12` (slot 0 is unused); see [`ServerStats::error_count`].
     pub errors_by_code: [u64; ERROR_CODE_SLOTS],
-    /// Live fleet subscriptions (one per streaming connection).
-    pub subscribers: usize,
+    /// Live streams (one per connection past request validation).
+    pub subscribers: u64,
 }
 
 impl ServerStats {
@@ -136,20 +135,9 @@ impl ServerStats {
 /// State shared between the accept thread, the connection threads and the
 /// owning [`Server`] handle.
 struct Shared {
-    fleet: RwLock<StreamFleet>,
     config: ServerConfig,
     shutting_down: AtomicBool,
     counters: Counters,
-}
-
-impl Shared {
-    fn fleet_read(&self) -> std::sync::RwLockReadGuard<'_, StreamFleet> {
-        self.fleet.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn fleet_write(&self) -> std::sync::RwLockWriteGuard<'_, StreamFleet> {
-        self.fleet.write().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// Join handle + socket handle of one spawned connection thread; the socket
@@ -212,7 +200,6 @@ impl Server {
     pub fn bind(addr: ServeAddr, config: ServerConfig) -> Result<Self, ServeError> {
         let (listener, local_addr) = Listener::bind(&addr)?;
         let shared = Arc::new(Shared {
-            fleet: RwLock::new(StreamFleet::open(&[], 0).expect("an empty fleet always opens")),
             config,
             shutting_down: AtomicBool::new(false),
             counters: Counters::default(),
@@ -255,7 +242,7 @@ impl Server {
             error_frames: c.error_frames.load(Ordering::Relaxed),
             resumed_sessions: c.resumed_sessions.load(Ordering::Relaxed),
             errors_by_code,
-            subscribers: self.shared.fleet_read().subscriber_count(),
+            subscribers: c.subscribers.load(Ordering::Relaxed),
         }
     }
 
@@ -361,19 +348,20 @@ fn accept_loop(listener: &Listener, shared: &Arc<Shared>, connections: &Mutex<Ve
     }
 }
 
-/// RAII guard for the active-connections gauge.
-struct ActiveGuard<'a>(&'a Counters);
+/// RAII guard that holds one gauge counter (`active`, `subscribers`)
+/// raised by one for its lifetime, on every exit path.
+struct GaugeGuard<'a>(&'a AtomicU64);
 
-impl<'a> ActiveGuard<'a> {
-    fn new(counters: &'a Counters) -> Self {
-        counters.active.fetch_add(1, Ordering::Relaxed);
-        Self(counters)
+impl<'a> GaugeGuard<'a> {
+    fn new(gauge: &'a AtomicU64) -> Self {
+        gauge.fetch_add(1, Ordering::Relaxed);
+        Self(gauge)
     }
 }
 
-impl Drop for ActiveGuard<'_> {
+impl Drop for GaugeGuard<'_> {
     fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::Relaxed);
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -441,10 +429,9 @@ fn serve_connection(shared: &Shared, mut conn: Conn) {
 }
 
 /// One session from request to end frame. Every exit path either sent an
-/// error frame or finished the stream; the fleet subscription is always
-/// released.
+/// error frame or finished the stream.
 fn serve_session(shared: &Shared, conn: &mut Conn) {
-    let _active = ActiveGuard::new(&shared.counters);
+    let _active = GaugeGuard::new(&shared.counters.active);
     if conn
         .set_timeouts(
             Some(shared.config.read_timeout),
@@ -510,8 +497,10 @@ fn serve_session(shared: &Shared, conn: &mut Conn) {
         }
     };
 
-    let key = match shared.fleet_write().subscribe(scenario, request.seed) {
-        Ok(key) => key,
+    // The exact requested seed, no derivation: the blocks are bit-identical
+    // to `scenario.build_realtime(seed)` run standalone.
+    let mut stream = match scenario.build_realtime_cached(request.seed) {
+        Ok(stream) => stream,
         Err(e) => {
             let e = ProtocolError::ScenarioRejected {
                 message: e.to_string(),
@@ -520,39 +509,28 @@ fn serve_session(shared: &Shared, conn: &mut Conn) {
             return;
         }
     };
+    let _subscribed = GaugeGuard::new(&shared.counters.subscribers);
 
-    // v2 resume: fast-forward the fresh subscription past the cursor by
-    // replaying only its RNG draws (no IDFT/coloring work), so the blocks
-    // streamed below are bit-identical to `cursor..` of the uninterrupted
-    // stream.
+    // v2 resume: fast-forward the fresh stream past the cursor by replaying
+    // only its RNG draws (no IDFT/coloring work), so the blocks streamed
+    // below are bit-identical to `cursor..` of the uninterrupted stream.
     if request.cursor > 0 {
-        if shared
-            .fleet_read()
-            .skip_subscriber_blocks(key, request.cursor)
-            .is_err()
-        {
-            // Stale key this early can only mean shutdown raced us.
-            send_error_frame(conn, &mut wire, shared, &ProtocolError::ServerShutdown);
-            shared.fleet_write().unsubscribe(key);
-            return;
-        }
+        stream.skip_blocks(request.cursor);
         shared
             .counters
             .resumed_sessions
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    stream_blocks(shared, conn, &mut wire, key, scenario, &request);
-    shared.fleet_write().unsubscribe(key);
+    stream_blocks(shared, conn, &mut wire, &mut stream, scenario, &request);
 }
 
-/// Header + blocks + end. Split out so `serve_connection` can guarantee the
-/// unsubscribe on every path.
+/// Header + blocks + end.
 fn stream_blocks(
     shared: &Shared,
     conn: &mut Conn,
     wire: &mut Vec<u8>,
-    key: StreamKey,
+    stream: &mut RealtimeGenerator,
     scenario: &corrfade_scenarios::Scenario,
     request: &Request,
 ) {
@@ -564,6 +542,7 @@ fn stream_blocks(
         return;
     }
 
+    let mut block = SampleBlock::empty();
     let mut sent = 0u32;
     while sent < request.blocks {
         if shared.shutting_down.load(Ordering::Relaxed) {
@@ -575,17 +554,13 @@ fn stream_blocks(
         // stitching runs together can verify continuity. The decode-time
         // cursor validation guarantees this fits u32.
         let index = u32::try_from(request.cursor + u64::from(sent)).unwrap_or(u32::MAX);
-        let encoded = shared.fleet_read().advance_subscriber_with(key, |block| {
-            wire.clear();
-            encode_block_frame(wire, index, block);
-        });
-        if encoded.is_err() {
-            // Stale key mid-stream can only mean shutdown raced us.
-            send_error_frame(conn, wire, shared, &ProtocolError::ServerShutdown);
-            return;
-        }
+        stream
+            .next_block_into(&mut block)
+            .expect("realtime generation is infallible after construction");
+        wire.clear();
+        encode_block_frame(wire, index, &block);
         if conn.write_all(wire).is_err() {
-            // Client went away; its subscription is released by the caller.
+            // Client went away; its stream is dropped by the caller.
             return;
         }
         shared.counters.blocks_sent.fetch_add(1, Ordering::Relaxed);

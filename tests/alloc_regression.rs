@@ -205,8 +205,8 @@ fn next_block_into_is_allocation_free_after_warmup() {
     }
 
     // The serving layer, end to end through a real Unix-domain socket: a
-    // warm server connection's steady state — `advance_subscriber_with` on
-    // the shared fleet, block-frame encode into the pooled wire buffer,
+    // warm server connection's steady state — `next_block_into` on its own
+    // generator, block-frame encode into the pooled wire buffer,
     // `write_all`, plus the client's frame read and planar decode into its
     // pooled block — must not allocate either. The warm-up covers the
     // handshake, the capacity growth of both pooled buffers, and the
