@@ -1,51 +1,46 @@
 //! Process-wide decomposition cache for coloring matrices.
 //!
-//! Opening a generator costs one Hermitian eigendecomposition (or Cholesky
-//! factorization, for the baseline methods) of the desired covariance
-//! matrix. A single stream amortizes that over its lifetime, but a service
-//! opening many streams — a batch fleet over named scenarios, the parallel
-//! engine handling repeated requests for the same matrix — pays it once per
-//! *open* unless the factorizations are shared. This module provides that
-//! sharing: two bounded process-wide [`FactorCache`]s keyed by the **exact
-//! bit pattern** of the covariance matrix ([`MatrixKey`]), one for the
-//! paper's eigen-coloring and one for the conventional Cholesky coloring.
+//! Opening a generator costs one Hermitian eigendecomposition of the
+//! desired covariance matrix. A single stream amortizes that over its
+//! lifetime, but a service opening many streams — a batch fleet over named
+//! scenarios, the parallel engine handling repeated requests for the same
+//! matrix — pays it once per *open* unless the decompositions are shared.
+//! This module provides that sharing: one bounded process-wide
+//! [`FactorCache`] keyed by the **exact bit pattern** of the covariance
+//! matrix ([`MatrixKey`]), holding the paper's eigen-coloring.
 //!
-//! The backing cache is sharded: hits take only a shared read guard on one
-//! stripe (concurrent opens of warm scenarios never serialize on a lock),
-//! and a miss runs the decomposition with **no lock held** — concurrent
-//! first opens of the same matrix elect one leader that factorizes exactly
-//! once while the rest wait for the published value. Eviction is
-//! least-recently-used per stripe.
+//! A hit takes the cache's lock once; a miss decomposes holding just the
+//! matrix's own slot, so concurrent first opens of the same matrix
+//! decompose it once and opens of other matrices never wait. Eviction is
+//! least-recently-used among stored colorings; a failed decomposition
+//! leaves no entry behind.
 //!
-//! Because the key is bitwise and both factorizations are deterministic
-//! functions of their input, a cache hit returns a value bit-identical to
-//! what a fresh [`eigen_coloring`] / [`cholesky_coloring`] call would
-//! produce — the scalar-backend golden tests pin this. The counters
-//! ([`coloring_cache_stats`]) make the sharing observable: opening two
-//! scenarios with the same covariance spec must show up as a hit, not a
-//! second decomposition.
+//! Because the key is bitwise and the decomposition is a deterministic
+//! function of its input, a cache hit returns a value bit-identical to what
+//! a fresh [`eigen_coloring`] call would produce — the scalar-backend
+//! golden tests pin this. The counters ([`coloring_cache_stats`]) make the
+//! sharing observable: opening two scenarios with the same covariance spec
+//! must show up as a hit, not a second decomposition.
 
 use std::sync::Arc;
 
 use corrfade_linalg::{CMatrix, CacheStats, FactorCache, MatrixKey};
 
-use crate::coloring::{cholesky_coloring, eigen_coloring, Coloring};
+use crate::coloring::{eigen_coloring, Coloring};
 use crate::error::CorrfadeError;
 
-/// Capacity of each coloring cache. Far above the number of distinct
+/// Capacity of the coloring cache. Far above the number of distinct
 /// covariance matrices any realistic workload touches (the scenario
 /// registry holds a few dozen); acts as a safety valve for workloads that
 /// sweep many matrices (property tests, parameter scans).
 pub const COLORING_CACHE_CAPACITY: usize = 128;
 
-static EIGEN_CACHE: FactorCache<Coloring> = FactorCache::new(COLORING_CACHE_CAPACITY);
-static CHOLESKY_CACHE: FactorCache<CMatrix> = FactorCache::new(COLORING_CACHE_CAPACITY);
+static EIGEN_CACHE: FactorCache<MatrixKey, Coloring> = FactorCache::new(COLORING_CACHE_CAPACITY);
 
 /// [`eigen_coloring`] through the process-wide decomposition cache: the
 /// first request for a given covariance bit pattern computes and stores the
-/// coloring (outside any lock, exactly once even under concurrent first
-/// requests), every later request for the same matrix shares it through a
-/// read-only lookup.
+/// coloring (exactly once even under concurrent first requests), every
+/// later request for the same matrix shares it.
 ///
 /// The returned value is bit-identical to what an uncached
 /// [`eigen_coloring`] call would produce. Callers that need an owned
@@ -59,27 +54,9 @@ pub fn cached_eigen_coloring(k: &CMatrix) -> Result<Arc<Coloring>, CorrfadeError
     EIGEN_CACHE.get_or_try_insert_with(MatrixKey::of(k), || eigen_coloring(k))
 }
 
-/// [`cholesky_coloring`] through the process-wide decomposition cache; see
-/// [`cached_eigen_coloring`] for the sharing and bit-identity contract.
-///
-/// # Errors
-/// Propagates the errors of [`cholesky_coloring`] (non-positive-definite
-/// matrices); failures are not cached.
-pub fn cached_cholesky_coloring(k: &CMatrix) -> Result<Arc<CMatrix>, CorrfadeError> {
-    CHOLESKY_CACHE.get_or_try_insert_with(MatrixKey::of(k), || cholesky_coloring(k))
-}
-
-/// Combined counters of the eigen- and Cholesky-coloring caches (hits and
-/// misses summed over both).
+/// Counters of the eigen-coloring cache.
 pub fn coloring_cache_stats() -> CacheStats {
-    let e = EIGEN_CACHE.stats();
-    let c = CHOLESKY_CACHE.stats();
-    CacheStats {
-        hits: e.hits + c.hits,
-        misses: e.misses + c.misses,
-        evictions: e.evictions + c.evictions,
-        entries: e.entries + c.entries,
-    }
+    EIGEN_CACHE.stats()
 }
 
 /// Drops every cached decomposition (colorings still referenced through
@@ -87,7 +64,6 @@ pub fn coloring_cache_stats() -> CacheStats {
 /// measure the cold-open path.
 pub fn clear_coloring_caches() {
     EIGEN_CACHE.clear();
-    CHOLESKY_CACHE.clear();
 }
 
 #[cfg(test)]
@@ -125,11 +101,6 @@ mod tests {
             uncached.matrix.as_slice(),
             "cached coloring must be bit-identical to a fresh computation"
         );
-
-        let chol_a = cached_cholesky_coloring(&k).unwrap();
-        let chol_b = cached_cholesky_coloring(&k).unwrap();
-        assert!(Arc::ptr_eq(&chol_a, &chol_b));
-        assert_eq!(chol_a.as_slice(), cholesky_coloring(&k).unwrap().as_slice());
     }
 
     #[test]
@@ -137,9 +108,8 @@ mod tests {
         let bad = CMatrix::zeros(2, 3);
         assert!(cached_eigen_coloring(&bad).is_err());
         assert!(cached_eigen_coloring(&bad).is_err());
-        // Not positive definite: Cholesky fails, eigen-coloring clips.
+        // Not positive definite: eigen-coloring clips.
         let singular = CMatrix::from_real_slice(2, 2, &[1.0, 1.0, 1.0, 1.0]);
-        assert!(cached_cholesky_coloring(&singular).is_err());
         assert!(cached_eigen_coloring(&singular).is_ok());
     }
 }

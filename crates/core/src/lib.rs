@@ -73,9 +73,7 @@ pub mod realtime;
 pub mod stream;
 
 pub use builder::GeneratorBuilder;
-pub use cache::{
-    cached_cholesky_coloring, cached_eigen_coloring, clear_coloring_caches, coloring_cache_stats,
-};
+pub use cache::{cached_eigen_coloring, clear_coloring_caches, coloring_cache_stats};
 pub use coloring::{cholesky_coloring, eigen_coloring, Coloring};
 pub use error::CorrfadeError;
 pub use generator::{CorrelatedRayleighGenerator, Sample};

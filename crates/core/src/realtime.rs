@@ -211,9 +211,8 @@ impl RealtimeGenerator {
         // Steps 6–8, fused: invert each spectrum and color every time
         // instant with the Eq.-19 variance in one pass over the output.
         let scale = 1.0 / self.sigma_g_sq.sqrt();
-        corrfade_dsp::color_idft_block(
+        self.idft.color_idft_block(
             n,
-            m,
             self.coloring.matrix.as_slice(),
             scale,
             &mut self.raw,

@@ -18,13 +18,17 @@
 //! algorithm feeds this value into its coloring step; the Sorooshyari–Daut
 //! baseline ignores it, which is exactly the flaw experiment E8 demonstrates.
 
+use std::sync::Arc;
+
+use corrfade_linalg::kernel::{backend, Backend};
 use corrfade_linalg::{c64, Complex64};
 use corrfade_randn::normal::{polar_normals, polar_points_into};
 use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
 use crate::error::DspError;
-use crate::fft::{ifft_in_place, irfft, rfft_len};
+use crate::fft::{ifft_in_place, irfft, is_power_of_two, rfft_len, tables_for, FftTables};
+use crate::fused::color_idft_block_planned;
 
 /// Young's Doppler filter (paper Eq. 21): the square root of a discretized
 /// Jakes power spectral density, with the band-edge bins adjusted so that the
@@ -182,6 +186,10 @@ impl DopplerFilter {
 pub struct IdftRayleighGenerator {
     filter: DopplerFilter,
     sigma_orig_sq: f64,
+    /// The vector kernel's transform tables for `M`, taken from the
+    /// process-wide plan cache once here rather than once per block
+    /// (`None` on the scalar backend, or when `M` has no planned transform).
+    tables: Option<Arc<FftTables>>,
 }
 
 impl IdftRayleighGenerator {
@@ -193,9 +201,12 @@ impl IdftRayleighGenerator {
                 value: sigma_orig_sq,
             });
         }
+        let m = filter.len();
+        let planned = backend() == Backend::Vector && m > 1 && is_power_of_two(m);
         Ok(Self {
             filter,
             sigma_orig_sq,
+            tables: planned.then(|| tables_for(m)),
         })
     }
 
@@ -241,6 +252,29 @@ impl IdftRayleighGenerator {
     pub fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [Complex64]) {
         self.fill_spectrum_into(rng, out);
         ifft_in_place(out);
+    }
+
+    /// [`crate::color_idft_block`] over `n` rows of this generator's length
+    /// `M`: inverts each spectrum of `raw` and colors the block into `out`,
+    /// bit-identical to the free function, but with the transform tables
+    /// resolved at construction instead of looked up per block.
+    ///
+    /// # Panics
+    /// Panics on any dimension mismatch.
+    #[allow(clippy::too_many_arguments)]
+    pub fn color_idft_block(
+        &self,
+        n: usize,
+        a: &[Complex64],
+        scale: f64,
+        raw: &mut [Complex64],
+        out: &mut [Complex64],
+        w_scratch: &mut Vec<Complex64>,
+        scratch: &mut Vec<f64>,
+    ) {
+        let (b, m) = (backend(), self.filter.len());
+        let tables = self.tables.as_deref();
+        color_idft_block_planned(b, tables, n, m, a, scale, raw, out, w_scratch, scratch);
     }
 
     /// Writes the Doppler-weighted spectrum `F[k]·(A[k] − i·B[k])` into
@@ -485,6 +519,30 @@ mod tests {
             let mut b = vec![Complex64::ZERO; m];
             gen.generate_into(&mut RandomStream::new(11), &mut b);
             assert_eq!(a, b, "m = {m}");
+        }
+    }
+
+    #[test]
+    fn color_idft_block_is_bit_identical_to_the_free_function() {
+        let n = 3;
+        let a: Vec<Complex64> = (0..n * n)
+            .map(|i| c64(0.3 + i as f64 * 0.1, 0.05 * i as f64))
+            .collect();
+        for m in [1024usize, 1000] {
+            let f = DopplerFilter::new(m, 0.05).unwrap();
+            let gen = IdftRayleighGenerator::new(f, 0.5).unwrap();
+            let mut raw = vec![Complex64::ZERO; n * m];
+            let mut rng = RandomStream::new(5);
+            for row in raw.chunks_exact_mut(m) {
+                gen.fill_spectrum_into(&mut rng, row);
+            }
+            let (mut w, mut s) = (Vec::new(), Vec::new());
+            let mut free_raw = raw.clone();
+            let mut free = vec![Complex64::ZERO; n * m];
+            crate::color_idft_block(n, m, &a, 0.7, &mut free_raw, &mut free, &mut w, &mut s);
+            let mut got = vec![Complex64::ZERO; n * m];
+            gen.color_idft_block(n, &a, 0.7, &mut raw, &mut got, &mut w, &mut s);
+            assert_eq!(got, free, "m = {m}");
         }
     }
 

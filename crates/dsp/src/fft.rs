@@ -38,11 +38,14 @@
 //! path. The Doppler filter's autocorrelation kernel (Eq. 17), whose
 //! spectrum `F[k]²` is real and even, uses [`irfft`].
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 use corrfade_linalg::kernel::{backend, Backend};
-use corrfade_linalg::{c64, Complex64};
+use corrfade_linalg::{c64, Complex64, FactorCache};
+
+/// Capacity of the process-wide plan caches: unbounded, since a process
+/// transforms only a handful of sizes and a plan is never worth rebuilding.
+const PLAN_CACHE_CAPACITY: usize = usize::MAX;
 
 /// Returns `true` when `n` is a power of two (and non-zero).
 #[inline]
@@ -157,18 +160,12 @@ impl FftTables {
 }
 
 /// Process-wide plan cache: tables are built once per size and shared, so
-/// steady-state planned transforms perform no heap allocation. Reads take a
-/// shared `RwLock` guard (the common case after warm-up — many parallel
-/// workers transform concurrently without serializing on the cache); the
-/// exclusive lock is only taken to insert a size seen for the first time.
+/// steady-state planned transforms perform no heap allocation. A warm
+/// lookup is one [`FactorCache`] hit; a realtime generator takes its
+/// tables once, when it is built ([`crate::IdftRayleighGenerator::new`]).
 pub(crate) fn tables_for(n: usize) -> Arc<FftTables> {
-    static CACHE: OnceLock<RwLock<HashMap<usize, Arc<FftTables>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| RwLock::new(HashMap::new()));
-    if let Some(tables) = cache.read().expect("FFT plan cache poisoned").get(&n) {
-        return Arc::clone(tables);
-    }
-    let mut map = cache.write().expect("FFT plan cache poisoned");
-    Arc::clone(map.entry(n).or_insert_with(|| Arc::new(FftTables::new(n))))
+    static CACHE: FactorCache<usize, FftTables> = FactorCache::new(PLAN_CACHE_CAPACITY);
+    CACHE.get_or_insert_with(n, || FftTables::new(n))
 }
 
 /// Table-driven butterflies over the bit-reversed data. The twiddle loads
@@ -323,26 +320,14 @@ impl BluesteinPlan {
     }
 }
 
-/// Process-wide Bluestein plan cache, keyed by length, direction and
-/// backend (the filter spectrum is computed through the backend's own
-/// power-of-two core, so the two backends' plans differ in the last bits).
+/// Process-wide Bluestein plan cache (a [`FactorCache`]), keyed by length,
+/// direction and backend (the filter spectrum is computed through the
+/// backend's own power-of-two core, so the two backends' plans differ in
+/// the last bits).
 fn bluestein_plan(b: Backend, n: usize, invert: bool) -> Arc<BluesteinPlan> {
-    type Key = (usize, bool, Backend);
-    static CACHE: OnceLock<RwLock<HashMap<Key, Arc<BluesteinPlan>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| RwLock::new(HashMap::new()));
-    let key = (n, invert, b);
-    if let Some(plan) = cache
-        .read()
-        .expect("Bluestein plan cache poisoned")
-        .get(&key)
-    {
-        return Arc::clone(plan);
-    }
-    let mut map = cache.write().expect("Bluestein plan cache poisoned");
-    Arc::clone(
-        map.entry(key)
-            .or_insert_with(|| Arc::new(BluesteinPlan::new(b, n, invert))),
-    )
+    static CACHE: FactorCache<(usize, bool, Backend), BluesteinPlan> =
+        FactorCache::new(PLAN_CACHE_CAPACITY);
+    CACHE.get_or_insert_with((n, invert, b), || BluesteinPlan::new(b, n, invert))
 }
 
 std::thread_local! {
@@ -502,25 +487,18 @@ pub fn rfft_len(n: usize) -> usize {
 }
 
 /// The `⌊n/2⌋ + 1` untangling twiddles `cis(−2πk/n)`, `k = 0 ..= n/2`,
-/// cached per size in their own process-wide registry so the `O(n)`
+/// cached per size in their own process-wide [`FactorCache`] so the `O(n)`
 /// rfft/irfft untangling pass performs no `sin`/`cos` calls after the
 /// first transform of a size. The cache is independent of the complex-FFT
 /// plan cache: it is an order of magnitude smaller than a full plan and is
 /// used by every backend (the scalar FFT never needs plan tables).
 fn untangle_twiddles(n: usize) -> Arc<Vec<Complex64>> {
-    static CACHE: OnceLock<RwLock<HashMap<usize, Arc<Vec<Complex64>>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| RwLock::new(HashMap::new()));
-    if let Some(tw) = cache.read().expect("untangle cache poisoned").get(&n) {
-        return Arc::clone(tw);
-    }
-    let mut map = cache.write().expect("untangle cache poisoned");
-    Arc::clone(map.entry(n).or_insert_with(|| {
-        Arc::new(
-            (0..=n / 2)
-                .map(|k| Complex64::cis(-2.0 * core::f64::consts::PI * k as f64 / n as f64))
-                .collect(),
-        )
-    }))
+    static CACHE: FactorCache<usize, Vec<Complex64>> = FactorCache::new(PLAN_CACHE_CAPACITY);
+    CACHE.get_or_insert_with(n, || {
+        (0..=n / 2)
+            .map(|k| Complex64::cis(-2.0 * core::f64::consts::PI * k as f64 / n as f64))
+            .collect()
+    })
 }
 
 /// Forward DFT of a **real** signal, returning only the `⌊n/2⌋ + 1`

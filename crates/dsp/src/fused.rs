@@ -49,7 +49,7 @@ use corrfade_linalg::Complex64;
 
 use crate::fft::{
     is_power_of_two, planned_bit_reverse, planned_butterflies, scalar_bit_reverse,
-    scalar_butterflies, tables_for,
+    scalar_butterflies, tables_for, FftTables,
 };
 
 /// Inverse-transforms each of the `n` length-`m` rows of `raw` (including
@@ -98,6 +98,25 @@ pub fn color_idft_block_with(
     w_scratch: &mut Vec<Complex64>,
     scratch: &mut Vec<f64>,
 ) {
+    color_idft_block_planned(b, None, n, m, a, scale, raw, out, w_scratch, scratch);
+}
+
+/// [`color_idft_block_with`] given the vector kernel's transform tables for
+/// `m`, so a generator that resolved them once at construction makes no
+/// plan-cache lookup per block (`None` looks them up here).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn color_idft_block_planned(
+    b: Backend,
+    tables: Option<&FftTables>,
+    n: usize,
+    m: usize,
+    a: &[Complex64],
+    scale: f64,
+    raw: &mut [Complex64],
+    out: &mut [Complex64],
+    w_scratch: &mut Vec<Complex64>,
+    scratch: &mut Vec<f64>,
+) {
     assert_eq!(a.len(), n * n, "color_idft_block: coloring matrix storage");
     assert_eq!(raw.len(), n * m, "color_idft_block: raw block length");
     assert_eq!(out.len(), n * m, "color_idft_block: output block length");
@@ -115,7 +134,10 @@ pub fn color_idft_block_with(
     }
     match b {
         Backend::Scalar => fused_scalar(n, m, a, scale, raw, out, w_scratch),
-        Backend::Vector => fused_vector(n, m, a, scale, raw, out, scratch),
+        Backend::Vector => match tables {
+            Some(tables) => fused_vector(tables, n, m, a, scale, raw, out, scratch),
+            None => fused_vector(&tables_for(m), n, m, a, scale, raw, out, scratch),
+        },
     }
 }
 
@@ -172,7 +194,9 @@ fn fused_scalar(
 /// `mul_add` twiddle formula), matching `butterflies_body` bit for bit —
 /// without the multiversioning the final-stage tile loop runs baseline
 /// codegen and loses more than the fusion saves.
+#[allow(clippy::too_many_arguments)]
 fn fused_vector(
+    tables: &FftTables,
     n: usize,
     m: usize,
     a: &[Complex64],
@@ -184,16 +208,17 @@ fn fused_vector(
     #[cfg(target_arch = "x86_64")]
     if kernel::vector_uses_fma() {
         // SAFETY: guarded by the kernel layer's runtime AVX2+FMA detection.
-        unsafe { fused_vector_avx2(n, m, a, scale, raw, out, scratch) };
+        unsafe { fused_vector_avx2(tables, n, m, a, scale, raw, out, scratch) };
         return;
     }
-    fused_vector_body::<false>(n, m, a, scale, raw, out, scratch);
+    fused_vector_body::<false>(tables, n, m, a, scale, raw, out, scratch);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 unsafe fn fused_vector_avx2(
+    tables: &FftTables,
     n: usize,
     m: usize,
     a: &[Complex64],
@@ -202,11 +227,13 @@ unsafe fn fused_vector_avx2(
     out: &mut [Complex64],
     scratch: &mut Vec<f64>,
 ) {
-    fused_vector_body::<true>(n, m, a, scale, raw, out, scratch);
+    fused_vector_body::<true>(tables, n, m, a, scale, raw, out, scratch);
 }
 
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn fused_vector_body<const FMA: bool>(
+    tables: &FftTables,
     n: usize,
     m: usize,
     a: &[Complex64],
@@ -215,12 +242,12 @@ fn fused_vector_body<const FMA: bool>(
     out: &mut [Complex64],
     scratch: &mut Vec<f64>,
 ) {
-    let tables = tables_for(m);
+    debug_assert_eq!(tables.rev.len(), m, "fused kernel: tables of another size");
     let nstages = tables.stages.len();
     for j in 0..n {
         let row = &mut raw[j * m..(j + 1) * m];
-        planned_bit_reverse(row, &tables);
-        planned_butterflies(row, &tables, true, nstages - 1);
+        planned_bit_reverse(row, tables);
+        planned_butterflies(row, tables, true, nstages - 1);
     }
     let final_tw = &tables.stages[nstages - 1];
     let half = m / 2;

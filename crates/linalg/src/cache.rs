@@ -1,54 +1,17 @@
-//! Generic process-wide caching of derived matrix factorizations.
+//! Process-wide memoization of derived values: a bounded LRU map from a
+//! key to an `Arc` of a value computed once per process. Keyed on the
+//! **exact bit pattern** of a matrix ([`MatrixKey`]), a hit is
+//! bit-identical to a fresh (deterministic) decomposition.
 //!
-//! The covariance matrices driving correlated-Rayleigh generation are small
-//! but expensive to decompose relative to the per-block work, and realistic
-//! deployments open *many* generators over a handful of distinct matrices —
-//! one per named scenario. [`FactorCache`] is the shared storage behind
-//! those "pay for the decomposition once per process" paths: a bounded,
-//! sharded map from the **exact bit pattern** of a matrix ([`MatrixKey`]) to
-//! an `Arc` of whatever was derived from it (an eigen-coloring, a Cholesky
-//! factor, …).
-//!
-//! # Concurrency design
-//!
-//! The original cache held one global `Mutex` across the whole lookup —
-//! including the factorization itself — so concurrent opens serialized on a
-//! single lock even when every lookup was a hit. The current design removes
-//! both bottlenecks:
-//!
-//! * **Striped shards.** Keys are hashed onto up to [`MAX_SHARDS`]
-//!   independent shards; lookups for different matrices proceed on
-//!   different locks entirely.
-//! * **Lock-free-read hot path.** Each shard's map sits behind an
-//!   `RwLock`; a hit takes only the *shared* read guard, so any number of
-//!   threads resolve hits concurrently — even for the same key.
-//! * **Compute outside the lock, exactly once.** A miss computes the
-//!   factorization with **no lock held**. Concurrent first requests for the
-//!   same key are coordinated through a per-key in-flight marker: one
-//!   thread (the leader) computes, the rest wait on a condvar and then read
-//!   the published value — the expensive factorization runs exactly once
-//!   per key, and a slow factorization of one matrix never blocks lookups
-//!   of another.
-//! * **LRU eviction.** Entries carry a recency tick (bumped on every hit
-//!   under the shared read guard via an atomic, so hits never take a write
-//!   lock); when a shard is full the least-recently-used entry of that
-//!   shard is evicted.
-//!
-//! Keying on `f64::to_bits` of every entry makes cache hits *trivially*
-//! bit-identical to the uncached path: a hit returns the very value a fresh
-//! computation of the same input would have produced (the factorizations in
-//! this workspace are deterministic functions of their input), so the
-//! golden/determinism guarantees of the scalar kernel backend carry over
-//! unchanged.
-//!
-//! Hit/miss/eviction counters are exposed through [`FactorCache::stats`] so
-//! integration tests can observe sharing (e.g. two scenarios with the same
-//! covariance spec must produce exactly one decomposition).
+//! One `Mutex` guards the map; a hit takes it once. A miss computes holding
+//! only its key's slot: each key is computed once, other keys never wait,
+//! and a failed or panicking compute leaves nothing behind. Only stored
+//! values count toward the capacity. Poisoned guards are recovered.
 
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::convert::Infallible;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::matrix::CMatrix;
 
@@ -80,14 +43,6 @@ impl MatrixKey {
             bits,
         }
     }
-
-    /// Stable shard-selection hash (`DefaultHasher` with its fixed default
-    /// keys — deterministic within and across processes).
-    fn stripe(&self) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut hasher);
-        hasher.finish()
-    }
 }
 
 /// Counters of one [`FactorCache`], read with [`FactorCache::stats`].
@@ -103,312 +58,143 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// Maximum number of independent shards a [`FactorCache`] stripes its keys
-/// over. Small caches use fewer shards (never more than `capacity`) so the
-/// configured bound stays exact: every shard holds at most
-/// `capacity / shards` entries.
-pub const MAX_SHARDS: usize = 16;
+/// A key's value, or `None` until a compute succeeds. A miss holds the
+/// slot's lock while it computes, so its key's other lookups wait here.
+type Slot<V> = Arc<Mutex<Option<Arc<V>>>>;
 
-/// One stored value plus its recency stamp. The stamp is atomic so the hit
-/// path can refresh it under the *shared* read guard.
+/// A key's LRU stamp (the map's tick at its latest use) and its stored value,
+/// or its slot while computing: then only its own failed compute removes it.
 #[derive(Debug)]
-struct CacheEntry<T> {
-    value: Arc<T>,
-    last_used: AtomicU64,
+struct Entry<V> {
+    stamp: u64,
+    value: Result<Arc<V>, Slot<V>>,
 }
 
-/// Per-key marker of a computation in flight: the leader computes with no
-/// lock held, waiters sleep here until the leader publishes (or fails).
 #[derive(Debug)]
-struct InFlight {
-    done: Mutex<bool>,
-    cv: Condvar,
+struct State<K, V> {
+    map: BTreeMap<K, Entry<V>>,
+    tick: u64,
+    stats: CacheStats,
 }
 
-impl InFlight {
-    fn new() -> Self {
-        Self {
-            done: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) {
-        let mut done = lock_ignore_poison(&self.done);
-        while !*done {
-            done = self
-                .cv
-                .wait(done)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    fn complete(&self) {
-        *lock_ignore_poison(&self.done) = true;
-        self.cv.notify_all();
-    }
+/// Locks a mutex, recovering the guard if a previous holder panicked.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One cache stripe: its own map (shared-read hot path) and its own
-/// in-flight registry (tiny critical sections, never held across compute).
+/// A bounded LRU memo from a key to a shared value, `const`-built for statics.
 #[derive(Debug)]
-struct Shard<T> {
-    map: RwLock<BTreeMap<MatrixKey, CacheEntry<T>>>,
-    in_flight: Mutex<BTreeMap<MatrixKey, Arc<InFlight>>>,
+pub struct FactorCache<K, V> {
+    capacity: usize,
+    state: Mutex<State<K, V>>,
 }
 
-impl<T> Shard<T> {
-    const fn new() -> Self {
-        Self {
-            map: RwLock::new(BTreeMap::new()),
-            in_flight: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// The shared-read hot path: a hit clones the `Arc` and refreshes the
-    /// recency stamp without ever taking a write lock.
-    fn lookup(&self, key: &MatrixKey, tick: &AtomicU64) -> Option<Arc<T>> {
-        let map = self
-            .map
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.get(key).map(|entry| {
-            entry
-                .last_used
-                .store(tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            Arc::clone(&entry.value)
-        })
-    }
-}
-
-/// Locks a mutex, recovering the guard if a previous holder panicked (all
-/// critical sections in this module uphold their invariants even when
-/// unwound through, so a poisoned guard is still consistent).
-fn lock_ignore_poison<U>(mutex: &Mutex<U>) -> MutexGuard<'_, U> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Removes the in-flight marker of `key` and releases its waiters — also on
-/// unwind, so a panicking `compute` closure cannot strand waiters forever.
-struct LeaderGuard<'a, T> {
-    shard: &'a Shard<T>,
-    key: &'a MatrixKey,
-    marker: Arc<InFlight>,
-}
-
-impl<T> Drop for LeaderGuard<'_, T> {
-    fn drop(&mut self) {
-        lock_ignore_poison(&self.shard.in_flight).remove(self.key);
-        self.marker.complete();
-    }
-}
-
-/// A bounded, process-wide, sharded map from [`MatrixKey`] to a shared
-/// derived value.
-///
-/// Designed to live in a `static`: construction is `const`, and all state
-/// is behind per-shard locks + atomics. See the [module docs](self) for the
-/// concurrency design — shared-read hits, compute outside every lock,
-/// exactly-once computation per key, striped LRU eviction.
-#[derive(Debug)]
-pub struct FactorCache<T> {
-    shards: [Shard<T>; MAX_SHARDS],
-    /// Shards actually in use (`min(MAX_SHARDS, capacity)`, at least 1).
-    shard_count: usize,
-    /// Entry bound per shard; the total bound is `shard_count` times this.
-    shard_capacity: usize,
-    /// Monotone recency clock stamped into entries on hit/insert.
-    tick: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl<T> FactorCache<T> {
+impl<K: Ord + Clone, V> FactorCache<K, V> {
     /// Creates an empty cache holding at most `capacity` entries
-    /// (`capacity == 0` disables storage: every lookup recomputes), striped
-    /// over up to [`MAX_SHARDS`] shards.
+    /// (`capacity == 0` disables storage: every lookup recomputes).
     #[must_use]
     pub const fn new(capacity: usize) -> Self {
-        let shards = if capacity < MAX_SHARDS {
-            capacity
-        } else {
-            MAX_SHARDS
-        };
-        Self::with_shards(capacity, shards)
-    }
-
-    /// [`FactorCache::new`] with an explicit shard count (clamped to
-    /// `1..=min(MAX_SHARDS, max(capacity, 1))`). Each shard holds at most
-    /// `capacity / shards` entries, so the total never exceeds `capacity`.
-    ///
-    /// A single-shard cache behaves as one global LRU — useful for tests
-    /// that pin the eviction order exactly.
-    #[must_use]
-    pub const fn with_shards(capacity: usize, shards: usize) -> Self {
-        let mut count = shards;
-        if count > MAX_SHARDS {
-            count = MAX_SHARDS;
-        }
-        if count > capacity {
-            count = capacity;
-        }
-        if count == 0 {
-            count = 1;
-        }
         Self {
-            shards: [const { Shard::new() }; MAX_SHARDS],
-            shard_count: count,
-            shard_capacity: capacity / count,
-            tick: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            capacity,
+            state: Mutex::new(State {
+                map: BTreeMap::new(),
+                tick: 0,
+                stats: CacheStats {
+                    hits: 0,
+                    misses: 0,
+                    evictions: 0,
+                    entries: 0,
+                },
+            }),
         }
     }
 
-    /// The shard responsible for `key`.
-    fn shard_of(&self, key: &MatrixKey) -> &Shard<T> {
-        &self.shards[(key.stripe() % self.shard_count as u64) as usize]
-    }
-
-    /// Returns the cached value for `key`, computing and storing it with
-    /// `compute` on a miss.
-    ///
-    /// The hot path (a hit) takes only a shared read guard on the key's
-    /// shard. On a miss `compute` runs with **no lock held**; concurrent
-    /// first requests for the same key block until the one elected leader
-    /// has published its result, so the computation happens exactly once
-    /// per key (unless it fails — failures are not cached, and a waiting
-    /// thread retries the computation itself).
+    /// Returns `key`'s cached value, or computes and stores it with `compute`.
     ///
     /// # Errors
-    /// Propagates `compute`'s error; nothing is stored or counted as a miss
-    /// when the computation fails.
+    /// Propagates `compute`'s error; a failed compute stores and counts nothing.
     pub fn get_or_try_insert_with<E>(
         &self,
-        key: MatrixKey,
-        compute: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E> {
-        if self.shard_capacity == 0 {
-            // Storage disabled: every lookup recomputes (documented
-            // `capacity == 0` semantics), so no coordination is needed.
-            let value = Arc::new(compute()?);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(value);
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        let slot = match self.find(&key) {
+            Ok(hit) => return Ok(hit),
+            Err(slot) => slot,
+        };
+        let mut value = lock(&slot);
+        if let Some(hit) = value.as_ref() {
+            // Another lookup computed the key while this one waited.
+            lock(&self.state).stats.hits += 1;
+            return Ok(Arc::clone(hit));
         }
-        let shard = self.shard_of(&key);
-        if let Some(hit) = shard.lookup(&key, &self.tick) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        loop {
-            // Decide leader vs. waiter under the in-flight lock, re-checking
-            // the map inside it: a leader removes its marker only *after*
-            // publishing to the map, so this order can neither miss a
-            // completed value nor elect a second leader for a pending one.
-            let pending = {
-                let mut in_flight = lock_ignore_poison(&shard.in_flight);
-                if let Some(hit) = shard.lookup(&key, &self.tick) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(hit);
-                }
-                match in_flight.get(&key) {
-                    Some(pending) => Arc::clone(pending),
-                    None => {
-                        let marker = Arc::new(InFlight::new());
-                        in_flight.insert(key.clone(), Arc::clone(&marker));
-                        drop(in_flight);
-                        return self.compute_as_leader(shard, &key, marker, compute);
-                    }
-                }
-            };
-            pending.wait();
-            if let Some(hit) = shard.lookup(&key, &self.tick) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
+        let computed = panic::catch_unwind(AssertUnwindSafe(compute));
+        if !matches!(computed, Ok(Ok(_))) {
+            // Forget the entry unless a third lookup holds the slot (it retries).
+            let mut state = lock(&self.state);
+            if Arc::strong_count(&slot) == 2 {
+                state.map.remove(&key);
             }
-            // The leader failed (error or panic) without publishing; loop
-            // around and try to take the lead ourselves.
         }
+        let fresh = Arc::new(computed.unwrap_or_else(|payload| panic::resume_unwind(payload))?);
+        *value = Some(Arc::clone(&fresh));
+        // Store as the most recently used entry (still in the map, see
+        // `Entry`) and evict the least recently used stored one past capacity.
+        let mut guard = lock(&self.state);
+        let state = &mut *guard;
+        state.tick += 1;
+        state.stats.misses += 1;
+        if let Some(entry) = state.map.get_mut(&key) {
+            (entry.stamp, entry.value) = (state.tick, Ok(Arc::clone(&fresh)));
+            state.stats.entries += 1;
+        }
+        if state.stats.entries > self.capacity {
+            let stored = state.map.iter().filter(|(_, e)| e.value.is_ok());
+            if let Some(lru) = stored.min_by_key(|(_, e)| e.stamp).map(|(k, _)| k.clone()) {
+                state.map.remove(&lru);
+                state.stats.entries -= 1;
+                state.stats.evictions += 1;
+            }
+        }
+        Ok(fresh)
     }
 
-    /// The leader path of a miss: run `compute` with no lock held, publish
-    /// the value, then release the waiters (the guard also releases them if
-    /// `compute` panics or fails, so nobody is stranded).
-    fn compute_as_leader<E>(
-        &self,
-        shard: &Shard<T>,
-        key: &MatrixKey,
-        marker: Arc<InFlight>,
-        compute: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E> {
-        let _guard = LeaderGuard { shard, key, marker };
-        let value = Arc::new(compute()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut map = shard
-                .map
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if map.len() >= self.shard_capacity && !map.contains_key(key) {
-                // Evict this shard's least-recently-used entry.
-                let lru = map
-                    .iter()
-                    .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                    .map(|(k, _)| k.clone());
-                if let Some(lru) = lru {
-                    map.remove(&lru);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            map.insert(
-                key.clone(),
-                CacheEntry {
-                    value: Arc::clone(&value),
-                    last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-                },
-            );
-        }
-        // `_guard` drops here: marker removed, waiters woken — strictly
-        // after the map insert above, preserving the leader-election
-        // invariant.
-        Ok(value)
+    /// [`FactorCache::get_or_try_insert_with`] for an infallible `compute`.
+    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+        let Ok(value) = self.get_or_try_insert_with(key, || Ok::<_, Infallible>(compute()));
+        value
     }
 
-    /// Current counters. `hits`/`misses`/`evictions` are monotone over the
-    /// process lifetime (they survive [`FactorCache::clear`]).
+    /// Stamps `key` most recently used and returns its stored value (a hit),
+    /// or else its slot to compute under, inserting an empty one if needed.
+    fn find(&self, key: &K) -> Result<Arc<V>, Slot<V>> {
+        let mut guard = lock(&self.state);
+        let state = &mut *guard;
+        state.tick += 1;
+        if let Some(entry) = state.map.get_mut(key) {
+            entry.stamp = state.tick;
+            state.stats.hits += u64::from(entry.value.is_ok());
+            return entry.value.clone();
+        }
+        let slot = Slot::default();
+        let entry = Entry {
+            stamp: state.tick,
+            value: Err(Arc::clone(&slot)),
+        };
+        state.map.insert(key.clone(), entry);
+        Err(slot)
+    }
+
+    /// Current counters; `hits`, `misses` and `evictions` survive `clear`.
     pub fn stats(&self) -> CacheStats {
-        let entries = self.shards[..self.shard_count]
-            .iter()
-            .map(|shard| {
-                shard
-                    .map
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum();
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
-        }
+        lock(&self.state).stats
     }
 
-    /// Drops every stored entry (outstanding `Arc`s stay alive). Counters
-    /// are not reset.
+    /// Drops every stored entry; outstanding `Arc`s and in-flight computes live on.
     pub fn clear(&self) {
-        for shard in &self.shards[..self.shard_count] {
-            shard
-                .map
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
-        }
+        let mut state = lock(&self.state);
+        state.map.retain(|_, e| e.value.is_err());
+        state.stats.entries = 0;
     }
 }
 
@@ -437,7 +223,7 @@ mod tests {
 
     #[test]
     fn hits_share_one_computation() {
-        let cache: FactorCache<f64> = FactorCache::new(8);
+        let cache: FactorCache<MatrixKey, f64> = FactorCache::new(8);
         let mut computed = 0usize;
         for _ in 0..3 {
             let v = cache
@@ -455,7 +241,7 @@ mod tests {
 
     #[test]
     fn errors_are_propagated_and_not_stored() {
-        let cache: FactorCache<f64> = FactorCache::new(8);
+        let cache: FactorCache<MatrixKey, f64> = FactorCache::new(8);
         let err = cache.get_or_try_insert_with(MatrixKey::of(&mat(1.0)), || Err::<f64, _>("nope"));
         assert_eq!(err.unwrap_err(), "nope");
         assert_eq!(cache.stats().entries, 0);
@@ -470,8 +256,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_store() {
-        // Single shard: exact global LRU semantics.
-        let cache: FactorCache<usize> = FactorCache::with_shards(2, 1);
+        let cache: FactorCache<MatrixKey, usize> = FactorCache::new(2);
         for i in 0..5usize {
             cache
                 .get_or_try_insert_with(MatrixKey::of(&mat(i as f64)), || Ok::<_, Infallible>(i))
@@ -481,19 +266,18 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 3);
 
-        // Striped: the total bound still holds, every computed value is
-        // either stored or was evicted.
-        let striped: FactorCache<usize> = FactorCache::new(2);
+        // Every computed value is either stored or was evicted.
+        let small: FactorCache<MatrixKey, usize> = FactorCache::new(2);
         for i in 0..5usize {
-            striped
+            small
                 .get_or_try_insert_with(MatrixKey::of(&mat(i as f64)), || Ok::<_, Infallible>(i))
                 .unwrap();
         }
-        let s = striped.stats();
-        assert!(s.entries <= 2, "striped capacity bound violated: {s:?}");
+        let s = small.stats();
+        assert!(s.entries <= 2, "capacity bound violated: {s:?}");
         assert_eq!(s.entries as u64 + s.evictions, s.misses);
 
-        let disabled: FactorCache<usize> = FactorCache::new(0);
+        let disabled: FactorCache<MatrixKey, usize> = FactorCache::new(0);
         for _ in 0..2 {
             disabled
                 .get_or_try_insert_with(MatrixKey::of(&mat(0.0)), || Ok::<_, Infallible>(1))
@@ -501,15 +285,38 @@ mod tests {
         }
         assert_eq!(disabled.stats().entries, 0);
         assert_eq!(disabled.stats().misses, 2, "capacity 0 always recomputes");
+
+        // The bound is exact: 128 distinct keys fit without an eviction, and
+        // the 129th evicts exactly the least-recently-used one.
+        let exact: FactorCache<MatrixKey, usize> = FactorCache::new(128);
+        let lookup = |i: usize| {
+            let mut computed = false;
+            exact
+                .get_or_try_insert_with(MatrixKey::of(&mat(i as f64)), || {
+                    computed = true;
+                    Ok::<_, Infallible>(i)
+                })
+                .unwrap();
+            computed
+        };
+        assert!((0..128).all(lookup), "128 distinct keys all miss once");
+        let s = exact.stats();
+        assert_eq!((s.entries, s.evictions), (128, 0));
+        // Touch key 0, so key 1 is now the least recently used.
+        assert!(!lookup(0));
+        assert!(lookup(128));
+        let s = exact.stats();
+        assert_eq!((s.entries, s.evictions), (128, 1));
+        assert!(!lookup(0), "a recently used key was evicted");
+        assert!(lookup(1), "the least-recently-used key must have gone");
     }
 
     #[test]
     fn eviction_is_least_recently_used_not_smallest_key() {
         // Regression: the original cache evicted `keys().next()` — the
         // smallest bit pattern — which threw out the hottest entry whenever
-        // it happened to sort first. A single-shard cache makes the LRU
-        // order exactly observable.
-        let cache: FactorCache<u32> = FactorCache::with_shards(2, 1);
+        // it happened to sort first.
+        let cache: FactorCache<MatrixKey, u32> = FactorCache::new(2);
         let (a, b, c) = (mat(1.0), mat(2.0), mat(3.0));
         assert!(
             MatrixKey::of(&a) < MatrixKey::of(&b),
@@ -551,7 +358,7 @@ mod tests {
 
     #[test]
     fn clear_keeps_counters_and_outstanding_arcs() {
-        let cache: FactorCache<f64> = FactorCache::new(4);
+        let cache: FactorCache<MatrixKey, f64> = FactorCache::new(4);
         let v = cache
             .get_or_try_insert_with(MatrixKey::of(&mat(1.0)), || Ok::<_, Infallible>(7.0))
             .unwrap();
@@ -562,8 +369,33 @@ mod tests {
     }
 
     #[test]
+    fn failed_computes_leave_no_entry_behind() {
+        // Capacity 1 holding key 0: failing and panicking computes of other
+        // keys must neither evict it nor linger in the map.
+        let cache: FactorCache<MatrixKey, usize> = FactorCache::new(1);
+        cache.get_or_insert_with(MatrixKey::of(&mat(0.0)), || 0);
+        for i in 1..4usize {
+            let err = cache.get_or_try_insert_with(MatrixKey::of(&mat(i as f64)), || Err(i));
+            assert_eq!(err.unwrap_err(), i);
+        }
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_insert_with(MatrixKey::of(&mat(9.0)), || {
+                panic!("injected compute failure")
+            })
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(lock(&cache.state).map.len(), 1, "a failed key stayed");
+        let s = cache.stats();
+        assert_eq!((s.misses, s.evictions, s.entries), (1, 0, 1));
+        let hit = cache.get_or_insert_with(MatrixKey::of(&mat(0.0)), || {
+            panic!("key 0 must still be stored")
+        });
+        assert_eq!(*hit, 0);
+    }
+
+    #[test]
     fn panicking_compute_does_not_strand_waiters() {
-        let cache: FactorCache<f64> = FactorCache::new(4);
+        let cache: FactorCache<MatrixKey, f64> = FactorCache::new(4);
         let key = MatrixKey::of(&mat(9.0));
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = cache.get_or_try_insert_with(key.clone(), || -> Result<f64, Infallible> {
@@ -571,8 +403,8 @@ mod tests {
             });
         }));
         assert!(panicked.is_err());
-        // The in-flight marker was cleaned up: the same key can be computed
-        // again without hanging.
+        // The slot was left empty: the same key can be computed again
+        // without hanging.
         let v = cache
             .get_or_try_insert_with(key, || Ok::<_, Infallible>(1.5))
             .unwrap();

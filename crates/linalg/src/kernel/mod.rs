@@ -50,7 +50,7 @@ mod scalar;
 mod vector;
 
 /// The two kernel implementations. See the [module docs](self).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Backend {
     /// Element-at-a-time reference loops — bit-exact with the pre-kernel
     /// releases.

@@ -1,16 +1,16 @@
-//! Concurrency stress tests for the sharded [`FactorCache`]: many threads
-//! hammering duplicate keys must still compute every key **exactly once**,
-//! and the hit/miss/eviction counters must stay consistent with the number
-//! of stored entries.
+//! Concurrency stress tests for [`FactorCache`]: many threads hammering
+//! duplicate keys must still compute every key **exactly once**, the
+//! hit/miss/eviction counters must stay consistent with the number of
+//! stored entries, and a miss in flight must not hold up other keys.
 //!
 //! These tests exist because the cache's miss path runs the factorization
-//! with *no lock held* (leader/waiter election through per-key in-flight
-//! markers) — precisely the design that could double-compute or strand
-//! waiters if the election were racy.
+//! holding only its own key's slot — precisely the design that could
+//! double-compute, strand waiters or block unrelated lookups if the slot
+//! hand-off were racy.
 
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use corrfade_linalg::{c64, CMatrix, FactorCache, MatrixKey};
@@ -25,7 +25,7 @@ fn duplicate_keys_under_contention_compute_exactly_once() {
     const KEYS: usize = 4;
     const ROUNDS: usize = 25;
 
-    static CACHE: FactorCache<f64> = FactorCache::new(64);
+    static CACHE: FactorCache<MatrixKey, f64> = FactorCache::new(64);
     let computed: Vec<AtomicUsize> = (0..KEYS).map(|_| AtomicUsize::new(0)).collect();
     let barrier = Barrier::new(THREADS);
     let lookups = AtomicUsize::new(0);
@@ -87,7 +87,7 @@ fn contended_eviction_keeps_counters_consistent_with_entries() {
     // every computed value is either still stored or was evicted.
     const THREADS: usize = 6;
     const KEYS: usize = 24;
-    static SMALL: FactorCache<usize> = FactorCache::new(8);
+    static SMALL: FactorCache<MatrixKey, usize> = FactorCache::new(8);
 
     let barrier = Barrier::new(THREADS);
     std::thread::scope(|scope| {
@@ -127,7 +127,7 @@ fn contended_eviction_keeps_counters_consistent_with_entries() {
 fn waiters_recover_when_the_leader_fails() {
     // One thread's computation fails; concurrent waiters for the same key
     // must neither hang nor observe the failure — they retry and succeed.
-    let cache: Arc<FactorCache<f64>> = Arc::new(FactorCache::new(8));
+    let cache: Arc<FactorCache<MatrixKey, f64>> = Arc::new(FactorCache::new(8));
     let failures = Arc::new(AtomicUsize::new(0));
     let successes = Arc::new(AtomicUsize::new(0));
     let barrier = Arc::new(Barrier::new(4));
@@ -170,4 +170,104 @@ fn waiters_recover_when_the_leader_fails() {
     // At most thread 0 saw the error; everyone else got the value.
     assert!(failures.load(Ordering::SeqCst) <= 1);
     assert!(successes.load(Ordering::SeqCst) >= 3);
+}
+
+#[test]
+fn an_in_flight_miss_does_not_block_other_keys() {
+    // Key A's compute blocks until the main thread has finished a miss and
+    // then a hit on key B. The timeouts turn a regression (B waiting on A)
+    // into a failure instead of a hang.
+    const PATIENCE: Duration = Duration::from_secs(10);
+    let cache: FactorCache<MatrixKey, f64> = FactorCache::new(8);
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+
+    std::thread::scope(|scope| {
+        let cache = &cache;
+        let a = scope.spawn(move || {
+            cache.get_or_try_insert_with(MatrixKey::of(&mat(1.0)), || {
+                started_tx.send(()).unwrap();
+                release_rx
+                    .recv_timeout(PATIENCE)
+                    .map(|()| 1.5)
+                    .map_err(|_| "the lookups of key B never finished")
+            })
+        });
+        started_rx
+            .recv_timeout(PATIENCE)
+            .expect("key A's compute must start");
+
+        let miss = cache
+            .get_or_try_insert_with(MatrixKey::of(&mat(2.0)), || Ok::<_, &str>(2.5))
+            .unwrap();
+        let hit = cache
+            .get_or_try_insert_with(MatrixKey::of(&mat(2.0)), || -> Result<f64, &str> {
+                panic!("key B must be a hit");
+            })
+            .unwrap();
+        assert!(Arc::ptr_eq(&miss, &hit));
+        let _ = release_tx.send(());
+        let a = a.join().expect("key A's thread panicked");
+        assert_eq!(*a.expect("key A's compute timed out"), 1.5);
+    });
+
+    let stats = cache.stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+}
+
+#[test]
+fn an_in_flight_key_is_neither_evicted_nor_computed_twice() {
+    // Capacity 1: key B is stored while key A's compute is held on a
+    // channel. A second lookup of A, racing the release, must either wait
+    // for that compute or hit its stored value, never compute A again; and
+    // A, stored last, must then be the entry that stays.
+    const PATIENCE: Duration = Duration::from_secs(10);
+    let cache: FactorCache<MatrixKey, f64> = FactorCache::new(1);
+    let computes = AtomicUsize::new(0);
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let key_a = || MatrixKey::of(&mat(1.0));
+
+    std::thread::scope(|scope| {
+        let (cache, computes) = (&cache, &computes);
+        let first = scope.spawn(move || {
+            cache.get_or_try_insert_with(key_a(), || {
+                computes.fetch_add(1, Ordering::SeqCst);
+                started_tx.send(()).unwrap();
+                release_rx
+                    .recv_timeout(PATIENCE)
+                    .map(|()| 1.5)
+                    .map_err(|_| "never released")
+            })
+        });
+        started_rx
+            .recv_timeout(PATIENCE)
+            .expect("key A's compute must start");
+        cache
+            .get_or_try_insert_with(MatrixKey::of(&mat(2.0)), || Ok::<_, &str>(2.5))
+            .unwrap();
+        let second = scope.spawn(move || {
+            cache.get_or_try_insert_with(key_a(), || {
+                computes.fetch_add(1, Ordering::SeqCst);
+                Ok::<_, &str>(9.9)
+            })
+        });
+        let _ = release_tx.send(());
+        let first = first.join().expect("first lookup of A panicked").unwrap();
+        let second = second.join().expect("second lookup of A panicked").unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "A was computed twice");
+    });
+
+    assert_eq!(computes.load(Ordering::SeqCst), 1, "A was computed twice");
+    let hit = cache
+        .get_or_try_insert_with(key_a(), || -> Result<f64, Infallible> {
+            panic!("A must still be stored");
+        })
+        .unwrap();
+    assert_eq!(*hit, 1.5);
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, stats.evictions, stats.entries),
+        (2, 2, 1, 1)
+    );
 }

@@ -10,9 +10,10 @@
 //!   the scenario registry and builds its real-time generator through the
 //!   process-wide decomposition cache
 //!   ([`corrfade::cached_eigen_coloring`]), so K streams over the same
-//!   covariance matrix pay for one eigendecomposition; the FFT plan cache
-//!   in `corrfade-dsp` is shared the same way. Per-stream setup is paid
-//!   once, at open.
+//!   covariance matrix pay for one eigendecomposition; the FFT plan caches
+//!   in `corrfade-dsp` are memos of the same type. The decomposition
+//!   lookups run one stream after another on the opening thread, never
+//!   inside the pool, and per-stream setup is paid once, at open.
 //! * **Generate in batch** — [`StreamFleet::advance`] produces the next
 //!   block for *every* stream concurrently on the persistent
 //!   [`Runtime`] pool: executors claim stream indices from one shared

@@ -16,9 +16,11 @@
 //! * [`fleet::StreamFleet`] — the multi-stream batch engine: open many
 //!   named scenarios from `corrfade-scenarios` at once and generate blocks
 //!   (real-time Doppler blocks included) for all of them concurrently on
-//!   the pool, sharing the process-wide
-//!   decomposition cache ([`corrfade::cached_eigen_coloring`]) and FFT plan
-//!   cache so per-stream setup is paid once per covariance matrix.
+//!   the pool. Open looks each stream's covariance up, in order and
+//!   outside the pool, in the process-wide decomposition cache
+//!   ([`corrfade::cached_eigen_coloring`], a `corrfade_linalg::FactorCache`),
+//!   so per-stream setup is paid once per covariance matrix; the FFT plans
+//!   the blocks use are memos of the same type.
 //!
 //! The expensive eigendecomposition is resolved once per covariance matrix
 //! through the decomposition cache; workers only execute the `Z = L·W/σ_g`
