@@ -45,9 +45,11 @@ fn bench_color_block(c: &mut Criterion) {
 }
 
 /// The fused coloring+IDFT kernel against the two-pass composition it
-/// replaces, on the paper's block shape. Every variant
-/// pays the identical `copy_from_slice` refill per iteration (the transforms
-/// destroy their input), so the medians compare like for like.
+/// replaces, on the paper's block shape, and the fused kernel alone on the
+/// `wsn-epoch` group shape (N = 64, M = 256), where the coloring dominates.
+/// Every variant pays the identical `copy_from_slice` refill per iteration
+/// (the transforms destroy their input), so the medians compare like for
+/// like.
 fn bench_color_idft(c: &mut Criterion) {
     let (n, m) = (3usize, 4096usize);
     let a = signal(n * n);
@@ -71,20 +73,34 @@ fn bench_color_idft(c: &mut Criterion) {
     }
     group.finish();
 
-    let mut group = c.benchmark_group(format!("kernel/color_idft_fused_n{n}_m{m}"));
-    group.throughput(Throughput::Elements((n * m) as u64));
-    for (name, backend) in BACKENDS {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
-            let mut work = raw.clone();
-            let mut out = vec![Complex64::ZERO; n * m];
-            let (mut w, mut planes) = (Vec::new(), Vec::new());
-            b.iter(|| {
-                work.copy_from_slice(&raw);
-                color_idft_block_with(bk, n, m, &a, 0.5, &mut work, &mut out, &mut w, &mut planes)
-            })
-        });
+    for (n, m) in [(n, m), (64, 256)] {
+        let a = signal(n * n);
+        let raw = signal(n * m);
+        let mut group = c.benchmark_group(format!("kernel/color_idft_fused_n{n}_m{m}"));
+        group.throughput(Throughput::Elements((n * m) as u64));
+        for (name, backend) in BACKENDS {
+            group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
+                let mut work = raw.clone();
+                let mut out = vec![Complex64::ZERO; n * m];
+                let (mut w, mut planes) = (Vec::new(), Vec::new());
+                b.iter(|| {
+                    work.copy_from_slice(&raw);
+                    color_idft_block_with(
+                        bk,
+                        n,
+                        m,
+                        &a,
+                        0.5,
+                        &mut work,
+                        &mut out,
+                        &mut w,
+                        &mut planes,
+                    )
+                })
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 /// The single-instant coloring matvec at the `snapshot-n16` shape and at a

@@ -53,6 +53,13 @@ pub enum CorrfadeError {
         /// Number of powers supplied.
         actual: usize,
     },
+    /// A caller-owned output buffer has the wrong length.
+    BufferLength {
+        /// The length the call needs.
+        expected: usize,
+        /// The length supplied.
+        got: usize,
+    },
 }
 
 impl fmt::Display for CorrfadeError {
@@ -83,6 +90,9 @@ impl fmt::Display for CorrfadeError {
                 f,
                 "number of powers ({actual}) does not match the covariance dimension ({expected})"
             ),
+            CorrfadeError::BufferLength { expected, got } => {
+                write!(f, "output buffer must hold {expected} values, got {got}")
+            }
         }
     }
 }
@@ -135,6 +145,10 @@ mod tests {
             CorrfadeError::PowerDimensionMismatch {
                 expected: 3,
                 actual: 2,
+            },
+            CorrfadeError::BufferLength {
+                expected: 3,
+                got: 2,
             },
             CorrfadeError::Linalg(LinalgError::NotSquare { rows: 1, cols: 2 }),
             CorrfadeError::Dsp(DspError::InvalidVariance { value: -1.0 }),

@@ -180,16 +180,17 @@ impl CorrelatedRayleighGenerator {
     /// [`ChannelStream`] implementation draws the same bits a tile of
     /// snapshots at a time.
     ///
-    /// # Panics
-    /// Panics if `out.len()` differs from the generator dimension.
-    pub fn sample_gaussian_into(&mut self, out: &mut [Complex64]) {
+    /// # Errors
+    /// [`CorrfadeError::BufferLength`] if `out.len()` differs from the
+    /// generator dimension; nothing is drawn then.
+    pub fn sample_gaussian_into(&mut self, out: &mut [Complex64]) -> Result<(), CorrfadeError> {
         let n = self.coloring.dimension();
-        assert_eq!(
-            out.len(),
-            n,
-            "sample_gaussian_into: expected a buffer of length {n}, got {}",
-            out.len()
-        );
+        if out.len() != n {
+            return Err(CorrfadeError::BufferLength {
+                expected: n,
+                got: out.len(),
+            });
+        }
         let w = &mut self.w[..n];
         self.gaussian.fill(&mut self.rng, w, self.driving_variance);
         self.coloring.matrix.matvec_into(w, out);
@@ -197,12 +198,14 @@ impl CorrelatedRayleighGenerator {
         for zj in out.iter_mut() {
             *zj = zj.scale(scale);
         }
+        Ok(())
     }
 
     /// Draws the next correlated complex Gaussian vector `Z` (step 6 + 7).
     pub fn sample_gaussian(&mut self) -> Vec<Complex64> {
         let mut out = vec![Complex64::ZERO; self.dimension()];
-        self.sample_gaussian_into(&mut out);
+        self.sample_gaussian_into(&mut out)
+            .expect("the buffer has the generator dimension");
         out
     }
 
@@ -424,7 +427,7 @@ mod tests {
                             );
                         }
                     }
-                    stream.sample_gaussian_into(&mut single);
+                    stream.sample_gaussian_into(&mut single).unwrap();
                     for (got, want) in single.iter().zip(snap.sample_gaussian()) {
                         assert!(
                             same(*got, want),
@@ -434,6 +437,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_wrong_buffer_length_is_a_typed_error_and_draws_nothing() {
+        let new = || CorrelatedRayleighGenerator::new(paper_covariance_matrix_22(), 5).unwrap();
+        let mut g = new();
+        for len in [0, 2, 4] {
+            let mut out = vec![Complex64::ZERO; len];
+            assert_eq!(
+                g.sample_gaussian_into(&mut out),
+                Err(CorrfadeError::BufferLength {
+                    expected: 3,
+                    got: len
+                })
+            );
+        }
+        assert_eq!(g.sample_gaussian(), new().sample_gaussian());
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //!   [`corrfade_linalg::vector::dot`].
 //! * **vector** — the planned table-driven stages run except the last; the
 //!   final stage reads the same cached twiddle table with the same
-//!   FMA-or-not formula selection, and the coloring accumulates with the
-//!   exact [`corrfade_linalg::kernel::axpy_planar`] /
-//!   [`corrfade_linalg::kernel::interleave_scaled_into`] inner loops of
-//!   `color_block`.
+//!   FMA-or-not formula selection, and the coloring runs the same
+//!   register-blocked [`corrfade_linalg::kernel::color_planes`]
+//!   micro-kernel as `color_block`, which writes the scaled result straight
+//!   into `out`.
 //!
 //! Because the f64 scalar path is bit-identical to the two-pass scalar
 //! path, which is itself the pinned historical reference, switching the
@@ -188,9 +188,9 @@ fn fused_scalar(
 
 /// Vector fused kernel: planned stages except the last, then the final
 /// stage computed per [`COLOR_TILE`](kernel::COLOR_TILE)-pair tile straight
-/// into split-complex planes, colored with the exact `color_block` AXPY
-/// inner loops. Multiversioned like the planned butterflies: on AVX2+FMA
-/// hardware the whole body compiles under `avx2,fma` (and uses the
+/// into split-complex planes, colored by the `color_block` micro-kernel
+/// [`kernel::color_planes`]. Multiversioned like the planned butterflies:
+/// on AVX2+FMA hardware the whole body compiles under `avx2,fma` (and uses the
 /// `mul_add` twiddle formula), matching `butterflies_body` bit for bit —
 /// without the multiversioning the final-stage tile loop runs baseline
 /// codegen and loses more than the fusion saves.
@@ -254,13 +254,11 @@ fn fused_vector_body<const FMA: bool>(
     let inv_m = 1.0 / m as f64;
 
     let tile = kernel::COLOR_TILE.min(half);
-    // Layout: N lo-re, N lo-im, N hi-re, N hi-im planes, y re/im planes.
-    scratch.resize((4 * n + 2) * tile, 0.0);
-    let (x_planes, y_planes) = scratch.split_at_mut(4 * n * tile);
-    let (lo_planes, hi_planes) = x_planes.split_at_mut(2 * n * tile);
+    // Layout: N lo-re, N lo-im, N hi-re, N hi-im planes.
+    scratch.resize(4 * n * tile, 0.0);
+    let (lo_planes, hi_planes) = scratch.split_at_mut(2 * n * tile);
     let (lo_re, lo_im) = lo_planes.split_at_mut(n * tile);
     let (hi_re, hi_im) = hi_planes.split_at_mut(n * tile);
-    let (y_re, y_im) = y_planes.split_at_mut(tile);
 
     let mut k0 = 0;
     while k0 < half {
@@ -284,30 +282,18 @@ fn fused_vector_body<const FMA: bool>(
                 hi_im[j * tile + idx] = (u.im - vi) * inv_m;
             }
         }
-        for i in 0..n {
-            for (planes_re, planes_im, off) in
-                [(&*lo_re, &*lo_im, k0), (&*hi_re, &*hi_im, half + k0)]
-            {
-                y_re[..t].fill(0.0);
-                y_im[..t].fill(0.0);
-                for j in 0..n {
-                    let c = a[i * n + j];
-                    kernel::axpy_planar(
-                        c.re,
-                        c.im,
-                        &planes_re[j * tile..j * tile + t],
-                        &planes_im[j * tile..j * tile + t],
-                        &mut y_re[..t],
-                        &mut y_im[..t],
-                    );
-                }
-                kernel::interleave_scaled_into(
-                    &y_re[..t],
-                    &y_im[..t],
-                    scale,
-                    &mut out[i * m + off..i * m + off + t],
-                );
-            }
+        for (planes_re, planes_im, off) in [(&*lo_re, &*lo_im, k0), (&*hi_re, &*hi_im, half + k0)] {
+            kernel::color_planes(
+                n,
+                t,
+                a,
+                scale,
+                planes_re,
+                planes_im,
+                tile,
+                &mut out[off..],
+                m,
+            );
         }
         k0 += t;
     }
@@ -334,9 +320,11 @@ mod tests {
     }
 
     /// Shapes covering the paper's (3, 4096), tiny powers of two (including
-    /// the no-middle-stages m = 2), multi-tile halves and the non-pow2 and
-    /// m = 1 fallbacks.
-    const SHAPES: [(usize, usize); 7] = [
+    /// the no-middle-stages m = 2), multi-tile halves, the non-pow2 and
+    /// m = 1 fallbacks, the WSN group shape (64, 256), a row count that is
+    /// not a multiple of the micro-kernel's row block (5, 16) and a half
+    /// shorter than one vector (7, 2).
+    const SHAPES: [(usize, usize); 10] = [
         (1, 8),
         (2, 2),
         (3, 64),
@@ -344,6 +332,9 @@ mod tests {
         (4, 512),
         (2, 100),
         (3, 1),
+        (64, 256),
+        (5, 16),
+        (7, 2),
     ];
 
     #[test]

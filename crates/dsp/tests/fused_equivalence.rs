@@ -17,12 +17,13 @@ fn cvec(len: usize) -> impl Strategy<Value = Vec<Complex64>> {
         .prop_map(|v| v.into_iter().map(|(re, im)| c64(re, im)).collect())
 }
 
-/// Random `(n, m)` fused-block shape: small envelope counts and sample
-/// counts that mix genuine powers of two (the fused final-stage path,
-/// including multi-tile halves) with arbitrary lengths (the two-pass
+/// Random `(n, m)` fused-block shape: envelope counts up to past the WSN
+/// group size (every row-block remainder of the coloring micro-kernel) and
+/// sample counts that mix genuine powers of two (the fused final-stage
+/// path, including multi-tile halves) with arbitrary lengths (the two-pass
 /// fallback) and the degenerate `m = 1`.
 fn shape() -> impl Strategy<Value = (usize, usize)> {
-    (1usize..=5, 0usize..2, 1u32..=9, 1usize..=400).prop_map(|(n, pick, exp, len)| {
+    (1usize..=MAX_N, 0usize..2, 1u32..=9, 1usize..=400).prop_map(|(n, pick, exp, len)| {
         let m = if pick == 0 {
             1usize << exp // 2..=512: the genuinely fused final-stage path
         } else {
@@ -32,7 +33,7 @@ fn shape() -> impl Strategy<Value = (usize, usize)> {
     })
 }
 
-const MAX_N: usize = 5;
+const MAX_N: usize = 70;
 const MAX_M: usize = 512;
 
 proptest! {

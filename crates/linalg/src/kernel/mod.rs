@@ -17,7 +17,9 @@
 //! * [`Backend::Vector`] — cache-blocked, split-complex (planar re/im)
 //!   kernels written as fixed-width lane loops that LLVM autovectorizes; on
 //!   `x86_64` the inner loops are additionally compiled as AVX2+FMA
-//!   multiversions and selected by runtime CPU-feature detection. Results
+//!   multiversions and selected by runtime CPU-feature detection, and the
+//!   coloring runs as a register-blocked micro-kernel ([`color_planes`])
+//!   with an AVX-512F body where the CPU has one. Results
 //!   agree with the scalar backend to ≤ 1e-12 (absolute, for unit-scale
 //!   data) but are *not* bit-identical — summation orders differ.
 //!
@@ -31,8 +33,9 @@
 //! | `scalar`             | force the bit-exact reference backend          |
 //! | `vector` / `simd`    | force the vectorized backend                   |
 //! | `auto` / unset       | vectorized backend (its generic lane loops are |
-//! |                      | a win on every supported ISA); AVX2+FMA inner  |
-//! |                      | kernels only where the CPU reports support     |
+//! |                      | a win on every supported ISA); AVX2+FMA and    |
+//! |                      | AVX-512F kernels only where the CPU reports    |
+//! |                      | support                                        |
 //!
 //! Any other value panics — a typo silently falling back would make
 //! determinism hunts miserable.
@@ -68,7 +71,9 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Vector => {
-                if vector::has_fma_isa() {
+                if vector::has_avx512_isa() {
+                    "vector (x86_64 avx2+fma, avx512f coloring)"
+                } else if vector::has_fma_isa() {
                     "vector (x86_64 avx2+fma)"
                 } else {
                     "vector (generic lanes)"
@@ -155,42 +160,6 @@ pub fn deinterleave_into(src: &[Complex64], re: &mut [f64], im: &mut [f64]) {
     }
 }
 
-/// Recombines planar re/im lanes into an AoS complex slice, scaling by a
-/// real factor on the way: `dst[i] = scale · (re[i] + i·im[i])`.
-///
-/// # Panics
-/// Panics if the three slices have different lengths.
-pub fn interleave_scaled_into(re: &[f64], im: &[f64], scale: f64, dst: &mut [Complex64]) {
-    assert!(
-        dst.len() == re.len() && dst.len() == im.len(),
-        "interleave_scaled_into: length mismatch ({} vs {}/{})",
-        dst.len(),
-        re.len(),
-        im.len()
-    );
-    for ((z, &r), &i) in dst.iter_mut().zip(re.iter()).zip(im.iter()) {
-        z.re = scale * r;
-        z.im = scale * i;
-    }
-}
-
-/// The vector backend's planar complex AXPY `y ← y + (ar + i·ai)·x`,
-/// FMA-multiversioned by the same latched CPU detection as every other
-/// vector kernel. Exposed so the fused coloring+IDFT kernel in
-/// `corrfade-dsp` accumulates with **exactly** the same inner loop (and
-/// therefore the same per-element operation sequence) as
-/// [`color_block_with`] on [`Backend::Vector`].
-///
-/// # Panics
-/// Panics if the four plane slices have different lengths.
-pub fn axpy_planar(ar: f64, ai: f64, xre: &[f64], xim: &[f64], yre: &mut [f64], yim: &mut [f64]) {
-    assert!(
-        xre.len() == xim.len() && xre.len() == yre.len() && xre.len() == yim.len(),
-        "axpy_planar: plane length mismatch"
-    );
-    vector::axpy_planar(ar, ai, xre, xim, yre, yim);
-}
-
 // ---------------------------------------------------------------------------
 // Kernels
 // ---------------------------------------------------------------------------
@@ -232,9 +201,44 @@ pub fn matvec_into_with(
 }
 
 /// Number of time samples per cache tile of [`color_block_with`]. One tile's
-/// working set is `(2·N + 2)·TILE` doubles — 16 KiB for the paper's `N = 3`,
-/// comfortably inside L1 together with the coloring matrix.
+/// working set is its `2·N` split-complex planes, `2·N·TILE` doubles: 12 KiB
+/// for the paper's `N = 3`, inside L1 together with the coloring matrix,
+/// and 256 KiB at `N = 64`, inside L2.
 pub const COLOR_TILE: usize = 256;
+
+/// The vector backend's coloring micro-kernel over split-complex planes,
+/// shared by [`color_block_with`] and the fused coloring+IDFT kernel of
+/// `corrfade-dsp` so both run **exactly** the same per-element operation
+/// sequence:
+/// `out[i·out_stride + l] = scale · Σ_j a[i·n + j] · (re[j·stride + l] +
+/// i·im[j·stride + l])` for `i < n` and `l < len`.
+///
+/// A block of output rows × samples stays in registers across all `j`
+/// (4 × 16 on AVX-512F, 3 × 8 on AVX2+FMA, a generic lane loop elsewhere,
+/// picked once per process by CPU detection) and is written straight into
+/// the interleaved output. Every element is the same chain, `j = 0..n` in
+/// order from `+0.0`: `yr = fma(ar, xr, fma(−ai, xi, yr))` and `yi = fma(ar,
+/// xi, fma(ai, xr, yi))` with FMA, `yr += ar·xr − ai·xi` and `yi += ar·xi +
+/// ai·xr` without, then `scale·y`. Output elements outside the `n` rows of
+/// `len` samples are left untouched.
+///
+/// # Panics
+/// Panics if `a` is not `n × n`, `len` exceeds `stride` or `out_stride`,
+/// or a plane or output row runs past its slice.
+#[allow(clippy::too_many_arguments)]
+pub fn color_planes(
+    n: usize,
+    len: usize,
+    a: &[Complex64],
+    scale: f64,
+    re: &[f64],
+    im: &[f64],
+    stride: usize,
+    out: &mut [Complex64],
+    out_stride: usize,
+) {
+    vector::color_planes(n, len, a, scale, re, im, stride, out, out_stride);
+}
 
 /// The real-time coloring hot loop: for every time sample `l` of a planar
 /// `N × M` block, `out[i·m + l] = scale · Σ_j a[i·n + j] · raw[j·m + l]`
@@ -244,9 +248,9 @@ pub const COLOR_TILE: usize = 256;
 /// The scalar backend reproduces the historical per-instant
 /// gather → dot → scatter loop bit for bit. The vector backend deinterleaves
 /// one [`COLOR_TILE`]-sample tile of all `N` rows into split-complex planes
-/// (`scratch`, grown on first use and reused), accumulates the `N²`
-/// planar AXPYs with FMA lane loops, and interleaves the scaled result back —
-/// cache-blocked so every tile stays in L1.
+/// (`scratch`, grown on first use and reused) and colors it with the
+/// register-blocked [`color_planes`] micro-kernel, which writes the scaled
+/// result straight back into the interleaved output.
 ///
 /// `w_scratch` and `scratch` are caller-pooled buffers (resized on first
 /// use); with warm buffers the call performs no heap allocation.
@@ -378,16 +382,14 @@ mod tests {
     }
 
     #[test]
-    fn interleave_round_trip() {
+    fn deinterleave_splits_the_planes() {
         let src = block(1, 9);
         let mut re = vec![0.0; 9];
         let mut im = vec![0.0; 9];
         deinterleave_into(&src, &mut re, &mut im);
-        let mut dst = vec![Complex64::ZERO; 9];
-        interleave_scaled_into(&re, &im, 1.0, &mut dst);
-        assert_eq!(src, dst);
-        interleave_scaled_into(&re, &im, 2.0, &mut dst);
-        assert_eq!(dst[3], src[3].scale(2.0));
+        for (z, (r, i)) in src.iter().zip(re.iter().zip(im.iter())) {
+            assert_eq!((z.re.to_bits(), z.im.to_bits()), (r.to_bits(), i.to_bits()));
+        }
     }
 
     #[test]
@@ -476,6 +478,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "color_planes: planes or output rows run past their slices")]
+    fn color_planes_checks_the_plane_extent() {
+        // Two planes of stride 8 need 8 + 4 values for a 4-sample tile.
+        let (re, im) = ([0.0; 11], [0.0; 12]);
+        let mut out = [Complex64::ZERO; 12];
+        color_planes(2, 4, &[Complex64::ZERO; 4], 1.0, &re, &im, 8, &mut out, 8);
+    }
+
+    #[test]
     fn backend_spec_parsing_accepts_documented_forms() {
         assert_eq!(parse_backend(None), Ok(Backend::Vector));
         assert_eq!(parse_backend(Some("scalar")), Ok(Backend::Scalar));
@@ -501,37 +512,5 @@ mod tests {
                 "diagnostic must quote the offending value: {err}"
             );
         }
-    }
-
-    #[test]
-    fn axpy_planar_matches_color_block_inner_loop() {
-        // One AXPY accumulated by hand must equal a 1×m color_block with a
-        // single coefficient and unit scale, on the vector backend.
-        let m = 37;
-        let raw = block(1, m);
-        let c = c64(0.8, -0.3);
-        let mut xre = vec![0.0; m];
-        let mut xim = vec![0.0; m];
-        deinterleave_into(&raw, &mut xre, &mut xim);
-        let mut yre = vec![0.0; m];
-        let mut yim = vec![0.0; m];
-        axpy_planar(c.re, c.im, &xre, &xim, &mut yre, &mut yim);
-        let mut expected = vec![Complex64::ZERO; m];
-        let mut w = Vec::new();
-        let mut planes = Vec::new();
-        color_block_with(
-            Backend::Vector,
-            1,
-            m,
-            &[c],
-            1.0,
-            &raw,
-            &mut expected,
-            &mut w,
-            &mut planes,
-        );
-        let mut got = vec![Complex64::ZERO; m];
-        interleave_scaled_into(&yre, &yim, 1.0, &mut got);
-        assert_eq!(got, expected);
     }
 }
