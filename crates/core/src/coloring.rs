@@ -52,10 +52,7 @@ impl Coloring {
 pub fn eigen_coloring(k: &CMatrix) -> Result<Coloring, CorrfadeError> {
     let psd = force_positive_semidefinite(k)?;
     let sqrt_lambda: Vec<f64> = psd.clipped_eigenvalues.iter().map(|&l| l.sqrt()).collect();
-    let matrix = psd
-        .eigen
-        .eigenvectors
-        .matmul(&CMatrix::from_real_diag(&sqrt_lambda));
+    let matrix = psd.eigen.scaled_eigenvectors(&sqrt_lambda);
     Ok(Coloring { matrix, psd })
 }
 

@@ -14,6 +14,25 @@
 //! real Givens rotation annihilates it); real symmetric matrices use the
 //! classic real rotation. Eigenvalues are returned in **descending** order
 //! together with the matching orthonormal eigenvectors.
+//!
+//! # Storage of the Hermitian sweep
+//!
+//! Every generated stream depends on the eigenvector bits, so
+//! [`hermitian_eigen`] keeps the operations and order of the plain cyclic
+//! loop (rotate columns `p` and `q`, mirror them into rows `p` and `q`,
+//! zero the pivot pair, accumulate `V`) and changes only where the numbers
+//! live. The working matrix is **column-major**, so a rotation reads and
+//! writes its two columns contiguously (AVX-512F or AVX2 bodies with
+//! separate multiplies and adds, never FMA); only the mirrored row writes
+//! are strided. `V` is kept transposed for the same reason.
+//!
+//! The matrix cannot instead be stored once and column `p` read as the
+//! conjugate of row `p`: the pivot pair is zeroed as `+0+0i` on *both*
+//! sides, so the working matrix is Hermitian only up to the sign of zero.
+//! The conjugate of a zeroed entry is `+0−0i`, which later rotations carry
+//! into the eigenvectors: on the 16 real-valued `wsn-epoch` group
+//! covariances, 12 groups come out with up to 82 zero parts of the wrong
+//! sign (the eigenvalues agree). Storing both triangles keeps every bit.
 
 use crate::complex::{c64, Complex64};
 use crate::error::LinalgError;
@@ -50,9 +69,32 @@ impl HermitianEigen {
             self.eigenvalues.len(),
             "reconstruct_with: eigenvalue count mismatch"
         );
+        self.scaled_eigenvectors(eigenvalues)
+            .matmul(&self.eigenvectors.adjoint())
+    }
+
+    /// `V·diag(d)` as a column scaling: entry `(i, j)` is
+    /// `c64(v.re·d[j] + 0.0, v.im·d[j] + 0.0)`, or `+0+0i` where `v` is zero.
+    /// Bit for bit the dense product `V·diag(d)`, whose exact-zero terms
+    /// turn a `−0.0` product into `+0.0`, in `O(n²)` instead of `O(n³)`.
+    ///
+    /// # Panics
+    /// Panics when `d.len()` differs from the number of eigenvectors.
+    pub fn scaled_eigenvectors(&self, d: &[f64]) -> CMatrix {
         let v = &self.eigenvectors;
-        let lambda = CMatrix::from_real_diag(eigenvalues);
-        v.matmul(&lambda).matmul(&v.adjoint())
+        assert_eq!(
+            d.len(),
+            v.cols(),
+            "scaled_eigenvectors: scale count mismatch"
+        );
+        CMatrix::from_fn(v.rows(), v.cols(), |i, j| {
+            let x = v[(i, j)];
+            if x == Complex64::ZERO {
+                Complex64::ZERO
+            } else {
+                c64(x.re * d[j] + 0.0, x.im * d[j] + 0.0)
+            }
+        })
     }
 
     /// Reconstructs the original matrix `V · diag(λ) · Vᴴ`.
@@ -112,15 +154,15 @@ impl SymmetricEigen {
     }
 }
 
-/// Sum of squared moduli of the strictly-off-diagonal entries — the quantity
-/// driven to zero by the Jacobi sweeps.
-fn off_diagonal_norm_sqr(a: &CMatrix) -> f64 {
-    let n = a.rows();
+/// Sum of squared moduli of the strictly-off-diagonal entries of an `n × n`
+/// column-major matrix — the quantity driven to zero by the Jacobi sweeps.
+/// Summed in row-major order, entry `(i, j)` at `w[j·n + i]`.
+fn off_diagonal_norm_sqr_col_major(w: &[Complex64], n: usize) -> f64 {
     let mut s = 0.0;
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                s += a[(i, j)].norm_sqr();
+                s += w[j * n + i].norm_sqr();
             }
         }
     }
@@ -174,20 +216,22 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     }
 
     // Work on an exactly-Hermitian copy so that round-off in the caller's
-    // matrix cannot leak into the iteration.
+    // matrix cannot leak into the iteration, stored column-major (`w[c·n + r]`
+    // is entry `(r, c)`) so a rotation's two columns are contiguous.
     let mut m = a.clone();
     m.hermitianize();
-    let mut v = CMatrix::identity(n);
-
     let frob = m.frobenius_norm().max(f64::MIN_POSITIVE);
     let target = (f64::EPSILON * frob).powi(2);
+    let mut w = m.transpose().as_slice().to_vec();
+    // Vᵀ: row `c` of `vt` is eigenvector column `c`.
+    let mut vt = CMatrix::identity(n).as_slice().to_vec();
 
     let mut sweeps = 0;
-    while off_diagonal_norm_sqr(&m) > target && sweeps < MAX_SWEEPS {
+    while off_diagonal_norm_sqr_col_major(&w, n) > target && sweeps < MAX_SWEEPS {
         sweeps += 1;
         for p in 0..n {
             for q in (p + 1)..n {
-                let apq = m[(p, q)];
+                let apq = w[q * n + p];
                 let abs_apq = apq.abs();
                 if abs_apq <= f64::EPSILON * frob {
                     continue;
@@ -197,8 +241,8 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
                 let phase = apq.unscale(abs_apq);
                 let phase_conj = phase.conj();
 
-                let app = m[(p, p)].re;
-                let aqq = m[(q, q)].re;
+                let app = w[p * n + p].re;
+                let aqq = w[q * n + q].re;
                 let tau = (aqq - app) / (2.0 * abs_apq);
                 let t = if tau >= 0.0 {
                     1.0 / (tau + (1.0 + tau * tau).sqrt())
@@ -208,40 +252,31 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = t * c;
 
-                // Update rows/columns p and q for every other index r.
+                // Rotate columns p and q, then mirror them into rows p and q.
+                // Rows p and q of the two columns are rotated too; the
+                // diagonal block below overwrites all four of them.
+                let (col_p, col_q) = two_columns_mut(&mut w, n, p, q);
+                rotate_columns(col_p, col_q, c, s, phase_conj);
                 for r in 0..n {
-                    if r == p || r == q {
-                        continue;
-                    }
-                    let arp = m[(r, p)];
-                    let arq = m[(r, q)];
-                    let new_rp = arp.scale(c) - (arq * phase_conj).scale(s);
-                    let new_rq = arp.scale(s) + (arq * phase_conj).scale(c);
-                    m[(r, p)] = new_rp;
-                    m[(p, r)] = new_rp.conj();
-                    m[(r, q)] = new_rq;
-                    m[(q, r)] = new_rq.conj();
+                    w[r * n + p] = w[p * n + r].conj();
+                    w[r * n + q] = w[q * n + r].conj();
                 }
 
                 // Diagonal block.
-                m[(p, p)] = c64(app - t * abs_apq, 0.0);
-                m[(q, q)] = c64(aqq + t * abs_apq, 0.0);
-                m[(p, q)] = Complex64::ZERO;
-                m[(q, p)] = Complex64::ZERO;
+                w[p * n + p] = c64(app - t * abs_apq, 0.0);
+                w[q * n + q] = c64(aqq + t * abs_apq, 0.0);
+                w[q * n + p] = Complex64::ZERO;
+                w[p * n + q] = Complex64::ZERO;
 
                 // Accumulate the rotation into the eigenvector matrix:
                 // V ← V · U with U = P·J as documented above.
-                for r in 0..n {
-                    let vrp = v[(r, p)];
-                    let vrq = v[(r, q)];
-                    v[(r, p)] = vrp.scale(c) - (vrq * phase_conj).scale(s);
-                    v[(r, q)] = vrp.scale(s) + (vrq * phase_conj).scale(c);
-                }
+                let (v_p, v_q) = two_columns_mut(&mut vt, n, p, q);
+                rotate_columns(v_p, v_q, c, s, phase_conj);
             }
         }
     }
 
-    let residual = off_diagonal_norm_sqr(&m).sqrt();
+    let residual = off_diagonal_norm_sqr_col_major(&w, n).sqrt();
     if residual * residual > target * 4.0 && residual > 1e-10 * frob {
         return Err(LinalgError::ConvergenceFailure {
             iterations: sweeps,
@@ -250,7 +285,7 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     }
 
     let mut order: Vec<usize> = (0..n).collect();
-    let raw: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
+    let raw: Vec<f64> = (0..n).map(|i| w[i * n + i].re).collect();
     order.sort_by(|&i, &j| {
         raw[j]
             .partial_cmp(&raw[i])
@@ -258,12 +293,142 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     });
 
     let eigenvalues: Vec<f64> = order.iter().map(|&i| raw[i]).collect();
-    let eigenvectors = CMatrix::from_fn(n, n, |i, j| v[(i, order[j])]);
+    let eigenvectors = CMatrix::from_fn(n, n, |i, j| vt[order[j] * n + i]);
 
     Ok(HermitianEigen {
         eigenvalues,
         eigenvectors,
     })
+}
+
+/// Columns `p < q` of an `n`-row column-major matrix, borrowed mutably.
+fn two_columns_mut(
+    data: &mut [Complex64],
+    n: usize,
+    p: usize,
+    q: usize,
+) -> (&mut [Complex64], &mut [Complex64]) {
+    let (head, tail) = data.split_at_mut(q * n);
+    (&mut head[p * n..(p + 1) * n], &mut tail[..n])
+}
+
+/// One complex Jacobi rotation of two columns, element by element:
+/// `x_p ← c·x_p − s·(x_q·e^{−iφ})`, `x_q ← s·x_p + c·(x_q·e^{−iφ})`, each a
+/// separate multiply, add or subtract (no FMA), so every bit is fixed. The
+/// AVX-512F or AVX2 body, picked once per process by CPU detection, runs the
+/// same operations on 4 or 2 elements at a time.
+fn rotate_columns(
+    col_p: &mut [Complex64],
+    col_q: &mut [Complex64],
+    c: f64,
+    s: f64,
+    phase_conj: Complex64,
+) {
+    assert_eq!(col_p.len(), col_q.len(), "rotate_columns: column lengths");
+    // SAFETY: each body is guarded by its runtime CPU detection and
+    // touches only the first `done ≤ len` elements of both columns.
+    #[cfg(target_arch = "x86_64")]
+    let done = unsafe {
+        if crate::kernel::has_avx512_isa() {
+            rotate_avx512(col_p, col_q, c, s, phase_conj)
+        } else if crate::kernel::has_fma_isa() {
+            rotate_avx2(col_p, col_q, c, s, phase_conj)
+        } else {
+            0
+        }
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for (xp, xq) in col_p[done..].iter_mut().zip(col_q[done..].iter_mut()) {
+        let rotated = *xq * phase_conj;
+        let new_p = xp.scale(c) - rotated.scale(s);
+        let new_q = xp.scale(s) + rotated.scale(c);
+        *xp = new_p;
+        *xq = new_q;
+    }
+}
+
+/// [`rotate_columns`] on whole pairs of elements; returns how many it did.
+/// `x_q·e^{−iφ}` is `addsub(x_q·re φ̄, swap(x_q)·im φ̄)`: its imaginary part
+/// adds the two products in the other order, which IEEE addition does not
+/// see.
+///
+/// # Safety
+/// The CPU must support AVX2 (`has_fma_isa`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn rotate_avx2(
+    col_p: &mut [Complex64],
+    col_q: &mut [Complex64],
+    c: f64,
+    s: f64,
+    phase_conj: Complex64,
+) -> usize {
+    use std::arch::x86_64::*;
+    let full = col_p.len() - col_p.len() % 2;
+    let (vc, vs) = (_mm256_set1_pd(c), _mm256_set1_pd(s));
+    let (pr, pi) = (_mm256_set1_pd(phase_conj.re), _mm256_set1_pd(phase_conj.im));
+    let (p, q) = (
+        col_p.as_mut_ptr().cast::<f64>(),
+        col_q.as_mut_ptr().cast::<f64>(),
+    );
+    for k in (0..2 * full).step_by(4) {
+        // SAFETY: `Complex64` is `#[repr(C)]` (re, im), so elements
+        // k/2..k/2 + 2 < full are the four doubles at k.
+        unsafe {
+            let xp = _mm256_loadu_pd(p.add(k));
+            let xq = _mm256_loadu_pd(q.add(k));
+            let rotated = _mm256_addsub_pd(
+                _mm256_mul_pd(xq, pr),
+                _mm256_mul_pd(_mm256_permute_pd::<0b0101>(xq), pi),
+            );
+            let new_p = _mm256_sub_pd(_mm256_mul_pd(xp, vc), _mm256_mul_pd(rotated, vs));
+            let new_q = _mm256_add_pd(_mm256_mul_pd(xp, vs), _mm256_mul_pd(rotated, vc));
+            _mm256_storeu_pd(p.add(k), new_p);
+            _mm256_storeu_pd(q.add(k), new_q);
+        }
+    }
+    full
+}
+
+/// [`rotate_avx2`] four elements at a time; the add/subtract pair is a
+/// masked subtract over the sum.
+///
+/// # Safety
+/// The CPU must support AVX-512F (`has_avx512_isa`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rotate_avx512(
+    col_p: &mut [Complex64],
+    col_q: &mut [Complex64],
+    c: f64,
+    s: f64,
+    phase_conj: Complex64,
+) -> usize {
+    use std::arch::x86_64::*;
+    let full = col_p.len() - col_p.len() % 4;
+    let (vc, vs) = (_mm512_set1_pd(c), _mm512_set1_pd(s));
+    let (pr, pi) = (_mm512_set1_pd(phase_conj.re), _mm512_set1_pd(phase_conj.im));
+    let (p, q) = (
+        col_p.as_mut_ptr().cast::<f64>(),
+        col_q.as_mut_ptr().cast::<f64>(),
+    );
+    for k in (0..2 * full).step_by(8) {
+        // SAFETY: as in `rotate_avx2`, elements k/2..k/2 + 4 < full.
+        unsafe {
+            let xp = _mm512_loadu_pd(p.add(k));
+            let xq = _mm512_loadu_pd(q.add(k));
+            let a = _mm512_mul_pd(xq, pr);
+            let b = _mm512_mul_pd(_mm512_permute_pd::<0b0101_0101>(xq), pi);
+            // Real lanes (even) take a − b, imaginary lanes a + b.
+            let rotated = _mm512_mask_sub_pd(_mm512_add_pd(a, b), 0b0101_0101, a, b);
+            let new_p = _mm512_sub_pd(_mm512_mul_pd(xp, vc), _mm512_mul_pd(rotated, vs));
+            let new_q = _mm512_add_pd(_mm512_mul_pd(xp, vs), _mm512_mul_pd(rotated, vc));
+            _mm512_storeu_pd(p.add(k), new_p);
+            _mm512_storeu_pd(q.add(k), new_q);
+        }
+    }
+    full
 }
 
 /// Computes the eigendecomposition of a real symmetric matrix using cyclic
@@ -542,6 +707,141 @@ mod tests {
         let forced = e.reconstruct_with(&clipped);
         let e2 = hermitian_eigen(&forced).unwrap();
         assert!(e2.is_positive_semidefinite(1e-10));
+    }
+
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn column_scaling_matches_the_dense_product_bit_for_bit() {
+        // Eigenvector entries and scales with zeros of both signs, negative
+        // values and non-finite scales: the scaling must equal V·diag(d)
+        // through `matmul`, signed zeros included.
+        let parts = [0.0, -0.0, 0.75, -1.25, 3.0e-300, -2.5];
+        let scales = [
+            0.0,
+            -0.0,
+            2.0,
+            -0.5,
+            1.0e-320,
+            -3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let n = scales.len();
+        let mut k = 0;
+        let eigen = HermitianEigen {
+            eigenvalues: vec![0.0; n],
+            eigenvectors: CMatrix::from_fn(n, n, |_, _| {
+                k += 1;
+                c64(
+                    parts[k % parts.len()],
+                    parts[(k / parts.len()) % parts.len()],
+                )
+            }),
+        };
+        for shift in 0..n {
+            let d: Vec<f64> = (0..n).map(|j| scales[(j + shift) % n]).collect();
+            let scaled = eigen.scaled_eigenvectors(&d);
+            let dense = eigen.eigenvectors.matmul(&CMatrix::from_real_diag(&d));
+            for (i, (a, b)) in scaled.as_slice().iter().zip(dense.as_slice()).enumerate() {
+                assert!(
+                    same_bits(a.re, b.re) && same_bits(a.im, b.im),
+                    "entry {i} (shift {shift}): {a:?} vs {b:?}"
+                );
+            }
+            let reconstructed = eigen.reconstruct_with(&d);
+            let dense = dense.matmul(&eigen.eigenvectors.adjoint());
+            for (a, b) in reconstructed.as_slice().iter().zip(dense.as_slice()) {
+                assert!(same_bits(a.re, b.re) && same_bits(a.im, b.im));
+            }
+        }
+    }
+
+    /// Columns `p` and `q`, `c`, `s` and `e^{−iφ}` of one rotation.
+    type RotationCase = (Vec<Complex64>, Vec<Complex64>, f64, f64, Complex64);
+
+    /// Column pairs with signed zeros, tiny and large entries at every length
+    /// up to 70, for checking a rotation body against the scalar one.
+    fn rotation_cases() -> Vec<RotationCase> {
+        let specials = [0.0, -0.0, 1.0e-310, -4.0e300, 0.5];
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            if seed.is_multiple_of(5) {
+                specials[(seed >> 8) as usize % specials.len()]
+            } else {
+                (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            }
+        };
+        (0..=70)
+            .map(|len| {
+                let p: Vec<Complex64> = (0..len).map(|_| c64(draw(), draw())).collect();
+                let q: Vec<Complex64> = (0..len).map(|_| c64(draw(), draw())).collect();
+                let phase = c64(draw(), draw());
+                let t = draw();
+                (p, q, 1.0 / (1.0 + t * t).sqrt(), t, phase)
+            })
+            .collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn assert_rotation_body_matches_scalar(
+        body: unsafe fn(&mut [Complex64], &mut [Complex64], f64, f64, Complex64) -> usize,
+        width: usize,
+    ) {
+        for (p, q, c, s, phase) in rotation_cases() {
+            let (mut want_p, mut want_q) = (p.clone(), q.clone());
+            for (xp, xq) in want_p.iter_mut().zip(want_q.iter_mut()) {
+                let rotated = *xq * phase;
+                (*xp, *xq) = (
+                    xp.scale(c) - rotated.scale(s),
+                    xp.scale(s) + rotated.scale(c),
+                );
+            }
+            let (mut got_p, mut got_q) = (p.clone(), q.clone());
+            // SAFETY: the caller checked the CPU supports the body.
+            let done = unsafe { body(&mut got_p, &mut got_q, c, s, phase) };
+            assert_eq!(done, p.len() - p.len() % width);
+            for k in 0..p.len() {
+                let (want, got) = if k < done {
+                    ((want_p[k], want_q[k]), (got_p[k], got_q[k]))
+                } else {
+                    ((p[k], q[k]), (got_p[k], got_q[k]))
+                };
+                for (a, b) in [(want.0, got.0), (want.1, got.1)] {
+                    assert!(
+                        same_bits(a.re, b.re) && same_bits(a.im, b.im),
+                        "len {} element {k}: {a:?} vs {b:?}",
+                        p.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_rotation_body_matches_the_scalar_rotation_bit_for_bit() {
+        if !crate::kernel::has_fma_isa() {
+            eprintln!("skipped: this CPU lacks AVX2");
+            return;
+        }
+        assert_rotation_body_matches_scalar(rotate_avx2, 2);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_rotation_body_matches_the_scalar_rotation_bit_for_bit() {
+        if !crate::kernel::has_avx512_isa() {
+            eprintln!("skipped: this CPU lacks AVX-512F");
+            return;
+        }
+        assert_rotation_body_matches_scalar(rotate_avx512, 4);
     }
 
     #[test]

@@ -20,7 +20,12 @@
 //! That second property is what makes one-fleet-per-process scale-out
 //! (MPI-style, one [`NetworkSim`] per rank) a pure partitioning exercise.
 
-use corrfade::{cached_eigen_coloring, Coloring, Precision, RealtimeConfig, RealtimeGenerator};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use corrfade::{
+    cached_eigen_coloring, Coloring, CorrfadeError, Precision, RealtimeConfig, RealtimeGenerator,
+};
 use corrfade_models::wsn::{link_field_covariance, LinkCorrelationModel, LogDistancePathLoss};
 use corrfade_parallel::{Runtime, StreamFleet};
 use corrfade_scenarios::DopplerSettings;
@@ -137,11 +142,16 @@ impl NetworkSim {
     /// Group seeds never depend on the shard layout, so the union of all
     /// shards reproduces the monolithic run bit for bit.
     ///
+    /// The groups' decompositions run on [`Runtime::global`], so this must
+    /// not be called from inside a job on that pool.
+    ///
     /// # Errors
     /// [`NetworkError::ShardOutOfRange`] / [`NetworkError::InvalidParameter`]
     /// for inconsistent shard or config values,
     /// [`NetworkError::Covariance`] / [`NetworkError::Core`] when a group
-    /// covariance cannot be assembled or colored.
+    /// covariance cannot be assembled or colored (the first failing group's
+    /// error, in group order), [`NetworkError::Parallel`] when a pool job
+    /// panicked.
     pub fn open_shard(
         topology: Topology,
         config: &NetworkSimConfig,
@@ -187,19 +197,54 @@ impl NetworkSim {
             config.max_group_size,
         );
 
-        let positions = topology.positions().to_vec();
+        // This shard's groups and their covariances, in group order, up to
+        // the first covariance that cannot be assembled.
         let all_pairs = topology.link_pairs();
-        let mut placement: Vec<Option<(usize, usize)>> = vec![None; topology.link_count()];
-        let mut local_links = Vec::new();
-        let mut streams = Vec::new();
+        let mut local = Vec::new();
+        let mut covariance_error = None;
         for (g, group) in groups.groups().iter().enumerate() {
             if (g as u64) % shard_count != shard_id {
                 continue;
             }
             let pairs: Vec<(usize, usize)> = group.iter().map(|&l| all_pairs[l]).collect();
-            let covariance =
-                link_field_covariance(&positions, &pairs, &config.correlation, &config.path_loss)?;
-            let coloring = cached_eigen_coloring(&covariance)?;
+            match link_field_covariance(
+                topology.positions(),
+                &pairs,
+                &config.correlation,
+                &config.path_loss,
+            ) {
+                Ok(covariance) => local.push((g, covariance)),
+                Err(error) => {
+                    covariance_error = Some(error);
+                    break;
+                }
+            }
+        }
+
+        // The decompositions are nearly all of the cost of opening, so they
+        // run on the pool, one atomic cursor handing out groups. Relaxed: the
+        // cursor only hands out indices; the pool's completion handshake
+        // orders the results.
+        let colorings: Vec<OnceLock<Result<Arc<Coloring>, CorrfadeError>>> =
+            local.iter().map(|_| OnceLock::new()).collect();
+        let next = AtomicUsize::new(0);
+        Runtime::global().try_run(&|_id, _scratch| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((_, covariance)) = local.get(i) else {
+                break;
+            };
+            let _ = colorings[i].set(cached_eigen_coloring(covariance));
+        })?;
+
+        // Generators in group order, so an error is the first failing
+        // group's, as if the groups had been opened one after another.
+        let mut placement: Vec<Option<(usize, usize)>> = vec![None; topology.link_count()];
+        let mut local_links = Vec::new();
+        let mut streams = Vec::with_capacity(local.len());
+        for ((g, covariance), coloring) in local.into_iter().zip(colorings) {
+            let coloring = coloring
+                .into_inner()
+                .expect("a pool job that returned Ok visited every group")?;
             let generator = RealtimeGenerator::from_coloring(
                 Coloring::clone(&coloring),
                 RealtimeConfig {
@@ -213,10 +258,13 @@ impl NetworkSim {
             )?;
             let stream_index = streams.len();
             streams.push(generator);
-            for (offset, &link) in group.iter().enumerate() {
+            for (offset, &link) in groups.groups()[g].iter().enumerate() {
                 placement[link] = Some((stream_index, offset));
                 local_links.push(link);
             }
+        }
+        if let Some(error) = covariance_error {
+            return Err(error.into());
         }
         local_links.sort_unstable();
 
@@ -452,6 +500,23 @@ mod tests {
                 name: "correlation_threshold",
                 ..
             })
+        ));
+    }
+
+    #[test]
+    fn open_returns_group_failures_typed() {
+        let topo = Topology::grid(3, 3, 1.0).unwrap();
+        let mut non_finite = small_config();
+        non_finite.path_loss.reference_snr_db = f64::NAN;
+        assert!(matches!(
+            NetworkSim::open(topo.clone(), &non_finite, 1),
+            Err(NetworkError::Covariance(_))
+        ));
+        let mut bad_doppler = small_config();
+        bad_doppler.doppler.normalized_doppler = 2.0;
+        assert!(matches!(
+            NetworkSim::open(topo, &bad_doppler, 1),
+            Err(NetworkError::Core(_))
         ));
     }
 
