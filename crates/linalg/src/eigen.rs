@@ -22,8 +22,8 @@
 //! loop (rotate columns `p` and `q`, mirror them into rows `p` and `q`,
 //! zero the pivot pair, accumulate `V`) and changes only where the numbers
 //! live. The working matrix is **column-major**, so a rotation reads and
-//! writes its two columns contiguously (AVX-512F or AVX2 bodies with
-//! separate multiplies and adds, never FMA); only the mirrored row writes
+//! writes its two columns contiguously (an AVX2 body with separate
+//! multiplies and adds, never FMA); only the mirrored row writes
 //! are strided. `V` is kept transposed for the same reason.
 //!
 //! The matrix cannot instead be stored once and column `p` read as the
@@ -73,10 +73,21 @@ impl HermitianEigen {
             .matmul(&self.eigenvectors.adjoint())
     }
 
-    /// `V·diag(d)` as a column scaling: entry `(i, j)` is
-    /// `c64(v.re·d[j] + 0.0, v.im·d[j] + 0.0)`, or `+0+0i` where `v` is zero.
-    /// Bit for bit the dense product `V·diag(d)`, whose exact-zero terms
-    /// turn a `−0.0` product into `+0.0`, in `O(n²)` instead of `O(n³)`.
+    /// `V·diag(d)` as a column scaling, in `O(n²)` instead of `O(n³)`: for a
+    /// finite `V`, bit for bit the dense product
+    /// `V.matmul(&CMatrix::from_real_diag(d))`, signed zeros included.
+    ///
+    /// The dense product sums entry `(i, j)` from `+0+0i` by complex
+    /// `mul_add` over the row's nonzero entries `x` (zeros are skipped), and
+    /// only `x = v[(i, j)]` meets a nonzero factor. Entry `(i, j)` is
+    /// therefore `+0+0i` where `x` is zero, and otherwise that one fused
+    /// term, `re = fma(x.re, d[j], +0)` and
+    /// `im = fma(x.re, +0, fma(x.im, d[j], +0))`: an exact zero comes out
+    /// `+0`, a negative product that underflows `−0`. Each later nonzero
+    /// entry `y` of the row then adds `y·(+0)`, which keeps a `−0` real part
+    /// only if `y.re` is negative and `y.im` positive, and a `−0` imaginary
+    /// part only if both are negative (by sign bit); otherwise it becomes
+    /// `+0`.
     ///
     /// # Panics
     /// Panics when `d.len()` differs from the number of eigenvectors.
@@ -87,14 +98,32 @@ impl HermitianEigen {
             v.cols(),
             "scaled_eigenvectors: scale count mismatch"
         );
-        CMatrix::from_fn(v.rows(), v.cols(), |i, j| {
-            let x = v[(i, j)];
-            if x == Complex64::ZERO {
-                Complex64::ZERO
-            } else {
-                c64(x.re * d[j] + 0.0, x.im * d[j] + 0.0)
+        let mut out = CMatrix::zeros(v.rows(), v.cols());
+        for i in 0..v.rows() {
+            // Whether the row's entries right of `j` keep a −0 real or
+            // imaginary part of entry `j`.
+            let (mut keep_re, mut keep_im) = (true, true);
+            for j in (0..v.cols()).rev() {
+                let x = v[(i, j)];
+                if x == Complex64::ZERO {
+                    continue;
+                }
+                let mut z = c64(
+                    x.re.mul_add(d[j], 0.0),
+                    x.re.mul_add(0.0, x.im.mul_add(d[j], 0.0)),
+                );
+                if !keep_re && z.re == 0.0 {
+                    z.re = 0.0;
+                }
+                if !keep_im && z.im == 0.0 {
+                    z.im = 0.0;
+                }
+                out[(i, j)] = z;
+                keep_re &= x.re.is_sign_negative() && x.im.is_sign_positive();
+                keep_im &= x.re.is_sign_negative() && x.im.is_sign_negative();
             }
-        })
+        }
+        out
     }
 
     /// Reconstructs the original matrix `V · diag(λ) · Vᴴ`.
@@ -314,9 +343,9 @@ fn two_columns_mut(
 
 /// One complex Jacobi rotation of two columns, element by element:
 /// `x_p ← c·x_p − s·(x_q·e^{−iφ})`, `x_q ← s·x_p + c·(x_q·e^{−iφ})`, each a
-/// separate multiply, add or subtract (no FMA), so every bit is fixed. The
-/// AVX-512F or AVX2 body, picked once per process by CPU detection, runs the
-/// same operations on 4 or 2 elements at a time.
+/// separate multiply, add or subtract (no FMA), so every bit is fixed. On a
+/// CPU with AVX2 (detected once per process) [`rotate_avx2`] runs the same
+/// operations on 2 elements at a time.
 fn rotate_columns(
     col_p: &mut [Complex64],
     col_q: &mut [Complex64],
@@ -325,17 +354,13 @@ fn rotate_columns(
     phase_conj: Complex64,
 ) {
     assert_eq!(col_p.len(), col_q.len(), "rotate_columns: column lengths");
-    // SAFETY: each body is guarded by its runtime CPU detection and
-    // touches only the first `done ≤ len` elements of both columns.
     #[cfg(target_arch = "x86_64")]
-    let done = unsafe {
-        if crate::kernel::has_avx512_isa() {
-            rotate_avx512(col_p, col_q, c, s, phase_conj)
-        } else if crate::kernel::has_fma_isa() {
-            rotate_avx2(col_p, col_q, c, s, phase_conj)
-        } else {
-            0
-        }
+    let done = if crate::kernel::has_fma_isa() {
+        // SAFETY: the CPU has AVX2; the body touches only the first
+        // `done ≤ len` elements of both columns.
+        unsafe { rotate_avx2(col_p, col_q, c, s, phase_conj) }
+    } else {
+        0
     };
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
@@ -386,46 +411,6 @@ unsafe fn rotate_avx2(
             let new_q = _mm256_add_pd(_mm256_mul_pd(xp, vs), _mm256_mul_pd(rotated, vc));
             _mm256_storeu_pd(p.add(k), new_p);
             _mm256_storeu_pd(q.add(k), new_q);
-        }
-    }
-    full
-}
-
-/// [`rotate_avx2`] four elements at a time; the add/subtract pair is a
-/// masked subtract over the sum.
-///
-/// # Safety
-/// The CPU must support AVX-512F (`has_avx512_isa`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn rotate_avx512(
-    col_p: &mut [Complex64],
-    col_q: &mut [Complex64],
-    c: f64,
-    s: f64,
-    phase_conj: Complex64,
-) -> usize {
-    use std::arch::x86_64::*;
-    let full = col_p.len() - col_p.len() % 4;
-    let (vc, vs) = (_mm512_set1_pd(c), _mm512_set1_pd(s));
-    let (pr, pi) = (_mm512_set1_pd(phase_conj.re), _mm512_set1_pd(phase_conj.im));
-    let (p, q) = (
-        col_p.as_mut_ptr().cast::<f64>(),
-        col_q.as_mut_ptr().cast::<f64>(),
-    );
-    for k in (0..2 * full).step_by(8) {
-        // SAFETY: as in `rotate_avx2`, elements k/2..k/2 + 4 < full.
-        unsafe {
-            let xp = _mm512_loadu_pd(p.add(k));
-            let xq = _mm512_loadu_pd(q.add(k));
-            let a = _mm512_mul_pd(xq, pr);
-            let b = _mm512_mul_pd(_mm512_permute_pd::<0b0101_0101>(xq), pi);
-            // Real lanes (even) take a − b, imaginary lanes a + b.
-            let rotated = _mm512_mask_sub_pd(_mm512_add_pd(a, b), 0b0101_0101, a, b);
-            let new_p = _mm512_sub_pd(_mm512_mul_pd(xp, vc), _mm512_mul_pd(rotated, vs));
-            let new_q = _mm512_add_pd(_mm512_mul_pd(xp, vs), _mm512_mul_pd(rotated, vc));
-            _mm512_storeu_pd(p.add(k), new_p);
-            _mm512_storeu_pd(q.add(k), new_q);
         }
     }
     full
@@ -713,12 +698,34 @@ mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
+    /// `scaled_eigenvectors(d)` and `reconstruct_with(d)` against their dense
+    /// forms through `matmul`, by `to_bits`.
+    fn assert_scaling_matches_dense(v: &CMatrix, d: &[f64], label: &str) {
+        let eigen = HermitianEigen {
+            eigenvalues: vec![0.0; d.len()],
+            eigenvectors: v.clone(),
+        };
+        let dense = v.matmul(&CMatrix::from_real_diag(d));
+        let scaled = eigen.scaled_eigenvectors(d);
+        for (i, (a, b)) in scaled.as_slice().iter().zip(dense.as_slice()).enumerate() {
+            assert!(
+                same_bits(a.re, b.re) && same_bits(a.im, b.im),
+                "{label}, entry {i}: {a:?} vs {b:?}"
+            );
+        }
+        let reconstructed = eigen.reconstruct_with(d);
+        let dense = dense.matmul(&v.adjoint());
+        for (a, b) in reconstructed.as_slice().iter().zip(dense.as_slice()) {
+            assert!(same_bits(a.re, b.re) && same_bits(a.im, b.im), "{label}");
+        }
+    }
+
     #[test]
     fn column_scaling_matches_the_dense_product_bit_for_bit() {
         // Eigenvector entries and scales with zeros of both signs, negative
-        // values and non-finite scales: the scaling must equal V·diag(d)
-        // through `matmul`, signed zeros included.
-        let parts = [0.0, -0.0, 0.75, -1.25, 3.0e-300, -2.5];
+        // values, products that underflow to either sign of zero (one of
+        // them, −3e-300·1e-320, in the last column) and non-finite scales.
+        let parts = [0.0, -0.0, 0.75, -1.25, 3.0e-300, -2.5, -3.0e-300];
         let scales = [
             0.0,
             -0.0,
@@ -732,39 +739,46 @@ mod tests {
         ];
         let n = scales.len();
         let mut k = 0;
-        let eigen = HermitianEigen {
-            eigenvalues: vec![0.0; n],
-            eigenvectors: CMatrix::from_fn(n, n, |_, _| {
-                k += 1;
-                c64(
-                    parts[k % parts.len()],
-                    parts[(k / parts.len()) % parts.len()],
-                )
-            }),
-        };
+        let v = CMatrix::from_fn(n, n, |_, _| {
+            k += 1;
+            c64(
+                parts[k % parts.len()],
+                parts[(k / parts.len()) % parts.len()],
+            )
+        });
         for shift in 0..n {
             let d: Vec<f64> = (0..n).map(|j| scales[(j + shift) % n]).collect();
-            let scaled = eigen.scaled_eigenvectors(&d);
-            let dense = eigen.eigenvectors.matmul(&CMatrix::from_real_diag(&d));
-            for (i, (a, b)) in scaled.as_slice().iter().zip(dense.as_slice()).enumerate() {
-                assert!(
-                    same_bits(a.re, b.re) && same_bits(a.im, b.im),
-                    "entry {i} (shift {shift}): {a:?} vs {b:?}"
-                );
-            }
-            let reconstructed = eigen.reconstruct_with(&d);
-            let dense = dense.matmul(&eigen.eigenvectors.adjoint());
-            for (a, b) in reconstructed.as_slice().iter().zip(dense.as_slice()) {
-                assert!(same_bits(a.re, b.re) && same_bits(a.im, b.im));
+            assert_scaling_matches_dense(&v, &d, &format!("shift {shift}"));
+        }
+
+        // Random rows of signed zeros, tiny and normal parts under tiny
+        // scales: every order of an underflowed product and the signs of
+        // the entries after it.
+        let tiny = [0.0, -0.0, 3.0e-300, -3.0e-300, 0.75, -1.25];
+        let tiny_scales = [1.0e-320, -1.0e-320, 0.5, -0.0];
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut pick = move |len: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 33) as usize % len
+        };
+        for n in 1..=6 {
+            for trial in 0..200 {
+                let v = CMatrix::from_fn(n, n, |_, _| c64(tiny[pick(6)], tiny[pick(6)]));
+                let d: Vec<f64> = (0..n).map(|_| tiny_scales[pick(4)]).collect();
+                assert_scaling_matches_dense(&v, &d, &format!("n {n}, trial {trial}"));
             }
         }
     }
 
     /// Columns `p` and `q`, `c`, `s` and `e^{−iφ}` of one rotation.
+    #[cfg(target_arch = "x86_64")]
     type RotationCase = (Vec<Complex64>, Vec<Complex64>, f64, f64, Complex64);
 
     /// Column pairs with signed zeros, tiny and large entries at every length
     /// up to 70, for checking a rotation body against the scalar one.
+    #[cfg(target_arch = "x86_64")]
     fn rotation_cases() -> Vec<RotationCase> {
         let specials = [0.0, -0.0, 1.0e-310, -4.0e300, 0.5];
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
@@ -790,10 +804,12 @@ mod tests {
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn assert_rotation_body_matches_scalar(
-        body: unsafe fn(&mut [Complex64], &mut [Complex64], f64, f64, Complex64) -> usize,
-        width: usize,
-    ) {
+    #[test]
+    fn avx2_rotation_body_matches_the_scalar_rotation_bit_for_bit() {
+        if !crate::kernel::has_fma_isa() {
+            eprintln!("skipped: this CPU lacks AVX2");
+            return;
+        }
         for (p, q, c, s, phase) in rotation_cases() {
             let (mut want_p, mut want_q) = (p.clone(), q.clone());
             for (xp, xq) in want_p.iter_mut().zip(want_q.iter_mut()) {
@@ -804,16 +820,16 @@ mod tests {
                 );
             }
             let (mut got_p, mut got_q) = (p.clone(), q.clone());
-            // SAFETY: the caller checked the CPU supports the body.
-            let done = unsafe { body(&mut got_p, &mut got_q, c, s, phase) };
-            assert_eq!(done, p.len() - p.len() % width);
+            // SAFETY: the CPU has AVX2, checked above.
+            let done = unsafe { rotate_avx2(&mut got_p, &mut got_q, c, s, phase) };
+            assert_eq!(done, p.len() - p.len() % 2);
             for k in 0..p.len() {
-                let (want, got) = if k < done {
-                    ((want_p[k], want_q[k]), (got_p[k], got_q[k]))
+                let want = if k < done {
+                    (want_p[k], want_q[k])
                 } else {
-                    ((p[k], q[k]), (got_p[k], got_q[k]))
+                    (p[k], q[k])
                 };
-                for (a, b) in [(want.0, got.0), (want.1, got.1)] {
+                for (a, b) in [(want.0, got_p[k]), (want.1, got_q[k])] {
                     assert!(
                         same_bits(a.re, b.re) && same_bits(a.im, b.im),
                         "len {} element {k}: {a:?} vs {b:?}",
@@ -822,26 +838,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_rotation_body_matches_the_scalar_rotation_bit_for_bit() {
-        if !crate::kernel::has_fma_isa() {
-            eprintln!("skipped: this CPU lacks AVX2");
-            return;
-        }
-        assert_rotation_body_matches_scalar(rotate_avx2, 2);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx512_rotation_body_matches_the_scalar_rotation_bit_for_bit() {
-        if !crate::kernel::has_avx512_isa() {
-            eprintln!("skipped: this CPU lacks AVX-512F");
-            return;
-        }
-        assert_rotation_body_matches_scalar(rotate_avx512, 4);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crate::complex::Complex64;
 mod scalar;
 mod vector;
 
-pub(crate) use vector::{has_avx512_isa, has_fma_isa};
+pub(crate) use vector::has_fma_isa;
 
 /// The two kernel implementations. See the [module docs](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -57,7 +57,7 @@ pub(crate) fn has_fma_isa() -> bool {
 
 /// `true` when the coloring micro-kernel runs its AVX-512F body: the CPU
 /// has AVX-512F on top of the AVX2+FMA the other multiversions need.
-pub(crate) fn has_avx512_isa() -> bool {
+pub(super) fn has_avx512_isa() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         static CAPS: OnceLock<bool> = OnceLock::new();

@@ -26,6 +26,7 @@ use std::sync::{Arc, OnceLock};
 use corrfade::{
     cached_eigen_coloring, Coloring, CorrfadeError, Precision, RealtimeConfig, RealtimeGenerator,
 };
+use corrfade_linalg::CMatrix;
 use corrfade_models::wsn::{link_field_covariance, LinkCorrelationModel, LogDistancePathLoss};
 use corrfade_parallel::{Runtime, StreamFleet};
 use corrfade_scenarios::DopplerSettings;
@@ -88,6 +89,47 @@ impl Default for NetworkSimConfig {
             doppler: DopplerSettings::PAPER,
             outage_snr_db: 5.0,
         }
+    }
+}
+
+impl NetworkSimConfig {
+    /// The correlation groups of `topology`'s links under this config: one
+    /// generator per group in [`NetworkSim::open_shard`].
+    #[must_use]
+    pub fn link_groups(&self, topology: &Topology) -> CorrelationGroups {
+        partition_links(
+            topology,
+            &self.correlation,
+            self.correlation_threshold,
+            self.max_group_size,
+        )
+    }
+
+    /// The link-field covariance of one group of `topology`'s links (global
+    /// link indices, as in [`CorrelationGroups::groups`]): the matrix whose
+    /// decomposition colors the group's generator in
+    /// [`NetworkSim::open_shard`].
+    ///
+    /// # Errors
+    /// [`NetworkError::Covariance`] when the matrix cannot be assembled.
+    pub fn group_covariance(
+        &self,
+        topology: &Topology,
+        links: &[usize],
+    ) -> Result<CMatrix, NetworkError> {
+        let pairs: Vec<(usize, usize)> = links
+            .iter()
+            .map(|&l| {
+                let link = topology.links()[l];
+                (link.a, link.b)
+            })
+            .collect();
+        Ok(link_field_covariance(
+            topology.positions(),
+            &pairs,
+            &self.correlation,
+            &self.path_loss,
+        )?)
     }
 }
 
@@ -190,29 +232,17 @@ impl NetworkSim {
             });
         }
 
-        let groups = partition_links(
-            &topology,
-            &config.correlation,
-            config.correlation_threshold,
-            config.max_group_size,
-        );
+        let groups = config.link_groups(&topology);
 
         // This shard's groups and their covariances, in group order, up to
         // the first covariance that cannot be assembled.
-        let all_pairs = topology.link_pairs();
         let mut local = Vec::new();
         let mut covariance_error = None;
         for (g, group) in groups.groups().iter().enumerate() {
             if (g as u64) % shard_count != shard_id {
                 continue;
             }
-            let pairs: Vec<(usize, usize)> = group.iter().map(|&l| all_pairs[l]).collect();
-            match link_field_covariance(
-                topology.positions(),
-                &pairs,
-                &config.correlation,
-                &config.path_loss,
-            ) {
+            match config.group_covariance(&topology, group) {
                 Ok(covariance) => local.push((g, covariance)),
                 Err(error) => {
                     covariance_error = Some(error);
@@ -264,7 +294,7 @@ impl NetworkSim {
             }
         }
         if let Some(error) = covariance_error {
-            return Err(error.into());
+            return Err(error);
         }
         local_links.sort_unstable();
 

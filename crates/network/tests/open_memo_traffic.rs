@@ -5,29 +5,14 @@
 //!
 //! The memo's counters are process-wide, so this file holds one test.
 
+#[path = "support/wsn_epoch.rs"]
+mod wsn_epoch;
+
 use std::collections::BTreeSet;
 
 use corrfade::{cached_eigen_coloring, clear_coloring_caches, coloring_cache_stats};
-use corrfade_linalg::{CMatrix, CacheStats, MatrixKey};
-use corrfade_models::wsn::{link_field_covariance, LinkCorrelationModel};
-use corrfade_network::{partition_links, NetworkSim, NetworkSimConfig, Topology};
-use corrfade_scenarios::DopplerSettings;
-
-/// The `wsn-epoch` network: a 23×23 grid, groups of at most 64 links.
-fn wsn_epoch() -> (Topology, NetworkSimConfig) {
-    let config = NetworkSimConfig {
-        correlation: LinkCorrelationModel::distance_only(0.4),
-        correlation_threshold: 0.1,
-        max_group_size: 64,
-        doppler: DopplerSettings {
-            idft_size: 256,
-            normalized_doppler: 0.05,
-            sigma_orig_sq: 0.5,
-        },
-        ..NetworkSimConfig::default()
-    };
-    (Topology::grid(23, 23, 1.0).unwrap(), config)
-}
+use corrfade_linalg::{CacheStats, MatrixKey};
+use corrfade_network::NetworkSim;
 
 /// `(misses, hits)` counted while `f` runs on a cleared memo.
 fn traffic(f: impl FnOnce()) -> (u64, u64) {
@@ -40,28 +25,8 @@ fn traffic(f: impl FnOnce()) -> (u64, u64) {
 
 #[test]
 fn pooled_open_counts_one_miss_per_distinct_covariance() {
-    let (topology, config) = wsn_epoch();
-    let groups = partition_links(
-        &topology,
-        &config.correlation,
-        config.correlation_threshold,
-        config.max_group_size,
-    );
-    let pairs = topology.link_pairs();
-    let covariances: Vec<CMatrix> = groups
-        .groups()
-        .iter()
-        .map(|links| {
-            let group_pairs: Vec<(usize, usize)> = links.iter().map(|&l| pairs[l]).collect();
-            link_field_covariance(
-                topology.positions(),
-                &group_pairs,
-                &config.correlation,
-                &config.path_loss,
-            )
-            .unwrap()
-        })
-        .collect();
+    let (topology, config) = wsn_epoch::network();
+    let covariances = wsn_epoch::group_covariances();
     let distinct: BTreeSet<MatrixKey> = covariances.iter().map(MatrixKey::of).collect();
 
     let sequential = traffic(|| {

@@ -13,9 +13,10 @@
 //! repeated blocks), rank-1, indefinite matrices, and the 16 group
 //! covariances of the 1012-link `wsn-epoch` network.
 
+#[path = "../crates/network/tests/support/wsn_epoch.rs"]
+mod wsn_epoch;
+
 use corrfade_linalg::{c64, hermitian_eigen, CMatrix, Complex64, HermitianEigen};
-use corrfade_models::wsn::{link_field_covariance, LinkCorrelationModel};
-use corrfade_network::{partition_links, NetworkSimConfig, Topology};
 
 /// The row-major cyclic complex Jacobi loop, rotation for rotation: the
 /// mirrored writes keep the working matrix Hermitian, `V` accumulates the
@@ -221,20 +222,12 @@ fn degenerate_and_singular_spectra() {
     }
 }
 
-/// The 16 group covariances of `wsn-epoch`: a 23×23 grid, distance-only
-/// correlation 0.4, threshold 0.1, groups of at most 64 links.
+/// The 16 group covariances of `wsn-epoch`.
 #[test]
 fn wsn_epoch_group_covariances() {
-    let topology = Topology::grid(23, 23, 1.0).unwrap();
-    let correlation = LinkCorrelationModel::distance_only(0.4);
-    let path_loss = NetworkSimConfig::default().path_loss;
-    let groups = partition_links(&topology, &correlation, 0.1, 64);
-    assert_eq!(groups.len(), 16);
-    let pairs = topology.link_pairs();
-    for (g, links) in groups.groups().iter().enumerate() {
-        let group_pairs: Vec<(usize, usize)> = links.iter().map(|&l| pairs[l]).collect();
-        let k = link_field_covariance(topology.positions(), &group_pairs, &correlation, &path_loss)
-            .unwrap();
-        assert_same_bits(&k, &format!("wsn-epoch group {g} (n={})", links.len()));
+    let covariances = wsn_epoch::group_covariances();
+    assert_eq!(covariances.len(), 16);
+    for (g, k) in covariances.iter().enumerate() {
+        assert_same_bits(k, &format!("wsn-epoch group {g} (n={})", k.rows()));
     }
 }
