@@ -159,7 +159,15 @@ pub fn two_envelope_covariance(sigma_sq: f64, rho: Complex64) -> CMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corrfade_stats::{relative_frobenius_error, sample_covariance};
+    use corrfade_stats::{relative_frobenius_error, sample_covariance_from_paths};
+
+    /// Sample covariance of a run of length-2 snapshots.
+    fn sample_covariance(snaps: &[Vec<Complex64>]) -> CMatrix {
+        let paths: Vec<Vec<Complex64>> = (0..2)
+            .map(|j| snaps.iter().map(|s| s[j]).collect())
+            .collect();
+        sample_covariance_from_paths(&paths)
+    }
 
     #[test]
     fn ertel_reed_achieves_the_desired_complex_correlation() {

@@ -1,10 +1,10 @@
 //! Bench: the Young–Beaulieu Doppler substrate of experiment E6 — filter
-//! design (Eq. 21), the M-point IDFT, the real-signal `rfft`/`irfft` pair
-//! and one full single-envelope generation, for the paper's M = 4096 and
+//! design (Eq. 21), the M-point IDFT and one full single-envelope
+//! generation, for the paper's M = 4096 and
 //! neighbouring sizes. The normalized Doppler frequency and `σ²_orig` come
 //! from the registered `fig4a-spectral` scenario's Doppler settings.
 
-use corrfade_dsp::{fft, ifft, irfft, rfft, rfft_len, DopplerFilter, IdftRayleighGenerator};
+use corrfade_dsp::{fft, ifft, DopplerFilter, IdftRayleighGenerator};
 use corrfade_linalg::c64;
 use corrfade_randn::RandomStream;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -52,28 +52,6 @@ fn bench_ifft(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rfft(c: &mut Criterion) {
-    // The real-signal pair vs. the generic complex transform of the same
-    // (conjugate-symmetric) data — the halved-work specialization used by
-    // the autocorrelation kernel.
-    let mut group = c.benchmark_group("doppler/rfft");
-    for &m in &[1024usize, 4096] {
-        group.throughput(Throughput::Elements(m as u64));
-        let x: Vec<f64> = (0..m).map(|i| (i as f64 * 0.1).sin()).collect();
-        group.bench_with_input(BenchmarkId::new("rfft", m), &m, |b, _| b.iter(|| rfft(&x)));
-        let complexified: Vec<_> = x.iter().map(|&v| c64(v, 0.0)).collect();
-        group.bench_with_input(BenchmarkId::new("full_fft", m), &m, |b, _| {
-            b.iter(|| fft(&complexified))
-        });
-        let half = rfft(&x);
-        assert_eq!(half.len(), rfft_len(m));
-        group.bench_with_input(BenchmarkId::new("irfft", m), &m, |b, _| {
-            b.iter(|| irfft(&half, m))
-        });
-    }
-    group.finish();
-}
-
 fn bench_single_envelope_generation(c: &mut Criterion) {
     let doppler = paper_doppler();
     let mut group = c.benchmark_group("doppler/young_beaulieu_generate");
@@ -97,7 +75,6 @@ criterion_group!(
     benches,
     bench_filter_design,
     bench_ifft,
-    bench_rfft,
     bench_single_envelope_generation
 );
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 //! `N = 3` envelopes × `M = 4096` samples, plus a larger `N` to show the
 //! cache-blocked scaling.
 
-use corrfade_dsp::{color_idft_block_with, ifft_in_place_with};
+use corrfade_dsp::ifft_in_place_with;
 use corrfade_linalg::kernel::{
     accumulate_covariance_with, color_block_with, envelope_into_with, matvec_into_with,
 };
@@ -44,39 +44,16 @@ fn bench_color_block(c: &mut Criterion) {
     }
 }
 
-/// The fused coloring+IDFT kernel against the two-pass composition it
-/// replaces, on the paper's block shape, and the fused kernel alone on the
-/// `wsn-epoch` group shape (N = 64, M = 256), where the coloring dominates.
-/// Every variant pays the identical `copy_from_slice` refill per iteration
-/// (the transforms destroy their input), so the medians compare like for
-/// like.
+/// The realtime IDFT + coloring (`ifft` per row, then `color_block`) on
+/// the paper's block shape and on the `wsn-epoch` group shape (N = 64,
+/// M = 256), where the coloring dominates. Every iteration pays the same
+/// `copy_from_slice` refill (the transform destroys its input).
 fn bench_color_idft(c: &mut Criterion) {
-    let (n, m) = (3usize, 4096usize);
-    let a = signal(n * n);
-    let raw = signal(n * m);
-
-    let mut group = c.benchmark_group(format!("kernel/color_idft_two_pass_n{n}_m{m}"));
-    group.throughput(Throughput::Elements((n * m) as u64));
-    for (name, backend) in BACKENDS {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
-            let mut work = raw.clone();
-            let mut out = vec![Complex64::ZERO; n * m];
-            let (mut w, mut planes) = (Vec::new(), Vec::new());
-            b.iter(|| {
-                work.copy_from_slice(&raw);
-                for j in 0..n {
-                    ifft_in_place_with(bk, &mut work[j * m..(j + 1) * m]);
-                }
-                color_block_with(bk, n, m, &a, 0.5, &work, &mut out, &mut w, &mut planes)
-            })
-        });
-    }
-    group.finish();
-
-    for (n, m) in [(n, m), (64, 256)] {
+    for (n, m) in [(3usize, 4096usize), (64, 256)] {
         let a = signal(n * n);
         let raw = signal(n * m);
-        let mut group = c.benchmark_group(format!("kernel/color_idft_fused_n{n}_m{m}"));
+
+        let mut group = c.benchmark_group(format!("kernel/color_idft_two_pass_n{n}_m{m}"));
         group.throughput(Throughput::Elements((n * m) as u64));
         for (name, backend) in BACKENDS {
             group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
@@ -85,17 +62,10 @@ fn bench_color_idft(c: &mut Criterion) {
                 let (mut w, mut planes) = (Vec::new(), Vec::new());
                 b.iter(|| {
                     work.copy_from_slice(&raw);
-                    color_idft_block_with(
-                        bk,
-                        n,
-                        m,
-                        &a,
-                        0.5,
-                        &mut work,
-                        &mut out,
-                        &mut w,
-                        &mut planes,
-                    )
+                    for j in 0..n {
+                        ifft_in_place_with(bk, &mut work[j * m..(j + 1) * m]);
+                    }
+                    color_block_with(bk, n, m, &a, 0.5, &work, &mut out, &mut w, &mut planes)
                 })
             });
         }

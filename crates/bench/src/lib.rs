@@ -72,16 +72,6 @@ pub fn fig4_envelope_traces(covariance: CMatrix, samples: usize, seed: u64) -> V
         .collect()
 }
 
-/// Concatenates several real-time blocks into per-envelope complex paths —
-/// the raw material for the covariance / autocorrelation measurements of
-/// experiments E3, E4 and E6. One planar block is streamed into repeatedly;
-/// only the concatenated output paths are materialized.
-pub fn realtime_paths(covariance: CMatrix, blocks: usize, seed: u64) -> Vec<Vec<Complex64>> {
-    let mut gen = RealtimeGenerator::new(paper_realtime_config(covariance, seed))
-        .expect("paper configuration is valid");
-    collect_stream_paths(&mut gen, blocks)
-}
-
 /// Drives any [`ChannelStream`] for `blocks` blocks through one pooled
 /// planar buffer and concatenates the per-envelope complex paths.
 pub fn collect_stream_paths<S: ChannelStream + ?Sized>(
@@ -124,7 +114,6 @@ pub fn stream_covariance<S: ChannelStream + ?Sized>(stream: &mut S, blocks: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use corrfade_stats::relative_frobenius_error;
 
     #[test]
     fn computed_matrices_match_reported_matrices() {
@@ -145,14 +134,6 @@ mod tests {
             let max = t.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             assert!(max < 15.0 && max > 0.0);
         }
-    }
-
-    #[test]
-    fn realtime_paths_realize_the_covariance() {
-        let k = reported_spectral_covariance();
-        let paths = realtime_paths(k.clone(), 6, 3);
-        let khat = corrfade_stats::sample_covariance_from_paths(&paths);
-        assert!(relative_frobenius_error(&khat, &k) < 0.15);
     }
 
     #[test]

@@ -26,16 +26,6 @@ pub enum PowerSpec {
 }
 
 impl PowerSpec {
-    /// Equal Gaussian power `σ_g²` for `n` envelopes.
-    pub fn equal_gaussian(n: usize, sigma_g_sq: f64) -> Self {
-        PowerSpec::Gaussian(vec![sigma_g_sq; n])
-    }
-
-    /// Equal envelope power `σ_r²` for `n` envelopes.
-    pub fn equal_envelope(n: usize, sigma_r_sq: f64) -> Self {
-        PowerSpec::Envelope(vec![sigma_r_sq; n])
-    }
-
     /// Number of envelopes described.
     pub fn len(&self) -> usize {
         match self {
@@ -94,19 +84,6 @@ mod tests {
         let p = PowerSpec::Envelope(vec![1.0]);
         let g = p.gaussian_powers().unwrap();
         assert!((g[0] - 1.0 / (1.0 - core::f64::consts::PI / 4.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn equal_constructors() {
-        assert_eq!(
-            PowerSpec::equal_gaussian(3, 2.0).gaussian_powers().unwrap(),
-            vec![2.0; 3]
-        );
-        let e = PowerSpec::equal_envelope(2, 0.2146);
-        let g = e.gaussian_powers().unwrap();
-        // σr² = 0.2146 corresponds (to 4 digits) to σg² = 1 (Eq. 15 inverted).
-        assert!((g[0] - 1.0).abs() < 1e-3);
-        assert!((g[1] - g[0]).abs() < 1e-15);
     }
 
     #[test]

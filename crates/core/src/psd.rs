@@ -44,13 +44,6 @@ pub struct PsdForcing {
     pub frobenius_gap: f64,
 }
 
-impl PsdForcing {
-    /// Relative Frobenius gap `‖K − K̄‖_F / ‖K‖_F`.
-    pub fn relative_frobenius_gap(&self, original: &CMatrix) -> f64 {
-        self.frobenius_gap / original.frobenius_norm().max(f64::MIN_POSITIVE)
-    }
-}
-
 /// Validates that `k` is a usable covariance matrix: square, Hermitian,
 /// non-empty, with non-negative real diagonal.
 pub fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
@@ -142,7 +135,6 @@ mod tests {
         assert_eq!(f.clipped_count, 0);
         assert!(f.frobenius_gap < 1e-12);
         assert!(f.forced.approx_eq(&k, 1e-12));
-        assert!(f.relative_frobenius_gap(&k) < 1e-12);
     }
 
     #[test]

@@ -135,18 +135,6 @@ impl RealtimeGenerator {
         })
     }
 
-    /// A copy of this generator whose RNG is rewound to a fresh stream for
-    /// `seed` — behaviourally identical to rebuilding with the same
-    /// configuration and the new seed, but without repeating the
-    /// eigendecomposition and filter design.
-    #[must_use]
-    pub fn reseeded(&self, seed: u64) -> Self {
-        Self {
-            rng: RandomStream::new(seed),
-            ..self.clone()
-        }
-    }
-
     /// Number of envelopes `N`.
     pub fn dimension(&self) -> usize {
         self.coloring.dimension()
@@ -185,14 +173,11 @@ impl RealtimeGenerator {
 
     /// The streaming hot path behind [`ChannelStream::next_block_into`]:
     /// draws the `N` Doppler-weighted spectra into the planar scratch, then
-    /// runs the **fused coloring+IDFT kernel**
-    /// ([`corrfade_dsp::color_idft_block`]) — the final butterfly stage and
-    /// the coloring `Z[l] = L·W[l]/σ_g` execute in one output pass, so each
-    /// block sample is written exactly once. The fused kernel is
-    /// bit-identical per backend to the historical two-pass path (IDFT per
-    /// row, then `color_block`), so the scalar backend still reproduces the
-    /// pre-kernel outputs bit for bit. No heap allocation once the scratch
-    /// and the destination block are warm.
+    /// inverts and colors them through [`corrfade_dsp::color_idft_block`]
+    /// (an IDFT per row, then the coloring `Z[l] = L·W[l]/σ_g`); on the
+    /// scalar backend that reproduces the pre-kernel outputs bit for bit.
+    /// No heap allocation once the scratch and the destination block are
+    /// warm.
     fn fill_block(&mut self, block: &mut SampleBlock) {
         let n = self.coloring.dimension();
         let m = self.idft.filter().len();
@@ -201,18 +186,19 @@ impl RealtimeGenerator {
 
         // Steps 2–5 of the Sec. 5 algorithm: N independent Doppler-weighted
         // spectra, one per envelope, planar in the scratch buffer. (The
-        // IDFTs run inside the fused kernel below; the RNG draw order is
+        // IDFTs run in `color_idft_block` below; the RNG draw order is
         // identical to transforming each row eagerly.)
         for j in 0..n {
             self.idft
                 .fill_spectrum_into(&mut self.rng, &mut self.raw[j * m..(j + 1) * m]);
         }
 
-        // Steps 6–8, fused: invert each spectrum and color every time
-        // instant with the Eq.-19 variance in one pass over the output.
+        // Steps 6–8: invert each spectrum and color every time instant
+        // with the Eq.-19 variance.
         let scale = 1.0 / self.sigma_g_sq.sqrt();
-        self.idft.color_idft_block(
+        corrfade_dsp::color_idft_block(
             n,
+            m,
             self.coloring.matrix.as_slice(),
             scale,
             &mut self.raw,
@@ -441,16 +427,6 @@ mod tests {
         let mut noop = RealtimeGenerator::new(small_config(k, 9)).unwrap();
         noop.skip_blocks(0);
         assert_eq!(untouched.next_block().unwrap(), noop.next_block().unwrap());
-    }
-
-    #[test]
-    fn reseeded_matches_fresh_generator() {
-        let k = paper_covariance_matrix_23();
-        let mut used = RealtimeGenerator::new(small_config(k.clone(), 5)).unwrap();
-        let _ = used.next_block().unwrap(); // advance the RNG
-        let mut reseeded = used.reseeded(9);
-        let mut fresh = RealtimeGenerator::new(small_config(k, 9)).unwrap();
-        assert_eq!(reseeded.next_block().unwrap(), fresh.next_block().unwrap());
     }
 
     #[test]

@@ -18,17 +18,13 @@
 //! algorithm feeds this value into its coloring step; the Sorooshyari–Daut
 //! baseline ignores it, which is exactly the flaw experiment E8 demonstrates.
 
-use std::sync::Arc;
-
-use corrfade_linalg::kernel::{backend, Backend};
-use corrfade_linalg::{c64, Complex64};
+use corrfade_linalg::{c64, kernel, Complex64};
 use corrfade_randn::normal::{polar_normals, polar_points_into};
 use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
 use crate::error::DspError;
-use crate::fft::{ifft_in_place, irfft, is_power_of_two, rfft_len, tables_for, FftTables};
-use crate::fused::color_idft_block_planned;
+use crate::fft::{ifft, ifft_in_place};
 
 /// Young's Doppler filter (paper Eq. 21): the square root of a discretized
 /// Jakes power spectral density, with the band-edge bins adjusted so that the
@@ -140,22 +136,17 @@ impl DopplerFilter {
     /// is `σ²_orig/M · Re{g[d]}` (Eq. 16).
     ///
     /// The spectrum `F[k]²` is real and even (`F[k] = F[M−k]`), so `g` is a
-    /// real sequence and the inverse transform runs through [`irfft`] — one
-    /// half-size complex FFT instead of a full `M`-point one — on **every**
-    /// kernel backend. Unlike the generation paths, this analysis helper is
-    /// therefore not covered by the `CORRFADE_KERNEL=scalar` bit-exactness
-    /// pin: values agree with pre-kernel releases to ≤ 1e-12, and the
-    /// imaginary parts (previously round-off noise) are now exactly zero.
+    /// real sequence: this takes the real part of one complex [`ifft`] of
+    /// `F[k]²` and sets every imaginary part (round-off noise) to exactly
+    /// zero. Unlike the generation paths, this analysis helper is not
+    /// covered by the `CORRFADE_KERNEL=scalar` bit-exactness pin: values
+    /// agree across backends and releases to ≤ 1e-12.
     pub fn autocorrelation_kernel(&self) -> Vec<Complex64> {
-        // The non-redundant half of the conjugate-symmetric spectrum
-        // (irfft applies the 1/M factor of Eq. 17).
-        let half: Vec<Complex64> = self.coeffs[..rfft_len(self.m)]
-            .iter()
-            .map(|&f| c64(f * f, 0.0))
-            .collect();
-        irfft(&half, self.m)
+        // ifft applies the 1/M factor of Eq. 17.
+        let spectrum: Vec<Complex64> = self.coeffs.iter().map(|&f| c64(f * f, 0.0)).collect();
+        ifft(&spectrum)
             .into_iter()
-            .map(|g| c64(g, 0.0))
+            .map(|g| c64(g.re, 0.0))
             .collect()
     }
 
@@ -186,10 +177,6 @@ impl DopplerFilter {
 pub struct IdftRayleighGenerator {
     filter: DopplerFilter,
     sigma_orig_sq: f64,
-    /// The vector kernel's transform tables for `M`, taken from the
-    /// process-wide plan cache once here rather than once per block
-    /// (`None` on the scalar backend, or when `M` has no planned transform).
-    tables: Option<Arc<FftTables>>,
 }
 
 impl IdftRayleighGenerator {
@@ -201,12 +188,9 @@ impl IdftRayleighGenerator {
                 value: sigma_orig_sq,
             });
         }
-        let m = filter.len();
-        let planned = backend() == Backend::Vector && m > 1 && is_power_of_two(m);
         Ok(Self {
             filter,
             sigma_orig_sq,
-            tables: planned.then(|| tables_for(m)),
         })
     }
 
@@ -254,33 +238,11 @@ impl IdftRayleighGenerator {
         ifft_in_place(out);
     }
 
-    /// [`crate::color_idft_block`] over `n` rows of this generator's length
-    /// `M`: inverts each spectrum of `raw` and colors the block into `out`,
-    /// bit-identical to the free function, but with the transform tables
-    /// resolved at construction instead of looked up per block.
-    ///
-    /// # Panics
-    /// Panics on any dimension mismatch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn color_idft_block(
-        &self,
-        n: usize,
-        a: &[Complex64],
-        scale: f64,
-        raw: &mut [Complex64],
-        out: &mut [Complex64],
-        w_scratch: &mut Vec<Complex64>,
-        scratch: &mut Vec<f64>,
-    ) {
-        let (b, m) = (backend(), self.filter.len());
-        let tables = self.tables.as_deref();
-        color_idft_block_planned(b, tables, n, m, a, scale, raw, out, w_scratch, scratch);
-    }
-
     /// Writes the Doppler-weighted spectrum `F[k]·(A[k] − i·B[k])` into
     /// `out` **without** transforming it — the first half of
-    /// [`IdftRayleighGenerator::generate_into`], split out so the fused
-    /// coloring+IDFT kernel ([`crate::fused`]) can own the transform.
+    /// [`IdftRayleighGenerator::generate_into`], split out so the realtime
+    /// path can transform and color `N` stacked spectra in one call
+    /// ([`color_idft_block`]).
     /// Consumes exactly the same RNG draws in the same order as
     /// `generate_into`.
     ///
@@ -343,6 +305,40 @@ impl IdftRayleighGenerator {
             left -= n;
         }
     }
+}
+
+/// Inverse-transforms each of the `n` length-`m` rows of `raw` (including
+/// the `1/m` factor) and colors the block into `out`, on the process-wide
+/// kernel backend: `out[i·m + l] = scale · Σ_j a[i·n + j] · IDFT(raw_j)[l]`
+/// — steps 6–8 of the Sec. 5 algorithm, [`ifft_in_place`] per row followed
+/// by [`kernel::color_block`]. **`raw` is destroyed** (it holds the
+/// transformed rows on return). `w_scratch` and `scratch` are caller-pooled
+/// buffers exactly as in `color_block`; with warm buffers the call performs
+/// no heap allocation.
+///
+/// # Panics
+/// Panics on any dimension mismatch.
+#[allow(clippy::too_many_arguments)]
+pub fn color_idft_block(
+    n: usize,
+    m: usize,
+    a: &[Complex64],
+    scale: f64,
+    raw: &mut [Complex64],
+    out: &mut [Complex64],
+    w_scratch: &mut Vec<Complex64>,
+    scratch: &mut Vec<f64>,
+) {
+    assert_eq!(a.len(), n * n, "color_idft_block: coloring matrix storage");
+    assert_eq!(raw.len(), n * m, "color_idft_block: raw block length");
+    assert_eq!(out.len(), n * m, "color_idft_block: output block length");
+    if n == 0 || m == 0 {
+        return;
+    }
+    for row in raw.chunks_exact_mut(m) {
+        ifft_in_place(row);
+    }
+    kernel::color_block(n, m, a, scale, raw, out, w_scratch, scratch);
 }
 
 #[cfg(test)]
@@ -424,6 +420,35 @@ mod tests {
                 rho[d],
                 target[d]
             );
+        }
+    }
+
+    #[test]
+    fn autocorrelation_kernel_matches_the_cosine_sum() {
+        // Eq. (17) summed directly: F[k]² is real and even, so
+        // g[d] = (1/M)·Σ_k F[k]²·cos(2πkd/M), with no imaginary part.
+        for m in [64usize, 256, 1024] {
+            let f = DopplerFilter::new(m, 0.05).unwrap();
+            let g = f.autocorrelation_kernel();
+            assert_eq!(g.len(), m);
+            for (d, gd) in g.iter().enumerate() {
+                let direct = f
+                    .coefficients()
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &fk)| {
+                        let phase = ((k * d) % m) as f64 / m as f64;
+                        fk * fk * (2.0 * core::f64::consts::PI * phase).cos()
+                    })
+                    .sum::<f64>()
+                    / m as f64;
+                assert!(
+                    (gd.re - direct).abs() <= 1e-12,
+                    "m = {m}, lag {d}: {} vs {direct}",
+                    gd.re
+                );
+                assert_eq!(gd.im.to_bits(), 0.0f64.to_bits(), "m = {m}, lag {d}");
+            }
         }
     }
 
@@ -523,27 +548,9 @@ mod tests {
     }
 
     #[test]
-    fn color_idft_block_is_bit_identical_to_the_free_function() {
-        let n = 3;
-        let a: Vec<Complex64> = (0..n * n)
-            .map(|i| c64(0.3 + i as f64 * 0.1, 0.05 * i as f64))
-            .collect();
-        for m in [1024usize, 1000] {
-            let f = DopplerFilter::new(m, 0.05).unwrap();
-            let gen = IdftRayleighGenerator::new(f, 0.5).unwrap();
-            let mut raw = vec![Complex64::ZERO; n * m];
-            let mut rng = RandomStream::new(5);
-            for row in raw.chunks_exact_mut(m) {
-                gen.fill_spectrum_into(&mut rng, row);
-            }
-            let (mut w, mut s) = (Vec::new(), Vec::new());
-            let mut free_raw = raw.clone();
-            let mut free = vec![Complex64::ZERO; n * m];
-            crate::color_idft_block(n, m, &a, 0.7, &mut free_raw, &mut free, &mut w, &mut s);
-            let mut got = vec![Complex64::ZERO; n * m];
-            gen.color_idft_block(n, &a, 0.7, &mut raw, &mut got, &mut w, &mut s);
-            assert_eq!(got, free, "m = {m}");
-        }
+    fn empty_dimensions_are_no_ops() {
+        let (mut w, mut s) = (Vec::new(), Vec::new());
+        color_idft_block(0, 0, &[], 1.0, &mut [], &mut [], &mut w, &mut s);
     }
 
     #[test]

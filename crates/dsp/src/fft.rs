@@ -27,21 +27,12 @@
 //!   they autovectorize, and on `x86_64` run as AVX2+FMA multiversions.
 //!
 //! Both backends agree to well below 1e-12 for unit-scale inputs; see the
-//! `rfft_equivalence` test suite.
-//!
-//! # Real transforms
-//!
-//! [`rfft`] / [`irfft`] specialize the conjugate-symmetric case: a real
-//! signal's spectrum satisfies `X[N−k] = conj(X[k])`, so only `N/2 + 1`
-//! bins are free. Both are computed through one **half-size** complex
-//! transform plus an `O(N)` untangling pass — half the work of the generic
-//! path. The Doppler filter's autocorrelation kernel (Eq. 17), whose
-//! spectrum `F[k]²` is real and even, uses [`irfft`].
+//! `fft_backend_equivalence` test suite.
 
 use std::sync::Arc;
 
 use corrfade_linalg::kernel::{backend, Backend};
-use corrfade_linalg::{c64, Complex64, FactorCache};
+use corrfade_linalg::{Complex64, FactorCache};
 
 /// Capacity of the process-wide plan caches: unbounded, since a process
 /// transforms only a handful of sizes and a plan is never worth rebuilding.
@@ -49,7 +40,7 @@ const PLAN_CACHE_CAPACITY: usize = usize::MAX;
 
 /// Returns `true` when `n` is a power of two (and non-zero).
 #[inline]
-pub fn is_power_of_two(n: usize) -> bool {
+fn is_power_of_two(n: usize) -> bool {
     n != 0 && (n & (n - 1)) == 0
 }
 
@@ -72,13 +63,12 @@ fn fft_radix2_in_place(data: &mut [Complex64], invert: bool) {
         return;
     }
     scalar_bit_reverse(data);
-    scalar_butterflies(data, invert, n);
+    scalar_butterflies(data, invert);
 }
 
 /// The scalar backend's bit-reversal permutation (incremental-carry form,
-/// exactly as in every pre-kernel release). Shared with the fused
-/// coloring+IDFT kernel in [`crate::fused`].
-pub(crate) fn scalar_bit_reverse(data: &mut [Complex64]) {
+/// exactly as in every pre-kernel release).
+fn scalar_bit_reverse(data: &mut [Complex64]) {
     let n = data.len();
     let mut j = 0usize;
     for i in 1..n {
@@ -94,17 +84,14 @@ pub(crate) fn scalar_bit_reverse(data: &mut [Complex64]) {
     }
 }
 
-/// The scalar backend's butterfly stages with lengths `2 ..= max_len`
-/// (twiddles advanced by repeated multiplication — the historical serial
-/// chain). Passing `max_len = n` runs the full transform; the fused
-/// coloring+IDFT kernel passes `n / 2` and performs the final stage itself
-/// with the identical twiddle chain, which is what keeps it bit-exact with
-/// the two-pass path.
-pub(crate) fn scalar_butterflies(data: &mut [Complex64], invert: bool, max_len: usize) {
+/// The scalar backend's butterfly stages, lengths `2 ..= n`, over the
+/// bit-reversed data (twiddles advanced by repeated multiplication — the
+/// historical serial chain, bit-exact with every pre-kernel release).
+fn scalar_butterflies(data: &mut [Complex64], invert: bool) {
     let n = data.len();
     let sign = if invert { 1.0 } else { -1.0 };
     let mut len = 2;
-    while len <= max_len {
+    while len <= n {
         let ang = sign * 2.0 * core::f64::consts::PI / len as f64;
         let wlen = Complex64::cis(ang);
         let half = len / 2;
@@ -130,11 +117,11 @@ pub(crate) fn scalar_butterflies(data: &mut [Complex64], invert: bool, max_len: 
 /// permutation and per-stage forward twiddle factors (`cis(−2πk/len)`, one
 /// contiguous run per stage so the butterfly loop reads them stride-1).
 #[derive(Debug)]
-pub(crate) struct FftTables {
-    pub(crate) rev: Vec<u32>,
+struct FftTables {
+    rev: Vec<u32>,
     /// `stages[s]` holds the `2^s` twiddles of the stage with butterfly
     /// length `2^(s+1)`.
-    pub(crate) stages: Vec<Vec<Complex64>>,
+    stages: Vec<Vec<Complex64>>,
 }
 
 impl FftTables {
@@ -161,9 +148,8 @@ impl FftTables {
 
 /// Process-wide plan cache: tables are built once per size and shared, so
 /// steady-state planned transforms perform no heap allocation. A warm
-/// lookup is one [`FactorCache`] hit; a realtime generator takes its
-/// tables once, when it is built ([`crate::IdftRayleighGenerator::new`]).
-pub(crate) fn tables_for(n: usize) -> Arc<FftTables> {
+/// lookup is one [`FactorCache`] hit.
+fn tables_for(n: usize) -> Arc<FftTables> {
     static CACHE: FactorCache<usize, FftTables> = FactorCache::new(PLAN_CACHE_CAPACITY);
     CACHE.get_or_insert_with(n, || FftTables::new(n))
 }
@@ -172,17 +158,12 @@ pub(crate) fn tables_for(n: usize) -> Arc<FftTables> {
 /// are independent (no serial `w *= wlen` chain), which is what lets the
 /// loop vectorize.
 #[inline(always)]
-fn butterflies_body<const FMA: bool>(
-    data: &mut [Complex64],
-    tables: &FftTables,
-    invert: bool,
-    nstages: usize,
-) {
+fn butterflies_body<const FMA: bool>(data: &mut [Complex64], tables: &FftTables, invert: bool) {
     let n = data.len();
     // The tables hold the forward twiddles cis(−2πk/len); the inverse
     // transform conjugates them.
     let sign = if invert { -1.0 } else { 1.0 };
-    for (s, stage) in tables.stages[..nstages].iter().enumerate() {
+    for (s, stage) in tables.stages.iter().enumerate() {
         let len = 2usize << s;
         let half = len >> 1;
         for start in (0..n).step_by(len) {
@@ -207,18 +188,13 @@ fn butterflies_body<const FMA: bool>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn butterflies_avx2(
-    data: &mut [Complex64],
-    tables: &FftTables,
-    invert: bool,
-    nstages: usize,
-) {
-    butterflies_body::<true>(data, tables, invert, nstages);
+unsafe fn butterflies_avx2(data: &mut [Complex64], tables: &FftTables, invert: bool) {
+    butterflies_body::<true>(data, tables, invert);
 }
 
 /// The planned (vector-backend) bit-reversal permutation using the cached
-/// table. Shared with the fused coloring+IDFT kernel.
-pub(crate) fn planned_bit_reverse(data: &mut [Complex64], tables: &FftTables) {
+/// table.
+fn planned_bit_reverse(data: &mut [Complex64], tables: &FftTables) {
     for i in 1..data.len() {
         let j = tables.rev[i] as usize;
         if i < j {
@@ -227,24 +203,16 @@ pub(crate) fn planned_bit_reverse(data: &mut [Complex64], tables: &FftTables) {
     }
 }
 
-/// The planned butterflies over the first `nstages` stages, FMA-dispatched
-/// exactly like the full planned transform. The fused coloring+IDFT kernel
-/// passes `stages.len() − 1` and performs the final stage itself with the
-/// same twiddle table and FMA formula, staying bit-exact with the two-pass
-/// vector path.
-pub(crate) fn planned_butterflies(
-    data: &mut [Complex64],
-    tables: &FftTables,
-    invert: bool,
-    nstages: usize,
-) {
+/// The planned butterflies, FMA-dispatched: on `x86_64` with AVX2+FMA the
+/// loop compiles under `avx2,fma` and uses the `mul_add` twiddle formula.
+fn planned_butterflies(data: &mut [Complex64], tables: &FftTables, invert: bool) {
     #[cfg(target_arch = "x86_64")]
     if corrfade_linalg::kernel::vector_uses_fma() {
         // SAFETY: guarded by the kernel layer's runtime AVX2+FMA detection.
-        unsafe { butterflies_avx2(data, tables, invert, nstages) };
+        unsafe { butterflies_avx2(data, tables, invert) };
         return;
     }
-    butterflies_body::<false>(data, tables, invert, nstages);
+    butterflies_body::<false>(data, tables, invert);
 }
 
 /// In-place planned transform (vector backend): table-driven bit reversal +
@@ -256,7 +224,7 @@ fn fft_planned_in_place(data: &mut [Complex64], invert: bool) {
     }
     let tables = tables_for(n);
     planned_bit_reverse(data, &tables);
-    planned_butterflies(data, &tables, invert, tables.stages.len());
+    planned_butterflies(data, &tables, invert);
 }
 
 /// In-place power-of-two transform on an explicit backend: the scalar
@@ -469,138 +437,10 @@ pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
         .collect()
 }
 
-// ---------------------------------------------------------------------------
-// Real (conjugate-symmetric) transforms
-// ---------------------------------------------------------------------------
-
-/// Number of spectral bins [`rfft`] produces for a real signal of length
-/// `n`: `⌊n/2⌋ + 1` (the rest of the spectrum is determined by conjugate
-/// symmetry).
-#[inline]
-#[must_use]
-pub fn rfft_len(n: usize) -> usize {
-    if n == 0 {
-        0
-    } else {
-        n / 2 + 1
-    }
-}
-
-/// The `⌊n/2⌋ + 1` untangling twiddles `cis(−2πk/n)`, `k = 0 ..= n/2`,
-/// cached per size in their own process-wide [`FactorCache`] so the `O(n)`
-/// rfft/irfft untangling pass performs no `sin`/`cos` calls after the
-/// first transform of a size. The cache is independent of the complex-FFT
-/// plan cache: it is an order of magnitude smaller than a full plan and is
-/// used by every backend (the scalar FFT never needs plan tables).
-fn untangle_twiddles(n: usize) -> Arc<Vec<Complex64>> {
-    static CACHE: FactorCache<usize, Vec<Complex64>> = FactorCache::new(PLAN_CACHE_CAPACITY);
-    CACHE.get_or_insert_with(n, || {
-        (0..=n / 2)
-            .map(|k| Complex64::cis(-2.0 * core::f64::consts::PI * k as f64 / n as f64))
-            .collect()
-    })
-}
-
-/// Forward DFT of a **real** signal, returning only the `⌊n/2⌋ + 1`
-/// non-redundant bins `X[0] ..= X[⌊n/2⌋]` (the remaining bins satisfy
-/// `X[n−k] = conj(X[k])`).
-///
-/// For even `n` the transform is computed through one half-size complex FFT
-/// of the packed signal `z[j] = x[2j] + i·x[2j+1]` plus an `O(n)`
-/// untangling pass — half the work of transforming the complexified signal.
-/// Odd lengths fall back to the full complex transform and truncate.
-///
-/// This subsumes the old `fft_real` helper (which transformed the
-/// complexified signal and returned all `n` redundant bins); reconstruct
-/// the full spectrum from the conjugate symmetry if you need it.
-pub fn rfft(input: &[f64]) -> Vec<Complex64> {
-    let n = input.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![c64(input[0], 0.0)];
-    }
-    if !n.is_multiple_of(2) {
-        let full = fft(&input.iter().map(|&x| c64(x, 0.0)).collect::<Vec<_>>());
-        return full[..rfft_len(n)].to_vec();
-    }
-    let h = n / 2;
-    let packed: Vec<Complex64> = (0..h)
-        .map(|j| c64(input[2 * j], input[2 * j + 1]))
-        .collect();
-    let zf = fft(&packed);
-    let tw = untangle_twiddles(n);
-    let mut out = Vec::with_capacity(h + 1);
-    for k in 0..=h {
-        let zk = zf[k % h];
-        let zs = zf[(h - k) % h].conj();
-        // zf[k] = E[k] + i·O[k] with E/O the DFTs of the even/odd samples.
-        let even = (zk + zs).scale(0.5);
-        let t = (zk - zs).scale(0.5); // = i·O[k]
-        let odd = c64(t.im, -t.re);
-        out.push(even + tw[k] * odd);
-    }
-    out
-}
-
-/// Inverse of [`rfft`]: reconstructs the length-`n` **real** signal from
-/// its `⌊n/2⌋ + 1` non-redundant spectral bins.
-///
-/// The spectrum is assumed conjugate-symmetric (the imaginary parts of the
-/// DC and — for even `n` — Nyquist bins are taken at face value; pass a
-/// genuinely Hermitian half-spectrum, e.g. one produced by [`rfft`], for an
-/// exact round trip). Even lengths run through one half-size complex
-/// inverse FFT; odd lengths mirror the spectrum and fall back to [`ifft`].
-///
-/// # Panics
-/// Panics if `spectrum.len() != rfft_len(n)`.
-pub fn irfft(spectrum: &[Complex64], n: usize) -> Vec<f64> {
-    assert_eq!(
-        spectrum.len(),
-        rfft_len(n),
-        "irfft: expected {} bins for a length-{n} signal, got {}",
-        rfft_len(n),
-        spectrum.len()
-    );
-    if n == 0 {
-        return Vec::new();
-    }
-    if n == 1 {
-        return vec![spectrum[0].re];
-    }
-    if !n.is_multiple_of(2) {
-        let mut full = vec![Complex64::ZERO; n];
-        full[..spectrum.len()].copy_from_slice(spectrum);
-        for k in spectrum.len()..n {
-            full[k] = spectrum[n - k].conj();
-        }
-        return ifft(&full).into_iter().map(|z| z.re).collect();
-    }
-    let h = n / 2;
-    let tw = untangle_twiddles(n);
-    let mut packed = Vec::with_capacity(h);
-    for k in 0..h {
-        let xk = spectrum[k];
-        let xs = spectrum[h - k].conj(); // = X[k + h] by conjugate symmetry
-        let even = (xk + xs).scale(0.5);
-        let diff = (xk - xs).scale(0.5);
-        let odd = diff * tw[k].conj(); // cis(+2πk/n)
-                                       // z[j] = x[2j] + i·x[2j+1] has spectrum E[k] + i·O[k].
-        packed.push(even + c64(-odd.im, odd.re));
-    }
-    let z = ifft(&packed);
-    let mut out = Vec::with_capacity(n);
-    for zj in z {
-        out.push(zj.re);
-        out.push(zj.im);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corrfade_linalg::c64;
 
     fn assert_close(a: &[Complex64], b: &[Complex64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -618,12 +458,6 @@ mod tests {
                 let t = i as f64;
                 c64((0.3 * t).sin() + 0.1 * t.cos(), (0.7 * t).cos() - 0.05 * t)
             })
-            .collect()
-    }
-
-    fn real_signal(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| (i as f64 * 0.37).sin() + 0.2 * (i as f64 * 0.11).cos())
             .collect()
     }
 
@@ -751,72 +585,6 @@ mod tests {
             ifft_in_place_with(Backend::Vector, &mut v);
             assert_close(&s, &v, 1e-12);
         }
-    }
-
-    #[test]
-    fn rfft_matches_full_transform() {
-        for n in [2usize, 8, 9, 15, 16, 64, 100, 256] {
-            let x = real_signal(n);
-            let full = fft(&x.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
-            let half = rfft(&x);
-            assert_eq!(half.len(), rfft_len(n), "n = {n}");
-            assert_close(&half, &full[..rfft_len(n)], 1e-10);
-        }
-    }
-
-    #[test]
-    fn rfft_spectrum_determines_the_rest_by_symmetry() {
-        let x = real_signal(32);
-        let full = fft(&x.iter().map(|&v| c64(v, 0.0)).collect::<Vec<_>>());
-        for k in 1..32 {
-            assert!(full[k].approx_eq(full[32 - k].conj(), 1e-10));
-        }
-        assert!(rfft(&x)[0].im.abs() < 1e-12);
-    }
-
-    #[test]
-    fn irfft_round_trips_rfft() {
-        for n in [1usize, 2, 7, 8, 15, 16, 100, 256, 1000] {
-            let x = real_signal(n);
-            let back = irfft(&rfft(&x), n);
-            assert_eq!(back.len(), n);
-            for (i, (&a, &b)) in x.iter().zip(back.iter()).enumerate() {
-                assert!((a - b).abs() < 1e-10, "n = {n}, index {i}: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn irfft_matches_hermitian_ifft() {
-        let n = 64;
-        let x = real_signal(n);
-        let half = rfft(&x);
-        let mut full = vec![Complex64::ZERO; n];
-        full[..half.len()].copy_from_slice(&half);
-        for k in half.len()..n {
-            full[k] = half[n - k].conj();
-        }
-        let via_ifft = ifft(&full);
-        let via_irfft = irfft(&half, n);
-        for (a, b) in via_ifft.iter().zip(via_irfft.iter()) {
-            assert!((a.re - b).abs() < 1e-11);
-            assert!(a.im.abs() < 1e-11);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "irfft: expected")]
-    fn irfft_checks_bin_count() {
-        let _ = irfft(&[Complex64::ZERO; 4], 4);
-    }
-
-    #[test]
-    fn empty_real_transforms() {
-        assert!(rfft(&[]).is_empty());
-        assert!(irfft(&[], 0).is_empty());
-        assert_eq!(rfft_len(0), 0);
-        assert_eq!(rfft_len(9), 5);
-        assert_eq!(rfft_len(8), 5);
     }
 
     #[test]

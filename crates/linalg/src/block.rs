@@ -215,8 +215,8 @@ impl SampleBlock {
     /// covariance.
     ///
     /// Dispatches through [`crate::kernel`]. On the scalar backend the
-    /// summation runs sample-major (`l` outermost), matching the order of
-    /// `sample_covariance` over materialized snapshots bit for bit; the
+    /// summation runs sample-major (`l` outermost), matching a fold over
+    /// materialized snapshots bit for bit; the
     /// vector backend reduces envelope pairs with multi-lane accumulators
     /// (within ≤ 1e-12 of scalar for unit-scale data) and mirrors the
     /// Hermitian image exactly.

@@ -11,7 +11,7 @@
 
 use crate::complex::Complex64;
 use crate::error::LinalgError;
-use crate::matrix::{CMatrix, RMatrix};
+use crate::matrix::CMatrix;
 
 /// Computes the lower-triangular Cholesky factor `L` with `L·Lᴴ = A` of a
 /// Hermitian positive-definite matrix.
@@ -77,55 +77,6 @@ pub fn cholesky_with_tol(a: &CMatrix, pivot_tol: f64) -> Result<CMatrix, LinalgE
 /// pivot is accepted). See [`cholesky_with_tol`].
 pub fn cholesky(a: &CMatrix) -> Result<CMatrix, LinalgError> {
     cholesky_with_tol(a, 0.0)
-}
-
-/// Cholesky factorization `A = L·Lᵀ` of a real symmetric positive-definite
-/// matrix. Used by the Salz–Winters-style baselines that color `2N` real
-/// Gaussian variables.
-///
-/// # Errors
-/// Same failure modes as [`cholesky_with_tol`].
-pub fn cholesky_real(a: &RMatrix) -> Result<RMatrix, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    let scale = a
-        .as_slice()
-        .iter()
-        .fold(0.0f64, |acc, &x| acc.max(x.abs()))
-        .max(1.0);
-    let sym_dev = a.max_abs_diff(&a.transpose());
-    if sym_dev > 1e-9 * scale {
-        return Err(LinalgError::NotHermitian { deviation: sym_dev });
-    }
-
-    let mut l = RMatrix::zeros(n, n);
-    for j in 0..n {
-        let mut sum = a[(j, j)];
-        for k in 0..j {
-            sum -= l[(j, k)] * l[(j, k)];
-        }
-        if sum <= 0.0 || sum.is_nan() {
-            return Err(LinalgError::NotPositiveDefinite {
-                pivot: j,
-                value: sum,
-            });
-        }
-        let ljj = sum.sqrt();
-        l[(j, j)] = ljj;
-        for i in (j + 1)..n {
-            let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
-            }
-            l[(i, j)] = s / ljj;
-        }
-    }
-    Ok(l)
 }
 
 /// `true` when a Hermitian matrix is positive definite, decided by attempting
@@ -227,42 +178,6 @@ mod tests {
         assert!(matches!(
             cholesky(&a),
             Err(LinalgError::NotHermitian { .. })
-        ));
-    }
-
-    #[test]
-    fn real_cholesky_matches_complex_on_real_input() {
-        let vals = [4.0, 1.2, 0.5, 1.2, 3.0, 0.7, 0.5, 0.7, 2.0];
-        let r = RMatrix::from_vec(3, 3, vals.to_vec());
-        let c = CMatrix::from_real_slice(3, 3, &vals);
-        let lr = cholesky_real(&r).unwrap();
-        let lc = cholesky(&c).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!((lr[(i, j)] - lc[(i, j)].re).abs() < 1e-12);
-                assert!(lc[(i, j)].im.abs() < 1e-12);
-            }
-        }
-        // L L^T = A
-        let llt = lr.matmul(&lr.transpose());
-        assert!(llt.approx_eq(&r, 1e-12));
-    }
-
-    #[test]
-    fn real_cholesky_rejects_indefinite() {
-        let a = RMatrix::from_vec(2, 2, vec![1.0, 3.0, 3.0, 1.0]);
-        assert!(matches!(
-            cholesky_real(&a),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
-        let b = RMatrix::from_vec(2, 2, vec![1.0, 0.5, 0.4, 1.0]);
-        assert!(matches!(
-            cholesky_real(&b),
-            Err(LinalgError::NotHermitian { .. })
-        ));
-        assert!(matches!(
-            cholesky_real(&RMatrix::zeros(1, 2)),
-            Err(LinalgError::NotSquare { .. })
         ));
     }
 

@@ -106,12 +106,6 @@ impl Complex64 {
         (self.abs(), self.arg())
     }
 
-    /// Multiplicative inverse `1/z` using Smith's algorithm for robustness.
-    #[inline]
-    pub fn inv(self) -> Self {
-        Complex64::ONE.fdiv(self)
-    }
-
     /// Scales by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
@@ -573,12 +567,6 @@ mod tests {
         let b = c64(1e-300, 0.0);
         let q = a.fdiv(b);
         assert!(q.approx_eq(c64(1.0, 1.0), 1e-9));
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        let z = c64(0.3, -7.0);
-        assert!((z * z.inv()).approx_eq(Complex64::ONE, TOL));
     }
 
     #[test]

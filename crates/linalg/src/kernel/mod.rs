@@ -10,16 +10,15 @@
 //!   output* (RNG draws, coloring, IDFT generation, envelopes, covariance
 //!   folds) is identical, bit for bit, to every release before the kernel
 //!   layer existed, and the determinism/golden tests pin it via
-//!   `CORRFADE_KERNEL=scalar`. (Analysis helpers that gained the real-FFT
-//!   specialization — e.g. the Doppler filter's autocorrelation kernel —
-//!   use it on every backend and agree with their pre-kernel values to
-//!   ≤ 1e-12 rather than bitwise.)
+//!   `CORRFADE_KERNEL=scalar`. (Analysis helpers such as the Doppler
+//!   filter's autocorrelation kernel are not pinned: they agree across
+//!   backends and releases to ≤ 1e-12 rather than bitwise.)
 //! * [`Backend::Vector`] — cache-blocked, split-complex (planar re/im)
 //!   kernels written as fixed-width lane loops that LLVM autovectorizes; on
 //!   `x86_64` the inner loops are additionally compiled as AVX2+FMA
 //!   multiversions and selected by runtime CPU-feature detection, and the
-//!   coloring runs as a register-blocked micro-kernel ([`color_planes`])
-//!   with an AVX-512F body where the CPU has one. Results
+//!   coloring runs as a register-blocked micro-kernel with an AVX-512F
+//!   body where the CPU has one. Results
 //!   agree with the scalar backend to ≤ 1e-12 (absolute, for unit-scale
 //!   data) but are *not* bit-identical — summation orders differ.
 //!
@@ -206,41 +205,7 @@ pub fn matvec_into_with(
 /// working set is its `2·N` split-complex planes, `2·N·TILE` doubles: 12 KiB
 /// for the paper's `N = 3`, inside L1 together with the coloring matrix,
 /// and 256 KiB at `N = 64`, inside L2.
-pub const COLOR_TILE: usize = 256;
-
-/// The vector backend's coloring micro-kernel over split-complex planes,
-/// shared by [`color_block_with`] and the fused coloring+IDFT kernel of
-/// `corrfade-dsp` so both run **exactly** the same per-element operation
-/// sequence:
-/// `out[i·out_stride + l] = scale · Σ_j a[i·n + j] · (re[j·stride + l] +
-/// i·im[j·stride + l])` for `i < n` and `l < len`.
-///
-/// A block of output rows × samples stays in registers across all `j`
-/// (4 × 16 on AVX-512F, 3 × 8 on AVX2+FMA, a generic lane loop elsewhere,
-/// picked once per process by CPU detection) and is written straight into
-/// the interleaved output. Every element is the same chain, `j = 0..n` in
-/// order from `+0.0`: `yr = fma(ar, xr, fma(−ai, xi, yr))` and `yi = fma(ar,
-/// xi, fma(ai, xr, yi))` with FMA, `yr += ar·xr − ai·xi` and `yi += ar·xi +
-/// ai·xr` without, then `scale·y`. Output elements outside the `n` rows of
-/// `len` samples are left untouched.
-///
-/// # Panics
-/// Panics if `a` is not `n × n`, `len` exceeds `stride` or `out_stride`,
-/// or a plane or output row runs past its slice.
-#[allow(clippy::too_many_arguments)]
-pub fn color_planes(
-    n: usize,
-    len: usize,
-    a: &[Complex64],
-    scale: f64,
-    re: &[f64],
-    im: &[f64],
-    stride: usize,
-    out: &mut [Complex64],
-    out_stride: usize,
-) {
-    vector::color_planes(n, len, a, scale, re, im, stride, out, out_stride);
-}
+pub(crate) const COLOR_TILE: usize = 256;
 
 /// The real-time coloring hot loop: for every time sample `l` of a planar
 /// `N × M` block, `out[i·m + l] = scale · Σ_j a[i·n + j] · raw[j·m + l]`
@@ -249,10 +214,16 @@ pub fn color_planes(
 ///
 /// The scalar backend reproduces the historical per-instant
 /// gather → dot → scatter loop bit for bit. The vector backend deinterleaves
-/// one [`COLOR_TILE`]-sample tile of all `N` rows into split-complex planes
-/// (`scratch`, grown on first use and reused) and colors it with the
-/// register-blocked [`color_planes`] micro-kernel, which writes the scaled
-/// result straight back into the interleaved output.
+/// one 256-sample tile of all `N` rows into split-complex planes
+/// (`scratch`, grown on first use and reused) and colors it with a
+/// register-blocked micro-kernel that writes the scaled result straight
+/// back into the interleaved output. A block of output rows × samples
+/// stays in registers across all `j` (4 × 16 on AVX-512F, 3 × 8 on
+/// AVX2+FMA, a generic lane loop elsewhere, picked once per process by CPU
+/// detection). Every element is the same chain, `j = 0..n` in order from
+/// `+0.0`: `yr = fma(ar, xr, fma(−ai, xi, yr))` and `yi = fma(ar, xi,
+/// fma(ai, xr, yi))` with FMA, `yr += ar·xr − ai·xi` and `yi += ar·xi +
+/// ai·xr` without, then `scale·y`.
 ///
 /// `w_scratch` and `scratch` are caller-pooled buffers (resized on first
 /// use); with warm buffers the call performs no heap allocation.
@@ -485,7 +456,7 @@ mod tests {
         // Two planes of stride 8 need 8 + 4 values for a 4-sample tile.
         let (re, im) = ([0.0; 11], [0.0; 12]);
         let mut out = [Complex64::ZERO; 12];
-        color_planes(2, 4, &[Complex64::ZERO; 4], 1.0, &re, &im, 8, &mut out, 8);
+        vector::color_planes(2, 4, &[Complex64::ZERO; 4], 1.0, &re, &im, 8, &mut out, 8);
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //!   16 × 16 matvec per `snapshot-n16` block): on AVX2+FMA CPUs its whole
 //!   row loop runs over the interleaved layout with the FMA lane body's
 //!   FMAs, sign flip, `(l0 + l1) + (l2 + l3)` reduction and non-fused tail;
-//! * the realtime coloring micro-kernel [`color_planes`], shared by
-//!   [`color_block`] and the fused coloring+IDFT kernel of `corrfade-dsp`:
-//!   a block of output rows × samples (4 × 16 on AVX-512F, 3 × 8 on
+//! * the realtime coloring micro-kernel [`color_planes`] behind
+//!   [`color_block`]: a block of output rows × samples (4 × 16 on AVX-512F, 3 × 8 on
 //!   AVX2+FMA, 2 × 4 in the generic lane loop) stays in registers across
 //!   the whole `j` sum and is written once, scaled and interleaved. Every
 //!   element is still the planar AXPY chain it replaced, in `j` order from
@@ -126,9 +125,13 @@ impl Tile {
     }
 }
 
-/// The coloring micro-kernel: see `kernel::color_planes`. Checks the
-/// bounds every body relies on, then runs the AVX-512F body, the AVX2 one
-/// or the generic lane loop. Each body computes every element by the chain
+/// The coloring micro-kernel over split-complex planes:
+/// `out[i·out_stride + l] = scale · Σ_j a[i·n + j] · (re[j·stride + l] +
+/// i·im[j·stride + l])` for `i < n` and `l < len`; output elements outside
+/// the `n` rows of `len` samples are left untouched. Checks the bounds
+/// every body relies on (it panics if `a` is not `n × n`, `len` exceeds a
+/// stride, or a plane or output row runs past its slice), then runs the
+/// AVX-512F body, the AVX2 one or the generic lane loop. Each body computes every element by the chain
 /// of [`Tile::tail`], so the blocking only changes which element is
 /// computed when.
 #[allow(clippy::too_many_arguments)]

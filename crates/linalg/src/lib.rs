@@ -37,7 +37,7 @@ pub mod vector;
 
 pub use block::{BlockView, BlockWireError, SampleBlock, WIRE_BYTES_PER_SAMPLE};
 pub use cache::{CacheStats, FactorCache, MatrixKey};
-pub use cholesky::{cholesky, cholesky_real, cholesky_with_tol, is_positive_definite};
+pub use cholesky::{cholesky, cholesky_with_tol, is_positive_definite};
 pub use complex::{c64, Complex64};
 pub use eigen::{hermitian_eigen, symmetric_eigen, HermitianEigen, SymmetricEigen};
 pub use error::LinalgError;

@@ -108,16 +108,6 @@ impl CMatrix {
         }
     }
 
-    /// Creates a square diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[Complex64]) -> Self {
-        let n = diag.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Creates a square diagonal matrix from real diagonal entries.
     pub fn from_real_diag(diag: &[f64]) -> Self {
         let n = diag.len();
@@ -241,11 +231,6 @@ impl CMatrix {
     /// Matrix of the real parts.
     pub fn real(&self) -> RMatrix {
         RMatrix::from_fn(self.rows, self.cols, |i, j| self[(i, j)].re)
-    }
-
-    /// Matrix of the imaginary parts.
-    pub fn imag(&self) -> RMatrix {
-        RMatrix::from_fn(self.rows, self.cols, |i, j| self[(i, j)].im)
     }
 
     /// Scales every entry by a complex factor.
@@ -557,8 +542,7 @@ impl fmt::Display for CMatrix {
 /// A dense, row-major matrix of `f64` entries.
 ///
 /// Used for the real-symmetric embeddings of Hermitian covariance matrices
-/// (Salz–Winters baseline) and as the return type of [`CMatrix::real`] /
-/// [`CMatrix::imag`].
+/// (Salz–Winters baseline) and as the return type of [`CMatrix::real`].
 #[derive(Clone, PartialEq)]
 pub struct RMatrix {
     rows: usize,
@@ -758,21 +742,6 @@ impl RMatrix {
             .fold(0.0, f64::max)
     }
 
-    /// `true` when the matrix is symmetric up to `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Lifts to a complex matrix with zero imaginary parts.
     pub fn complexify(&self) -> CMatrix {
         CMatrix::from_fn(self.rows, self.cols, |i, j| {
@@ -863,10 +832,6 @@ mod tests {
         let f = CMatrix::from_fn(2, 2, |i, j| c64(i as f64, j as f64));
         assert_eq!(f[(1, 0)], c64(1.0, 0.0));
         assert_eq!(f[(0, 1)], c64(0.0, 1.0));
-
-        let d = CMatrix::from_diag(&[c64(1.0, 0.0), c64(2.0, 0.0)]);
-        assert_eq!(d[(1, 1)], c64(2.0, 0.0));
-        assert_eq!(d[(0, 1)], Complex64::ZERO);
 
         let rd = CMatrix::from_real_diag(&[3.0, 4.0]);
         assert_eq!(rd[(0, 0)], c64(3.0, 0.0));
@@ -975,7 +940,7 @@ mod tests {
         let m = sample();
         let e = m.real_embedding();
         assert_eq!(e.shape(), (4, 4));
-        assert!(e.is_symmetric(1e-12));
+        assert!(e.approx_eq(&e.transpose(), 1e-12));
         assert_eq!(e[(0, 1)], m[(0, 1)].re);
         assert_eq!(e[(0, 3)], -m[(0, 1)].im);
         assert_eq!(e[(2, 1)], m[(0, 1)].im);
@@ -991,7 +956,6 @@ mod tests {
         assert!(a.matmul(&id).approx_eq(&a, 1e-15));
         assert_eq!(a.matvec(&[1.0, 1.0]), vec![1.0, 5.0]);
         assert!((a.frobenius_norm() - (14.0f64).sqrt()).abs() < 1e-12);
-        assert!(!a.is_symmetric(1e-12));
         let c = a.complexify();
         assert_eq!(c[(1, 0)], c64(2.0, 0.0));
         assert!((a.scale(2.0))[(1, 1)] - 6.0 < 1e-15);

@@ -54,12 +54,6 @@ impl ChannelParams {
     pub fn doppler_band_edge(&self, m: usize) -> usize {
         (self.normalized_doppler() * m as f64).floor() as usize
     }
-
-    /// Coherence time estimate `T_c ≈ 0.423 / F_m` in seconds (Rappaport's
-    /// rule of thumb), handy for choosing observation lengths in examples.
-    pub fn coherence_time_s(&self) -> f64 {
-        0.423 / self.max_doppler_hz()
-    }
 }
 
 impl Default for ChannelParams {
@@ -81,20 +75,6 @@ mod tests {
         assert_eq!(p.doppler_band_edge(4096), 204);
         // GSM 900 wavelength ≈ 33.3 cm (paper: D = 33.3 cm for D/λ = 1).
         assert!((p.wavelength_m() - 0.333).abs() < 1e-3);
-    }
-
-    #[test]
-    fn coherence_time_is_inverse_in_doppler() {
-        let slow = ChannelParams {
-            mobile_speed_mps: 1.0,
-            ..ChannelParams::paper_defaults()
-        };
-        let fast = ChannelParams {
-            mobile_speed_mps: 30.0,
-            ..ChannelParams::paper_defaults()
-        };
-        assert!(slow.coherence_time_s() > fast.coherence_time_s());
-        assert!((slow.coherence_time_s() / fast.coherence_time_s() - 30.0).abs() < 1e-9);
     }
 
     #[test]

@@ -345,11 +345,6 @@ impl NetworkSim {
         &self.local_links
     }
 
-    /// Whether global link `index` is simulated by this shard.
-    pub fn is_local(&self, index: usize) -> bool {
-        self.placement.get(index).is_some_and(Option::is_some)
-    }
-
     /// Number of epochs generated so far.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -358,12 +353,6 @@ impl NetworkSim {
     /// Complex samples produced per [`NetworkSim::advance`] on this shard.
     pub fn samples_per_advance(&self) -> usize {
         self.fleet.samples_per_advance()
-    }
-
-    /// The envelope threshold `10^(outage_snr_db/20)` below which a link
-    /// counts as in outage (instantaneous SNR is the squared envelope).
-    pub fn outage_threshold(&self) -> f64 {
-        self.outage_threshold
     }
 
     /// Advances every local group by one block on the global runtime.
@@ -609,7 +598,7 @@ mod tests {
             let sim = NetworkSim::open_shard(topo.clone(), &cfg, 5, shard_id, shard_count).unwrap();
             assert_eq!(sim.shard_id(), shard_id);
             for &l in sim.local_links() {
-                assert!(sim.is_local(l));
+                assert!(sim.placement[l].is_some());
                 owned[l] += 1;
             }
         }

@@ -112,11 +112,6 @@ impl Topology {
         &self.links
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.positions.len()
-    }
-
     /// Number of links.
     pub fn link_count(&self) -> usize {
         self.links.len()
@@ -186,7 +181,7 @@ mod tests {
     fn grid_connects_orthogonal_neighbours_only() {
         // 4×4 grid: 12 horizontal + 12 vertical links, no diagonals.
         let topo = Topology::grid(4, 4, 1.0).unwrap();
-        assert_eq!(topo.node_count(), 16);
+        assert_eq!(topo.positions().len(), 16);
         assert_eq!(topo.link_count(), 24);
         for i in 0..topo.link_count() {
             assert!((topo.link_length(i) - 1.0).abs() < 1e-12);

@@ -74,7 +74,7 @@ impl Default for ParallelConfig {
 impl ParallelConfig {
     /// Resolves the effective number of worker threads.
     #[must_use]
-    pub fn effective_threads(&self) -> usize {
+    fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {

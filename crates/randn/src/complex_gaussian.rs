@@ -5,10 +5,6 @@
 //! `σ_g² = E|z|²` and independent real/imaginary parts of equal variance
 //! `σ_g²/2` has a Rayleigh-distributed modulus — this is the raw material of
 //! every generator in the workspace (step 6 of the paper's algorithm).
-//!
-//! The paper also stresses the *general* case where the per-dimension
-//! variances differ (`σ_gx² ≠ σ_gy²`, Sec. 4.1); [`ComplexGaussian::sample_split`]
-//! covers it so the test-suite can exercise that corner too.
 
 use corrfade_linalg::{c64, Complex64};
 use rand::Rng;
@@ -40,25 +36,6 @@ impl ComplexGaussian {
         c64(
             self.sampler.sample_with(rng, 0.0, std),
             self.sampler.sample_with(rng, 0.0, std),
-        )
-    }
-
-    /// Draws one sample with independent per-dimension variances
-    /// `x ~ N(0, var_re)`, `y ~ N(0, var_im)` — the unequal-dimension case of
-    /// Sec. 4.1 of the paper.
-    pub fn sample_split<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        var_re: f64,
-        var_im: f64,
-    ) -> Complex64 {
-        assert!(
-            var_re >= 0.0 && var_im >= 0.0,
-            "variances must be non-negative"
-        );
-        c64(
-            self.sampler.sample_with(rng, 0.0, var_re.sqrt()),
-            self.sampler.sample_with(rng, 0.0, var_im.sqrt()),
         )
     }
 
@@ -146,19 +123,6 @@ mod tests {
         // Real and imaginary parts uncorrelated.
         let cov: f64 = samples.iter().map(|z| z.re * z.im).sum::<f64>() / n as f64;
         assert!(cov.abs() < 0.02);
-    }
-
-    #[test]
-    fn split_sample_respects_each_dimension() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut g = ComplexGaussian::default();
-        let n = 100_000;
-        let (vr, vi) = (4.0, 0.25);
-        let samples: Vec<Complex64> = (0..n).map(|_| g.sample_split(&mut rng, vr, vi)).collect();
-        let var_re: f64 = samples.iter().map(|z| z.re * z.re).sum::<f64>() / n as f64;
-        let var_im: f64 = samples.iter().map(|z| z.im * z.im).sum::<f64>() / n as f64;
-        assert!((var_re - vr).abs() < 0.1, "var_re = {var_re}");
-        assert!((var_im - vi).abs() < 0.01, "var_im = {var_im}");
     }
 
     #[test]

@@ -23,31 +23,3 @@ pub mod streams;
 pub use complex_gaussian::ComplexGaussian;
 pub use normal::{NormalMethod, NormalSampler};
 pub use streams::RandomStream;
-
-/// Convenience: draws `n` i.i.d. circularly-symmetric complex Gaussian
-/// samples `CN(0, variance)` from a fresh substream of `seed`.
-pub fn complex_gaussian_vector(
-    seed: u64,
-    stream: u64,
-    n: usize,
-    variance: f64,
-) -> Vec<corrfade_linalg::Complex64> {
-    let mut rng = RandomStream::substream(seed, stream);
-    let mut g = ComplexGaussian::default();
-    g.sample_vec(&mut rng, n, variance)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn convenience_vector_is_reproducible() {
-        let a = complex_gaussian_vector(1, 0, 16, 1.0);
-        let b = complex_gaussian_vector(1, 0, 16, 1.0);
-        let c = complex_gaussian_vector(1, 1, 16, 1.0);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 16);
-    }
-}

@@ -10,7 +10,7 @@
 //!    produce statistically decorrelated sequences (no overlap, negligible
 //!    sample correlation).
 
-use corrfade_randn::{complex_gaussian_vector, ComplexGaussian, NormalSampler, RandomStream};
+use corrfade_randn::{ComplexGaussian, NormalSampler, RandomStream};
 use rand::RngCore;
 
 #[test]
@@ -38,9 +38,11 @@ fn same_seed_identical_normal_sequence() {
 
 #[test]
 fn same_seed_identical_complex_gaussian_vector() {
-    let a = complex_gaussian_vector(7, 2, 128, 1.5);
-    let b = complex_gaussian_vector(7, 2, 128, 1.5);
-    assert_eq!(a, b);
+    let draw = || {
+        let mut rng = RandomStream::substream(7, 2);
+        ComplexGaussian::default().sample_vec(&mut rng, 128, 1.5)
+    };
+    assert_eq!(draw(), draw());
 }
 
 #[test]

@@ -171,9 +171,7 @@ pub struct ResumingStream {
     seed: u64,
     /// Total blocks the caller asked for.
     blocks: u32,
-    /// Absolute index of the first block of this stream (initial cursor).
-    start: u64,
-    /// Absolute index of the next expected block.
+    /// Absolute index of the next expected block (the stream starts at 0).
     cursor: u64,
     header: Option<StreamHeader>,
     client: Option<Client>,
@@ -194,31 +192,13 @@ impl ResumingStream {
         seed: u64,
         blocks: u32,
     ) -> Result<Self, ServeError> {
-        Self::open_at(addr, policy, scenario, seed, blocks, 0)
-    }
-
-    /// [`ResumingStream::open`] starting at an explicit block cursor — what
-    /// a consumer that persisted its position across a process restart uses
-    /// to continue where it stopped.
-    ///
-    /// # Errors
-    /// As [`ResumingStream::open`].
-    pub fn open_at(
-        addr: &ServeAddr,
-        policy: RetryPolicy,
-        scenario: &str,
-        seed: u64,
-        blocks: u32,
-        cursor: u64,
-    ) -> Result<Self, ServeError> {
         let mut stream = Self {
             addr: addr.clone(),
             policy,
             scenario: scenario.to_string(),
             seed,
             blocks,
-            start: cursor,
-            cursor,
+            cursor: 0,
             header: None,
             client: None,
             reconnects: 0,
@@ -248,7 +228,7 @@ impl ResumingStream {
 
     /// Blocks not yet delivered.
     fn remaining(&self) -> u32 {
-        let delivered = u32::try_from(self.cursor - self.start).unwrap_or(u32::MAX);
+        let delivered = u32::try_from(self.cursor).unwrap_or(u32::MAX);
         self.blocks.saturating_sub(delivered)
     }
 

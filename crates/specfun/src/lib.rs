@@ -6,21 +6,17 @@
 //!   ([`bessel`]) — the spectral covariance of Eq. (3), the spatial
 //!   covariance series of Eq. (5)–(6) and the Doppler autocorrelation
 //!   target `J₀(2π·fm·d)` of Eq. (20) of the paper,
-//! * gamma / incomplete-gamma functions ([`mod@gamma`]) — chi-square
-//!   goodness-of-fit p-values used to validate the generated envelopes,
-//! * error function and the normal / Rayleigh CDFs ([`mod@erf`]) —
-//!   Kolmogorov–Smirnov tests on the marginals.
+//! * the Rayleigh CDF ([`rayleigh`]) — Kolmogorov–Smirnov tests on the
+//!   generated envelopes.
 //!
-//! Everything is implemented from scratch (series, asymptotic expansions,
-//! Lanczos approximation, Lentz continued fractions) because no numerical
+//! Everything is implemented from scratch (power series, asymptotic
+//! expansions, Miller's downward recurrence) because no numerical
 //! special-function crate is available in the offline dependency set.
 
 #![warn(missing_docs)]
 
 pub mod bessel;
-pub mod erf;
-pub mod gamma;
+pub mod rayleigh;
 
 pub use bessel::{bessel_j0, bessel_j1, bessel_jn};
-pub use erf::{erf, erfc, normal_cdf, rayleigh_cdf, standard_normal_cdf};
-pub use gamma::{chi_square_sf, gamma, gamma_p, gamma_q, ln_gamma};
+pub use rayleigh::rayleigh_cdf;

@@ -1,13 +1,10 @@
 //! Table-value regression tests for the special functions, against published
-//! reference values (Abramowitz & Stegun tables 9.1 / 7.1 / 6.1, cross-checked
+//! reference values (Abramowitz & Stegun table 9.1, cross-checked
 //! with an exact rational-arithmetic series evaluation). Everything is
 //! asserted to 1e-10 or better — far tighter than any tolerance the fading
 //! models need, so silent precision regressions surface immediately.
 
-use corrfade_specfun::{
-    bessel_j0, bessel_j1, bessel_jn, chi_square_sf, erf, erfc, gamma, gamma_p, gamma_q, ln_gamma,
-    normal_cdf, rayleigh_cdf, standard_normal_cdf,
-};
+use corrfade_specfun::{bessel_j0, bessel_j1, bessel_jn, rayleigh_cdf};
 
 const TOL: f64 = 1e-10;
 
@@ -68,73 +65,9 @@ fn bessel_recurrence_holds() {
 }
 
 #[test]
-fn erf_table() {
-    check("erf(0)", erf(0.0), 0.0);
-    check("erf(0.5)", erf(0.5), 0.520_499_877_813_046_5);
-    check("erf(1)", erf(1.0), 0.842_700_792_949_714_9);
-    check("erf(2)", erf(2.0), 0.995_322_265_018_952_7);
-    check("erf(-1)", erf(-1.0), -0.842_700_792_949_714_9);
-    check("erfc(2)", erfc(2.0), 0.004_677_734_981_047_265);
-    // Complementarity across the argument range.
-    for &x in &[0.1, 0.7, 1.3, 2.9] {
-        check("erf+erfc", erf(x) + erfc(x), 1.0);
-    }
-}
-
-#[test]
-fn normal_and_rayleigh_cdf_reference_points() {
-    check("Phi(0)", standard_normal_cdf(0.0), 0.5);
-    // Phi(1.96) — the classic 97.5 % quantile point.
-    check(
-        "Phi(1.96)",
-        standard_normal_cdf(1.96),
-        0.975_002_104_851_780_2,
-    );
-    check("N(5,2) at 5", normal_cdf(5.0, 5.0, 2.0), 0.5);
+fn rayleigh_cdf_reference_point() {
     // Rayleigh CDF: 1 − exp(−r²/(2σ²)); at r = σ√(2 ln 2) it is 1/2.
     let sigma = 0.7;
     let median = sigma * (2.0 * 2f64.ln()).sqrt();
     check("Rayleigh median", rayleigh_cdf(median, sigma), 0.5);
-}
-
-#[test]
-fn gamma_table() {
-    check("Γ(0.5)", gamma(0.5), 1.772_453_850_905_515_9);
-    check("Γ(1.5)", gamma(1.5), 0.886_226_925_452_758);
-    check("Γ(5)", gamma(5.0), 24.0);
-    check("Γ(1)", gamma(1.0), 1.0);
-    check("lnΓ(10)", ln_gamma(10.0), 12.801_827_480_081_467);
-    // Reflection-free consistency: Γ(x+1) = x·Γ(x).
-    for &x in &[0.25, 1.3, 3.7, 6.1] {
-        assert!(
-            (gamma(x + 1.0) - x * gamma(x)).abs() <= 1e-10 * gamma(x + 1.0).abs(),
-            "recurrence failed at x = {x}"
-        );
-    }
-}
-
-#[test]
-fn incomplete_gamma_table() {
-    // P(1, x) = 1 − e^{−x}.
-    check("P(1,1)", gamma_p(1.0, 1.0), 0.632_120_558_828_557_7);
-    check("Q(1,1)", gamma_q(1.0, 1.0), 1.0 - 0.632_120_558_828_557_7);
-    // P + Q = 1 everywhere.
-    for &(a, x) in &[(0.5, 0.2), (2.0, 3.0), (7.5, 6.0)] {
-        check("P+Q", gamma_p(a, x) + gamma_q(a, x), 1.0);
-    }
-}
-
-#[test]
-fn chi_square_sf_closed_forms() {
-    // For k = 2 degrees of freedom the survival function is exactly
-    // e^{−x/2}.
-    check("χ²(2) sf at 3", chi_square_sf(3.0, 2.0), (-1.5f64).exp());
-    check("χ²(2) sf at 0", chi_square_sf(0.0, 2.0), 1.0);
-    // For k = 4: (1 + x/2)·e^{−x/2}.
-    let x = 5.0;
-    check(
-        "χ²(4) sf at 5",
-        chi_square_sf(x, 4.0),
-        (1.0 + x / 2.0) * (-x / 2.0).exp(),
-    );
 }

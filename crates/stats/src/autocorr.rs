@@ -1,9 +1,8 @@
-//! Autocorrelation and cross-correlation estimation.
+//! Autocorrelation estimation.
 //!
 //! The real-time experiments (E6, E8) verify that each generated fading
 //! process has the normalized autocorrelation `J₀(2π·f_m·d)` predicted by
-//! Eq. (16)–(20) of the paper, and that the cross-correlation between
-//! envelopes matches the desired covariance matrix.
+//! Eq. (16)–(20) of the paper.
 
 use corrfade_linalg::Complex64;
 
@@ -46,50 +45,6 @@ pub fn normalized_autocorrelation(data: &[Complex64], max_lag: usize) -> Vec<f64
     let r0 = r[0].re;
     assert!(r0 > 0.0, "normalized_autocorrelation: zero power sequence");
     r.iter().map(|c| c.re / r0).collect()
-}
-
-/// Biased sample autocorrelation of a real sequence.
-///
-/// # Panics
-/// Panics if `data` is empty or `max_lag >= data.len()`.
-pub fn autocorrelation_real(data: &[f64], max_lag: usize) -> Vec<f64> {
-    assert!(!data.is_empty(), "autocorrelation_real: empty data");
-    assert!(
-        max_lag < data.len(),
-        "autocorrelation_real: max_lag {max_lag} must be < data length {}",
-        data.len()
-    );
-    let l = data.len();
-    (0..=max_lag)
-        .map(|d| {
-            let mut acc = 0.0;
-            for i in 0..(l - d) {
-                acc += data[i + d] * data[i];
-            }
-            acc / l as f64
-        })
-        .collect()
-}
-
-/// Biased sample cross-correlation `r_ab[d] = (1/L)·Σ_l a[l+d]·conj(b[l])`
-/// between two complex sequences of equal length.
-///
-/// # Panics
-/// Panics if the lengths differ, are zero, or `max_lag` is out of range.
-pub fn cross_correlation(a: &[Complex64], b: &[Complex64], max_lag: usize) -> Vec<Complex64> {
-    assert_eq!(a.len(), b.len(), "cross_correlation: length mismatch");
-    assert!(!a.is_empty(), "cross_correlation: empty data");
-    assert!(max_lag < a.len(), "cross_correlation: max_lag out of range");
-    let l = a.len();
-    (0..=max_lag)
-        .map(|d| {
-            let mut acc = Complex64::ZERO;
-            for i in 0..(l - d) {
-                acc += a[i + d] * b[i].conj();
-            }
-            acc.unscale(l as f64)
-        })
-        .collect()
 }
 
 /// Maximum absolute deviation between an estimated normalized
@@ -141,29 +96,6 @@ mod tests {
                 "lag {d}: {rd} vs {}",
                 (omega * d as f64).cos()
             );
-        }
-    }
-
-    #[test]
-    fn real_autocorrelation_matches_complex_on_real_data() {
-        let real: Vec<f64> = (0..100).map(|i| ((i as f64) * 0.17).sin()).collect();
-        let cplx: Vec<Complex64> = real.iter().map(|&x| c64(x, 0.0)).collect();
-        let rr = autocorrelation_real(&real, 10);
-        let rc = autocorrelation(&cplx, 10);
-        for d in 0..=10 {
-            assert!((rr[d] - rc[d].re).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn cross_correlation_of_identical_sequences_is_autocorrelation() {
-        let data: Vec<Complex64> = (0..50)
-            .map(|i| c64((i as f64).sin(), (i as f64 * 0.5).cos()))
-            .collect();
-        let auto = autocorrelation(&data, 5);
-        let cross = cross_correlation(&data, &data, 5);
-        for d in 0..=5 {
-            assert!(auto[d].approx_eq(cross[d], 1e-12));
         }
     }
 

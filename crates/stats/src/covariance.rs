@@ -9,37 +9,10 @@
 
 use corrfade_linalg::{c64, CMatrix, Complex64, SampleBlock};
 
-/// Sample covariance matrix `K̂ = (1/S)·Σ_s z_s·z_sᴴ` of `N` zero-mean
-/// complex processes observed over `S` snapshots.
-///
-/// `samples[s]` is the length-`N` snapshot at time `s` (one draw of the
-/// vector `Z` of the paper).
-///
-/// # Panics
-/// Panics if the snapshots are ragged or there are none.
-pub fn sample_covariance(samples: &[Vec<Complex64>]) -> CMatrix {
-    assert!(!samples.is_empty(), "sample_covariance: no snapshots");
-    let n = samples[0].len();
-    let mut k = CMatrix::zeros(n, n);
-    for (s, snap) in samples.iter().enumerate() {
-        assert_eq!(
-            snap.len(),
-            n,
-            "sample_covariance: snapshot {s} has ragged length"
-        );
-        for i in 0..n {
-            for j in 0..n {
-                k[(i, j)] += snap[i] * snap[j].conj();
-            }
-        }
-    }
-    k.scale_real(1.0 / samples.len() as f64)
-}
-
-/// Sample covariance from per-process sample paths: `paths[j]` is the whole
-/// time series of process `j` (all paths must have equal length). This is the
-/// transposed layout of [`sample_covariance`], convenient when the generator
-/// returns one long sequence per envelope.
+/// Sample covariance `K̂ = (1/S)·Σ_s z_s·z_sᴴ` of `N` zero-mean complex
+/// processes from their sample paths: `paths[j]` is the whole time series
+/// of process `j` (all paths must have equal length `S`), convenient when
+/// the generator returns one long sequence per envelope.
 ///
 /// # Panics
 /// Panics if the paths are ragged or empty.
@@ -68,9 +41,9 @@ pub fn sample_covariance_from_paths(paths: &[Vec<Complex64>]) -> CMatrix {
 
 /// Sample covariance straight from a planar [`SampleBlock`] — no snapshot
 /// or path vectors are materialized. Every sample of the block counts as one
-/// snapshot: on the scalar kernel backend the result matches
-/// [`sample_covariance`] over the block's `M` length-`N` snapshots bit for
-/// bit.
+/// snapshot: on the scalar kernel backend the result matches folding the
+/// block's `M` length-`N` snapshots `z_l·z_lᴴ` in sample order and scaling
+/// by `1/M`, bit for bit.
 ///
 /// # Panics
 /// Panics if the block is empty.
@@ -153,12 +126,30 @@ pub fn relative_frobenius_error(achieved: &CMatrix, desired: &CMatrix) -> f64 {
 mod tests {
     use super::*;
 
+    /// `(1/S)·Σ_s z_s·z_sᴴ` folded snapshot by snapshot — the sample-major
+    /// order the block estimate follows on the scalar backend.
+    fn snapshot_covariance(snapshots: &[Vec<Complex64>]) -> CMatrix {
+        let n = snapshots[0].len();
+        let mut k = CMatrix::zeros(n, n);
+        for snap in snapshots {
+            for i in 0..n {
+                for j in 0..n {
+                    k[(i, j)] += snap[i] * snap[j].conj();
+                }
+            }
+        }
+        k.scale_real(1.0 / snapshots.len() as f64)
+    }
+
     #[test]
     fn covariance_of_deterministic_snapshots() {
-        // Two snapshots of a 2-vector with known outer products.
-        let s1 = vec![c64(1.0, 0.0), c64(0.0, 1.0)];
-        let s2 = vec![c64(0.0, 2.0), c64(2.0, 0.0)];
-        let k = sample_covariance(&[s1, s2]);
+        // Two snapshots s1 = (1, i), s2 = (2i, 2) of a 2-vector with known
+        // outer products, as the paths of its two processes.
+        let paths = [
+            vec![c64(1.0, 0.0), c64(0.0, 2.0)],
+            vec![c64(0.0, 1.0), c64(2.0, 0.0)],
+        ];
+        let k = sample_covariance_from_paths(&paths);
         // K[0][0] = (|1|^2 + |2i|^2)/2 = 2.5
         assert!((k[(0, 0)].re - 2.5).abs() < 1e-12);
         // K[0][1] = (1*conj(i) + 2i*conj(2))/2 = (-i + 4i)/2 = 1.5i
@@ -180,7 +171,7 @@ mod tests {
                 block.path_mut(j)[l] = z;
             }
         }
-        let from_snaps = sample_covariance(&snapshots);
+        let from_snaps = snapshot_covariance(&snapshots);
         let from_block = sample_covariance_from_block(&block);
         assert!(from_block.approx_eq(&from_snaps, 0.0));
     }
@@ -195,7 +186,7 @@ mod tests {
         let paths: Vec<Vec<Complex64>> = (0..2)
             .map(|j| snapshots.iter().map(|s| s[j]).collect())
             .collect();
-        let k1 = sample_covariance(&snapshots);
+        let k1 = snapshot_covariance(&snapshots);
         let k2 = sample_covariance_from_paths(&paths);
         assert!(k1.approx_eq(&k2, 1e-12));
     }
@@ -235,20 +226,5 @@ mod tests {
         let e = relative_frobenius_error(&b, &a);
         assert!((e - 0.1).abs() < 1e-12);
         assert_eq!(relative_frobenius_error(&a, &a), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "no snapshots")]
-    fn empty_input_rejected() {
-        let _ = sample_covariance(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_snapshots_rejected() {
-        let _ = sample_covariance(&[
-            vec![Complex64::ZERO],
-            vec![Complex64::ZERO, Complex64::ZERO],
-        ]);
     }
 }

@@ -23,20 +23,6 @@ pub fn variance(data: &[f64]) -> f64 {
     data.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / data.len() as f64
 }
 
-/// Sample variance (division by `n − 1`). Returns `0.0` for fewer than two
-/// samples.
-pub fn sample_variance(data: &[f64]) -> f64 {
-    if data.len() < 2 {
-        return 0.0;
-    }
-    variance(data) * data.len() as f64 / (data.len() - 1) as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(data: &[f64]) -> f64 {
-    variance(data).sqrt()
-}
-
 /// Mean of the squares, `E[x²]` — for a zero-mean process this is the power.
 pub fn mean_square(data: &[f64]) -> f64 {
     if data.is_empty() {
@@ -146,8 +132,6 @@ mod tests {
         let data = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert!((mean(&data) - 3.0).abs() < 1e-15);
         assert!((variance(&data) - 2.0).abs() < 1e-15);
-        assert!((sample_variance(&data) - 2.5).abs() < 1e-15);
-        assert!((std_dev(&data) - 2.0f64.sqrt()).abs() < 1e-15);
         assert!((mean_square(&data) - 11.0).abs() < 1e-15);
         assert!((rms(&data) - 11.0f64.sqrt()).abs() < 1e-15);
         assert!(skewness(&data).abs() < 1e-12, "symmetric data has no skew");

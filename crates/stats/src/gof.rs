@@ -2,16 +2,8 @@
 //!
 //! The paper validates its generator visually (envelope plots) and
 //! analytically (Eq. 14–15). The experiment harness replaces the visual check
-//! with two quantitative ones applied to every generated envelope:
-//!
-//! * a one-sample **Kolmogorov–Smirnov** test against the theoretical
-//!   Rayleigh CDF,
-//! * a **chi-square** test on a binned histogram against the theoretical
-//!   density.
-
-use corrfade_specfun::chi_square_sf;
-
-use crate::histogram::EmpiricalCdf;
+//! with a quantitative one applied to every generated envelope: a one-sample
+//! **Kolmogorov–Smirnov** test against the theoretical Rayleigh CDF.
 
 /// Result of a one-sample Kolmogorov–Smirnov test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +26,7 @@ impl KsTest {
 
 /// Survival function of the Kolmogorov distribution,
 /// `Q(λ) = 2·Σ_{k≥1} (−1)^{k−1}·e^{−2k²λ²}`.
-pub fn kolmogorov_sf(lambda: f64) -> f64 {
+fn kolmogorov_sf(lambda: f64) -> f64 {
     if lambda <= 0.0 {
         return 1.0;
     }
@@ -58,10 +50,11 @@ pub fn kolmogorov_sf(lambda: f64) -> f64 {
 /// Panics if `data` is empty.
 pub fn ks_test(data: &[f64], cdf: impl Fn(f64) -> f64) -> KsTest {
     assert!(!data.is_empty(), "ks_test: empty data");
-    let ecdf = EmpiricalCdf::new(data);
-    let n = ecdf.len();
+    let mut sorted = data.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
+    let n = sorted.len();
     let mut d = 0.0f64;
-    for (i, &x) in ecdf.sorted_values().iter().enumerate() {
+    for (i, &x) in sorted.iter().enumerate() {
         let f = cdf(x);
         let before = i as f64 / n as f64;
         let after = (i + 1) as f64 / n as f64;
@@ -74,85 +67,6 @@ pub fn ks_test(data: &[f64], cdf: impl Fn(f64) -> f64) -> KsTest {
         statistic: d,
         p_value: kolmogorov_sf(lambda),
         n,
-    }
-}
-
-/// Result of a chi-square goodness-of-fit test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquareTest {
-    /// The chi-square statistic `Σ (O_i − E_i)²/E_i`.
-    pub statistic: f64,
-    /// Degrees of freedom used for the p-value.
-    pub dof: usize,
-    /// p-value `Pr[χ²_dof > statistic]`.
-    pub p_value: f64,
-}
-
-impl ChiSquareTest {
-    /// `true` when the null hypothesis is **not** rejected at significance
-    /// level `alpha`.
-    pub fn passes(&self, alpha: f64) -> bool {
-        self.p_value > alpha
-    }
-}
-
-/// Chi-square test from observed counts and expected counts (same length).
-/// Bins with an expected count below `min_expected` are merged into their
-/// right neighbour (last bin merges left) to keep the approximation valid.
-/// `extra_constraints` is the number of distribution parameters estimated
-/// from the data (reduces the degrees of freedom).
-///
-/// # Panics
-/// Panics if the slices have different lengths or fewer than two usable bins
-/// remain.
-pub fn chi_square_test(
-    observed: &[f64],
-    expected: &[f64],
-    min_expected: f64,
-    extra_constraints: usize,
-) -> ChiSquareTest {
-    assert_eq!(
-        observed.len(),
-        expected.len(),
-        "chi_square_test: length mismatch"
-    );
-    assert!(!observed.is_empty(), "chi_square_test: empty input");
-
-    // Merge low-expectation bins.
-    let mut merged: Vec<(f64, f64)> = Vec::new();
-    let mut acc_o = 0.0;
-    let mut acc_e = 0.0;
-    for (&o, &e) in observed.iter().zip(expected.iter()) {
-        acc_o += o;
-        acc_e += e;
-        if acc_e >= min_expected {
-            merged.push((acc_o, acc_e));
-            acc_o = 0.0;
-            acc_e = 0.0;
-        }
-    }
-    if acc_e > 0.0 || acc_o > 0.0 {
-        if let Some(last) = merged.last_mut() {
-            last.0 += acc_o;
-            last.1 += acc_e;
-        } else {
-            merged.push((acc_o, acc_e));
-        }
-    }
-    assert!(
-        merged.len() >= 2,
-        "chi_square_test: fewer than two bins remain after merging"
-    );
-
-    let statistic: f64 = merged
-        .iter()
-        .map(|&(o, e)| if e > 0.0 { (o - e) * (o - e) / e } else { 0.0 })
-        .sum();
-    let dof = merged.len().saturating_sub(1 + extra_constraints).max(1);
-    ChiSquareTest {
-        statistic,
-        dof,
-        p_value: chi_square_sf(statistic, dof as f64),
     }
 }
 
@@ -206,39 +120,6 @@ mod tests {
             .collect();
         let t = ks_test(&data, |r| rayleigh_cdf(r, sigma));
         assert!(t.passes(0.01), "Rayleigh envelope rejected: {t:?}");
-    }
-
-    #[test]
-    fn chi_square_accepts_matching_counts() {
-        let observed = [98.0, 105.0, 97.0, 100.0, 100.0];
-        let expected = [100.0, 100.0, 100.0, 100.0, 100.0];
-        let t = chi_square_test(&observed, &expected, 5.0, 0);
-        assert!(t.passes(0.05), "{t:?}");
-        assert_eq!(t.dof, 4);
-    }
-
-    #[test]
-    fn chi_square_rejects_grossly_wrong_counts() {
-        let observed = [10.0, 250.0, 10.0, 250.0, 10.0];
-        let expected = [106.0, 106.0, 106.0, 106.0, 106.0];
-        let t = chi_square_test(&observed, &expected, 5.0, 0);
-        assert!(!t.passes(0.05), "{t:?}");
-    }
-
-    #[test]
-    fn chi_square_merges_small_bins() {
-        let observed = [50.0, 1.0, 1.0, 48.0];
-        let expected = [50.0, 0.5, 0.5, 49.0];
-        let t = chi_square_test(&observed, &expected, 5.0, 0);
-        // After merging, fewer dof than bins-1.
-        assert!(t.dof < 3);
-        assert!(t.p_value > 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn chi_square_length_mismatch_panics() {
-        let _ = chi_square_test(&[1.0], &[1.0, 2.0], 5.0, 0);
     }
 
     #[test]

@@ -45,27 +45,11 @@ pub fn gaussian_variance_from_envelope_variance(sigma_r_sq: f64) -> f64 {
     sigma_r_sq / (1.0 - PI / 4.0)
 }
 
-/// Inverse of [`gaussian_variance_from_envelope_variance`].
-pub fn envelope_variance_from_gaussian_variance(sigma_g_sq: f64) -> f64 {
-    envelope_variance(sigma_g_sq)
-}
-
 /// Classical Rayleigh scale parameter `σ` (the mode) of the envelope of a
 /// complex Gaussian with total variance `sigma_g_sq`: `σ = σ_g/√2`.
 pub fn rayleigh_scale(sigma_g_sq: f64) -> f64 {
     assert!(sigma_g_sq >= 0.0, "variance must be non-negative");
     (sigma_g_sq / 2.0).sqrt()
-}
-
-/// Rayleigh probability density with scale `sigma` (mode):
-/// `f(r) = r/σ²·exp(−r²/(2σ²))` for `r ≥ 0`.
-pub fn rayleigh_pdf(r: f64, sigma: f64) -> f64 {
-    assert!(sigma > 0.0, "rayleigh_pdf requires sigma > 0");
-    if r < 0.0 {
-        0.0
-    } else {
-        r / (sigma * sigma) * (-r * r / (2.0 * sigma * sigma)).exp()
-    }
 }
 
 /// Maximum-likelihood estimate of the Rayleigh scale from envelope samples:
@@ -152,7 +136,7 @@ mod tests {
         // Eq. (11) composed with Eq. (15) must be the identity.
         for &sr2 in &[0.1, 1.0, 3.7] {
             let sg2 = gaussian_variance_from_envelope_variance(sr2);
-            assert!((envelope_variance_from_gaussian_variance(sg2) - sr2).abs() < 1e-12);
+            assert!((envelope_variance(sg2) - sr2).abs() < 1e-12);
         }
         // Explicit constant: 1/(1 - π/4) ≈ 4.6598.
         assert!((gaussian_variance_from_envelope_variance(1.0) - 4.659792366325487).abs() < 1e-9);
@@ -164,23 +148,6 @@ mod tests {
         let sg2 = 1.8;
         let total = envelope_variance(sg2) + envelope_mean(sg2).powi(2);
         assert!((total - sg2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pdf_integrates_to_one_and_peaks_at_sigma() {
-        let sigma = 1.3;
-        let dr = 1e-3;
-        let mut integral = 0.0;
-        let mut r = 0.0;
-        while r < 15.0 {
-            integral += rayleigh_pdf(r + 0.5 * dr, sigma) * dr;
-            r += dr;
-        }
-        assert!((integral - 1.0).abs() < 1e-4);
-        // Mode at r = sigma.
-        assert!(rayleigh_pdf(sigma, sigma) > rayleigh_pdf(sigma * 0.9, sigma));
-        assert!(rayleigh_pdf(sigma, sigma) > rayleigh_pdf(sigma * 1.1, sigma));
-        assert_eq!(rayleigh_pdf(-1.0, sigma), 0.0);
     }
 
     #[test]
