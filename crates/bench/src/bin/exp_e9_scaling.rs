@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use corrfade::{cholesky_coloring, eigen_coloring};
 use corrfade_bench::report;
-use corrfade_parallel::{monte_carlo_covariance, ParallelConfig};
+use corrfade_parallel::{monte_carlo_covariance_on, ParallelConfig, Runtime};
 
 fn main() {
     report::section("E9: scaling of decomposition, generation and parallel Monte-Carlo");
@@ -98,14 +98,15 @@ fn main() {
     let total = 400_000;
     let mut baseline_ms = 0.0;
     let mut rows = Vec::new();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cfg = ParallelConfig {
+        chunk_size: 8192,
+        seed: 0xE9,
+    };
     for &threads in &[1usize, 2, 4, 8] {
-        let cfg = ParallelConfig {
-            threads,
-            chunk_size: 8192,
-            seed: 0xE9,
-        };
+        let runtime = Runtime::new(threads.min(cores));
         let t0 = Instant::now();
-        let _ = monte_carlo_covariance(&k, total, &cfg).unwrap();
+        let _ = monte_carlo_covariance_on(&runtime, &k, total, &cfg).unwrap();
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if threads == 1 {
             baseline_ms = ms;

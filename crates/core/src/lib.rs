@@ -85,7 +85,7 @@ pub use stream::ChannelStream;
 // The planar block buffers the streaming API writes into live in the linalg
 // crate (they are pure data layout); re-export them so `corrfade` alone is
 // enough to drive a `ChannelStream`.
-pub use corrfade_linalg::{BlockView, SampleBlock};
+pub use corrfade_linalg::SampleBlock;
 
 // Re-export the sibling crates under stable names so downstream users can
 // depend on `corrfade` alone.

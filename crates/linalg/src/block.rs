@@ -171,44 +171,6 @@ impl SampleBlock {
         self.env_valid = true;
     }
 
-    /// Splits the block at time sample `mid` into two read-only views: the
-    /// first covering samples `0..mid`, the second `mid..M` — both still
-    /// planar across all `N` envelopes.
-    ///
-    /// # Panics
-    /// Panics if `mid > self.samples()`.
-    #[must_use]
-    pub fn split_at_sample(&self, mid: usize) -> (BlockView<'_>, BlockView<'_>) {
-        assert!(
-            mid <= self.samples,
-            "split_at_sample: split point {mid} exceeds block length {}",
-            self.samples
-        );
-        (
-            BlockView {
-                data: &self.data,
-                envelopes: self.envelopes,
-                stride: self.samples,
-                offset: 0,
-                samples: mid,
-            },
-            BlockView {
-                data: &self.data,
-                envelopes: self.envelopes,
-                stride: self.samples,
-                offset: mid,
-                samples: self.samples - mid,
-            },
-        )
-    }
-
-    /// A view over the whole block (stride-aware, like the halves of
-    /// [`SampleBlock::split_at_sample`]).
-    #[must_use]
-    pub fn view(&self) -> BlockView<'_> {
-        self.split_at_sample(self.samples).0
-    }
-
     /// Folds the outer products `Σ_l Z[l]·Z[l]ᴴ` of this block into `acc`
     /// (an `N × N` accumulator) without materializing any snapshot vector.
     /// Divide by the accumulated sample count to obtain the sample
@@ -344,56 +306,6 @@ impl PartialEq for SampleBlock {
     }
 }
 
-/// A read-only, stride-aware view of a (part of a) [`SampleBlock`], produced
-/// by [`SampleBlock::split_at_sample`].
-#[derive(Debug, Clone, Copy)]
-pub struct BlockView<'a> {
-    data: &'a [Complex64],
-    envelopes: usize,
-    /// Distance between consecutive envelope rows in `data` (the `M` of the
-    /// underlying block, not of this view).
-    stride: usize,
-    /// First sample of the view within each row.
-    offset: usize,
-    /// Number of samples per envelope in this view.
-    samples: usize,
-}
-
-impl BlockView<'_> {
-    /// Number of envelope processes `N`.
-    #[must_use]
-    pub fn envelopes(&self) -> usize {
-        self.envelopes
-    }
-
-    /// Number of time samples per envelope in this view.
-    #[must_use]
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// `true` when the view covers no samples.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.envelopes == 0 || self.samples == 0
-    }
-
-    /// The (contiguous) time series of envelope `j` within this view.
-    ///
-    /// # Panics
-    /// Panics if `j >= self.envelopes()`.
-    #[must_use]
-    pub fn path(&self, j: usize) -> &[Complex64] {
-        assert!(
-            j < self.envelopes,
-            "path: envelope index {j} out of range (N = {})",
-            self.envelopes
-        );
-        let start = j * self.stride + self.offset;
-        &self.data[start..start + self.samples]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,23 +369,6 @@ mod tests {
         // Full planar envelope view agrees with the per-path view.
         let full = b.envelope_slice().to_vec();
         assert!((full[3] - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn split_at_sample_partitions_each_path() {
-        let b = filled(3, 7);
-        let (head, tail) = b.split_at_sample(3);
-        assert_eq!(head.envelopes(), 3);
-        assert_eq!(head.samples(), 3);
-        assert_eq!(tail.samples(), 4);
-        for j in 0..3 {
-            assert_eq!(head.path(j), &b.path(j)[..3]);
-            assert_eq!(tail.path(j), &b.path(j)[3..]);
-        }
-        let (all, none) = b.split_at_sample(7);
-        assert_eq!(all.samples(), 7);
-        assert!(none.is_empty());
-        assert_eq!(b.view().path(1), b.path(1));
     }
 
     #[test]
@@ -551,12 +446,5 @@ mod tests {
     fn path_bounds_checked() {
         let b = filled(2, 3);
         let _ = b.path(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "split point")]
-    fn split_bounds_checked() {
-        let b = filled(2, 3);
-        let _ = b.split_at_sample(4);
     }
 }

@@ -51,12 +51,6 @@ impl Complex64 {
         Self { re, im: 0.0 }
     }
 
-    /// Creates a purely imaginary complex number.
-    #[inline]
-    pub const fn from_imag(im: f64) -> Self {
-        Self { re: 0.0, im }
-    }
-
     /// Creates a complex number from polar coordinates `r · e^{iθ}`.
     #[inline]
     pub fn from_polar(r: f64, theta: f64) -> Self {
@@ -502,7 +496,6 @@ mod tests {
         assert_eq!(Complex64::ONE, c64(1.0, 0.0));
         assert_eq!(Complex64::I, c64(0.0, 1.0));
         assert_eq!(Complex64::from_real(2.5), c64(2.5, 0.0));
-        assert_eq!(Complex64::from_imag(-1.5), c64(0.0, -1.5));
         assert_eq!(Complex64::from((1.0, 2.0)), c64(1.0, 2.0));
         assert_eq!(Complex64::from(3.0), c64(3.0, 0.0));
     }

@@ -35,7 +35,7 @@ pub mod kernel;
 pub mod matrix;
 pub mod vector;
 
-pub use block::{BlockView, BlockWireError, SampleBlock, WIRE_BYTES_PER_SAMPLE};
+pub use block::{BlockWireError, SampleBlock, WIRE_BYTES_PER_SAMPLE};
 pub use cache::{CacheStats, FactorCache, MatrixKey};
 pub use cholesky::{cholesky, cholesky_with_tol, is_positive_definite};
 pub use complex::{c64, Complex64};

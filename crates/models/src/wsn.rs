@@ -147,18 +147,43 @@ impl LinkCorrelationModel {
     /// The correlation coefficient for a link pair separated by
     /// `midpoint_distance` with angular separation `angular_sep` —
     /// always in `[0, max_correlation]`.
+    ///
+    /// # Panics
+    /// See [`Self::assert_valid`].
     #[must_use]
     pub fn correlation(&self, midpoint_distance: f64, angular_sep: f64) -> f64 {
+        self.assert_valid();
+        self.correlation_unchecked(midpoint_distance, angular_sep)
+    }
+
+    /// Checks the parameters [`Self::correlation`] checks on every call.
+    ///
+    /// # Panics
+    /// Panics unless the decorrelation distance is positive, a finite
+    /// angular scale is positive and the clamp is non-negative.
+    pub fn assert_valid(&self) {
         assert!(
             self.decorrelation_distance > 0.0,
             "decorrelation distance must be positive"
         );
-        let mut rho = (-midpoint_distance / self.decorrelation_distance).exp();
         if self.angular_scale_rad.is_finite() {
             assert!(
                 self.angular_scale_rad > 0.0,
                 "angular scale must be positive"
             );
+        }
+        assert!(
+            self.max_correlation >= 0.0,
+            "max correlation must be non-negative"
+        );
+    }
+
+    /// [`Self::correlation`] without its parameter checks, bit for bit:
+    /// for loops over many pairs that call [`Self::assert_valid`] once.
+    #[must_use]
+    pub fn correlation_unchecked(&self, midpoint_distance: f64, angular_sep: f64) -> f64 {
+        let mut rho = (-midpoint_distance / self.decorrelation_distance).exp();
+        if self.angular_scale_rad.is_finite() {
             rho *= (-angular_sep / self.angular_scale_rad).exp();
         }
         rho.clamp(0.0, self.max_correlation)

@@ -112,8 +112,13 @@ impl From<CorrfadeError> for NetworkError {
 }
 
 impl From<ParallelError> for NetworkError {
+    /// A group the fleet could not build is the generator stack's error
+    /// ([`NetworkError::Core`]); everything else is the fleet's.
     fn from(e: ParallelError) -> Self {
-        NetworkError::Parallel(e)
+        match e {
+            ParallelError::Core(e) => NetworkError::Core(e),
+            e => NetworkError::Parallel(e),
+        }
     }
 }
 

@@ -84,11 +84,28 @@ pub fn partition_links(
     let geometry: Vec<([f64; 2], f64)> = (0..n)
         .map(|i| (topology.link_midpoint(i), topology.link_orientation(i)))
         .collect();
+    if n >= 2 {
+        correlation.assert_valid();
+    }
+    // Past this midpoint distance `exp(−d/D_c)` alone is below `threshold`
+    // by a relative margin of ~1e-9, far wider than the rounding of `ln`,
+    // `exp` and the divisions; the angular factor (≤ 1) and the clamp only
+    // lower ρ, so such a pair cannot merge and skips the evaluation. Pairs
+    // at the boundary and NaN distances take the exact test; so does every
+    // pair under a subnormal threshold, where `exp` rounds too coarsely.
+    let cutoff = if threshold.is_normal() {
+        correlation.decorrelation_distance * (1e-9 - threshold.ln())
+    } else {
+        f64::INFINITY
+    };
     for k in 0..n {
         for j in (k + 1)..n {
             let d = corrfade_models::wsn::distance(geometry[k].0, geometry[j].0);
+            if d > cutoff {
+                continue;
+            }
             let sep = corrfade_models::wsn::angular_separation(geometry[k].1, geometry[j].1);
-            if correlation.correlation(d, sep) >= threshold {
+            if correlation.correlation_unchecked(d, sep) >= threshold {
                 let (rk, rj) = (find(&mut parent, k), find(&mut parent, j));
                 if rk != rj {
                     // Always hang the larger root index under the smaller so
@@ -197,5 +214,37 @@ mod tests {
         let a = partition_links(&topo, &model, 0.05, 1);
         let b = partition_links(&topo, &model, 0.05, 1024);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_pair_exactly_at_the_threshold_still_merges() {
+        // Threshold = the pair's correlation, bit for bit: the distance
+        // cutoff must leave this pair to the exact `>=` test. At this
+        // separation `D_c·(−ln ρ)` rounds below `d`, so a cutoff without
+        // its margin would skip the pair.
+        let d = 0.598_423_484_389_417_3;
+        let topo = Topology::from_edges(
+            vec![[0.0, 0.0], [1.0, 0.0], [0.0, d], [1.0, d]],
+            &[(0, 1), (2, 3)],
+        )
+        .unwrap();
+        let model = LinkCorrelationModel::distance_only(1.0);
+        assert_eq!(
+            corrfade_models::wsn::distance(topo.link_midpoint(0), topo.link_midpoint(1)),
+            d
+        );
+        let rho = model.correlation(d, 0.0);
+        assert_eq!(partition_links(&topo, &model, rho, 64).len(), 1);
+        assert_eq!(partition_links(&topo, &model, rho.next_up(), 64).len(), 2);
+    }
+
+    #[test]
+    fn model_parameters_are_checked_once_there_is_a_pair() {
+        let bad = LinkCorrelationModel::distance_only(-1.0);
+        let one_link = Topology::from_edges(vec![[0.0, 0.0], [1.0, 0.0]], &[(0, 1)]).unwrap();
+        assert_eq!(partition_links(&one_link, &bad, 0.05, 64).len(), 1);
+        let panicked =
+            std::panic::catch_unwind(|| partition_links(&far_apart_pair(), &bad, 0.05, 64));
+        assert!(panicked.is_err(), "an invalid model must still panic");
     }
 }

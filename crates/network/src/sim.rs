@@ -20,12 +20,7 @@
 //! That second property is what makes one-fleet-per-process scale-out
 //! (MPI-style, one [`NetworkSim`] per rank) a pure partitioning exercise.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use corrfade::{
-    cached_eigen_coloring, Coloring, CorrfadeError, Precision, RealtimeConfig, RealtimeGenerator,
-};
+use corrfade::{Precision, RealtimeConfig};
 use corrfade_linalg::CMatrix;
 use corrfade_models::wsn::{link_field_covariance, LinkCorrelationModel, LogDistancePathLoss};
 use corrfade_parallel::{Runtime, StreamFleet};
@@ -184,8 +179,9 @@ impl NetworkSim {
     /// Group seeds never depend on the shard layout, so the union of all
     /// shards reproduces the monolithic run bit for bit.
     ///
-    /// The groups' decompositions run on [`Runtime::global`], so this must
-    /// not be called from inside a job on that pool.
+    /// The groups' generators are built by [`StreamFleet::open_configs`] on
+    /// [`Runtime::global`], so this must not be called from inside a job on
+    /// that pool.
     ///
     /// # Errors
     /// [`NetworkError::ShardOutOfRange`] / [`NetworkError::InvalidParameter`]
@@ -234,67 +230,45 @@ impl NetworkSim {
 
         let groups = config.link_groups(&topology);
 
-        // This shard's groups and their covariances, in group order, up to
-        // the first covariance that cannot be assembled.
-        let mut local = Vec::new();
+        // This shard's groups and their generator configurations, in group
+        // order, up to the first covariance that cannot be assembled.
         let mut covariance_error = None;
-        for (g, group) in groups.groups().iter().enumerate() {
-            if (g as u64) % shard_count != shard_id {
-                continue;
-            }
-            match config.group_covariance(&topology, group) {
-                Ok(covariance) => local.push((g, covariance)),
-                Err(error) => {
-                    covariance_error = Some(error);
-                    break;
-                }
-            }
+        let (local, configs): (Vec<usize>, Vec<RealtimeConfig>) = (0..groups.len())
+            .filter(|&g| (g as u64) % shard_count == shard_id)
+            .map_while(
+                |g| match config.group_covariance(&topology, &groups.groups()[g]) {
+                    Ok(covariance) => Some((
+                        g,
+                        RealtimeConfig {
+                            covariance,
+                            idft_size: config.doppler.idft_size,
+                            normalized_doppler: config.doppler.normalized_doppler,
+                            sigma_orig_sq: config.doppler.sigma_orig_sq,
+                            seed: shard_seed(master_seed, groups.leader(g) as u64),
+                            precision: Precision::F64,
+                        },
+                    )),
+                    Err(error) => {
+                        covariance_error = Some(error);
+                        None
+                    }
+                },
+            )
+            .unzip();
+        // A group that cannot be colored before the first bad covariance is
+        // the first failing group.
+        let fleet = StreamFleet::open_configs(configs, master_seed)?;
+        if let Some(error) = covariance_error {
+            return Err(error);
         }
 
-        // The decompositions are nearly all of the cost of opening, so they
-        // run on the pool, one atomic cursor handing out groups. Relaxed: the
-        // cursor only hands out indices; the pool's completion handshake
-        // orders the results.
-        let colorings: Vec<OnceLock<Result<Arc<Coloring>, CorrfadeError>>> =
-            local.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        Runtime::global().try_run(&|_id, _scratch| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((_, covariance)) = local.get(i) else {
-                break;
-            };
-            let _ = colorings[i].set(cached_eigen_coloring(covariance));
-        })?;
-
-        // Generators in group order, so an error is the first failing
-        // group's, as if the groups had been opened one after another.
         let mut placement: Vec<Option<(usize, usize)>> = vec![None; topology.link_count()];
         let mut local_links = Vec::new();
-        let mut streams = Vec::with_capacity(local.len());
-        for ((g, covariance), coloring) in local.into_iter().zip(colorings) {
-            let coloring = coloring
-                .into_inner()
-                .expect("a pool job that returned Ok visited every group")?;
-            let generator = RealtimeGenerator::from_coloring(
-                Coloring::clone(&coloring),
-                RealtimeConfig {
-                    covariance,
-                    idft_size: config.doppler.idft_size,
-                    normalized_doppler: config.doppler.normalized_doppler,
-                    sigma_orig_sq: config.doppler.sigma_orig_sq,
-                    seed: shard_seed(master_seed, groups.leader(g) as u64),
-                    precision: Precision::F64,
-                },
-            )?;
-            let stream_index = streams.len();
-            streams.push(generator);
+        for (stream_index, g) in local.into_iter().enumerate() {
             for (offset, &link) in groups.groups()[g].iter().enumerate() {
                 placement[link] = Some((stream_index, offset));
                 local_links.push(link);
             }
-        }
-        if let Some(error) = covariance_error {
-            return Err(error);
         }
         local_links.sort_unstable();
 
@@ -306,7 +280,7 @@ impl NetworkSim {
             groups,
             placement,
             local_links,
-            fleet: StreamFleet::open_streams(streams, master_seed),
+            fleet,
             outage_threshold: 10f64.powf(config.outage_snr_db / 20.0),
             mean_snr_db,
             shard_id,

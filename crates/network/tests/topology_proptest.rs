@@ -6,15 +6,97 @@
 //! * it is positive semidefinite within the eigensolver tolerance,
 //! * [`link_field_covariance`] (the `CovarianceBuilder` path) and
 //!   [`cached_eigen_coloring`] both succeed, i.e. the matrix is decomposable
-//!   and a generator could be opened on it.
+//!   and a generator could be opened on it,
+//! * [`partition_links`], which skips pairs past the model's cutoff
+//!   distance, groups the links exactly as evaluating every pair does — on
+//!   these layouts and on the `wsn-epoch` grid.
 
 use corrfade::cached_eigen_coloring;
 use corrfade_linalg::hermitian_eigen;
 use corrfade_models::wsn::{
     angular_separation, link_field_covariance, LinkCorrelationModel, LogDistancePathLoss,
 };
-use corrfade_network::Topology;
+use corrfade_network::{partition_links, Topology};
 use proptest::prelude::*;
+
+// Only the `wsn-epoch` network is used here, not its covariances.
+#[allow(dead_code)]
+#[path = "support/wsn_epoch.rs"]
+mod wsn_epoch;
+
+/// The partition as computed before the distance cutoff: the model is
+/// evaluated for every pair of links, then components are split and
+/// ordered by leader.
+fn all_pairs_partition(
+    topology: &Topology,
+    correlation: &LinkCorrelationModel,
+    threshold: f64,
+    max_group_size: usize,
+) -> Vec<Vec<usize>> {
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    let n = topology.link_count();
+    let mut parent: Vec<usize> = (0..n).collect();
+    for k in 0..n {
+        for j in (k + 1)..n {
+            let d = corrfade_models::wsn::distance(
+                topology.link_midpoint(k),
+                topology.link_midpoint(j),
+            );
+            let sep =
+                angular_separation(topology.link_orientation(k), topology.link_orientation(j));
+            if correlation.correlation(d, sep) >= threshold {
+                let (rk, rj) = (find(&mut parent, k), find(&mut parent, j));
+                if rk != rj {
+                    parent[rk.max(rj)] = rk.min(rj);
+                }
+            }
+        }
+    }
+    let mut components: Vec<Vec<usize>> = Vec::new();
+    let mut component_of_root: Vec<Option<usize>> = vec![None; n];
+    for link in 0..n {
+        let root = find(&mut parent, link);
+        match component_of_root[root] {
+            Some(c) => components[c].push(link),
+            None => {
+                component_of_root[root] = Some(components.len());
+                components.push(vec![link]);
+            }
+        }
+    }
+    let mut groups: Vec<Vec<usize>> = components
+        .iter()
+        .flat_map(|component| {
+            component
+                .chunks(max_group_size.max(1))
+                .map(<[usize]>::to_vec)
+        })
+        .collect();
+    groups.sort_unstable_by_key(|g| g[0]);
+    groups
+}
+
+#[test]
+fn wsn_epoch_partition_matches_the_all_pairs_loop() {
+    let (topology, config) = wsn_epoch::network();
+    let groups = config.link_groups(&topology);
+    assert_eq!(groups.len(), 16);
+    assert_eq!(
+        groups.groups(),
+        all_pairs_partition(
+            &topology,
+            &config.correlation,
+            config.correlation_threshold,
+            config.max_group_size,
+        )
+    );
+}
 
 /// Random node layout in a 10×10 field plus model parameters. Node counts up
 /// to 16 with a generous radius keep the link count at or below the
@@ -104,5 +186,27 @@ proptest! {
         // succeeds as well.
         let coloring = cached_eigen_coloring(&k).expect("coloring must succeed");
         prop_assert_eq!(coloring.dimension(), n);
+    }
+
+    #[test]
+    fn partition_matches_the_all_pairs_loop(
+        input in layout(),
+        raw_threshold in 0.001f64..1.0,
+        pick in 0usize..4,
+        max_group_size in 1usize..24,
+    ) {
+        // A threshold of 1 sits above the 0.99 clamp; 0.99 sits on it.
+        let threshold = [raw_threshold, raw_threshold, 0.99, 1.0][pick];
+        let (positions, radius, dc, theta) = input;
+        let topology = Topology::connectivity(positions, radius).unwrap();
+        for correlation in [
+            LinkCorrelationModel::new(dc, theta),
+            LinkCorrelationModel::distance_only(dc),
+        ] {
+            prop_assert_eq!(
+                partition_links(&topology, &correlation, threshold, max_group_size).groups(),
+                all_pairs_partition(&topology, &correlation, threshold, max_group_size)
+            );
+        }
     }
 }

@@ -18,15 +18,15 @@ pub enum ParallelError {
     /// A [`crate::StreamFleet`] member failed to resolve or build from the
     /// scenario registry (unknown name, invalid resize, …).
     Scenario(ScenarioError),
-    /// One or more worker executions of a submitted job panicked. The pool
-    /// itself survives — subsequent submissions run normally — but the
-    /// failed job's output must not be trusted. Reported as a typed error
-    /// by [`crate::Runtime::try_run`] (and surfaced through fallible
+    /// One or more items of a submitted job panicked. The pool itself
+    /// survives — subsequent submissions run normally — but the failed
+    /// job's output must not be trusted. Reported as a typed error by
+    /// [`crate::Runtime::try_for_each`] (and surfaced through fallible
     /// callers such as [`crate::StreamFleet::advance`]) instead of the
     /// poisoned-mutex cascade panics an unhandled worker panic used to
     /// cause.
     JobPanicked {
-        /// Number of worker executions that panicked.
+        /// Number of items that panicked.
         panicked: usize,
     },
 }
@@ -41,9 +41,9 @@ impl fmt::Display for ParallelError {
             ParallelError::Scenario(e) => write!(f, "fleet scenario error: {e}"),
             ParallelError::JobPanicked { panicked } => write!(
                 f,
-                "{panicked} pool worker(s) panicked while executing the job \
-                 (see stderr for the worker panic message); the pool \
-                 survives and later submissions run normally"
+                "{panicked} item(s) panicked while executing the job \
+                 (see stderr for the panic message); the pool survives \
+                 and later submissions run normally"
             ),
         }
     }

@@ -2,23 +2,22 @@
 //!
 //! A network simulator or a channel emulator advances many correlated
 //! channels in lockstep: K streams, each over a named scenario from
-//! `corrfade-scenarios` (or a pre-built generator), each producing its
+//! `corrfade-scenarios` (or a generator configuration), each producing its
 //! next block of Doppler-shaped samples at every epoch. [`StreamFleet`] is
 //! that lockstep engine:
 //!
-//! * **Open by name** — [`StreamFleet::open`] resolves each name through
-//!   the scenario registry and builds its real-time generator through the
-//!   process-wide decomposition cache
-//!   ([`corrfade::cached_eigen_coloring`]), so K streams over the same
-//!   covariance matrix pay for one eigendecomposition; the FFT plan caches
-//!   in `corrfade-dsp` are memos of the same type. The decomposition
-//!   lookups run one stream after another on the opening thread, never
-//!   inside the pool, and per-stream setup is paid once, at open.
+//! * **Open on the pool** — [`StreamFleet::open`] resolves each name
+//!   through the scenario registry, and [`StreamFleet::open_configs`],
+//!   which every open goes through, builds the real-time generators as the
+//!   items of one [`Runtime::try_for_each`] through the process-wide
+//!   decomposition cache ([`corrfade::cached_eigen_coloring`]): K streams
+//!   over the same covariance matrix pay for one eigendecomposition, and
+//!   distinct matrices decompose concurrently. Per-stream setup is paid
+//!   once, at open.
 //! * **Generate in batch** — [`StreamFleet::advance`] produces the next
 //!   block for *every* stream concurrently on the persistent
-//!   [`Runtime`] pool: executors claim stream indices from one shared
-//!   atomic cursor, the submitting thread participates as executor 0, and
-//!   each stream's block lands in that stream's own pooled
+//!   [`Runtime`] pool, one item per stream, and each stream's block lands
+//!   in that stream's own pooled
 //!   [`SampleBlock`]. After warm-up an advance performs **zero heap
 //!   allocation** (the workspace's allocation-regression test measures
 //!   this end to end through the pool).
@@ -30,11 +29,13 @@
 //!   ([`Scenario::build_realtime`] + repeated `next_block_into`), on any
 //!   thread count and both kernel backends.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-use corrfade::{ChannelStream, RealtimeGenerator, SampleBlock};
-use corrfade_scenarios::{lookup, Scenario};
+use corrfade::{
+    cached_eigen_coloring, ChannelStream, Coloring, CorrfadeError, RealtimeConfig,
+    RealtimeGenerator, SampleBlock,
+};
+use corrfade_scenarios::{lookup, Scenario, ScenarioError};
 
 use crate::error::ParallelError;
 use crate::partition::chunk_seed;
@@ -81,8 +82,8 @@ fn slot_mut(slot: &mut Mutex<FleetSlot>) -> &mut FleetSlot {
 /// assert_eq!(fleet.block(1).samples(), 4096);
 /// ```
 pub struct StreamFleet {
-    /// The registry scenarios backing the fixed streams; empty for fleets
-    /// assembled from pre-built generators ([`StreamFleet::open_streams`]).
+    /// The registry scenarios backing the streams; empty for fleets opened
+    /// from generator configurations ([`StreamFleet::open_configs`]).
     scenarios: Vec<&'static Scenario>,
     slots: Vec<Mutex<FleetSlot>>,
     /// Total samples per lockstep advance, Σ dimension·block_len — computed
@@ -122,43 +123,78 @@ impl StreamFleet {
     /// or filtered their scenarios).
     ///
     /// # Errors
-    /// [`ParallelError::Scenario`] when a scenario fails to build.
+    /// [`ParallelError::Scenario`] for the first stream, in stream order,
+    /// that fails to build; [`ParallelError::JobPanicked`] when building a
+    /// stream panicked.
     pub fn open_scenarios(
         scenarios: &[&'static Scenario],
         master_seed: u64,
     ) -> Result<Self, ParallelError> {
-        let streams = scenarios
+        let mut config_error = None;
+        let configs = scenarios
             .iter()
             .enumerate()
-            .map(|(i, scenario)| Ok(scenario.build_realtime_cached(stream_seed(master_seed, i))?))
-            .collect::<Result<Vec<_>, ParallelError>>()?;
-        Ok(Self::from_parts(scenarios.to_vec(), streams, master_seed))
+            .map_while(|(i, scenario)| {
+                scenario
+                    .realtime_config(stream_seed(master_seed, i))
+                    .map_err(|error| config_error = Some(error))
+                    .ok()
+            })
+            .collect();
+        let mut fleet = Self::open_configs(configs, master_seed).map_err(|error| match error {
+            ParallelError::Core(error) => ScenarioError::from(error).into(),
+            error => error,
+        })?;
+        if let Some(error) = config_error {
+            return Err(error.into());
+        }
+        fleet.scenarios = scenarios.to_vec();
+        Ok(fleet)
     }
 
-    /// Assembles a fleet from **pre-built** real-time generators — the
-    /// registry-free entry point for layers that derive their streams from
-    /// something other than named scenarios (the `corrfade-network` crate
-    /// opens one multi-envelope stream per correlated link group this way,
-    /// each seeded by its own partition-invariant derivation).
+    /// Opens one real-time stream per generator configuration — the entry
+    /// point every other open goes through, and the one for layers that
+    /// derive their streams from something other than named scenarios (the
+    /// `corrfade-network` crate opens one multi-envelope stream per
+    /// correlated link group this way, each seeded by its own
+    /// partition-invariant derivation).
     ///
-    /// The caller owns the seeding policy entirely: unlike
-    /// [`StreamFleet::open`], **no** [`stream_seed`] derivation is applied,
-    /// and `master_seed` is recorded for observability only. Everything
-    /// else — lockstep [`StreamFleet::advance`] on the pool, per-stream
-    /// pooled blocks, zero steady-state allocation,
-    /// bit-identical results on any pool size — behaves exactly as for
-    /// name-opened fleets. [`StreamFleet::scenario`] has no entries to
+    /// Each stream's coloring is resolved through the process-wide
+    /// decomposition cache ([`corrfade::cached_eigen_coloring`]) and its
+    /// generator built on [`Runtime::global`], one item per stream, so
+    /// opening many large covariances runs their decompositions
+    /// concurrently; streams over the same matrix still share one
+    /// decomposition, and the cache counts the same misses and hits as
+    /// opening the streams one after another. This must not be called from
+    /// inside a job on the global pool.
+    ///
+    /// The configurations' seeds are used verbatim: **no** [`stream_seed`]
+    /// derivation is applied, and `master_seed` is recorded for
+    /// observability only. [`StreamFleet::scenario`] has no entries to
     /// return for such a fleet and panics for every index.
-    #[must_use]
-    pub fn open_streams(streams: Vec<RealtimeGenerator>, master_seed: u64) -> Self {
-        Self::from_parts(Vec::new(), streams, master_seed)
-    }
-
-    fn from_parts(
-        scenarios: Vec<&'static Scenario>,
-        streams: Vec<RealtimeGenerator>,
+    ///
+    /// # Errors
+    /// [`ParallelError::Core`] for the first stream, in stream order, whose
+    /// covariance cannot be colored or whose generator cannot be built;
+    /// [`ParallelError::JobPanicked`] when building a stream panicked.
+    pub fn open_configs(
+        configs: Vec<RealtimeConfig>,
         master_seed: u64,
-    ) -> Self {
+    ) -> Result<Self, ParallelError> {
+        let built: Vec<OnceLock<Result<RealtimeGenerator, CorrfadeError>>> =
+            configs.iter().map(|_| OnceLock::new()).collect();
+        Runtime::global().try_for_each(configs.len(), &|i| {
+            let config = &configs[i];
+            let _ = built[i].set(
+                cached_eigen_coloring(&config.covariance).and_then(|coloring| {
+                    RealtimeGenerator::from_coloring(Coloring::clone(&coloring), config.clone())
+                }),
+            );
+        })?;
+        let streams = built
+            .into_iter()
+            .map(|stream| stream.into_inner().expect("every stream was built"))
+            .collect::<Result<Vec<_>, _>>()?;
         let samples_per_advance = streams.iter().map(|s| s.dimension() * s.block_len()).sum();
         let slots = streams
             .into_iter()
@@ -169,12 +205,12 @@ impl StreamFleet {
                 })
             })
             .collect();
-        Self {
-            scenarios,
+        Ok(Self {
+            scenarios: Vec::new(),
             slots,
             samples_per_advance,
             master_seed,
-        }
+        })
     }
 
     /// Number of streams in the fleet.
@@ -215,11 +251,10 @@ impl StreamFleet {
     /// Generates the next block for every stream concurrently on the
     /// global [`Runtime`] pool.
     ///
-    /// Executors claim stream indices from one shared atomic cursor until
-    /// every stream has been claimed, so a skewed fleet (streams with very
-    /// different `N` and `M`) keeps every core busy until the whole advance
-    /// is done. The submitting thread itself is executor 0, so no core
-    /// idles behind the barrier.
+    /// Each stream is one item of [`Runtime::try_for_each`], so a skewed
+    /// fleet (streams with very different `N` and `M`) keeps every core
+    /// busy until the whole advance is done, and the submitting thread
+    /// generates streams too.
     ///
     /// # Errors
     /// [`ParallelError::JobPanicked`] when a stream's generation panicked
@@ -235,17 +270,12 @@ impl StreamFleet {
     /// See [`StreamFleet::advance`].
     pub fn advance_on(&mut self, runtime: &Runtime) -> Result<(), ParallelError> {
         let slots = &self.slots;
-        // Relaxed: the cursor only hands out indices; the slot mutexes and
-        // the pool's completion handshake order the data.
-        let next = AtomicUsize::new(0);
-        runtime.try_run(&|_id, _scratch| {
-            while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
-                let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                let FleetSlot { stream, block } = &mut *slot;
-                stream
-                    .next_block_into(block)
-                    .expect("realtime generation is infallible after construction");
-            }
+        runtime.try_for_each(slots.len(), &|i| {
+            let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+            let FleetSlot { stream, block } = &mut *slot;
+            stream
+                .next_block_into(block)
+                .expect("realtime generation is infallible after construction");
         })
     }
 
@@ -373,17 +403,16 @@ mod tests {
     }
 
     #[test]
-    fn open_streams_uses_the_callers_generators_verbatim() {
-        use corrfade::ChannelStream;
-
-        // A prebuilt fleet applies no seed derivation: stream i must equal
-        // the standalone generator it was built from, bit for bit.
+    fn open_configs_uses_the_callers_seeds_verbatim() {
+        // A fleet opened from configurations applies no seed derivation:
+        // stream i must equal the standalone generator of its configuration,
+        // bit for bit.
         let scenario = lookup("two-envelope-complex").unwrap();
-        let streams = vec![
-            scenario.build_realtime_cached(100).unwrap(),
-            scenario.build_realtime_cached(200).unwrap(),
+        let configs = vec![
+            scenario.realtime_config(100).unwrap(),
+            scenario.realtime_config(200).unwrap(),
         ];
-        let mut fleet = StreamFleet::open_streams(streams, 0);
+        let mut fleet = StreamFleet::open_configs(configs, 0).unwrap();
         assert_eq!(fleet.len(), 2);
         assert_eq!(
             fleet.samples_per_advance(),

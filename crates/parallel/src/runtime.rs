@@ -5,77 +5,57 @@
 //! creation, stack setup and tear-down on every request — the dominant cost
 //! on small workloads, and pure waste for a service that answers a stream of
 //! them. [`Runtime`] replaces it with a pool created **once** and reused
-//! across calls:
+//! across calls. Its one entry point, [`Runtime::try_for_each`], runs
+//! `item(i)` for every index `i` of `0..count`:
 //!
 //! * a pool of `workers` executors consists of `workers - 1` long-lived OS
-//!   threads parked on a condvar **plus the submitting thread itself**:
-//!   [`Runtime::run`] executes the job as executor 0 instead of blocking
-//!   behind the pool. The caller-runs discipline means a pool sized larger
-//!   than the machine degrades gracefully (the submitter simply does the
-//!   work the unscheduled workers never claim — no oversubscription
-//!   penalty), and on a multi-core machine no core idles while the
-//!   submitter waits;
-//! * each worker owns a pinned [`WorkerScratch`] (its pooled planar
-//!   [`SampleBlock`]) that survives across jobs, so steady-state generation
-//!   stays allocation-free end to end — the workspace's
-//!   allocation-regression test measures this through the whole fleet path.
-//!   The submitting thread's scratch is thread-local and equally pinned;
-//! * each worker latches the [`corrfade_linalg::kernel`] backend once at
-//!   spawn, so `CORRFADE_KERNEL` is honoured deterministically no matter
-//!   which thread first touches a kernel;
-//! * a panicking job is contained (`catch_unwind` around every execution)
-//!   and reported as the typed [`ParallelError::JobPanicked`] by
-//!   [`Runtime::try_run`]; no runtime mutex is ever held across job code,
-//!   so a panic cannot poison the pool — subsequent submissions run
-//!   normally instead of cascading `lock().unwrap()` panics;
+//!   threads parked on a condvar **plus the submitting thread itself**,
+//!   which claims items alongside the woken workers instead of blocking
+//!   behind them. The caller-runs discipline means a pool sized larger than
+//!   the machine degrades gracefully (the submitter simply does the work
+//!   the unscheduled workers never claim — no oversubscription penalty),
+//!   and on a multi-core machine no core idles while the submitter waits.
+//!   A 1-worker pool spawns no thread and runs every item inline;
+//! * executors claim indices from one atomic cursor, so a skewed workload
+//!   (items of very different cost) keeps every executor busy until the
+//!   last item is claimed;
+//! * a panicking item is contained (`catch_unwind` around every item) and
+//!   counted; [`Runtime::try_for_each`] reports the count as the typed
+//!   [`ParallelError::JobPanicked`] after every other item has run. No
+//!   runtime mutex is ever held across item code, so a panic cannot poison
+//!   the pool — subsequent submissions run normally instead of cascading
+//!   `lock().unwrap()` panics;
 //! * dropping the runtime shuts the pool down gracefully: workers observe
 //!   the shutdown flag, exit their loop, and `Drop` joins every handle — no
 //!   leaked threads (a lifecycle test pins this via the pool's own
 //!   reference counts).
 //!
-//! Work distribution is unchanged in contract: a job is one closure that
-//! every executor runs, claiming work items from a shared atomic cursor.
 //! Which executor runs which item is irrelevant to the output because all
 //! randomness derives from `(master seed, item index)` — the
-//! thread-count-invariance guarantee is unchanged.
+//! thread-count-invariance guarantee of every caller rests on that.
 //!
 //! [`Runtime::global()`] exposes one process-wide pool (sized from
-//! `CORRFADE_POOL_THREADS`, default: all cores) so the existing free
-//! functions keep their signatures and become thin wrappers over it.
+//! `CORRFADE_POOL_THREADS`, default: all cores) so the free functions keep
+//! their signatures and become thin wrappers over it.
 
-use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-use corrfade_linalg::SampleBlock;
-
 use crate::error::ParallelError;
 
-/// Per-worker pinned state, created once per pool worker (or once per
-/// submitting/spawned thread) and handed to every job the worker executes.
+/// A lifetime-erased pointer to the claim loop of the current epoch.
 ///
-/// RNG state deliberately does **not** live here: generators derive their
-/// streams from `(master seed, chunk index)` inside the job, which is what
-/// makes results independent of worker identity and count.
-#[derive(Debug, Default)]
-pub struct WorkerScratch {
-    /// Pooled planar block, reused across every chunk this worker
-    /// processes — the buffer behind the zero-steady-state-allocation
-    /// guarantee of the ensemble jobs.
-    pub block: SampleBlock,
-}
-
-/// A lifetime-erased pointer to the job closure of the current epoch.
-///
-/// Stored in the pool state only while [`Runtime::try_run`] blocks; it does
-/// not return before every worker has finished the epoch, so the pointee
-/// outlives every dereference.
+/// Stored in the pool state only while [`Runtime::try_for_each`] blocks; it
+/// does not return before every worker has finished the epoch, so the
+/// pointee outlives every dereference.
 #[derive(Clone, Copy)]
-struct Job(*const (dyn Fn(usize, &mut WorkerScratch) + Sync));
+struct Job(*const (dyn Fn() + Sync));
 
 // SAFETY: the pointer crosses threads, but it is only dereferenced between
 // the epoch publication and the final `active == 0` handshake inside
-// `Runtime::try_run`, during which the caller's closure is kept alive.
+// `Runtime::try_for_each`, during which the caller's closure is kept alive.
 unsafe impl Send for Job {}
 
 /// Mutex-guarded pool state. `epoch` identifies the current job; a worker
@@ -86,8 +66,6 @@ struct PoolState {
     /// Executors (spawned workers + the submitter) that have not yet
     /// finished the current epoch.
     active: usize,
-    /// Executors whose job closure panicked in the current epoch.
-    panicked: usize,
     shutdown: bool,
 }
 
@@ -100,24 +78,16 @@ struct Shared {
 }
 
 /// Locks a runtime mutex, recovering the guard when a previous holder
-/// panicked. No job code ever runs under these locks (jobs execute behind
+/// panicked. No item code ever runs under these locks (items execute behind
 /// `catch_unwind` with no guard held), so the guarded state is consistent
 /// even after a panic elsewhere — recovering instead of unwrapping is what
-/// keeps one panicking job from cascading into every later submission.
+/// keeps one panicking item from cascading into every later submission.
 fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-thread_local! {
-    /// Pinned scratch of the submitting thread: the submitter executes the
-    /// job as executor 0 (and 1-worker pools run entirely inline), and this
-    /// per-thread scratch keeps that path allocation-free in steady state
-    /// just like a spawned worker's.
-    static SUBMITTER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
-}
-
-/// A persistent pool of worker threads executing work-pulling jobs, with
-/// the submitting thread participating as an executor.
+/// A persistent pool of worker threads running indexed items, with the
+/// submitting thread participating as an executor.
 ///
 /// See the [module docs](self) for the design; see [`Runtime::global`] for
 /// the process-wide instance behind the free-function API.
@@ -162,39 +132,37 @@ pub fn parse_pool_threads(value: Option<&str>) -> Result<usize, String> {
 
 impl Runtime {
     /// Creates a pool of `threads` executors (`0` means "all available
-    /// cores"): `threads - 1` spawned workers plus the submitting thread,
-    /// which executes every job as executor 0. Workers latch the kernel
-    /// backend immediately, then park until the first job. A single-worker
-    /// pool therefore spawns no threads at all — jobs run entirely inline
-    /// on the caller.
+    /// cores"): `threads - 1` spawned workers plus the submitting thread.
+    /// The kernel backend is latched here, once for the process, so a
+    /// malformed `CORRFADE_KERNEL` panics on the constructing thread rather
+    /// than inside a worker. A single-worker pool spawns no threads at all
+    /// — items run entirely inline on the caller.
     #[must_use]
     pub fn new(threads: usize) -> Self {
         let workers = if threads > 0 {
             threads
         } else {
-            available_cores()
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         };
-        // Latch the kernel backend on the constructing thread first so a
-        // malformed CORRFADE_KERNEL value panics here, not inside a worker.
         let _ = corrfade_linalg::kernel::backend();
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 epoch: 0,
                 job: None,
                 active: 0,
-                panicked: 0,
                 shutdown: false,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
         });
-        // The submitter is executor 0; spawn the remaining ids 1..workers.
         let handles = (1..workers)
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("corrfade-worker-{id}"))
-                    .spawn(move || worker_loop(&shared, id))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning a pool worker thread failed")
             })
             .collect();
@@ -236,101 +204,90 @@ impl Runtime {
         self.workers
     }
 
-    /// Executes `job` on every executor of the pool and blocks until all of
-    /// them have finished. `job` receives the executor index
-    /// (`0..workers()`, where 0 is the submitting thread itself) and the
-    /// executor's pinned scratch; jobs distribute actual work by pulling
-    /// items from their own shared structure, so executors the job does not
-    /// need simply return immediately.
+    /// Runs `item(i)` exactly once for every `i` in `0..count` and blocks
+    /// until all of them have finished. The submitting thread claims
+    /// indices alongside the pool's workers; which executor runs which
+    /// index is unspecified, so `item` must derive everything it produces
+    /// from `i` alone.
     ///
     /// Concurrent callers are serialized (one job owns the pool at a
-    /// time). Calling this from inside a pool worker of the *same* runtime
-    /// would deadlock — jobs must not submit nested jobs to their own pool.
+    /// time). Calling this from inside an item on the *same* runtime would
+    /// deadlock — items must not submit nested jobs to their own pool.
     ///
-    /// With a warm scratch the dispatch itself performs **no heap
-    /// allocation** (mutex + condvar handshake only), and a single-worker
-    /// pool skips the handshake entirely and runs the job inline.
+    /// The dispatch performs **no heap allocation** (mutex + condvar
+    /// handshake only); a single-worker pool, or a job of at most one item,
+    /// skips the handshake and runs inline.
     ///
     /// # Errors
-    /// [`ParallelError::JobPanicked`] when any execution of `job` panicked.
-    /// The pool survives: the panic is contained on the executor, no
-    /// runtime lock is poisoned, and later submissions run normally.
-    pub fn try_run(
+    /// [`ParallelError::JobPanicked`] with the number of items that
+    /// panicked; every other item still ran. The pool survives: the panic is
+    /// contained on the executor, no runtime lock is poisoned, and later
+    /// submissions run normally.
+    pub fn try_for_each(
         &self,
-        job: &(dyn Fn(usize, &mut WorkerScratch) + Sync),
+        count: usize,
+        item: &(dyn Fn(usize) + Sync),
     ) -> Result<(), ParallelError> {
-        let serial = lock_ignore_poison(&self.submit);
-        let panicked = if self.workers == 1 {
-            // Inline fast path: no parallelism to win, so skip the wake.
-            // (A nested `run` on the same thread would panic on the borrow
-            // rather than deadlock on the pool — nesting is forbidden
-            // either way.)
-            usize::from(run_as_submitter(job))
-        } else {
-            // SAFETY: erases the closure's borrow lifetime for storage in
-            // the shared state. The wait loop below does not return until
-            // every worker finished the epoch and the pointer is cleared,
-            // so no dereference outlives the borrow.
-            let erased = Job(unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize, &mut WorkerScratch) + Sync + '_),
-                    *const (dyn Fn(usize, &mut WorkerScratch) + Sync + 'static),
-                >(job)
-            });
-            {
-                let mut state = lock_ignore_poison(&self.shared.state);
-                state.epoch = state.epoch.wrapping_add(1);
-                state.job = Some(erased);
-                state.active = self.workers;
-                state.panicked = 0;
-                self.shared.work.notify_all();
+        // Relaxed: the cursor only hands out indices, the counter is read
+        // after the completion handshake, and the pool's state mutex orders
+        // everything the items wrote.
+        let next = AtomicUsize::new(0);
+        let panicked = AtomicUsize::new(0);
+        let claim = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
             }
-            // Caller-runs: the submitter is executor 0 and claims work
-            // alongside the woken workers instead of blocking behind them.
-            let submitter_panicked = run_as_submitter(job);
-            let mut state = lock_ignore_poison(&self.shared.state);
-            if submitter_panicked {
-                state.panicked += 1;
+            if catch_unwind(AssertUnwindSafe(|| item(i))).is_err() {
+                panicked.fetch_add(1, Ordering::Relaxed);
             }
-            state.active -= 1;
-            while state.active > 0 {
-                state = self
-                    .shared
-                    .done
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            state.job = None;
-            state.panicked
         };
-        drop(serial);
-        if panicked > 0 {
-            Err(ParallelError::JobPanicked { panicked })
+        let serial = lock_ignore_poison(&self.submit);
+        if self.workers == 1 || count <= 1 {
+            claim();
         } else {
-            Ok(())
+            self.broadcast(&claim);
+        }
+        drop(serial);
+        match panicked.into_inner() {
+            0 => Ok(()),
+            panicked => Err(ParallelError::JobPanicked { panicked }),
         }
     }
 
-    /// [`Runtime::try_run`], panicking on a worker-job panic — the
-    /// infallible entry point for jobs that cannot fail.
-    ///
-    /// # Panics
-    /// Panics if any execution of `job` panicked; the pool itself survives
-    /// and subsequent jobs run normally.
-    pub fn run(&self, job: &(dyn Fn(usize, &mut WorkerScratch) + Sync)) {
-        if let Err(error) = self.try_run(job) {
-            panic!("{error}");
+    /// Runs `job` on every executor — the woken workers and the submitting
+    /// thread — and returns once all of them have finished it.
+    fn broadcast(&self, job: &(dyn Fn() + Sync)) {
+        // SAFETY: erases the closure's borrow lifetime for storage in the
+        // shared state. The wait loop below does not return until every
+        // worker finished the epoch and the pointer is cleared, so no
+        // dereference outlives the borrow; `job` (the claim loop, which
+        // catches every item panic) does not unwind, so the wait is always
+        // reached.
+        let erased = Job(unsafe {
+            std::mem::transmute::<*const (dyn Fn() + Sync + '_), *const (dyn Fn() + Sync + 'static)>(
+                job,
+            )
+        });
+        {
+            let mut state = lock_ignore_poison(&self.shared.state);
+            state.epoch = state.epoch.wrapping_add(1);
+            state.job = Some(erased);
+            state.active = self.workers;
+            self.shared.work.notify_all();
         }
+        job();
+        let mut state = lock_ignore_poison(&self.shared.state);
+        state.active -= 1;
+        while state.active > 0 {
+            state = self
+                .shared
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        state.job = None;
     }
-}
-
-/// Runs `job` as executor 0 on the submitting thread with its pinned
-/// thread-local scratch, containing any panic. Returns whether it panicked.
-fn run_as_submitter(job: &(dyn Fn(usize, &mut WorkerScratch) + Sync)) -> bool {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        SUBMITTER_SCRATCH.with(|scratch| job(0, &mut scratch.borrow_mut()));
-    }))
-    .is_err()
 }
 
 impl Drop for Runtime {
@@ -351,18 +308,7 @@ impl Drop for Runtime {
     }
 }
 
-/// Resolved "all cores" worker count.
-fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-fn worker_loop(shared: &Shared, id: usize) {
-    // Per-worker kernel-backend latch: deterministic backend selection no
-    // matter which thread races the first kernel call.
-    let _ = corrfade_linalg::kernel::backend();
-    let mut scratch = WorkerScratch::default();
+fn worker_loop(shared: &Shared) {
     let mut seen_epoch = 0u64;
     loop {
         let job = {
@@ -381,15 +327,11 @@ fn worker_loop(shared: &Shared, id: usize) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // SAFETY: see `Job` — the submitter keeps the closure alive
-            // until every worker has reported completion of this epoch.
-            (unsafe { &*job.0 })(id, &mut scratch);
-        }));
+        // SAFETY: see `Job` — the submitter keeps the closure alive until
+        // every worker has reported completion of this epoch. The claim
+        // loop contains every item panic, so this call returns normally.
+        (unsafe { &*job.0 })();
         let mut state = lock_ignore_poison(&shared.state);
-        if outcome.is_err() {
-            state.panicked += 1;
-        }
         state.active -= 1;
         if state.active == 0 {
             shared.done.notify_all();
@@ -400,49 +342,65 @@ fn worker_loop(shared: &Shared, id: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
-    #[test]
-    fn run_executes_on_every_worker_with_pinned_scratch() {
-        let rt = Runtime::new(3);
-        assert_eq!(rt.workers(), 3);
-        let seen = Mutex::new(vec![0usize; 3]);
-        rt.run(&|id, scratch| {
-            scratch.block.resize(1, 8); // warm the pinned block
-            seen.lock().unwrap()[id] += 1;
-        });
-        rt.run(&|id, scratch| {
-            // The scratch survives across jobs: it is already sized. This
-            // holds for the spawned workers *and* for executor 0, whose
-            // scratch is pinned to the submitting thread.
-            assert_eq!(scratch.block.samples(), 8);
-            seen.lock().unwrap()[id] += 1;
-        });
-        assert_eq!(*seen.lock().unwrap(), vec![2, 2, 2]);
+    /// How often each index of `0..count` ran in one `try_for_each`.
+    fn visits(rt: &Runtime, count: usize) -> Vec<usize> {
+        let seen: Vec<AtomicUsize> = (0..count).map(|_| AtomicUsize::new(0)).collect();
+        rt.try_for_each(count, &|i| {
+            seen[i].fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        seen.into_iter().map(AtomicUsize::into_inner).collect()
     }
 
     #[test]
-    fn submitter_is_executor_zero() {
-        let rt = Runtime::new(4);
-        let submitter = std::thread::current().id();
-        let executed_on = Mutex::new(None);
-        rt.run(&|id, _| {
-            if id == 0 {
-                *executed_on.lock().unwrap() = Some(std::thread::current().id());
+    fn try_for_each_visits_every_index_exactly_once() {
+        for workers in 1..=4 {
+            let rt = Runtime::new(workers);
+            assert_eq!(rt.workers(), workers);
+            for count in [0, 1, workers - 1, workers, 10 * workers] {
+                assert_eq!(
+                    visits(&rt, count),
+                    vec![1; count],
+                    "pool of {workers}, {count} items"
+                );
             }
-        });
-        assert_eq!(
-            executed_on.lock().unwrap().expect("executor 0 must run"),
-            submitter,
-            "executor 0 must be the submitting thread (caller-runs)"
-        );
+        }
+    }
+
+    #[test]
+    fn the_submitter_is_an_executor() {
+        // Each item holds its executor until all `workers` items have been
+        // claimed, so every executor takes exactly one item: the job only
+        // completes if the submitting thread claims one too.
+        for workers in 1..=4 {
+            let rt = Runtime::new(workers);
+            let claimed = AtomicUsize::new(0);
+            let threads = Mutex::new(Vec::new());
+            rt.try_for_each(workers, &|_| {
+                claimed.fetch_add(1, Ordering::Relaxed);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while claimed.load(Ordering::Relaxed) < workers {
+                    assert!(Instant::now() < deadline, "an executor never claimed");
+                    std::thread::yield_now();
+                }
+                threads.lock().unwrap().push(std::thread::current().id());
+            })
+            .unwrap();
+            let threads = threads.into_inner().unwrap();
+            assert!(
+                threads.contains(&std::thread::current().id()),
+                "pool of {workers}: the submitter ran no item"
+            );
+        }
     }
 
     #[test]
     fn drop_joins_all_workers() {
         let rt = Runtime::new(4);
         let workers_alive = Arc::downgrade(&rt.shared);
-        rt.run(&|_, _| {});
+        rt.try_for_each(8, &|_| {}).unwrap();
         drop(rt);
         // Every spawned worker held an Arc<Shared>; after the drop-join no
         // clone survives, proving all worker threads actually exited.
@@ -460,76 +418,69 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_a_panicking_job() {
-        let rt = Runtime::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            rt.run(&|id, _| {
-                if id == 0 {
-                    panic!("injected job failure");
-                }
-            });
-        }));
-        assert!(result.is_err(), "the panic must propagate to the submitter");
-        // The pool is still operational afterwards.
-        let counter = AtomicUsize::new(0);
-        rt.run(&|_, _| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn panicking_job_is_a_typed_error_not_a_cascade() {
-        // Panics on the spawned worker, the submitting executor, and the
-        // 1-worker inline path must all surface as JobPanicked — and the
-        // very next submission must succeed (no poisoned-mutex cascade).
-        for (pool, panicking_id) in [(2usize, 1usize), (2, 0), (1, 0)] {
-            let rt = Runtime::new(pool);
-            let result = rt.try_run(&|id, _| {
-                if id == panicking_id {
-                    panic!("injected failure on executor {id}");
-                }
-            });
-            assert_eq!(
-                result,
-                Err(ParallelError::JobPanicked { panicked: 1 }),
-                "pool {pool}, executor {panicking_id}"
-            );
-            let counter = AtomicUsize::new(0);
-            rt.try_run(&|_, _| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            })
-            .expect("the pool must stay serviceable after a panicked job");
-            assert_eq!(counter.load(Ordering::Relaxed), pool);
+    fn a_panicking_item_is_a_typed_error_and_the_pool_survives() {
+        // Whether the failing item runs on a spawned worker, on the
+        // submitter or inline, the job reports one panicked item, every
+        // other item still runs, and the next job is served normally.
+        for workers in 1..=3 {
+            let rt = Runtime::new(workers);
+            for count in [1, 4 * workers] {
+                let ran = AtomicUsize::new(0);
+                let result = rt.try_for_each(count, &|i| {
+                    assert!(i != count / 2, "injected failure on item {i}");
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(
+                    result,
+                    Err(ParallelError::JobPanicked { panicked: 1 }),
+                    "pool of {workers}, {count} items"
+                );
+                assert_eq!(ran.into_inner(), count - 1);
+                assert_eq!(visits(&rt, 3 * workers), vec![1; 3 * workers]);
+            }
         }
     }
 
     #[test]
-    fn every_panicking_executor_is_counted() {
+    fn every_panicking_item_is_counted() {
         let rt = Runtime::new(3);
-        let result = rt.try_run(&|_, _| panic!("all executors fail"));
-        assert_eq!(result, Err(ParallelError::JobPanicked { panicked: 3 }));
+        let result = rt.try_for_each(5, &|_| panic!("every item fails"));
+        assert_eq!(result, Err(ParallelError::JobPanicked { panicked: 5 }));
     }
 
     #[test]
-    fn concurrent_submitters_are_serialized_not_lost() {
-        let rt = Arc::new(Runtime::new(2));
-        let total = Arc::new(AtomicUsize::new(0));
+    fn concurrent_submitters_are_serialized() {
+        // Items record which job holds the pool and how many of its items
+        // have not finished yet; an item of another job starting in between
+        // would mean two jobs overlapped.
+        const ITEMS: usize = 6;
+        let rt = Runtime::new(2);
+        let owner = Mutex::new((0usize, 0usize));
+        let total = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let rt = Arc::clone(&rt);
-                let total = Arc::clone(&total);
+            for submitter in 0..4 {
+                let (rt, owner, total) = (&rt, &owner, &total);
                 scope.spawn(move || {
-                    for _ in 0..25 {
-                        rt.run(&|_, _| {
+                    for round in 0..25 {
+                        let job = submitter * 100 + round;
+                        rt.try_for_each(ITEMS, &|_| {
+                            {
+                                let mut owner = owner.lock().unwrap();
+                                if owner.1 == 0 {
+                                    *owner = (job, ITEMS);
+                                }
+                                assert_eq!(owner.0, job, "two jobs shared the pool");
+                            }
                             total.fetch_add(1, Ordering::Relaxed);
-                        });
+                            owner.lock().unwrap().1 -= 1;
+                        })
+                        .expect("jobs must not overlap");
                     }
                 });
             }
         });
-        // 4 submitters × 25 jobs × 2 executors.
-        assert_eq!(total.load(Ordering::Relaxed), 200);
+        // 4 submitters × 25 jobs × ITEMS items.
+        assert_eq!(total.into_inner(), 4 * 25 * ITEMS);
     }
 
     #[test]

@@ -36,10 +36,11 @@ fn global_runtime_is_race_safe_under_concurrent_first_use() {
                 barrier.wait();
                 let rt = Runtime::global();
                 let hits = AtomicUsize::new(0);
-                rt.run(&|_, _| {
+                rt.try_for_each(2 * rt.workers(), &|_| {
                     hits.fetch_add(1, Ordering::Relaxed);
-                });
-                assert_eq!(hits.load(Ordering::Relaxed), rt.workers());
+                })
+                .unwrap();
+                assert_eq!(hits.load(Ordering::Relaxed), 2 * rt.workers());
                 completed.fetch_add(1, Ordering::Relaxed);
                 std::ptr::from_ref(rt) as usize
             }));
@@ -64,9 +65,10 @@ fn dropping_an_explicit_pool_shuts_down_cleanly() {
         let rt = Runtime::new(3);
         assert_eq!(rt.workers(), 3);
         for _ in 0..10 {
-            rt.run(&|_, _| {
+            rt.try_for_each(3, &|_| {
                 processed.fetch_add(1, Ordering::Relaxed);
-            });
+            })
+            .unwrap();
         }
     } // Drop joins here; a leak or lost wakeup would hang the test.
     assert_eq!(processed.load(Ordering::Relaxed), 30);
@@ -79,7 +81,6 @@ fn pool_reuse_across_many_calls_is_deterministic() {
     // leak state between calls.
     let k = paper_k();
     let cfg = ParallelConfig {
-        threads: 2,
         chunk_size: 128,
         seed: 99,
     };
@@ -100,7 +101,6 @@ fn pool_reuse_across_many_calls_is_deterministic() {
 fn pools_of_different_sizes_agree() {
     let k = paper_k();
     let cfg = ParallelConfig {
-        threads: 0,
         chunk_size: 256,
         seed: 7,
     };

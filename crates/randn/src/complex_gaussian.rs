@@ -9,7 +9,7 @@
 use corrfade_linalg::{c64, Complex64};
 use rand::Rng;
 
-use crate::normal::{polar_normals, polar_points_into, NormalMethod, NormalSampler};
+use crate::normal::{polar_normals, polar_points_into, NormalSampler};
 
 /// Sampler of zero-mean complex Gaussian variables.
 #[derive(Debug, Clone, Default)]
@@ -18,13 +18,6 @@ pub struct ComplexGaussian {
 }
 
 impl ComplexGaussian {
-    /// Creates a sampler using the given normal transform.
-    pub fn new(method: NormalMethod) -> Self {
-        Self {
-            sampler: NormalSampler::new(method),
-        }
-    }
-
     /// Draws one circularly-symmetric sample `CN(0, variance)`: the real and
     /// imaginary parts are independent `N(0, variance/2)`.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, variance: f64) -> Complex64 {
@@ -57,16 +50,15 @@ impl ComplexGaussian {
     /// what a loop of [`Self::sample`] calls would write, consuming the same
     /// words of `rng`.
     ///
-    /// With the polar method the fill runs in two passes: it first draws
-    /// one accepted polar point per element with
-    /// [`polar_points_into`] — the words of `buf.len()` polar pair draws,
-    /// rejected candidates included — and then transforms the whole
-    /// buffer in place with [`polar_normals`], writing
+    /// The fill runs in two passes: it first draws one accepted polar point
+    /// per element with [`polar_points_into`] — the words of `buf.len()`
+    /// polar pair draws, rejected candidates included — and then transforms
+    /// the whole buffer in place with [`polar_normals`], writing
     /// `z = (0 + std·(x·g)) + i·(0 + std·(y·g))` with `std = √(variance/2)`.
     /// That is the arithmetic of two `NormalSampler::sample_with` calls:
     /// every method of this type consumes whole normal pairs, so the
     /// sampler never holds a spare sample between calls and each element
-    /// takes exactly one pair. Box–Muller keeps the per-element loop.
+    /// takes exactly one pair.
     ///
     /// # Panics
     /// Panics if `variance` is negative or NaN.
@@ -76,22 +68,10 @@ impl ComplexGaussian {
             "variance must be non-negative, got {variance}"
         );
         let std = (variance * 0.5).sqrt();
-        match self.sampler.method() {
-            NormalMethod::Polar => {
-                polar_points_into(rng, buf);
-                for z in buf.iter_mut() {
-                    let (a, b) = polar_normals(*z);
-                    *z = c64(0.0 + std * a, 0.0 + std * b);
-                }
-            }
-            NormalMethod::BoxMuller => {
-                for z in buf.iter_mut() {
-                    *z = c64(
-                        self.sampler.sample_with(rng, 0.0, std),
-                        self.sampler.sample_with(rng, 0.0, std),
-                    );
-                }
-            }
+        polar_points_into(rng, buf);
+        for z in buf.iter_mut() {
+            let (a, b) = polar_normals(*z);
+            *z = c64(0.0 + std * a, 0.0 + std * b);
         }
     }
 }

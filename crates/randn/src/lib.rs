@@ -4,15 +4,14 @@
 //! workspace:
 //!
 //! * [`RandomStream`] — reproducible, splittable ChaCha20 uniform streams,
-//! * [`NormalSampler`] — `N(0, 1)` via Box–Muller or Marsaglia's polar
-//!   transform,
+//! * [`NormalSampler`] — `N(0, 1)` via Marsaglia's polar transform,
 //! * [`ComplexGaussian`] — circularly-symmetric `CN(0, σ²)` variables, the
 //!   white vector `W` of the single-instant generator.
 //!
 //! The crate deliberately re-implements the normal transform instead of
 //! pulling in `rand_distr`: the offline dependency set only guarantees
-//! `rand`, and having the transform in-tree lets the statistics tests
-//! cross-validate the two classic methods against each other.
+//! `rand`, and having the transform in-tree pins its exact arithmetic, which
+//! every golden output depends on.
 
 #![warn(missing_docs)]
 
@@ -21,5 +20,5 @@ pub mod normal;
 pub mod streams;
 
 pub use complex_gaussian::ComplexGaussian;
-pub use normal::{NormalMethod, NormalSampler};
+pub use normal::NormalSampler;
 pub use streams::RandomStream;

@@ -7,57 +7,29 @@
 //! * step 3 of the real-time algorithm (Sec. 5): the real sequences
 //!   `{A[k]}`, `{B[k]}` with variance `σ²_orig` feeding the Doppler filter.
 //!
-//! Both reduce to sampling `N(0, 1)` and scaling. Two classic transforms are
-//! provided — Box–Muller and Marsaglia's polar method — mostly so the test
-//! suite can cross-validate them against each other; the polar method is the
-//! default because it avoids the trigonometric calls.
+//! Both reduce to sampling `N(0, 1)` and scaling. The transform is
+//! Marsaglia's polar method, which avoids trigonometric calls.
 
 use corrfade_linalg::{c64, Complex64};
 use rand::Rng;
 
-/// Algorithm used to turn uniform variates into standard-normal variates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NormalMethod {
-    /// Marsaglia's polar (rejection) method. Default.
-    #[default]
-    Polar,
-    /// The classic Box–Muller transform.
-    BoxMuller,
-}
-
-/// A reusable sampler of standard-normal variates.
+/// A reusable sampler of standard-normal variates (Marsaglia's polar
+/// method).
 ///
-/// Both supported transforms naturally produce samples in pairs; the spare
-/// sample is cached so no randomness is wasted.
+/// The transform produces samples in pairs; the spare sample is cached so
+/// no randomness is wasted.
 #[derive(Debug, Clone, Default)]
 pub struct NormalSampler {
-    method: NormalMethod,
     cached: Option<f64>,
 }
 
 impl NormalSampler {
-    /// Creates a sampler using the given transform.
-    pub fn new(method: NormalMethod) -> Self {
-        Self {
-            method,
-            cached: None,
-        }
-    }
-
-    /// The transform in use.
-    pub fn method(&self) -> NormalMethod {
-        self.method
-    }
-
     /// Draws one `N(0, 1)` sample using the supplied uniform source.
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if let Some(v) = self.cached.take() {
             return v;
         }
-        let (a, b) = match self.method {
-            NormalMethod::Polar => polar_pair(rng),
-            NormalMethod::BoxMuller => box_muller_pair(rng),
-        };
+        let (a, b) = polar_pair(rng);
         self.cached = Some(b);
         a
     }
@@ -83,16 +55,6 @@ impl NormalSampler {
     pub fn reset(&mut self) {
         self.cached = None;
     }
-}
-
-/// One Box–Muller pair of independent `N(0, 1)` samples.
-fn box_muller_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    // u1 ∈ (0, 1]: guard against ln(0).
-    let u1: f64 = 1.0 - rng.gen::<f64>();
-    let u2: f64 = rng.gen();
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = 2.0 * core::f64::consts::PI * u2;
-    (r * theta.cos(), r * theta.sin())
 }
 
 /// The accept step of Marsaglia's polar method, for `points.len()`
@@ -166,26 +128,17 @@ mod tests {
         (mean, var, skew, kurt)
     }
 
-    fn check_standard_normal(method: NormalMethod) {
+    #[test]
+    fn polar_produces_standard_normal_moments() {
         let mut rng = StdRng::seed_from_u64(42);
-        let mut sampler = NormalSampler::new(method);
+        let mut sampler = NormalSampler::default();
         let n = 200_000;
         let samples: Vec<f64> = (0..n).map(|_| sampler.sample(&mut rng)).collect();
         let (mean, var, skew, kurt) = moments(&samples);
-        assert!(mean.abs() < 0.01, "{method:?}: mean = {mean}");
-        assert!((var - 1.0).abs() < 0.02, "{method:?}: var = {var}");
-        assert!(skew.abs() < 0.03, "{method:?}: skew = {skew}");
-        assert!((kurt - 3.0).abs() < 0.1, "{method:?}: kurtosis = {kurt}");
-    }
-
-    #[test]
-    fn polar_produces_standard_normal_moments() {
-        check_standard_normal(NormalMethod::Polar);
-    }
-
-    #[test]
-    fn box_muller_produces_standard_normal_moments() {
-        check_standard_normal(NormalMethod::BoxMuller);
+        assert!(mean.abs() < 0.01, "mean = {mean}");
+        assert!((var - 1.0).abs() < 0.02, "var = {var}");
+        assert!(skew.abs() < 0.03, "skew = {skew}");
+        assert!((kurt - 3.0).abs() < 0.1, "kurtosis = {kurt}");
     }
 
     #[test]

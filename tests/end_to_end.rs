@@ -127,7 +127,6 @@ fn proposed_covers_scenarios_baselines_cannot() {
 fn parallel_engine_matches_sequential_statistics() {
     let k = paper_covariance_matrix_22();
     let cfg = corrfade_parallel::ParallelConfig {
-        threads: 4,
         chunk_size: 4096,
         seed: 0xE2E4,
     };

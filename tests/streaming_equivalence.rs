@@ -8,7 +8,7 @@
 
 use corrfade::{ChannelStream, CorrelatedRayleighGenerator, SampleBlock};
 use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
-use corrfade_parallel::ParallelConfig;
+use corrfade_parallel::{ParallelConfig, Runtime};
 
 fn paper_matrices() -> [(&'static str, corrfade_linalg::CMatrix); 2] {
     [
@@ -17,9 +17,8 @@ fn paper_matrices() -> [(&'static str, corrfade_linalg::CMatrix); 2] {
     ]
 }
 
-fn parallel_config(threads: usize) -> ParallelConfig {
+fn parallel_config() -> ParallelConfig {
     ParallelConfig {
-        threads,
         chunk_size: 256,
         seed: 77,
     }
@@ -55,11 +54,18 @@ fn single_instant_streaming_matches_sample_gaussian_bit_for_bit() {
 #[test]
 fn parallel_engine_is_thread_count_invariant_through_streaming() {
     for (label, k) in paper_matrices() {
-        let one = corrfade_parallel::monte_carlo_covariance(&k, 1000, &parallel_config(1)).unwrap();
+        let estimate = |threads| {
+            corrfade_parallel::monte_carlo_covariance_on(
+                &Runtime::new(threads),
+                &k,
+                1000,
+                &parallel_config(),
+            )
+            .unwrap()
+        };
+        let one = estimate(1);
         for threads in [2usize, 4, 8] {
-            let many =
-                corrfade_parallel::monte_carlo_covariance(&k, 1000, &parallel_config(threads))
-                    .unwrap();
+            let many = estimate(threads);
             assert_eq!(
                 one.as_slice(),
                 many.as_slice(),
@@ -75,7 +81,7 @@ fn streamed_covariance_estimates_agree_between_engines() {
     // pooled estimate must equal a sequential generator streaming chunk 0's
     // seed, bit for bit.
     let total = corrfade_parallel::MIN_CHUNK_SAMPLES;
-    let cfg = parallel_config(2);
+    let cfg = parallel_config();
     assert_eq!(cfg.effective_chunk_size(total), total);
     for (label, k) in paper_matrices() {
         let pooled = corrfade_parallel::monte_carlo_covariance(&k, total, &cfg).unwrap();
