@@ -110,125 +110,381 @@ fn scalar_butterflies(data: &mut [Complex64], invert: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Planned (table-driven) power-of-two transform — the vector backend
+// Radix-4 Stockham transform — the vector backend
 // ---------------------------------------------------------------------------
+//
+// Stage `t` of an `n`-point transform works on `s = 4^t` interleaved
+// sub-sequences of length `len = n/s`. Butterfly `(p, k)` (`p < q = len/4`,
+// `k < s`) reads `x[k + s·(p + m·q)]` for `m = 0..3` and writes the
+// twiddled radix-4 outputs to `y[k + s·(4p + r)]`, `r = 0..3` — a
+// decimation-in-frequency step whose output is already in the order the
+// next stage reads, so the transform ends in natural order with no
+// bit-reversal pass. Stages ping-pong between the caller's buffer and a
+// thread-local second buffer. The last stage (length 4, or length 2 when
+// log₂ n is odd) has only the twiddle 1: it reads and writes the same four
+// (two) positions, so it always runs into the caller's buffer, in place
+// when the data is already there, and it carries the output scale.
 
-/// Precomputed tables for one power-of-two size: the bit-reversal
-/// permutation and per-stage forward twiddle factors (`cis(−2πk/len)`, one
-/// contiguous run per stage so the butterfly loop reads them stride-1).
+/// Twiddles of one power-of-two size. `stages[t]` serves the stage whose
+/// sub-sequences have length `len = n/4^t`: `[w¹ | w² | w³]`, each run
+/// `len/4` long, `wᵏ[p] = cis(−2π·k·p/len)` (the inverse conjugates them).
+/// The last stage needs no table.
 #[derive(Debug)]
-struct FftTables {
-    rev: Vec<u32>,
-    /// `stages[s]` holds the `2^s` twiddles of the stage with butterfly
-    /// length `2^(s+1)`.
+struct StockhamPlan {
     stages: Vec<Vec<Complex64>>,
 }
 
-impl FftTables {
+impl StockhamPlan {
     fn new(n: usize) -> Self {
         debug_assert!(is_power_of_two(n));
-        let bits = n.trailing_zeros();
-        let mut rev = vec![0u32; n];
-        for i in 1..n {
-            rev[i] = (rev[i >> 1] >> 1) | (((i & 1) as u32) << (bits - 1));
-        }
-        let mut stages = Vec::with_capacity(bits as usize);
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let stage: Vec<Complex64> = (0..half)
-                .map(|k| Complex64::cis(-2.0 * core::f64::consts::PI * k as f64 / len as f64))
+        let mut stages = Vec::new();
+        let mut len = n;
+        while len > 4 {
+            let q = len / 4;
+            let stage = (1..=3)
+                .flat_map(|k| {
+                    (0..q).map(move |p| {
+                        Complex64::cis(-2.0 * core::f64::consts::PI * (k * p) as f64 / len as f64)
+                    })
+                })
                 .collect();
             stages.push(stage);
-            len <<= 1;
+            len = q;
         }
-        Self { rev, stages }
+        Self { stages }
     }
 }
 
-/// Process-wide plan cache: tables are built once per size and shared, so
-/// steady-state planned transforms perform no heap allocation. A warm
-/// lookup is one [`FactorCache`] hit.
-fn tables_for(n: usize) -> Arc<FftTables> {
-    static CACHE: FactorCache<usize, FftTables> = FactorCache::new(PLAN_CACHE_CAPACITY);
-    CACHE.get_or_insert_with(n, || FftTables::new(n))
+/// Process-wide plan cache: twiddles are built once per size and shared, so
+/// steady-state transforms perform no heap allocation. A warm lookup is one
+/// [`FactorCache`] hit.
+fn stockham_plan(n: usize) -> Arc<StockhamPlan> {
+    static CACHE: FactorCache<usize, StockhamPlan> = FactorCache::new(PLAN_CACHE_CAPACITY);
+    CACHE.get_or_insert_with(n, || StockhamPlan::new(n))
 }
 
-/// Table-driven butterflies over the bit-reversed data. The twiddle loads
-/// are independent (no serial `w *= wlen` chain), which is what lets the
-/// loop vectorize.
+std::thread_local! {
+    /// Per-thread second buffer of the Stockham ping-pong, grown to the
+    /// largest size transformed and reused, so warm transforms allocate
+    /// nothing. Separate from `BLUESTEIN_WORK`, whose borrow is held while
+    /// the Bluestein convolution runs this transform.
+    static STOCKHAM_WORK: core::cell::RefCell<Vec<Complex64>> =
+        const { core::cell::RefCell::new(Vec::new()) };
+}
+
+/// `w·z`; with `FMA` each part is one fused multiply-add, the arithmetic of
+/// the AVX2 body's `fmaddsub`.
 #[inline(always)]
-fn butterflies_body<const FMA: bool>(data: &mut [Complex64], tables: &FftTables, invert: bool) {
-    let n = data.len();
-    // The tables hold the forward twiddles cis(−2πk/len); the inverse
-    // transform conjugates them.
-    let sign = if invert { -1.0 } else { 1.0 };
-    for (s, stage) in tables.stages.iter().enumerate() {
-        let len = 2usize << s;
-        let half = len >> 1;
-        for start in (0..n).step_by(len) {
-            let (lo, hi) = data[start..start + len].split_at_mut(half);
-            for ((u, v), w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage.iter()) {
-                let wr = w.re;
-                let wi = sign * w.im;
-                let (vr, vi) = if FMA {
-                    (v.re.mul_add(wr, -(v.im * wi)), v.re.mul_add(wi, v.im * wr))
-                } else {
-                    (v.re * wr - v.im * wi, v.re * wi + v.im * wr)
-                };
-                let (ur, ui) = (u.re, u.im);
-                u.re = ur + vr;
-                u.im = ui + vi;
-                v.re = ur - vr;
-                v.im = ui - vi;
+fn twiddle<const FMA: bool>(z: Complex64, w: Complex64) -> Complex64 {
+    if FMA {
+        Complex64::new(
+            z.re.mul_add(w.re, -(z.im * w.im)),
+            z.im.mul_add(w.re, z.re * w.im),
+        )
+    } else {
+        Complex64::new(z.re * w.re - z.im * w.im, z.im * w.re + z.re * w.im)
+    }
+}
+
+/// The untwiddled radix-4 butterfly. `jb` is `i·(b − d)` forward and
+/// `−i·(b − d)` inverse.
+#[inline(always)]
+fn butterfly4(v: [Complex64; 4], inverse: bool) -> [Complex64; 4] {
+    let [a, b, c, d] = v;
+    let (apc, amc, bpd, bmd) = (a + c, a - c, b + d, b - d);
+    let jb = if inverse {
+        Complex64::new(bmd.im, -bmd.re)
+    } else {
+        Complex64::new(-bmd.im, bmd.re)
+    };
+    [apc + bpd, amc - jb, apc - bpd, amc + jb]
+}
+
+/// One twiddled radix-4 stage, `x` → `y`, at sub-sequence count `s`.
+fn stage4_portable<const FMA: bool>(
+    x: &[Complex64],
+    y: &mut [Complex64],
+    s: usize,
+    tw: &[Complex64],
+    inverse: bool,
+) {
+    let q = x.len() / (4 * s);
+    for p in 0..q {
+        let w = [tw[p], tw[q + p], tw[2 * q + p]].map(|w| if inverse { w.conj() } else { w });
+        for k in 0..s {
+            let v = [0, 1, 2, 3].map(|m| x[k + s * (p + m * q)]);
+            let [y0, y1, y2, y3] = butterfly4(v, inverse);
+            y[k + s * 4 * p] = y0;
+            y[k + s * (4 * p + 1)] = twiddle::<FMA>(y1, w[0]);
+            y[k + s * (4 * p + 2)] = twiddle::<FMA>(y2, w[1]);
+            y[k + s * (4 * p + 3)] = twiddle::<FMA>(y3, w[2]);
+        }
+    }
+}
+
+/// The last stage, untwiddled and scaled: radix 4 at `s = len/4`, or
+/// radix 2 at `s = len/2`. Reads `x` (or `y` itself when `x` is `None`)
+/// and writes the same positions of `y`.
+fn last_stage_portable(
+    x: Option<&[Complex64]>,
+    y: &mut [Complex64],
+    radix: usize,
+    scale: f64,
+    inverse: bool,
+) {
+    let s = y.len() / radix;
+    for k in 0..s {
+        let read = |i: usize| x.map_or(y[i], |x| x[i]);
+        if radix == 4 {
+            let v = [0, 1, 2, 3].map(|m| read(k + m * s));
+            for (r, z) in butterfly4(v, inverse).into_iter().enumerate() {
+                y[k + r * s] = z.scale(scale);
             }
+        } else {
+            let (a, b) = (read(k), read(k + s));
+            y[k] = (a + b).scale(scale);
+            y[k + s] = (a - b).scale(scale);
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn butterflies_avx2(data: &mut [Complex64], tables: &FftTables, invert: bool) {
-    butterflies_body::<true>(data, tables, invert);
-}
+mod avx2 {
+    //! The Stockham stages with AVX2+FMA intrinsics, two complex values per
+    //! register; the arithmetic of `stage4_portable::<true>` and
+    //! `last_stage_portable` operation for operation.
 
-/// The planned (vector-backend) bit-reversal permutation using the cached
-/// table.
-fn planned_bit_reverse(data: &mut [Complex64], tables: &FftTables) {
-    for i in 1..data.len() {
-        let j = tables.rev[i] as usize;
-        if i < j {
-            data.swap(i, j);
+    use core::arch::x86_64::*;
+
+    use corrfade_linalg::Complex64;
+
+    /// Sign masks: `rot` turns `b − d` (swapped) into `jb`, `conj`
+    /// conjugates the forward twiddles for the inverse.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn masks(inverse: bool) -> (__m256d, __m256d) {
+        if inverse {
+            let m = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+            (m, m)
+        } else {
+            (_mm256_setr_pd(-0.0, 0.0, -0.0, 0.0), _mm256_setzero_pd())
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn butterfly4(a: __m256d, b: __m256d, c: __m256d, d: __m256d, rot: __m256d) -> [__m256d; 4] {
+        let (apc, amc) = (_mm256_add_pd(a, c), _mm256_sub_pd(a, c));
+        let (bpd, bmd) = (_mm256_add_pd(b, d), _mm256_sub_pd(b, d));
+        let jb = _mm256_xor_pd(_mm256_permute_pd::<0b0101>(bmd), rot);
+        [
+            _mm256_add_pd(apc, bpd),
+            _mm256_sub_pd(amc, jb),
+            _mm256_sub_pd(apc, bpd),
+            _mm256_add_pd(amc, jb),
+        ]
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    fn twiddle(z: __m256d, w: __m256d) -> __m256d {
+        let zs = _mm256_permute_pd::<0b0101>(z);
+        let wi = _mm256_permute_pd::<0b1111>(w);
+        _mm256_fmaddsub_pd(z, _mm256_movedup_pd(w), _mm256_mul_pd(zs, wi))
+    }
+
+    /// Loads the complex values `i` and `i + 1`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn load(p: *const Complex64, i: usize) -> __m256d {
+        unsafe { _mm256_loadu_pd(p.add(i).cast()) }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn store(p: *mut Complex64, i: usize, v: __m256d) {
+        unsafe { _mm256_storeu_pd(p.add(i).cast(), v) }
+    }
+
+    /// `[w, w]` from one complex value.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn splat(p: *const Complex64, i: usize) -> __m256d {
+        unsafe { _mm256_broadcast_pd(&_mm_loadu_pd(p.add(i).cast())) }
+    }
+
+    /// One twiddled radix-4 stage, `x` → `y`. At `s = 1` a register holds
+    /// butterflies `p` and `p + 1` (`q` is even); otherwise it holds `k`
+    /// and `k + 1` (`s` is even).
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn stage4(
+        x: &[Complex64],
+        y: &mut [Complex64],
+        s: usize,
+        tw: &[Complex64],
+        inverse: bool,
+    ) {
+        let q = x.len() / (4 * s);
+        debug_assert!(y.len() == x.len() && tw.len() == 3 * q && q % 2 == 0);
+        let (rot, conj) = masks(inverse);
+        let (xp, yp, wp) = (x.as_ptr(), y.as_mut_ptr(), tw.as_ptr());
+        // SAFETY: every index below is < x.len() = y.len() (resp.
+        // tw.len()) by the stage geometry checked above.
+        unsafe {
+            if s == 1 {
+                for p in (0..q).step_by(2) {
+                    let w = [p, q + p, 2 * q + p].map(|i| _mm256_xor_pd(load(wp, i), conj));
+                    let [y0, y1, y2, y3] = butterfly4(
+                        load(xp, p),
+                        load(xp, p + q),
+                        load(xp, p + 2 * q),
+                        load(xp, p + 3 * q),
+                        rot,
+                    );
+                    let (y1, y2, y3) = (twiddle(y1, w[0]), twiddle(y2, w[1]), twiddle(y3, w[2]));
+                    store(yp, 4 * p, _mm256_permute2f128_pd::<0x20>(y0, y1));
+                    store(yp, 4 * p + 2, _mm256_permute2f128_pd::<0x20>(y2, y3));
+                    store(yp, 4 * p + 4, _mm256_permute2f128_pd::<0x31>(y0, y1));
+                    store(yp, 4 * p + 6, _mm256_permute2f128_pd::<0x31>(y2, y3));
+                }
+            } else {
+                debug_assert!(s % 2 == 0);
+                for p in 0..q {
+                    let w = [p, q + p, 2 * q + p].map(|i| _mm256_xor_pd(splat(wp, i), conj));
+                    let (src, dst) = (s * p, 4 * s * p);
+                    for k in (0..s).step_by(2) {
+                        let i = src + k;
+                        let [y0, y1, y2, y3] = butterfly4(
+                            load(xp, i),
+                            load(xp, i + s * q),
+                            load(xp, i + 2 * s * q),
+                            load(xp, i + 3 * s * q),
+                            rot,
+                        );
+                        let o = dst + k;
+                        store(yp, o, y0);
+                        store(yp, o + s, twiddle(y1, w[0]));
+                        store(yp, o + 2 * s, twiddle(y2, w[1]));
+                        store(yp, o + 3 * s, twiddle(y3, w[2]));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The untwiddled, scaled last stage (`s = len/radix` even). `x` may
+    /// equal `y`: each butterfly loads all its inputs before it stores.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn last_stage(
+        x: *const Complex64,
+        y: *mut Complex64,
+        n: usize,
+        radix: usize,
+        scale: f64,
+        inverse: bool,
+    ) {
+        let s = n / radix;
+        debug_assert!(s % 2 == 0);
+        let (rot, _) = masks(inverse);
+        let scale = _mm256_set1_pd(scale);
+        // SAFETY: the caller passes two buffers of `n` values (or one
+        // twice); every index is < n.
+        unsafe {
+            for k in (0..s).step_by(2) {
+                if radix == 4 {
+                    let v = butterfly4(
+                        load(x, k),
+                        load(x, k + s),
+                        load(x, k + 2 * s),
+                        load(x, k + 3 * s),
+                        rot,
+                    );
+                    for (r, z) in v.into_iter().enumerate() {
+                        store(y, k + r * s, _mm256_mul_pd(z, scale));
+                    }
+                } else {
+                    let (a, b) = (load(x, k), load(x, k + s));
+                    store(y, k, _mm256_mul_pd(_mm256_add_pd(a, b), scale));
+                    store(y, k + s, _mm256_mul_pd(_mm256_sub_pd(a, b), scale));
+                }
+            }
         }
     }
 }
 
-/// The planned butterflies, FMA-dispatched: on `x86_64` with AVX2+FMA the
-/// loop compiles under `avx2,fma` and uses the `mul_add` twiddle formula.
-fn planned_butterflies(data: &mut [Complex64], tables: &FftTables, invert: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if corrfade_linalg::kernel::vector_uses_fma() {
-        // SAFETY: guarded by the kernel layer's runtime AVX2+FMA detection.
-        unsafe { butterflies_avx2(data, tables, invert) };
-        return;
-    }
-    butterflies_body::<false>(data, tables, invert);
+/// `true` when the AVX2+FMA stage bodies run (latched once per process by
+/// the kernel layer's detection).
+fn stockham_uses_avx2() -> bool {
+    cfg!(target_arch = "x86_64") && corrfade_linalg::kernel::vector_uses_fma()
 }
 
-/// In-place planned transform (vector backend): table-driven bit reversal +
-/// butterflies, AVX2+FMA multiversioned on `x86_64`.
-fn fft_planned_in_place(data: &mut [Complex64], invert: bool) {
-    let n = data.len();
-    if n <= 1 {
+/// One twiddled stage on the body this CPU runs.
+fn stage4(x: &[Complex64], y: &mut [Complex64], s: usize, tw: &[Complex64], inverse: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if stockham_uses_avx2() {
+        // SAFETY: AVX2+FMA detected.
+        unsafe { avx2::stage4(x, y, s, tw, inverse) };
         return;
     }
-    let tables = tables_for(n);
-    planned_bit_reverse(data, &tables);
-    planned_butterflies(data, &tables, invert);
+    stage4_portable::<false>(x, y, s, tw, inverse);
+}
+
+/// The last stage on the body this CPU runs, into `y` (from `x`, or in
+/// place when `x` is `None`).
+fn last_stage(
+    x: Option<&[Complex64]>,
+    y: &mut [Complex64],
+    radix: usize,
+    scale: f64,
+    inverse: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if stockham_uses_avx2() && y.len() / radix > 1 {
+        let n = y.len();
+        let yp = y.as_mut_ptr();
+        let xp = x.map_or(yp.cast_const(), <[Complex64]>::as_ptr);
+        // SAFETY: AVX2+FMA detected; both pointers cover `n` values.
+        unsafe { avx2::last_stage(xp, yp, n, radix, scale, inverse) };
+        return;
+    }
+    last_stage_portable(x, y, radix, scale, inverse);
+}
+
+/// In-place Stockham transform of a power-of-two length on the vector
+/// backend, every output multiplied by `scale` (an exact power of two for
+/// the inverse's `1/n`, folded into the last stage).
+fn stockham_in_place(data: &mut [Complex64], inverse: bool, scale: f64) {
+    let n = data.len();
+    debug_assert!(is_power_of_two(n));
+    if n == 1 {
+        data[0] = data[0].scale(scale);
+        return;
+    }
+    let plan = stockham_plan(n);
+    STOCKHAM_WORK.with(|work| {
+        let mut work = work.borrow_mut();
+        if work.len() < n {
+            work.resize(n, Complex64::ZERO);
+        }
+        let work = &mut work[..n];
+        let mut s = 1;
+        let mut in_work = false;
+        for tw in &plan.stages {
+            if in_work {
+                stage4(work, data, s, tw, inverse);
+            } else {
+                stage4(data, work, s, tw, inverse);
+            }
+            in_work = !in_work;
+            s *= 4;
+        }
+        let radix = n / s;
+        last_stage(in_work.then_some(&*work), data, radix, scale, inverse);
+    });
 }
 
 /// In-place power-of-two transform on an explicit backend: the scalar
-/// reference butterflies or the planned table-driven ones.
+/// reference butterflies or the Stockham transform.
 ///
 /// # Panics
 /// Panics if `data.len()` is not a power of two.
@@ -238,10 +494,10 @@ fn fft_pow2_in_place(b: Backend, data: &mut [Complex64], invert: bool) {
         Backend::Vector => {
             assert!(
                 is_power_of_two(data.len()),
-                "radix-2 FFT requires a power-of-two length, got {}",
+                "power-of-two FFT requires a power-of-two length, got {}",
                 data.len()
             );
-            fft_planned_in_place(data, invert);
+            stockham_in_place(data, invert, 1.0);
         }
     }
 }
@@ -356,21 +612,8 @@ pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
 /// Inverse DFT `x[l] = (1/N)·Σ_k X[k]·e^{+i2πkl/N}` on the process-wide
 /// kernel backend.
 pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
-    let b = backend();
-    let n = input.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let mut out = input.to_vec();
-    if is_power_of_two(n) {
-        fft_pow2_in_place(b, &mut out, true);
-    } else {
-        fft_bluestein_into(b, &mut out, true);
-    }
-    let scale = 1.0 / n as f64;
-    for z in out.iter_mut() {
-        *z = z.scale(scale);
-    }
+    ifft_in_place(&mut out);
     out
 }
 
@@ -406,18 +649,16 @@ pub fn ifft_in_place_with(b: Backend, data: &mut [Complex64]) {
     if n == 0 {
         return;
     }
-    if is_power_of_two(n) {
-        fft_pow2_in_place(b, data, true);
-        let scale = 1.0 / n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
-    } else {
-        fft_bluestein_into(b, data, true);
-        let scale = 1.0 / n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
+    let scale = 1.0 / n as f64;
+    match b {
+        // `1/n` is an exact power of two: folding it into the last stage
+        // rounds exactly as a separate pass would.
+        Backend::Vector if is_power_of_two(n) => return stockham_in_place(data, true, scale),
+        _ if is_power_of_two(n) => fft_pow2_in_place(b, data, true),
+        _ => fft_bluestein_into(b, data, true),
+    }
+    for z in data.iter_mut() {
+        *z = z.scale(scale);
     }
 }
 
@@ -564,6 +805,116 @@ mod tests {
             .map(|(&a, &b)| a * alpha + b)
             .collect();
         assert_close(&lhs, &rhs, 1e-9);
+    }
+
+    fn assert_bits(a: &[Complex64], b: &[Complex64], what: &str) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: index {i}: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    /// A test signal with exact zeros of both signs mixed in.
+    fn signal_with_signed_zeros(n: usize) -> Vec<Complex64> {
+        let mut x = test_signal(n);
+        for (i, z) in x.iter_mut().enumerate().filter(|(i, _)| i % 5 < 2) {
+            let zero = if i % 2 == 0 { 0.0 } else { -0.0 };
+            *z = if i % 3 == 0 {
+                c64(zero, -zero)
+            } else {
+                c64(zero, z.im)
+            };
+        }
+        x
+    }
+
+    /// The AVX2 stage bodies do the portable FMA body's arithmetic,
+    /// operation for operation: every stage of every size, both directions,
+    /// and the last stage out of place and in place.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_stages_match_the_portable_fma_body_bit_for_bit() {
+        if !stockham_uses_avx2() {
+            return;
+        }
+        for n in [8usize, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
+            let plan = StockhamPlan::new(n);
+            let x = signal_with_signed_zeros(n);
+            let mut s = 1;
+            for tw in &plan.stages {
+                for inverse in [false, true] {
+                    let (mut fast, mut portable) =
+                        (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
+                    // SAFETY: AVX2+FMA detected above.
+                    unsafe { avx2::stage4(&x, &mut fast, s, tw, inverse) };
+                    stage4_portable::<true>(&x, &mut portable, s, tw, inverse);
+                    assert_bits(
+                        &fast,
+                        &portable,
+                        &format!("n = {n}, s = {s}, inverse = {inverse}"),
+                    );
+                }
+                s *= 4;
+            }
+            let radix = n / s;
+            for inverse in [false, true] {
+                for scale in [1.0, 1.0 / n as f64] {
+                    let what = format!("last stage, n = {n}, inverse = {inverse}, scale = {scale}");
+                    let mut portable = vec![Complex64::ZERO; n];
+                    last_stage_portable(Some(&x), &mut portable, radix, scale, inverse);
+                    let mut fast = vec![Complex64::ZERO; n];
+                    // SAFETY: AVX2+FMA detected; both buffers hold n values.
+                    unsafe {
+                        avx2::last_stage(x.as_ptr(), fast.as_mut_ptr(), n, radix, scale, inverse)
+                    };
+                    assert_bits(&fast, &portable, &what);
+                    let mut in_place = x.clone();
+                    let p = in_place.as_mut_ptr();
+                    // SAFETY: as above, reading and writing one buffer.
+                    unsafe { avx2::last_stage(p, p, n, radix, scale, inverse) };
+                    assert_bits(&in_place, &portable, &what);
+                    let mut in_place = x.clone();
+                    last_stage_portable(None, &mut in_place, radix, scale, inverse);
+                    assert_bits(&in_place, &portable, &what);
+                }
+            }
+        }
+    }
+
+    /// Folding the inverse's `1/M` into the last stage rounds exactly as a
+    /// separate scaling pass, on Doppler-sparse spectra whose stop band is
+    /// signed zeros, at every `M` the library streams.
+    #[test]
+    fn folded_inverse_scale_matches_a_separate_pass_bit_for_bit() {
+        use crate::doppler::{DopplerFilter, IdftRayleighGenerator};
+        for m in [128usize, 256, 1024, 2048, 4096] {
+            let gen =
+                IdftRayleighGenerator::new(DopplerFilter::new(m, 0.05).unwrap(), 0.5).unwrap();
+            let mut spectrum = vec![Complex64::ZERO; m];
+            gen.fill_spectrum_into(
+                &mut corrfade_randn::RandomStream::new(m as u64),
+                &mut spectrum,
+            );
+            for sign in [0.0f64, -0.0] {
+                assert!(
+                    spectrum.iter().any(|z| z.re.to_bits() == sign.to_bits()),
+                    "M = {m}: no {sign:?} bin"
+                );
+            }
+            let scale = 1.0 / m as f64;
+            let mut folded = spectrum.clone();
+            stockham_in_place(&mut folded, true, scale);
+            let mut separate = spectrum;
+            stockham_in_place(&mut separate, true, 1.0);
+            for z in &mut separate {
+                *z = z.scale(scale);
+            }
+            assert!(folded.iter().all(|z| z.re.is_finite() && z.im.is_finite()));
+            assert_bits(&folded, &separate, &format!("M = {m}"));
+        }
     }
 
     #[test]
