@@ -17,6 +17,8 @@
 //! to a monolithic one: a group's seed depends only on which links correlate,
 //! not on which process simulates them.
 
+use std::collections::HashMap;
+
 use corrfade_models::wsn::LinkCorrelationModel;
 
 use crate::topology::Topology;
@@ -98,21 +100,70 @@ pub fn partition_links(
     } else {
         f64::INFINITY
     };
-    for k in 0..n {
-        for j in (k + 1)..n {
-            let d = corrfade_models::wsn::distance(geometry[k].0, geometry[j].0);
-            if d > cutoff {
-                continue;
+    let mut merge_if_correlated = |k: usize, j: usize| {
+        let d = corrfade_models::wsn::distance(geometry[k].0, geometry[j].0);
+        if d > cutoff {
+            return;
+        }
+        let sep = corrfade_models::wsn::angular_separation(geometry[k].1, geometry[j].1);
+        if correlation.correlation_unchecked(d, sep) >= threshold {
+            let (rk, rj) = (find(&mut parent, k), find(&mut parent, j));
+            if rk != rj {
+                // Always hang the larger root index under the smaller so
+                // roots coincide with future leaders, whatever order the
+                // pairs are visited in.
+                let (lo, hi) = (rk.min(rj), rk.max(rj));
+                parent[hi] = lo;
             }
-            let sep = corrfade_models::wsn::angular_separation(geometry[k].1, geometry[j].1);
-            if correlation.correlation_unchecked(d, sep) >= threshold {
-                let (rk, rj) = (find(&mut parent, k), find(&mut parent, j));
-                if rk != rj {
-                    // Always hang the larger root index under the smaller so
-                    // roots coincide with future leaders.
-                    let (lo, hi) = (rk.min(rj), rk.max(rj));
-                    parent[hi] = lo;
+        }
+    };
+    if cutoff.is_finite() && cutoff > 0.0 {
+        // Bucket the midpoints into square cells a little wider than the
+        // cutoff: a pair within it lies in the same or a neighbouring cell,
+        // so only those are visited. The cells are at least 1e-8 of the
+        // field's extent wide, so the rounding of a cell coordinate stays
+        // far below the 1e-6 widening. A non-finite midpoint is at distance
+        // ∞ or NaN from every link and merges with none.
+        let finite: Vec<usize> = (0..n)
+            .filter(|&i| geometry[i].0.iter().all(|c| c.is_finite()))
+            .collect();
+        let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
+        for &i in &finite {
+            for a in 0..2 {
+                lo[a] = lo[a].min(geometry[i].0[a]);
+                hi[a] = hi[a].max(geometry[i].0[a]);
+            }
+        }
+        let side = (cutoff * (1.0 + 1e-6)).max((hi[0] - lo[0]).max(hi[1] - lo[1]) * 1e-8);
+        let cell_of = |i: usize| -> [i64; 2] {
+            let p = geometry[i].0;
+            [
+                ((p[0] - lo[0]) / side).floor() as i64,
+                ((p[1] - lo[1]) / side).floor() as i64,
+            ]
+        };
+        let mut cells: HashMap<[i64; 2], Vec<usize>> = HashMap::new();
+        for &i in &finite {
+            cells.entry(cell_of(i)).or_default().push(i);
+        }
+        for &k in &finite {
+            let [cx, cy] = cell_of(k);
+            for dx in -1..=1 {
+                for dy in -1..=1 {
+                    let Some(members) = cells.get(&[cx.saturating_add(dx), cy.saturating_add(dy)])
+                    else {
+                        continue;
+                    };
+                    for &j in members.iter().filter(|&&j| j > k) {
+                        merge_if_correlated(k, j);
+                    }
                 }
+            }
+        }
+    } else {
+        for k in 0..n {
+            for j in (k + 1)..n {
+                merge_if_correlated(k, j);
             }
         }
     }

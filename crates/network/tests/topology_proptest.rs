@@ -7,9 +7,12 @@
 //! * [`link_field_covariance`] (the `CovarianceBuilder` path) and
 //!   [`cached_eigen_coloring`] both succeed, i.e. the matrix is decomposable
 //!   and a generator could be opened on it,
-//! * [`partition_links`], which skips pairs past the model's cutoff
-//!   distance, groups the links exactly as evaluating every pair does — on
-//!   these layouts and on the `wsn-epoch` grid.
+//! * [`partition_links`], which buckets link midpoints into cells of the
+//!   model's cutoff distance and visits only neighbouring cells, groups the
+//!   links exactly as evaluating every pair does — on these layouts, on
+//!   wide, clustered and degenerate ones (non-finite coordinates, zero,
+//!   subnormal, negative, NaN and above-one thresholds) and on the
+//!   `wsn-epoch` grid.
 
 use corrfade::cached_eigen_coloring;
 use corrfade_linalg::hermitian_eigen;
@@ -209,4 +212,61 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn grid_partition_matches_the_all_pairs_loop_on_wide_and_degenerate_layouts(
+        input in wide_layout(),
+        raw_threshold in 0.0005f64..1.0,
+        pick in 0usize..9,
+        dc in 0.01f64..50.0,
+        max_group_size in 1usize..40,
+    ) {
+        let threshold =
+            [raw_threshold, raw_threshold, raw_threshold, 1e-300, 5e-324, 0.0, -0.5, 1.5, f64::NAN]
+                [pick];
+        let (positions, edges) = input;
+        let topology = Topology::from_edges(positions, &edges).unwrap();
+        for correlation in [
+            LinkCorrelationModel::new(dc, 0.7),
+            LinkCorrelationModel::distance_only(dc),
+        ] {
+            prop_assert_eq!(
+                partition_links(&topology, &correlation, threshold, max_group_size).groups(),
+                all_pairs_partition(&topology, &correlation, threshold, max_group_size)
+            );
+        }
+    }
+}
+
+/// Up to 48 nodes in clusters of random spread (1e-3 to 1e3) around an
+/// offset of up to ±1e6, joined by up to 160 random edges; one node in
+/// eight may sit at a non-finite coordinate.
+fn wide_layout() -> impl Strategy<Value = (Vec<[f64; 2]>, Vec<(usize, usize)>)> {
+    (
+        proptest::collection::vec((0usize..4, -1.0f64..1.0, -1.0f64..1.0, 0usize..24), 2..=48),
+        proptest::collection::vec((-3.0f64..3.0, -1e6f64..1e6, -1e6f64..1e6), 4),
+        proptest::collection::vec((0usize..48, 0usize..48), 1..=160),
+    )
+        .prop_map(|(points, clusters, edges)| {
+            let positions: Vec<[f64; 2]> = points
+                .into_iter()
+                .map(|(c, u, v, odd)| {
+                    let (log_spread, ox, oy) = clusters[c];
+                    let spread = 10f64.powf(log_spread);
+                    match odd {
+                        0 => [f64::NAN, v],
+                        1 => [f64::INFINITY, v],
+                        2 => [u, f64::NEG_INFINITY],
+                        _ => [ox + spread * u, oy + spread * v],
+                    }
+                })
+                .collect();
+            let nodes = positions.len();
+            let edges = edges
+                .into_iter()
+                .map(|(a, b)| (a % nodes, b % nodes))
+                .filter(|(a, b)| a != b)
+                .collect();
+            (positions, edges)
+        })
 }
