@@ -226,8 +226,9 @@ impl IdftRayleighGenerator {
     /// the Doppler-weighted spectrum is written into `out` and transformed
     /// in place, so for power-of-two `M` the call performs **no
     /// steady-state heap allocation** (on the vector kernel backend the
-    /// first transform of a given `M` builds the shared twiddle tables —
-    /// see [`crate::fft::ifft_in_place`]). Numerically (and RNG-stream)
+    /// first transform of a given `M` builds the shared Stockham plan, and
+    /// the first on a thread grows its second buffer — see
+    /// [`crate::fft::ifft_in_place`]). Numerically (and RNG-stream)
     /// identical to [`IdftRayleighGenerator::generate`], and bit-identical
     /// across releases under `CORRFADE_KERNEL=scalar`.
     ///

@@ -3,9 +3,9 @@
 //! The Young–Beaulieu Rayleigh generator (paper ref. \[7\], used by the
 //! real-time algorithm of Sec. 5) produces each fading sequence as an
 //! `M`-point **inverse** DFT of Doppler-filtered complex Gaussian spectra,
-//! with `M = 4096` in the paper's experiments. A radix-2 iterative
-//! Cooley–Tukey transform covers every power-of-two length; Bluestein's
-//! chirp-z algorithm (built on the radix-2 core) covers arbitrary lengths so
+//! with `M = 4096` in the paper's experiments. Every power-of-two length
+//! has a fast transform on each kernel backend; Bluestein's chirp-z
+//! algorithm (built on that power-of-two core) covers arbitrary lengths so
 //! the library does not silently constrain the caller's choice of `M`.
 //!
 //! Conventions match MATLAB/NumPy:
@@ -18,13 +18,19 @@
 //! Every transform routes through the `corrfade_linalg::kernel` backend
 //! selection (`CORRFADE_KERNEL`):
 //!
-//! * the **scalar** backend runs the original iterative radix-2 butterflies
-//!   (twiddles advanced by repeated multiplication) and is bit-exact with
-//!   every pre-kernel release;
-//! * the **vector** backend uses precomputed per-stage twiddle tables
-//!   (cached per size in a process-wide plan cache, so steady-state calls
-//!   allocate nothing) whose butterflies have no serial twiddle dependency —
-//!   they autovectorize, and on `x86_64` run as AVX2+FMA multiversions.
+//! * the **scalar** backend runs the original iterative radix-2
+//!   Cooley–Tukey butterflies after a bit-reversal pass (twiddles advanced
+//!   by repeated multiplication) and is bit-exact with every pre-kernel
+//!   release;
+//! * the **vector** backend runs a self-sorting radix-4 **Stockham**
+//!   transform: each stage reads one buffer and writes the other, in the
+//!   order the next stage reads, so there is no bit-reversal pass. The
+//!   second buffer is thread-local and the per-stage twiddles `w, w², w³`
+//!   come from a per-size plan in a process-wide cache, so steady-state
+//!   calls allocate nothing. A radix-2 last stage covers odd `log₂ M`. On
+//!   `x86_64` with AVX2+FMA the stages run as intrinsics, two complex
+//!   values per register; elsewhere a portable body does the same
+//!   arithmetic without FMA.
 //!
 //! Both backends agree to well below 1e-12 for unit-scale inputs; see the
 //! `fft_backend_equivalence` test suite.
@@ -294,19 +300,29 @@ mod avx2 {
     }
 
     /// Loads the complex values `i` and `i + 1`.
+    ///
+    /// # Safety
+    /// `p.add(i + 1)` must point into the same allocation as `p`.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn load(p: *const Complex64, i: usize) -> __m256d {
         unsafe { _mm256_loadu_pd(p.add(i).cast()) }
     }
 
+    /// Stores `v` into the complex values `i` and `i + 1`.
+    ///
+    /// # Safety
+    /// As for [`load`], and the memory must be writable.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn store(p: *mut Complex64, i: usize, v: __m256d) {
         unsafe { _mm256_storeu_pd(p.add(i).cast(), v) }
     }
 
-    /// `[w, w]` from one complex value.
+    /// `[w, w]` from complex value `i`.
+    ///
+    /// # Safety
+    /// `p.add(i)` must point into the same allocation as `p`.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn splat(p: *const Complex64, i: usize) -> __m256d {
@@ -314,8 +330,12 @@ mod avx2 {
     }
 
     /// One twiddled radix-4 stage, `x` → `y`. At `s = 1` a register holds
-    /// butterflies `p` and `p + 1` (`q` is even); otherwise it holds `k`
-    /// and `k + 1` (`s` is even).
+    /// butterflies `p` and `p + 1`; otherwise it holds `k` and `k + 1`.
+    ///
+    /// # Safety
+    /// The CPU must have AVX2 and FMA; `x` and `y` must have the same
+    /// length `4·s·q` with `q ≥ 2` a power of two, `s` a power of two, and
+    /// `tw.len() = 3·q`.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn stage4(
         x: &[Complex64],
@@ -325,7 +345,10 @@ mod avx2 {
         inverse: bool,
     ) {
         let q = x.len() / (4 * s);
-        debug_assert!(y.len() == x.len() && tw.len() == 3 * q && q % 2 == 0);
+        assert!(
+            x.len() == 4 * s * q && y.len() == x.len() && tw.len() == 3 * q && q.is_multiple_of(2),
+            "Stockham stage geometry"
+        );
         let (rot, conj) = masks(inverse);
         let (xp, yp, wp) = (x.as_ptr(), y.as_mut_ptr(), tw.as_ptr());
         // SAFETY: every index below is < x.len() = y.len() (resp.
@@ -348,7 +371,7 @@ mod avx2 {
                     store(yp, 4 * p + 6, _mm256_permute2f128_pd::<0x31>(y2, y3));
                 }
             } else {
-                debug_assert!(s % 2 == 0);
+                assert!(s.is_multiple_of(2), "Stockham stage geometry");
                 for p in 0..q {
                     let w = [p, q + p, 2 * q + p].map(|i| _mm256_xor_pd(splat(wp, i), conj));
                     let (src, dst) = (s * p, 4 * s * p);
@@ -372,8 +395,13 @@ mod avx2 {
         }
     }
 
-    /// The untwiddled, scaled last stage (`s = len/radix` even). `x` may
-    /// equal `y`: each butterfly loads all its inputs before it stores.
+    /// The untwiddled, scaled last stage. `x` may equal `y`: each
+    /// butterfly loads all its inputs before it stores.
+    ///
+    /// # Safety
+    /// The CPU must have AVX2 and FMA; `x` and `y` must each cover `n`
+    /// values (or be the same pointer), `radix` must be 2 or 4 and
+    /// `n/radix` an even power of two.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn last_stage(
         x: *const Complex64,
@@ -384,7 +412,10 @@ mod avx2 {
         inverse: bool,
     ) {
         let s = n / radix;
-        debug_assert!(s % 2 == 0);
+        assert!(
+            n == s * radix && s.is_multiple_of(2),
+            "Stockham last-stage geometry"
+        );
         let (rot, _) = masks(inverse);
         let scale = _mm256_set1_pd(scale);
         // SAFETY: the caller passes two buffers of `n` values (or one
@@ -414,15 +445,16 @@ mod avx2 {
 
 /// `true` when the AVX2+FMA stage bodies run (latched once per process by
 /// the kernel layer's detection).
+#[cfg(target_arch = "x86_64")]
 fn stockham_uses_avx2() -> bool {
-    cfg!(target_arch = "x86_64") && corrfade_linalg::kernel::vector_uses_fma()
+    corrfade_linalg::kernel::vector_uses_fma()
 }
 
 /// One twiddled stage on the body this CPU runs.
 fn stage4(x: &[Complex64], y: &mut [Complex64], s: usize, tw: &[Complex64], inverse: bool) {
     #[cfg(target_arch = "x86_64")]
     if stockham_uses_avx2() {
-        // SAFETY: AVX2+FMA detected.
+        // SAFETY: AVX2+FMA detected; the stage asserts its geometry.
         unsafe { avx2::stage4(x, y, s, tw, inverse) };
         return;
     }
@@ -441,9 +473,14 @@ fn last_stage(
     #[cfg(target_arch = "x86_64")]
     if stockham_uses_avx2() && y.len() / radix > 1 {
         let n = y.len();
+        assert!(
+            x.is_none_or(|x| x.len() == n),
+            "Stockham last-stage buffers"
+        );
         let yp = y.as_mut_ptr();
         let xp = x.map_or(yp.cast_const(), <[Complex64]>::as_ptr);
-        // SAFETY: AVX2+FMA detected; both pointers cover `n` values.
+        // SAFETY: AVX2+FMA detected; both pointers cover `n` values, and
+        // the stage asserts that `n/radix` is even.
         unsafe { avx2::last_stage(xp, yp, n, radix, scale, inverse) };
         return;
     }
@@ -623,11 +660,14 @@ pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
 /// # Power-of-two vs. arbitrary lengths
 ///
 /// For power-of-two lengths — the common case; the paper uses `M = 4096` —
-/// the transform runs genuinely in place and performs **no steady-state
-/// heap allocation** (the scalar backend allocates nothing at all; the
-/// vector backend's twiddle tables are built once per size in a shared plan
-/// cache and reused thereafter). This is what the streaming generation hot
-/// path relies on.
+/// the result lands in `data` and the transform performs **no
+/// steady-state heap allocation**: the scalar backend's radix-2 butterflies
+/// run in place, and the vector backend's radix-4 Stockham stages
+/// ping-pong between `data` and a thread-local second buffer (grown once
+/// to the largest size a thread transforms) with twiddles from a shared
+/// per-size plan. The vector backend has no bit-reversal pass, and its
+/// exact power-of-two `1/N` folds into the last stage. This is what the
+/// streaming generation hot path relies on.
 ///
 /// Any other length falls back to the Bluestein chirp-z transform. Its
 /// chirp and filter spectrum live in a process-wide plan cache (keyed by

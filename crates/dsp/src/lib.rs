@@ -2,10 +2,11 @@
 //!
 //! Signal-processing substrate of the `corrfade` workspace:
 //!
-//! * [`mod@fft`] — radix-2 and Bluestein forward/inverse DFTs (the paper's
-//!   real-time generator is built around an `M = 4096`-point IDFT); every
-//!   transform dispatches through the `corrfade_linalg::kernel` backend
-//!   selection (scalar reference vs. table-driven vectorized butterflies),
+//! * [`mod@fft`] — power-of-two and Bluestein forward/inverse DFTs (the
+//!   paper's real-time generator is built around an `M = 4096`-point IDFT);
+//!   every transform dispatches through the `corrfade_linalg::kernel`
+//!   backend selection (scalar radix-2 reference vs. a radix-4 Stockham
+//!   transform with AVX2+FMA stages),
 //! * [`doppler`] — Young's Doppler filter (paper Eq. 21), its output-variance
 //!   formula (Eq. 19) and the Young–Beaulieu IDFT Rayleigh generator
 //!   (paper ref. \[7\], Fig. 2) that the proposed algorithm stacks `N` of in

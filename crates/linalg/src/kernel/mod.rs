@@ -2,7 +2,7 @@
 //!
 //! Every hot loop of the workspace — the coloring matvec `Z = L·W/σ_g`, the
 //! planar covariance fold, the envelope (modulus) pass and the IDFT
-//! butterflies over in `corrfade-dsp` — funnels through this module, which
+//! stages over in `corrfade-dsp` — funnels through this module, which
 //! selects one of two backends **once per process**:
 //!
 //! * [`Backend::Scalar`] — the original, easily-audited element-at-a-time
@@ -86,7 +86,7 @@ impl Backend {
 
 /// `true` when the vector backend's AVX2+FMA inner-loop multiversions are
 /// active on this CPU (always `false` off `x86_64`). Exposed so other
-/// crates' kernels (e.g. the FFT butterflies in `corrfade-dsp`) can reuse
+/// crates' kernels (e.g. the Stockham FFT stages in `corrfade-dsp`) can reuse
 /// the same latched detection.
 #[must_use]
 pub fn vector_uses_fma() -> bool {
