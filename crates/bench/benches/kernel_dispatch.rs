@@ -105,18 +105,22 @@ fn bench_accumulate_covariance(c: &mut Criterion) {
     group.finish();
 }
 
+/// One inverse transform at the paper's M = 4096 and at M = 2048, whose
+/// odd log₂ M gives the vector backend's Stockham transform a radix-2 last
+/// stage.
 fn bench_idft(c: &mut Criterion) {
-    let m = 4096;
-    let mut group = c.benchmark_group(format!("kernel/idft_m{m}"));
-    group.throughput(Throughput::Elements(m as u64));
-    let x = signal(m);
-    for (name, backend) in BACKENDS {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
-            let mut data = x.clone();
-            b.iter(|| ifft_in_place_with(bk, &mut data))
-        });
+    for m in [2048usize, 4096] {
+        let mut group = c.benchmark_group(format!("kernel/idft_m{m}"));
+        group.throughput(Throughput::Elements(m as u64));
+        let x = signal(m);
+        for (name, backend) in BACKENDS {
+            group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
+                let mut data = x.clone();
+                b.iter(|| ifft_in_place_with(bk, &mut data))
+            });
+        }
+        group.finish();
     }
-    group.finish();
 }
 
 fn bench_envelope(c: &mut Criterion) {
