@@ -443,17 +443,10 @@ mod avx2 {
     }
 }
 
-/// `true` when the AVX2+FMA stage bodies run (latched once per process by
-/// the kernel layer's detection).
-#[cfg(target_arch = "x86_64")]
-fn stockham_uses_avx2() -> bool {
-    corrfade_linalg::kernel::vector_uses_fma()
-}
-
 /// One twiddled stage on the body this CPU runs.
 fn stage4(x: &[Complex64], y: &mut [Complex64], s: usize, tw: &[Complex64], inverse: bool) {
     #[cfg(target_arch = "x86_64")]
-    if stockham_uses_avx2() {
+    if corrfade_linalg::kernel::vector_uses_fma() {
         // SAFETY: AVX2+FMA detected; the stage asserts its geometry.
         unsafe { avx2::stage4(x, y, s, tw, inverse) };
         return;
@@ -471,7 +464,7 @@ fn last_stage(
     inverse: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if stockham_uses_avx2() && y.len() / radix > 1 {
+    if corrfade_linalg::kernel::vector_uses_fma() && y.len() / radix > 1 {
         let n = y.len();
         assert!(
             x.is_none_or(|x| x.len() == n),
@@ -877,7 +870,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_stages_match_the_portable_fma_body_bit_for_bit() {
-        if !stockham_uses_avx2() {
+        if !corrfade_linalg::kernel::vector_uses_fma() {
             return;
         }
         for n in [8usize, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
@@ -920,6 +913,30 @@ mod tests {
                     last_stage_portable(None, &mut in_place, radix, scale, inverse);
                     assert_bits(&in_place, &portable, &what);
                 }
+            }
+        }
+    }
+
+    /// The portable bodies without FMA — what a CPU without AVX2+FMA runs —
+    /// agree with the scalar backend in both directions.
+    #[test]
+    fn portable_stages_agree_with_the_scalar_backend() {
+        for log in 1..=12 {
+            let n = 1usize << log;
+            let plan = StockhamPlan::new(n);
+            for inverse in [false, true] {
+                let (mut x, mut y) = (signal_with_signed_zeros(n), vec![Complex64::ZERO; n]);
+                let mut s = 1;
+                for tw in &plan.stages {
+                    stage4_portable::<false>(&x, &mut y, s, tw, inverse);
+                    std::mem::swap(&mut x, &mut y);
+                    s *= 4;
+                }
+                last_stage_portable(None, &mut x, n / s, 1.0, inverse);
+                let mut reference = signal_with_signed_zeros(n);
+                fft_radix2_in_place(&mut reference, inverse);
+                let peak = reference.iter().map(|z| z.abs()).fold(1.0, f64::max);
+                assert_close(&x, &reference, 1e-12 * peak);
             }
         }
     }
