@@ -18,13 +18,14 @@
 //! algorithm feeds this value into its coloring step; the Sorooshyari–Daut
 //! baseline ignores it, which is exactly the flaw experiment E8 demonstrates.
 
-use corrfade_linalg::{c64, kernel, Complex64};
+use corrfade_linalg::kernel::{self, Backend};
+use corrfade_linalg::{c64, Complex64};
 use corrfade_randn::normal::{polar_normals, polar_points_into};
 use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
 use crate::error::DspError;
-use crate::fft::{ifft, ifft_in_place};
+use crate::fft::{ifft, ifft_in_place, ifft_in_place_with};
 
 /// Young's Doppler filter (paper Eq. 21): the square root of a discretized
 /// Jakes power spectral density, with the band-edge bins adjusted so that the
@@ -330,6 +331,36 @@ pub fn color_idft_block(
     w_scratch: &mut Vec<Complex64>,
     scratch: &mut Vec<f64>,
 ) {
+    color_idft_block_with(
+        kernel::backend(),
+        n,
+        m,
+        a,
+        scale,
+        raw,
+        out,
+        w_scratch,
+        scratch,
+    );
+}
+
+/// [`color_idft_block`] on an explicit kernel backend — the entry point the
+/// scalar-vs-vector drift tests and the `kernel_dispatch` benchmark drive.
+///
+/// # Panics
+/// Panics on any dimension mismatch.
+#[allow(clippy::too_many_arguments)]
+pub fn color_idft_block_with(
+    b: Backend,
+    n: usize,
+    m: usize,
+    a: &[Complex64],
+    scale: f64,
+    raw: &mut [Complex64],
+    out: &mut [Complex64],
+    w_scratch: &mut Vec<Complex64>,
+    scratch: &mut Vec<f64>,
+) {
     assert_eq!(a.len(), n * n, "color_idft_block: coloring matrix storage");
     assert_eq!(raw.len(), n * m, "color_idft_block: raw block length");
     assert_eq!(out.len(), n * m, "color_idft_block: output block length");
@@ -337,9 +368,9 @@ pub fn color_idft_block(
         return;
     }
     for row in raw.chunks_exact_mut(m) {
-        ifft_in_place(row);
+        ifft_in_place_with(b, row);
     }
-    kernel::color_block(n, m, a, scale, raw, out, w_scratch, scratch);
+    kernel::color_block_with(b, n, m, a, scale, raw, out, w_scratch, scratch);
 }
 
 #[cfg(test)]

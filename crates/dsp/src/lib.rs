@@ -19,6 +19,6 @@ pub mod doppler;
 pub mod error;
 pub mod fft;
 
-pub use doppler::{color_idft_block, DopplerFilter, IdftRayleighGenerator};
+pub use doppler::{color_idft_block, color_idft_block_with, DopplerFilter, IdftRayleighGenerator};
 pub use error::DspError;
 pub use fft::{dft_naive, fft, ifft, ifft_in_place, ifft_in_place_with};
