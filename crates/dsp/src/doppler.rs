@@ -18,6 +18,8 @@
 //! algorithm feeds this value into its coloring step; the Sorooshyari–Daut
 //! baseline ignores it, which is exactly the flaw experiment E8 demonstrates.
 
+use core::ops::Range;
+
 use corrfade_linalg::kernel::{self, Backend};
 use corrfade_linalg::{c64, Complex64};
 use corrfade_randn::normal::{polar_normals, polar_points_into};
@@ -25,7 +27,7 @@ use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
 use crate::error::DspError;
-use crate::fft::{ifft, ifft_in_place, ifft_in_place_with};
+use crate::fft::{ifft, ifft_in_place, ifft_in_place_with, ifft_vector_into};
 
 /// Young's Doppler filter (paper Eq. 21): the square root of a discretized
 /// Jakes power spectral density, with the band-edge bins adjusted so that the
@@ -367,10 +369,120 @@ pub fn color_idft_block_with(
     if n == 0 || m == 0 {
         return;
     }
-    for row in raw.chunks_exact_mut(m) {
-        ifft_in_place_with(b, row);
+    if b == Backend::Scalar {
+        for row in raw.chunks_exact_mut(m) {
+            ifft_in_place_with(b, row);
+        }
+        return kernel::color_block_with(b, n, m, a, scale, raw, out, w_scratch, scratch);
     }
-    kernel::color_block_with(b, n, m, a, scale, raw, out, w_scratch, scratch);
+    BIN_RUNS.with(|runs| {
+        let runs = &mut *runs.borrow_mut();
+        nonzero_runs(m, raw, runs);
+        let k: usize = runs.iter().map(Range::len).sum();
+        if k == 0 {
+            return;
+        }
+        w_scratch.resize(2 * n * k, Complex64::ZERO);
+        let (gathered, colored) = w_scratch.split_at_mut(n * k);
+        for (g, row) in gathered.chunks_exact_mut(k).zip(raw.chunks_exact(m)) {
+            let mut at = 0;
+            for bins in runs.iter() {
+                g[at..at + bins.len()].copy_from_slice(&row[bins.clone()]);
+                at += bins.len();
+            }
+        }
+        // The vector coloring keeps its planes in `scratch` and has no use
+        // for a gather buffer of its own.
+        let mut unused = Vec::new();
+        kernel::color_block_with(b, n, k, a, scale, gathered, colored, &mut unused, scratch);
+        for (c, row) in colored.chunks_exact(k).zip(raw.chunks_exact_mut(m)) {
+            let mut at = 0;
+            for bins in runs.iter() {
+                row[bins.clone()].copy_from_slice(&c[at..at + bins.len()]);
+                at += bins.len();
+            }
+        }
+    });
+    for (src, dst) in raw.chunks_exact_mut(m).zip(out.chunks_exact_mut(m)) {
+        ifft_vector_into(src, dst);
+    }
+}
+
+std::thread_local! {
+    /// Per-thread list of the nonzero bin runs of the vector
+    /// [`color_idft_block_with`]. Its capacity covers the most runs a
+    /// length can have, so warm calls allocate nothing.
+    static BIN_RUNS: core::cell::RefCell<Vec<Range<usize>>> =
+        const { core::cell::RefCell::new(Vec::new()) };
+}
+
+/// Bins per step of [`nonzero_runs`]: one `u64` mask's worth.
+const SCAN_CHUNK: usize = 64;
+
+/// Writes to `runs`, ascending and maximal, the ranges of bins `k < m`
+/// that are nonzero in some length-`m` row of `raw`. A value counts as
+/// zero when both parts are `±0`: `((re | im) << 1) != 0` on the bits
+/// drops only the sign bits, so NaN and ∞ count as nonzero. Each chunk of
+/// [`SCAN_CHUNK`] bins ORs the bits of every row into one word per bin, so
+/// `raw` is read once and the words stay in L1.
+fn nonzero_runs(m: usize, raw: &[Complex64], runs: &mut Vec<Range<usize>>) {
+    runs.clear();
+    runs.reserve(m.div_ceil(2));
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: each body runs only where the CPU reports its features.
+        if kernel::vector_uses_avx512() {
+            return unsafe { nonzero_runs_avx512(m, raw, runs) };
+        } else if kernel::vector_uses_fma() {
+            return unsafe { nonzero_runs_avx2(m, raw, runs) };
+        }
+    }
+    nonzero_runs_body(m, raw, runs);
+}
+
+/// [`nonzero_runs_body`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn nonzero_runs_avx512(m: usize, raw: &[Complex64], runs: &mut Vec<Range<usize>>) {
+    nonzero_runs_body(m, raw, runs);
+}
+
+/// [`nonzero_runs_body`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn nonzero_runs_avx2(m: usize, raw: &[Complex64], runs: &mut Vec<Range<usize>>) {
+    nonzero_runs_body(m, raw, runs);
+}
+
+/// The scan of [`nonzero_runs`], for `runs` already cleared.
+#[inline(always)]
+fn nonzero_runs_body(m: usize, raw: &[Complex64], runs: &mut Vec<Range<usize>>) {
+    for c0 in (0..m).step_by(SCAN_CHUNK) {
+        let len = SCAN_CHUNK.min(m - c0);
+        let mut words = [0u64; SCAN_CHUNK];
+        for row in raw.chunks_exact(m) {
+            for (w, z) in words.iter_mut().zip(&row[c0..c0 + len]) {
+                *w |= z.re.to_bits() | z.im.to_bits();
+            }
+        }
+        if words.iter().fold(0, |x, &w| x | w) << 1 == 0 {
+            continue;
+        }
+        let mut mask = words
+            .iter()
+            .enumerate()
+            .fold(0u64, |mask, (j, &w)| mask | u64::from(w << 1 != 0) << j);
+        while mask != 0 {
+            let first = mask.trailing_zeros() as usize;
+            let end = first + (mask >> first).trailing_ones() as usize;
+            let bins = c0 + first..c0 + end;
+            match runs.last_mut() {
+                Some(last) if last.end == bins.start => last.end = bins.end,
+                _ => runs.push(bins),
+            }
+            mask &= u64::MAX.checked_shl(end as u32).unwrap_or(0);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -583,6 +695,81 @@ mod tests {
     fn empty_dimensions_are_no_ops() {
         let (mut w, mut s) = (Vec::new(), Vec::new());
         color_idft_block(0, 0, &[], 1.0, &mut [], &mut [], &mut w, &mut s);
+    }
+
+    /// The runs of bins that are nonzero in some row, one bin at a time.
+    fn reference_runs(m: usize, raw: &[Complex64]) -> Vec<Range<usize>> {
+        let nonzero = |z: &Complex64| (z.re.to_bits() | z.im.to_bits()) << 1 != 0;
+        let mut runs: Vec<Range<usize>> = Vec::new();
+        for k in (0..m).filter(|&k| raw.chunks_exact(m).any(|row| nonzero(&row[k]))) {
+            match runs.last_mut() {
+                Some(last) if last.end == k => last.end = k + 1,
+                _ => runs.push(k..k + 1),
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn every_scan_body_finds_the_per_bin_runs() {
+        let values = [
+            c64(0.0, 0.0),
+            c64(-0.0, 0.0),
+            c64(0.0, -0.0),
+            c64(-0.0, -0.0),
+            c64(f64::MIN_POSITIVE / 4.0, 0.0),
+            c64(-0.0, 1.0),
+            c64(f64::NAN, 0.0),
+            c64(0.0, f64::NEG_INFINITY),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for (n, m) in [
+            (1usize, 1usize),
+            (3, 7),
+            (2, 64),
+            (3, 65),
+            (4, 1000),
+            (64, 256),
+        ] {
+            for density in [0u64, 1, 8, 64] {
+                // Mostly signed zeros, a `density`/64 share of other values.
+                let raw: Vec<Complex64> = (0..n * m)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1_442_695_040_888_963_407);
+                        let pick = (state >> 33) as usize;
+                        if (state >> 58) < density {
+                            values[4 + pick % 4]
+                        } else {
+                            values[pick % 4]
+                        }
+                    })
+                    .collect();
+                let expected = reference_runs(m, &raw);
+                let mut runs = Vec::new();
+                nonzero_runs(m, &raw, &mut runs);
+                assert_eq!(runs, expected, "dispatched, n = {n}, m = {m}");
+                runs.clear();
+                nonzero_runs_body(m, &raw, &mut runs);
+                assert_eq!(runs, expected, "generic, n = {n}, m = {m}");
+                #[cfg(target_arch = "x86_64")]
+                {
+                    if kernel::vector_uses_fma() {
+                        runs.clear();
+                        // SAFETY: AVX2 detected.
+                        unsafe { nonzero_runs_avx2(m, &raw, &mut runs) };
+                        assert_eq!(runs, expected, "avx2, n = {n}, m = {m}");
+                    }
+                    if kernel::vector_uses_avx512() {
+                        runs.clear();
+                        // SAFETY: AVX-512F detected.
+                        unsafe { nonzero_runs_avx512(m, &raw, &mut runs) };
+                        assert_eq!(runs, expected, "avx512, n = {n}, m = {m}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

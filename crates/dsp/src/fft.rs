@@ -480,36 +480,57 @@ fn last_stage(
     last_stage_portable(x, y, radix, scale, inverse);
 }
 
-/// In-place Stockham transform of a power-of-two length on the vector
-/// backend, every output multiplied by `scale` (an exact power of two for
-/// the inverse's `1/n`, folded into the last stage).
+/// Stockham transform of a power-of-two length on the vector backend,
+/// every output multiplied by `scale` (an exact power of two for the
+/// inverse's `1/n`, folded into the last stage). The input is in `x`; the
+/// stages ping-pong between `x` and `y`, and the output lands in `y` when
+/// `into_y`, back in `x` otherwise. The other buffer is clobbered.
+fn stockham(x: &mut [Complex64], y: &mut [Complex64], into_y: bool, inverse: bool, scale: f64) {
+    let n = x.len();
+    debug_assert!(is_power_of_two(n) && y.len() == n);
+    if n == 1 {
+        let z = x[0].scale(scale);
+        if into_y {
+            y[0] = z
+        } else {
+            x[0] = z
+        }
+        return;
+    }
+    let plan = stockham_plan(n);
+    let mut s = 1;
+    let mut in_y = false;
+    for tw in &plan.stages {
+        if in_y {
+            stage4(y, x, s, tw, inverse);
+        } else {
+            stage4(x, y, s, tw, inverse);
+        }
+        in_y = !in_y;
+        s *= 4;
+    }
+    let radix = n / s;
+    match (into_y, in_y) {
+        (true, true) => last_stage(None, y, radix, scale, inverse),
+        (true, false) => last_stage(Some(x), y, radix, scale, inverse),
+        (false, true) => last_stage(Some(y), x, radix, scale, inverse),
+        (false, false) => last_stage(None, x, radix, scale, inverse),
+    }
+}
+
+/// In-place [`stockham`] transform, with the thread-local second buffer.
 fn stockham_in_place(data: &mut [Complex64], inverse: bool, scale: f64) {
     let n = data.len();
-    debug_assert!(is_power_of_two(n));
     if n == 1 {
         data[0] = data[0].scale(scale);
         return;
     }
-    let plan = stockham_plan(n);
     STOCKHAM_WORK.with(|work| {
         let mut work = work.borrow_mut();
         if work.len() < n {
             work.resize(n, Complex64::ZERO);
         }
-        let work = &mut work[..n];
-        let mut s = 1;
-        let mut in_work = false;
-        for tw in &plan.stages {
-            if in_work {
-                stage4(work, data, s, tw, inverse);
-            } else {
-                stage4(data, work, s, tw, inverse);
-            }
-            in_work = !in_work;
-            s *= 4;
-        }
-        let radix = n / s;
-        last_stage(in_work.then_some(&*work), data, radix, scale, inverse);
+        stockham(data, &mut work[..n], false, inverse, scale);
     });
 }
 
@@ -692,6 +713,26 @@ pub fn ifft_in_place_with(b: Backend, data: &mut [Complex64]) {
     }
     for z in data.iter_mut() {
         *z = z.scale(scale);
+    }
+}
+
+/// The vector backend's inverse DFT of `src` into `dst`: the values of
+/// [`ifft_in_place_with`]`(Backend::Vector, src)`, bit for bit, written to
+/// `dst`. **`src` is clobbered.** For a power-of-two length the Stockham
+/// stages ping-pong between `src` and `dst` and end in `dst`, so the
+/// transform needs neither the thread-local second buffer nor a copy; any
+/// other length transforms `src` in place (Bluestein) and copies it.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub(crate) fn ifft_vector_into(src: &mut [Complex64], dst: &mut [Complex64]) {
+    let n = src.len();
+    assert_eq!(n, dst.len(), "ifft_vector_into: length mismatch");
+    if is_power_of_two(n) {
+        stockham(src, dst, true, true, 1.0 / n as f64);
+    } else {
+        ifft_in_place_with(Backend::Vector, src);
+        dst.copy_from_slice(src);
     }
 }
 
@@ -1023,6 +1064,19 @@ mod tests {
         let mut empty: Vec<Complex64> = Vec::new();
         ifft_in_place(&mut empty);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn vector_transform_into_a_second_buffer_matches_in_place_bit_for_bit() {
+        for n in [0usize, 1, 2, 4, 8, 16, 32, 2048, 4096, 12, 1000] {
+            let x = signal_with_signed_zeros(n);
+            let mut expected = x.clone();
+            ifft_in_place_with(Backend::Vector, &mut expected);
+            let mut src = x;
+            let mut dst = vec![Complex64::new(f64::NAN, f64::NAN); n];
+            ifft_vector_into(&mut src, &mut dst);
+            assert_bits(&dst, &expected, &format!("n = {n}"));
+        }
     }
 
     #[test]
