@@ -8,11 +8,14 @@
 //! `N = 3` envelopes × `M = 4096` samples, plus a larger `N` to show the
 //! cache-blocked scaling.
 
-use corrfade_dsp::ifft_in_place_with;
+use corrfade_dsp::{
+    color_idft_block_with, ifft_in_place_with, DopplerFilter, IdftRayleighGenerator,
+};
 use corrfade_linalg::kernel::{
     accumulate_covariance_with, color_block_with, envelope_into_with, matvec_into_with,
 };
 use corrfade_linalg::{c64, Backend, Complex64};
+use corrfade_randn::RandomStream;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const BACKENDS: [(&str, Backend); 2] = [("scalar", Backend::Scalar), ("vector", Backend::Vector)];
@@ -73,6 +76,49 @@ fn bench_color_idft(c: &mut Criterion) {
     }
 }
 
+/// `color_idft_block_with` on Doppler-sparse spectra from
+/// `fill_spectrum_into` (`f_m = 0.05`, so 408 of 4096 and 24 of 256 bins
+/// are nonzero): the scalar backend transforms every row and then colors
+/// every sample, the vector one colors only the nonzero bins before the
+/// transforms. Every iteration refills the spectra, which the call
+/// destroys.
+fn bench_color_idft_sparse(c: &mut Criterion) {
+    for (n, m) in [(3usize, 4096usize), (64, 256)] {
+        let a = signal(n * n);
+        let idft = IdftRayleighGenerator::new(DopplerFilter::new(m, 0.05).unwrap(), 0.5).unwrap();
+        let mut rng = RandomStream::new(1);
+        let mut raw = vec![Complex64::ZERO; n * m];
+        for row in raw.chunks_exact_mut(m) {
+            idft.fill_spectrum_into(&mut rng, row);
+        }
+
+        let mut group = c.benchmark_group(format!("kernel/color_idft_n{n}_m{m}"));
+        group.throughput(Throughput::Elements((n * m) as u64));
+        for (name, backend) in BACKENDS {
+            group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
+                let mut work = raw.clone();
+                let mut out = vec![Complex64::ZERO; n * m];
+                let (mut w, mut planes) = (Vec::new(), Vec::new());
+                b.iter(|| {
+                    work.copy_from_slice(&raw);
+                    color_idft_block_with(
+                        bk,
+                        n,
+                        m,
+                        &a,
+                        0.5,
+                        &mut work,
+                        &mut out,
+                        &mut w,
+                        &mut planes,
+                    )
+                })
+            });
+        }
+        group.finish();
+    }
+}
+
 /// The single-instant coloring matvec at the `snapshot-n16` shape and at a
 /// larger `N`.
 fn bench_matvec(c: &mut Criterion) {
@@ -107,7 +153,9 @@ fn bench_accumulate_covariance(c: &mut Criterion) {
 
 /// One inverse transform at the paper's M = 4096 and at M = 2048, whose
 /// odd log₂ M gives the vector backend's Stockham transform a radix-2 last
-/// stage.
+/// stage. Every iteration refills the input: each inverse shrinks the data
+/// by about √M, so transforming the same buffer again would time
+/// subnormals and then zeros.
 fn bench_idft(c: &mut Criterion) {
     for m in [2048usize, 4096] {
         let mut group = c.benchmark_group(format!("kernel/idft_m{m}"));
@@ -116,7 +164,10 @@ fn bench_idft(c: &mut Criterion) {
         for (name, backend) in BACKENDS {
             group.bench_with_input(BenchmarkId::from_parameter(name), &backend, |b, &bk| {
                 let mut data = x.clone();
-                b.iter(|| ifft_in_place_with(bk, &mut data))
+                b.iter(|| {
+                    data.copy_from_slice(&x);
+                    ifft_in_place_with(bk, &mut data)
+                })
             });
         }
         group.finish();
@@ -141,6 +192,7 @@ criterion_group!(
     benches,
     bench_color_block,
     bench_color_idft,
+    bench_color_idft_sparse,
     bench_matvec,
     bench_accumulate_covariance,
     bench_idft,
