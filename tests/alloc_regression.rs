@@ -12,6 +12,9 @@
 //! The whole file holds exactly one `#[test]` so no concurrently running
 //! test can pollute the counter.
 
+#[path = "../crates/network/tests/support/wsn_epoch.rs"]
+mod wsn_epoch;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -111,6 +114,33 @@ fn next_block_into_is_allocation_free_after_warmup() {
         assert_eq!(
             delta, 0,
             "a warm non-power-of-two (Bluestein) stream allocated {delta} time(s)"
+        );
+    }
+
+    // The benchmark's realtime shapes: the paper's fig4a stream (N = 3,
+    // M = 4096) and one full `wsn-epoch` group (N = 64, M = 256). On the
+    // vector backend a block gathers its nonzero Doppler bins into the
+    // generator's scratch and colors only those; warm, that reuses the
+    // gathered and colored tiles and the thread's bin runs.
+    let wsn_group = wsn_epoch::group_covariances()
+        .into_iter()
+        .find(|k| k.rows() == 64)
+        .expect("wsn-epoch has a full 64-link group");
+    for (covariance, idft_size) in [(paper_covariance_matrix_22(), 4096), (wsn_group, 256)] {
+        let n = covariance.rows();
+        let cfg = RealtimeConfig {
+            covariance,
+            idft_size,
+            normalized_doppler: 0.05,
+            sigma_orig_sq: 0.5,
+            seed: 3,
+            precision: Precision::F64,
+        };
+        let mut realtime = RealtimeGenerator::new(cfg).unwrap();
+        let delta = measure(&mut realtime, &mut block);
+        assert_eq!(
+            delta, 0,
+            "a warm N = {n}, M = {idft_size} realtime stream allocated {delta} time(s)"
         );
     }
 
