@@ -174,7 +174,8 @@ impl RealtimeGenerator {
     /// The streaming hot path behind [`ChannelStream::next_block_into`]:
     /// draws the `N` Doppler-weighted spectra into the planar scratch, then
     /// inverts and colors them through [`corrfade_dsp::color_idft_block`]
-    /// (an IDFT per row, then the coloring `Z[l] = L·W[l]/σ_g`); on the
+    /// (the coloring `Z[l] = L·W[l]/σ_g` of the IDFT outputs; the vector
+    /// backend colors the nonzero Doppler bins before the IDFT); on the
     /// scalar backend that reproduces the pre-kernel outputs bit for bit.
     /// No heap allocation once the scratch and the destination block are
     /// warm.

@@ -680,8 +680,9 @@ pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
 /// ping-pong between `data` and a thread-local second buffer (grown once
 /// to the largest size a thread transforms) with twiddles from a shared
 /// per-size plan. The vector backend has no bit-reversal pass, and its
-/// exact power-of-two `1/N` folds into the last stage. This is what the
-/// streaming generation hot path relies on.
+/// exact power-of-two `1/N` folds into the last stage. (The realtime
+/// block transform of the vector backend runs the same stages between the
+/// spectrum row and the output row instead, without the second buffer.)
 ///
 /// Any other length falls back to the Bluestein chirp-z transform. Its
 /// chirp and filter spectrum live in a process-wide plan cache (keyed by
