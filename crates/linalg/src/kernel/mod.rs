@@ -93,13 +93,6 @@ pub fn vector_uses_fma() -> bool {
     vector::has_fma_isa()
 }
 
-/// `true` when the vector backend's AVX-512F bodies are active on this CPU
-/// (which then has AVX2+FMA too; always `false` off `x86_64`).
-#[must_use]
-pub fn vector_uses_avx512() -> bool {
-    vector::has_avx512_isa()
-}
-
 /// Parses a `CORRFADE_KERNEL` value (`None` = variable unset) into a
 /// backend. Values are trimmed and matched case-insensitively; anything
 /// else — including an empty or whitespace-only string — is rejected with
