@@ -521,10 +521,6 @@ fn stockham(x: &mut [Complex64], y: &mut [Complex64], into_y: bool, inverse: boo
 /// In-place [`stockham`] transform, with the thread-local second buffer.
 fn stockham_in_place(data: &mut [Complex64], inverse: bool, scale: f64) {
     let n = data.len();
-    if n == 1 {
-        data[0] = data[0].scale(scale);
-        return;
-    }
     STOCKHAM_WORK.with(|work| {
         let mut work = work.borrow_mut();
         if work.len() < n {
