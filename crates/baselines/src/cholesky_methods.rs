@@ -13,7 +13,7 @@
 //! experiment harness can chart exactly where they fail and by how much.
 
 use corrfade::{ChannelStream, CorrfadeError};
-use corrfade_linalg::{cholesky, CMatrix, Complex64, LinalgError, SampleBlock};
+use corrfade_linalg::{c64, cholesky, CMatrix, Complex64, LinalgError, SampleBlock};
 use corrfade_randn::{ComplexGaussian, RandomStream};
 
 use crate::error::BaselineError;
@@ -177,7 +177,7 @@ impl NatarajanGenerator {
     pub fn new_lossy(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
         const METHOD: &str = "Natarajan [5]";
         validate_square_hermitian(k, METHOD)?;
-        let realified = k.real().complexify();
+        let realified = CMatrix::from_fn(k.rows(), k.cols(), |i, j| c64(k[(i, j)].re, 0.0));
         let coloring = cholesky_or_error(&realified, METHOD)?;
         Ok(Self {
             coloring,

@@ -4,8 +4,10 @@
 //! fades by coloring a vector of `2N` **real** Gaussian variables with a
 //! square root of the `2N × 2N` real covariance matrix
 //! `[[Rxx, Rxy], [Ryx, Ryy]]` assembled from the four covariance blocks of
-//! Eq. (1)–(2). The square root is taken through the symmetric
-//! eigendecomposition.
+//! Eq. (1)–(2). The square root is taken through the Hermitian Jacobi
+//! ([`hermitian_eigen`]) on that real embedding: a real symmetric matrix is
+//! Hermitian, and on a real input every rotation stays real, so the
+//! eigenvectors come out with zero imaginary parts.
 //!
 //! Shortcomings reproduced here (and called out in the paper's Sec. 1):
 //!
@@ -17,7 +19,7 @@
 //!   producing a wrong (complex) coloring matrix.
 
 use corrfade::{ChannelStream, CorrfadeError};
-use corrfade_linalg::{c64, symmetric_eigen, CMatrix, Complex64, RMatrix, SampleBlock};
+use corrfade_linalg::{c64, hermitian_eigen, vector, CMatrix, Complex64, SampleBlock};
 use corrfade_randn::{NormalSampler, RandomStream};
 
 use crate::error::BaselineError;
@@ -34,8 +36,8 @@ const PSD_TOL: f64 = 1e-10;
 #[derive(Debug, Clone)]
 pub struct SalzWintersGenerator {
     n: usize,
-    /// Real coloring matrix of the 2N×2N embedding.
-    coloring: RMatrix,
+    /// Real coloring matrix of the 2N×2N embedding, row-major.
+    coloring: Vec<f64>,
     rng: RandomStream,
     sampler: NormalSampler,
     /// White `2N` real vector scratch for the streaming path.
@@ -78,8 +80,8 @@ impl SalzWintersGenerator {
         // 2N×2N real covariance of (x_1..x_N, y_1..y_N). For a circularly
         // symmetric complex Gaussian vector with covariance K = A + iB:
         // Cov(x,x) = Cov(y,y) = A/2, Cov(x,y) = -B/2, Cov(y,x) = B/2.
-        let embedding = k.real_embedding().scale(0.5);
-        let eig = symmetric_eigen(&embedding).map_err(|_| BaselineError::Invalid {
+        let embedding = k.real_embedding().scale_real(0.5);
+        let eig = hermitian_eigen(&embedding).map_err(|_| BaselineError::Invalid {
             reason: "eigendecomposition of the real embedding failed",
         })?;
         let lambda_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(1e-300);
@@ -91,11 +93,13 @@ impl SalzWintersGenerator {
         }
 
         // Real coloring matrix: V·√Λ (clamping round-off negatives to zero).
+        // The eigenvectors of a real embedding are real, so `.re` drops
+        // nothing.
         let dim = 2 * n;
-        let mut coloring = RMatrix::zeros(dim, dim);
+        let mut coloring = Vec::with_capacity(dim * dim);
         for i in 0..dim {
             for j in 0..dim {
-                coloring[(i, j)] = eig.eigenvectors[(i, j)] * eig.eigenvalues[j].max(0.0).sqrt();
+                coloring.push(eig.eigenvectors[(i, j)].re * eig.eigenvalues[j].max(0.0).sqrt());
             }
         }
 
@@ -122,10 +126,17 @@ impl SalzWintersGenerator {
         self.a.resize(dim, 0.0);
         self.c.resize(dim, 0.0);
         let Self {
-            rng, sampler, a, ..
+            rng,
+            sampler,
+            a,
+            c,
+            coloring,
+            ..
         } = self;
         sampler.fill(rng, a, 0.0, 1.0);
-        self.coloring.matvec_into(&self.a, &mut self.c);
+        for (ci, row) in c.iter_mut().zip(coloring.chunks_exact(dim)) {
+            *ci = vector::rdot(row, a);
+        }
     }
 
     /// Draws one correlated complex Gaussian vector.
@@ -236,5 +247,45 @@ mod tests {
             (s[0] - s[1]).abs() < 1e-9,
             "fully correlated fades must coincide"
         );
+    }
+
+    #[test]
+    fn real_embedding_decomposes_into_a_real_coloring() {
+        // K_{kj} = ρ^{|k−j|}·e^{iθ(k−j)} with ρ = 0.7, θ = 0.3: a complex
+        // covariance, so the embedding has nonzero off-diagonal blocks.
+        let complex_exponential = |n: usize| {
+            CMatrix::from_fn(n, n, |i, j| {
+                let d = i as i32 - j as i32;
+                Complex64::from_polar(0.7f64.powi(d.abs()), 0.3 * f64::from(d))
+            })
+        };
+        let mut ks = vec![
+            paper_covariance_matrix_22(),
+            paper_covariance_matrix_23(),
+            CMatrix::from_real_slice(2, 2, &[1.0, 1.0, 1.0, 1.0]),
+        ];
+        ks.extend([4, 8, 16].map(complex_exponential));
+        for k in &ks {
+            let embedding = k.real_embedding().scale_real(0.5);
+            // Every rotation of a real input stays real, so taking `.re` of
+            // the eigenvectors drops nothing.
+            let eig = hermitian_eigen(&embedding).unwrap();
+            assert!(eig.eigenvectors.as_slice().iter().all(|z| z.im == 0.0));
+
+            let g = SalzWintersGenerator::new(k, 1).unwrap();
+            let dim = 2 * k.rows();
+            let c = &g.coloring;
+            for i in 0..dim {
+                for j in 0..dim {
+                    let cct: f64 = (0..dim).map(|l| c[i * dim + l] * c[j * dim + l]).sum();
+                    let want = embedding[(i, j)].re;
+                    assert!(
+                        (cct - want).abs() <= 1e-10,
+                        "N = {}, ({i}, {j}): {cct} vs {want}",
+                        k.rows()
+                    );
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! experiment E8 can quantify the error.
 
 use corrfade::{ChannelStream, CorrfadeError};
-use corrfade_dsp::{DopplerFilter, IdftRayleighGenerator};
+use corrfade_dsp::{color_idft_block, DopplerFilter, IdftRayleighGenerator};
 use corrfade_linalg::{cholesky, hermitian_eigen, CMatrix, Complex64, LinalgError, SampleBlock};
 use corrfade_randn::{ComplexGaussian, RandomStream};
 
@@ -185,7 +185,9 @@ impl ChannelStream for SorooshyariDautGenerator {
 
 /// The flawed real-time combination of ref. \[6\]: Doppler-filtered sequences
 /// are colored **as if they had unit variance**, ignoring the Eq.-19 variance
-/// change of the Doppler filter.
+/// change of the Doppler filter. The block runs through the same
+/// [`color_idft_block`] as the proposed generator, with scale 1 in place of
+/// `1/σ_g`, so the flaw is exactly the scale.
 ///
 /// Implements [`ChannelStream`] so the E8 ablation can drive the proposed
 /// and flawed combinations through the identical streaming code path.
@@ -195,11 +197,12 @@ pub struct SorooshyariDautRealtimeGenerator {
     idft: IdftRayleighGenerator,
     rng: RandomStream,
     n: usize,
-    /// Planar `N × M` scratch for the raw Doppler sequences.
+    /// Planar `N × M` scratch for the Doppler-weighted spectra.
     raw: Vec<Complex64>,
-    /// Per-instant input/output vector scratch.
+    /// Gather scratch of [`color_idft_block`].
     w: Vec<Complex64>,
-    z: Vec<Complex64>,
+    /// Split-complex plane scratch of [`color_idft_block`].
+    planes: Vec<f64>,
 }
 
 impl SorooshyariDautRealtimeGenerator {
@@ -233,7 +236,7 @@ impl SorooshyariDautRealtimeGenerator {
             rng: RandomStream::new(seed),
             raw: Vec::new(),
             w: Vec::new(),
-            z: Vec::new(),
+            planes: Vec::new(),
         })
     }
 
@@ -259,30 +262,29 @@ impl ChannelStream for SorooshyariDautRealtimeGenerator {
     }
 
     /// Generates one block of `M` time samples per envelope using the flawed
-    /// unit-variance assumption: `Z[l] = L·W[l]` with no `1/σ_g` scaling.
+    /// unit-variance assumption: `Z[l] = L·W[l]` with no `1/σ_g` scaling,
+    /// that is [`color_idft_block`] with scale 1.
     fn next_block_into(&mut self, block: &mut SampleBlock) -> Result<(), CorrfadeError> {
         let n = self.n;
         let m = self.idft.filter().len();
         block.resize(n, m);
         self.raw.resize(n * m, Complex64::ZERO);
-        self.w.resize(n, Complex64::ZERO);
-        self.z.resize(n, Complex64::ZERO);
         for j in 0..n {
             self.idft
-                .generate_into(&mut self.rng, &mut self.raw[j * m..(j + 1) * m]);
+                .fill_spectrum_into(&mut self.rng, &mut self.raw[j * m..(j + 1) * m]);
         }
-        let data = block.as_mut_slice();
-        for l in 0..m {
-            for j in 0..n {
-                self.w[j] = self.raw[j * m + l];
-            }
-            // Flaw reproduced on purpose: ref. [6] inserts the Doppler
-            // outputs into its step 6 as if their variance were 1.
-            self.coloring.matvec_into(&self.w, &mut self.z);
-            for j in 0..n {
-                data[j * m + l] = self.z[j];
-            }
-        }
+        // Flaw reproduced on purpose: ref. [6] inserts the Doppler outputs
+        // into its step 6 as if their variance were 1.
+        color_idft_block(
+            n,
+            m,
+            self.coloring.as_slice(),
+            1.0,
+            &mut self.raw,
+            block.as_mut_slice(),
+            &mut self.w,
+            &mut self.planes,
+        );
         Ok(())
     }
 }
@@ -290,6 +292,8 @@ impl ChannelStream for SorooshyariDautRealtimeGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corrfade_dsp::{color_idft_block_with, ifft_in_place_with};
+    use corrfade_linalg::{kernel, Backend};
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
     use corrfade_stats::relative_frobenius_error;
 
@@ -366,5 +370,93 @@ mod tests {
             "flawed method should miss the target ({err_against_desired:.3}) \
              but match the σ_g²-scaled matrix ({err_against_scaled:.3})"
         );
+    }
+
+    /// The realtime loop this generator ran before it called
+    /// `color_idft_block`: an inverse transform per row, then one matvec per
+    /// time instant, unscaled.
+    fn per_instant_loop(
+        b: Backend,
+        n: usize,
+        m: usize,
+        a: &CMatrix,
+        raw: &mut [Complex64],
+    ) -> Vec<Complex64> {
+        for row in raw.chunks_exact_mut(m) {
+            ifft_in_place_with(b, row);
+        }
+        let mut out = vec![Complex64::ZERO; n * m];
+        let (mut w, mut z) = (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
+        for l in 0..m {
+            for j in 0..n {
+                w[j] = raw[j * m + l];
+            }
+            kernel::matvec_into_with(b, n, n, a.as_slice(), &w, &mut z);
+            for j in 0..n {
+                out[j * m + l] = z[j];
+            }
+        }
+        out
+    }
+
+    /// The flawed generator on the Eq.-22 matrix at M = 1024, and the three
+    /// Doppler spectra its first block draws from `seed`.
+    fn eq22_block(seed: u64) -> (SorooshyariDautRealtimeGenerator, Vec<Complex64>) {
+        let k = paper_covariance_matrix_22();
+        let g = SorooshyariDautRealtimeGenerator::new(&k, 1024, 0.05, 0.5, seed).unwrap();
+        let m = g.block_len();
+        let mut rng = RandomStream::new(seed);
+        let mut raw = vec![Complex64::ZERO; g.dimension() * m];
+        for row in raw.chunks_exact_mut(m) {
+            g.idft.fill_spectrum_into(&mut rng, row);
+        }
+        (g, raw)
+    }
+
+    /// Bit for bit on the scalar backend; within 1e-12 of the peak on the
+    /// vector backend, which colors the Doppler bins before the transform.
+    fn assert_matches(b: Backend, got: &[Complex64], want: &[Complex64]) {
+        if b == Backend::Scalar {
+            for (x, y) in got.iter().zip(want) {
+                assert_eq!(
+                    (x.re.to_bits(), x.im.to_bits()),
+                    (y.re.to_bits(), y.im.to_bits())
+                );
+            }
+        } else {
+            let gap = got
+                .iter()
+                .zip(want)
+                .map(|(x, y)| (*x - *y).abs())
+                .fold(0.0, f64::max);
+            let peak = want.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            assert!(gap <= 1e-12 * peak, "vector gap {gap:e}, peak {peak:e}");
+        }
+    }
+
+    #[test]
+    fn unit_scale_color_idft_block_matches_the_per_instant_loop() {
+        let (g, raw) = eq22_block(11);
+        let (n, m) = (g.dimension(), g.block_len());
+        let reference = per_instant_loop(Backend::Scalar, n, m, &g.coloring, &mut raw.clone());
+        for b in [Backend::Scalar, Backend::Vector] {
+            let mut work = raw.clone();
+            let mut out = vec![Complex64::ZERO; n * m];
+            let (mut w, mut planes) = (Vec::new(), Vec::new());
+            let a = g.coloring.as_slice();
+            color_idft_block_with(b, n, m, a, 1.0, &mut work, &mut out, &mut w, &mut planes);
+            assert_matches(b, &out, &reference);
+        }
+    }
+
+    #[test]
+    fn realtime_block_matches_the_per_instant_loop_on_the_active_backend() {
+        let (mut g, mut raw) = eq22_block(23);
+        let (n, m) = (g.dimension(), g.block_len());
+        let mut block = SampleBlock::new(n, m);
+        g.next_block_into(&mut block).unwrap();
+        let b = kernel::backend();
+        let reference = per_instant_loop(b, n, m, &g.coloring, &mut raw);
+        assert_matches(b, block.as_slice(), &reference);
     }
 }

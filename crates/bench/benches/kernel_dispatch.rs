@@ -47,8 +47,8 @@ fn bench_color_block(c: &mut Criterion) {
     }
 }
 
-/// The realtime IDFT + coloring (`ifft` per row, then `color_block`) on
-/// the paper's block shape and on the `wsn-epoch` group shape (N = 64,
+/// The realtime IDFT + coloring (`ifft` per row, then `color_block_with`)
+/// on the paper's block shape and on the `wsn-epoch` group shape (N = 64,
 /// M = 256), where the coloring dominates. Every iteration pays the same
 /// `copy_from_slice` refill (the transform destroys its input).
 fn bench_color_idft(c: &mut Criterion) {

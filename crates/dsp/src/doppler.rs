@@ -322,11 +322,11 @@ impl IdftRayleighGenerator {
 /// The coloring acts on each time instant and the IDFT along each row, so
 /// `A·IDFT(u) = IDFT(A·u)`, and the two backends use the two orders:
 ///
-/// * scalar: [`ifft_in_place`] per row, then [`kernel::color_block`] over
-///   all `m` samples — the bit-exact reference;
+/// * scalar: [`ifft_in_place`] per row, then [`kernel::color_block_with`]
+///   over all `m` samples — the bit-exact reference;
 /// * vector: one pass over the rows finds the `K` bins that are nonzero in
-///   some row, `color_block` colors those `K` columns only (gathered into
-///   `w_scratch`) and puts them back, and each row is inverse-transformed
+///   some row, `color_block_with` colors those `K` columns only (gathered
+///   into `w_scratch`) and puts them back, and each row is inverse-transformed
 ///   straight into `out`. A bin that is zero in every row stays zero after
 ///   coloring, so the coloring costs `N²·K` instead of `N²·M`: `K` is 408
 ///   of 4096 bins at the paper's `f_m = 0.05`. A value counts as zero when

@@ -1,5 +1,4 @@
-//! Eigendecomposition of Hermitian (complex) and symmetric (real) matrices
-//! by the cyclic Jacobi method.
+//! Eigendecomposition of Hermitian matrices by the cyclic Jacobi method.
 //!
 //! The paper's coloring step (Sec. 4.3) requires the eigendecomposition
 //! `K = V·G·Vᴴ` of the desired covariance matrix `K`. Covariance matrices are
@@ -9,11 +8,10 @@
 //! For the matrix sizes that appear in fading simulation (a handful to a few
 //! dozen sub-carriers or antennas) its `O(N³)` per-sweep cost is irrelevant.
 //!
-//! Complex Hermitian matrices are diagonalized directly with complex Jacobi
-//! rotations (a phase factor absorbs the argument of the pivot entry, then a
-//! real Givens rotation annihilates it); real symmetric matrices use the
-//! classic real rotation. Eigenvalues are returned in **descending** order
-//! together with the matching orthonormal eigenvectors.
+//! The matrix is diagonalized directly with complex Jacobi rotations (a
+//! phase factor absorbs the argument of the pivot entry, then a real Givens
+//! rotation annihilates it). Eigenvalues are returned in **descending**
+//! order together with the matching orthonormal eigenvectors.
 //!
 //! # Storage of the Hermitian sweep
 //!
@@ -36,9 +34,9 @@
 
 use crate::complex::{c64, Complex64};
 use crate::error::LinalgError;
-use crate::matrix::{CMatrix, RMatrix};
+use crate::matrix::CMatrix;
 
-/// Default tolerance used to accept a matrix as Hermitian/symmetric before
+/// Default tolerance used to accept a matrix as Hermitian before
 /// decomposing it. The covariance builders in `corrfade-models` produce
 /// matrices that are Hermitian to machine precision; anything larger than
 /// this usually indicates a bug in the caller.
@@ -143,46 +141,6 @@ impl HermitianEigen {
     }
 }
 
-/// Eigendecomposition `A = V · diag(λ) · Vᵀ` of a real symmetric matrix.
-#[derive(Debug, Clone)]
-pub struct SymmetricEigen {
-    /// Eigenvalues, sorted in descending order.
-    pub eigenvalues: Vec<f64>,
-    /// Orthogonal matrix whose `j`-th column is the eigenvector for
-    /// `eigenvalues[j]`.
-    pub eigenvectors: RMatrix,
-}
-
-impl SymmetricEigen {
-    /// Reconstructs `V · diag(λ̃) · Vᵀ` with the supplied eigenvalues.
-    pub fn reconstruct_with(&self, eigenvalues: &[f64]) -> RMatrix {
-        assert_eq!(
-            eigenvalues.len(),
-            self.eigenvalues.len(),
-            "reconstruct_with: eigenvalue count mismatch"
-        );
-        let v = &self.eigenvectors;
-        let n = eigenvalues.len();
-        let mut vl = RMatrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                vl[(i, j)] = v[(i, j)] * eigenvalues[j];
-            }
-        }
-        vl.matmul(&v.transpose())
-    }
-
-    /// Reconstructs the original matrix.
-    pub fn reconstruct(&self) -> RMatrix {
-        self.reconstruct_with(&self.eigenvalues)
-    }
-
-    /// `true` when every eigenvalue is ≥ `−tol`.
-    pub fn is_positive_semidefinite(&self, tol: f64) -> bool {
-        self.eigenvalues.iter().all(|&l| l >= -tol)
-    }
-}
-
 /// Sum of squared moduli of the strictly-off-diagonal entries of an `n × n`
 /// column-major matrix — the quantity driven to zero by the Jacobi sweeps.
 /// Summed in row-major order, entry `(i, j)` at `w[j·n + i]`.
@@ -192,19 +150,6 @@ fn off_diagonal_norm_sqr_col_major(w: &[Complex64], n: usize) -> f64 {
         for j in 0..n {
             if i != j {
                 s += w[j * n + i].norm_sqr();
-            }
-        }
-    }
-    s
-}
-
-fn off_diagonal_norm_sqr_real(a: &RMatrix) -> f64 {
-    let n = a.rows();
-    let mut s = 0.0;
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                s += a[(i, j)] * a[(i, j)];
             }
         }
     }
@@ -414,125 +359,6 @@ unsafe fn rotate_avx2(
         }
     }
     full
-}
-
-/// Computes the eigendecomposition of a real symmetric matrix using cyclic
-/// Jacobi rotations.
-///
-/// # Errors
-/// Same failure modes as [`hermitian_eigen`], with
-/// [`LinalgError::NotHermitian`] reported when the matrix is not symmetric.
-pub fn symmetric_eigen(a: &RMatrix) -> Result<SymmetricEigen, LinalgError> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    let scale = a
-        .as_slice()
-        .iter()
-        .fold(0.0f64, |acc, &x| acc.max(x.abs()))
-        .max(1.0);
-    let sym_dev = a.max_abs_diff(&a.transpose());
-    if sym_dev > DEFAULT_HERMITIAN_TOL * scale {
-        return Err(LinalgError::NotHermitian { deviation: sym_dev });
-    }
-
-    if n == 0 {
-        return Ok(SymmetricEigen {
-            eigenvalues: Vec::new(),
-            eigenvectors: RMatrix::zeros(0, 0),
-        });
-    }
-
-    let mut m = a.clone();
-    // Exact symmetrization.
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let avg = 0.5 * (m[(i, j)] + m[(j, i)]);
-            m[(i, j)] = avg;
-            m[(j, i)] = avg;
-        }
-    }
-    let mut v = RMatrix::identity(n);
-
-    let frob = m.frobenius_norm().max(f64::MIN_POSITIVE);
-    let target = (f64::EPSILON * frob).powi(2);
-
-    let mut sweeps = 0;
-    while off_diagonal_norm_sqr_real(&m) > target && sweeps < MAX_SWEEPS {
-        sweeps += 1;
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= f64::EPSILON * frob {
-                    continue;
-                }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                let tau = (aqq - app) / (2.0 * apq);
-                let t = if tau >= 0.0 {
-                    1.0 / (tau + (1.0 + tau * tau).sqrt())
-                } else {
-                    -1.0 / (-tau + (1.0 + tau * tau).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-
-                for r in 0..n {
-                    if r == p || r == q {
-                        continue;
-                    }
-                    let arp = m[(r, p)];
-                    let arq = m[(r, q)];
-                    let new_rp = c * arp - s * arq;
-                    let new_rq = s * arp + c * arq;
-                    m[(r, p)] = new_rp;
-                    m[(p, r)] = new_rp;
-                    m[(r, q)] = new_rq;
-                    m[(q, r)] = new_rq;
-                }
-
-                m[(p, p)] = app - t * apq;
-                m[(q, q)] = aqq + t * apq;
-                m[(p, q)] = 0.0;
-                m[(q, p)] = 0.0;
-
-                for r in 0..n {
-                    let vrp = v[(r, p)];
-                    let vrq = v[(r, q)];
-                    v[(r, p)] = c * vrp - s * vrq;
-                    v[(r, q)] = s * vrp + c * vrq;
-                }
-            }
-        }
-    }
-
-    let residual = off_diagonal_norm_sqr_real(&m).sqrt();
-    if residual * residual > target * 4.0 && residual > 1e-10 * frob {
-        return Err(LinalgError::ConvergenceFailure {
-            iterations: sweeps,
-            residual,
-        });
-    }
-
-    let mut order: Vec<usize> = (0..n).collect();
-    let raw: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-    order.sort_by(|&i, &j| {
-        raw[j]
-            .partial_cmp(&raw[i])
-            .unwrap_or(core::cmp::Ordering::Equal)
-    });
-
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| raw[i]).collect();
-    let eigenvectors = RMatrix::from_fn(n, n, |i, j| v[(i, order[j])]);
-
-    Ok(SymmetricEigen {
-        eigenvalues,
-        eigenvectors,
-    })
 }
 
 #[cfg(test)]
@@ -841,45 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_eigen_reconstruction() {
-        let a = RMatrix::from_vec(3, 3, vec![4.0, 1.0, 0.5, 1.0, 3.0, -0.25, 0.5, -0.25, 2.0]);
-        let e = symmetric_eigen(&a).unwrap();
-        assert!(e.reconstruct().approx_eq(&a, 1e-10));
-        let vtv = e.eigenvectors.transpose().matmul(&e.eigenvectors);
-        assert!(vtv.approx_eq(&RMatrix::identity(3), 1e-10));
-        for w in e.eigenvalues.windows(2) {
-            assert!(w[0] >= w[1] - 1e-14);
-        }
-    }
-
-    #[test]
-    fn symmetric_eigen_rejects_asymmetric() {
-        let a = RMatrix::from_vec(2, 2, vec![1.0, 2.0, 0.0, 1.0]);
-        assert!(matches!(
-            symmetric_eigen(&a),
-            Err(LinalgError::NotHermitian { .. })
-        ));
-    }
-
-    #[test]
-    fn symmetric_matches_hermitian_on_real_input() {
-        let vals = [2.0, 0.8, 0.3, 0.8, 1.5, 0.1, 0.3, 0.1, 1.0];
-        let r = RMatrix::from_vec(3, 3, vals.to_vec());
-        let c = CMatrix::from_real_slice(3, 3, &vals);
-        let er = symmetric_eigen(&r).unwrap();
-        let ec = hermitian_eigen(&c).unwrap();
-        for (a, b) in er.eigenvalues.iter().zip(ec.eigenvalues.iter()) {
-            assert!((a - b).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn real_embedding_eigenvalues_are_doubled_hermitian_eigenvalues() {
         // Each eigenvalue of the N×N Hermitian matrix appears twice in the
-        // spectrum of its 2N×2N real-symmetric embedding.
+        // spectrum of its 2N×2N real embedding.
         let a = paper_matrix_22();
         let eh = hermitian_eigen(&a).unwrap();
-        let es = symmetric_eigen(&a.real_embedding()).unwrap();
+        let es = hermitian_eigen(&a.real_embedding()).unwrap();
         for (k, &l) in eh.eigenvalues.iter().enumerate() {
             assert!((es.eigenvalues[2 * k] - l).abs() < 1e-9);
             assert!((es.eigenvalues[2 * k + 1] - l).abs() < 1e-9);

@@ -39,8 +39,10 @@
 //! Any other value panics — a typo silently falling back would make
 //! determinism hunts miserable.
 //!
-//! Every kernel also has a `*_with(backend, …)` variant taking the backend
-//! explicitly; the dispatched wrappers simply pass [`backend()`]. The
+//! Every kernel has a `*_with(backend, …)` variant taking the backend
+//! explicitly; the dispatched wrappers simply pass [`backend()`].
+//! [`color_block_with`] has no wrapper: its one library caller,
+//! `corrfade_dsp::color_idft_block_with`, already holds the backend. The
 //! `_with` variants are what the scalar-vs-vector equivalence proptests and
 //! the `kernel_dispatch` benchmark drive.
 
@@ -210,7 +212,8 @@ pub(crate) const COLOR_TILE: usize = 256;
 /// The real-time coloring hot loop: for every time sample `l` of a planar
 /// `N × M` block, `out[i·m + l] = scale · Σ_j a[i·n + j] · raw[j·m + l]`
 /// (i.e. `Z[l] = scale · L·W[l]` with `W[l]` gathered across the planar
-/// rows), on the process-wide backend.
+/// rows), on backend `b`. `corrfade_dsp::color_idft_block_with` calls it
+/// on each Doppler block.
 ///
 /// The scalar backend reproduces the historical per-instant
 /// gather → dot → scatter loop bit for bit. The vector backend deinterleaves
@@ -227,24 +230,6 @@ pub(crate) const COLOR_TILE: usize = 256;
 ///
 /// `w_scratch` and `scratch` are caller-pooled buffers (resized on first
 /// use); with warm buffers the call performs no heap allocation.
-///
-/// # Panics
-/// Panics on any dimension mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn color_block(
-    n: usize,
-    m: usize,
-    a: &[Complex64],
-    scale: f64,
-    raw: &[Complex64],
-    out: &mut [Complex64],
-    w_scratch: &mut Vec<Complex64>,
-    scratch: &mut Vec<f64>,
-) {
-    color_block_with(backend(), n, m, a, scale, raw, out, w_scratch, scratch);
-}
-
-/// [`color_block`] on an explicit backend.
 ///
 /// # Panics
 /// Panics on any dimension mismatch.

@@ -20,11 +20,11 @@
 //!   row loop runs over the interleaved layout with the FMA lane body's
 //!   FMAs, sign flip, `(l0 + l1) + (l2 + l3)` reduction and non-fused tail;
 //! * the realtime coloring micro-kernel [`color_planes`] behind
-//!   [`color_block`]: a block of output rows × samples (4 × 16 on AVX-512F, 3 × 8 on
-//!   AVX2+FMA, 2 × 4 in the generic lane loop) stays in registers across
-//!   the whole `j` sum and is written once, scaled and interleaved. Every
-//!   element is still the planar AXPY chain it replaced, in `j` order from
-//!   `+0.0`.
+//!   [`color_block_with`](super::color_block_with): a block of output
+//!   rows × samples (4 × 16 on AVX-512F, 3 × 8 on AVX2+FMA, 2 × 4 in the
+//!   generic lane loop) stays in registers across the whole `j` sum and is
+//!   written once, scaled and interleaved. Every element is still the
+//!   planar AXPY chain it replaced, in `j` order from `+0.0`.
 //!
 //! Nothing here is bit-compatible with the scalar backend (summation orders
 //! differ); the contract is agreement to ≤ 1e-12 for unit-scale data,

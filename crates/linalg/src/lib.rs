@@ -1,9 +1,9 @@
 //! # corrfade-linalg
 //!
 //! Self-contained complex linear algebra for the `corrfade` workspace: the
-//! [`Complex64`] scalar type, dense complex ([`CMatrix`]) and real
-//! ([`RMatrix`]) matrices, Hermitian/symmetric eigendecomposition by the
-//! cyclic Jacobi method, and Cholesky factorization.
+//! [`Complex64`] scalar type, dense complex matrices ([`CMatrix`]),
+//! Hermitian eigendecomposition by the cyclic Jacobi method, and Cholesky
+//! factorization.
 //!
 //! The covariance matrices manipulated by correlated-Rayleigh generation are
 //! small (N = number of sub-carriers or antennas, typically ≤ 64), Hermitian
@@ -39,10 +39,10 @@ pub use block::{BlockWireError, SampleBlock, WIRE_BYTES_PER_SAMPLE};
 pub use cache::{CacheStats, FactorCache, MatrixKey};
 pub use cholesky::{cholesky, cholesky_with_tol, is_positive_definite};
 pub use complex::{c64, Complex64};
-pub use eigen::{hermitian_eigen, symmetric_eigen, HermitianEigen, SymmetricEigen};
+pub use eigen::{hermitian_eigen, HermitianEigen};
 pub use error::LinalgError;
 pub use kernel::Backend;
-pub use matrix::{CMatrix, RMatrix};
+pub use matrix::CMatrix;
 
 #[cfg(test)]
 mod integration_tests {

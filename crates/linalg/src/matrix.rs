@@ -228,11 +228,6 @@ impl CMatrix {
         }
     }
 
-    /// Matrix of the real parts.
-    pub fn real(&self) -> RMatrix {
-        RMatrix::from_fn(self.rows, self.cols, |i, j| self[(i, j)].re)
-    }
-
     /// Scales every entry by a complex factor.
     pub fn scale(&self, alpha: Complex64) -> Self {
         Self {
@@ -407,26 +402,29 @@ impl CMatrix {
         self.shape() == other.shape() && self.max_abs_diff(other) <= tol
     }
 
-    /// Builds the `2N × 2N` real-symmetric embedding
-    /// `[[Re(A), −Im(A)], [Im(A), Re(A)]]` of an `N × N` Hermitian matrix.
+    /// Builds the `2N × 2N` real embedding
+    /// `[[Re(A), −Im(A)], [Im(A), Re(A)]]` of an `N × N` matrix, as a matrix
+    /// whose imaginary parts are all `+0`.
     ///
     /// This is the representation used by Salz & Winters (paper ref. \[1\]) to
-    /// color `2N` real Gaussian variables, and it is also a convenient path
-    /// to the eigendecomposition: the embedding is symmetric iff `A` is
-    /// Hermitian.
-    pub fn real_embedding(&self) -> RMatrix {
+    /// color `2N` real Gaussian variables. The embedding is symmetric iff `A`
+    /// is Hermitian, and a real symmetric matrix is Hermitian, so
+    /// [`crate::hermitian_eigen`] decomposes it; each eigenvalue of `A`
+    /// appears twice in its spectrum.
+    pub fn real_embedding(&self) -> Self {
         assert!(self.is_square(), "real_embedding: matrix must be square");
         let n = self.rows;
-        RMatrix::from_fn(2 * n, 2 * n, |i, j| {
+        Self::from_fn(2 * n, 2 * n, |i, j| {
             let (bi, ii) = (i / n, i % n);
             let (bj, jj) = (j / n, j % n);
             let z = self[(ii, jj)];
-            match (bi, bj) {
+            let x = match (bi, bj) {
                 (0, 0) | (1, 1) => z.re,
                 (0, 1) => -z.im,
                 (1, 0) => z.im,
                 _ => unreachable!(),
-            }
+            };
+            c64(x, 0.0)
         })
     }
 }
@@ -532,275 +530,6 @@ impl fmt::Display for CMatrix {
                     write!(f, "  ")?;
                 }
                 write!(f, "{:>12}", format!("{:.*}", prec, self[(i, j)]))?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
-/// A dense, row-major matrix of `f64` entries.
-///
-/// Used for the real-symmetric embeddings of Hermitian covariance matrices
-/// (Salz–Winters baseline) and as the return type of [`CMatrix::real`].
-#[derive(Clone, PartialEq)]
-pub struct RMatrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl RMatrix {
-    /// Creates a `rows × cols` matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Creates a matrix from a closure evaluated at every `(row, col)` pair.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                data.push(f(i, j));
-            }
-        }
-        Self { rows, cols, data }
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(
-            data.len(),
-            rows * cols,
-            "RMatrix::from_vec: expected {} elements, got {}",
-            rows * cols,
-            data.len()
-        );
-        Self { rows, cols, data }
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// `(rows, cols)`.
-    #[inline]
-    pub fn shape(&self) -> (usize, usize) {
-        (self.rows, self.cols)
-    }
-
-    /// `true` for square matrices.
-    #[inline]
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
-    }
-
-    /// Immutable access to the row-major backing storage.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// A borrowed view of row `i`.
-    pub fn row_slice(&self, i: usize) -> &[f64] {
-        assert!(
-            i < self.rows,
-            "row index {i} out of range (rows = {})",
-            self.rows
-        );
-        &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// The main diagonal.
-    pub fn diag(&self) -> Vec<f64> {
-        let n = self.rows.min(self.cols);
-        (0..n).map(|i| self[(i, i)]).collect()
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "matvec: vector length {} does not match cols {}",
-            x.len(),
-            self.cols
-        );
-        (0..self.rows)
-            .map(|i| vector::rdot(self.row_slice(i), x))
-            .collect()
-    }
-
-    /// Matrix–vector product `A·x` written into a caller-owned buffer (the
-    /// allocation-free variant of [`RMatrix::matvec`]).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols()` or `y.len() != self.rows()`.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "matvec_into: vector length {} does not match cols {}",
-            x.len(),
-            self.cols
-        );
-        assert_eq!(
-            y.len(),
-            self.rows,
-            "matvec_into: output length {} does not match rows {}",
-            y.len(),
-            self.rows
-        );
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = vector::rdot(self.row_slice(i), x);
-        }
-    }
-
-    /// Matrix–matrix product `A·B`.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions do not match.
-    pub fn matmul(&self, other: &Self) -> Self {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: inner dimensions do not match ({}×{} · {}×{})",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Self::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                let other_row = other.row_slice(k);
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(other_row.iter()) {
-                    *o += aik * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Scales every entry.
-    pub fn scale(&self, alpha: f64) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| x * alpha).collect(),
-        }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Maximum entry-wise absolute difference.
-    ///
-    /// # Panics
-    /// Panics if the shapes differ.
-    pub fn max_abs_diff(&self, other: &Self) -> f64 {
-        assert_eq!(self.shape(), other.shape(), "max_abs_diff: shape mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(&a, &b)| (a - b).abs())
-            .fold(0.0, f64::max)
-    }
-
-    /// Lifts to a complex matrix with zero imaginary parts.
-    pub fn complexify(&self) -> CMatrix {
-        CMatrix::from_fn(self.rows, self.cols, |i, j| {
-            Complex64::from_real(self[(i, j)])
-        })
-    }
-
-    /// Entry-wise approximate equality with an absolute tolerance.
-    pub fn approx_eq(&self, other: &Self, tol: f64) -> bool {
-        self.shape() == other.shape() && self.max_abs_diff(other) <= tol
-    }
-}
-
-impl Index<(usize, usize)> for RMatrix {
-    type Output = f64;
-    #[inline]
-    fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        assert!(
-            i < self.rows && j < self.cols,
-            "index ({i}, {j}) out of range for {}×{} matrix",
-            self.rows,
-            self.cols
-        );
-        &self.data[i * self.cols + j]
-    }
-}
-
-impl IndexMut<(usize, usize)> for RMatrix {
-    #[inline]
-    fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        assert!(
-            i < self.rows && j < self.cols,
-            "index ({i}, {j}) out of range for {}×{} matrix",
-            self.rows,
-            self.cols
-        );
-        &mut self.data[i * self.cols + j]
-    }
-}
-
-impl fmt::Debug for RMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "RMatrix {}×{} [", self.rows, self.cols)?;
-        for i in 0..self.rows {
-            writeln!(f, "  {:?}", self.row_slice(i))?;
-        }
-        write!(f, "]")
-    }
-}
-
-impl fmt::Display for RMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let prec = f.precision().unwrap_or(4);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                if j > 0 {
-                    write!(f, "  ")?;
-                }
-                write!(f, "{:>10.*}", prec, self[(i, j)])?;
             }
             writeln!(f)?;
         }
@@ -941,25 +670,11 @@ mod tests {
         let e = m.real_embedding();
         assert_eq!(e.shape(), (4, 4));
         assert!(e.approx_eq(&e.transpose(), 1e-12));
-        assert_eq!(e[(0, 1)], m[(0, 1)].re);
-        assert_eq!(e[(0, 3)], -m[(0, 1)].im);
-        assert_eq!(e[(2, 1)], m[(0, 1)].im);
-        assert_eq!(e[(2, 3)], m[(0, 1)].re);
-    }
-
-    #[test]
-    fn real_matrix_basics() {
-        let a = RMatrix::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
-        assert_eq!(a.diag(), vec![0.0, 3.0]);
-        assert_eq!(a.transpose()[(0, 1)], a[(1, 0)]);
-        let id = RMatrix::identity(2);
-        assert!(a.matmul(&id).approx_eq(&a, 1e-15));
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![1.0, 5.0]);
-        assert!((a.frobenius_norm() - (14.0f64).sqrt()).abs() < 1e-12);
-        let c = a.complexify();
-        assert_eq!(c[(1, 0)], c64(2.0, 0.0));
-        assert!((a.scale(2.0))[(1, 1)] - 6.0 < 1e-15);
-        assert_eq!(RMatrix::from_vec(1, 2, vec![1.0, 2.0])[(0, 1)], 2.0);
+        assert_eq!(e[(0, 1)], c64(m[(0, 1)].re, 0.0));
+        assert_eq!(e[(0, 3)], c64(-m[(0, 1)].im, 0.0));
+        assert_eq!(e[(2, 1)], c64(m[(0, 1)].im, 0.0));
+        assert_eq!(e[(2, 3)], c64(m[(0, 1)].re, 0.0));
+        assert!(e.as_slice().iter().all(|z| z.im.to_bits() == 0));
     }
 
     #[test]
@@ -967,8 +682,6 @@ mod tests {
         let m = sample();
         let s = format!("{m}");
         assert!(s.contains('i'));
-        let r = m.real();
-        let _ = format!("{r}");
         let _ = format!("{m:?}");
     }
 
