@@ -139,15 +139,6 @@ struct SessionResult {
     error: Option<String>,
 }
 
-/// Connects with retry: the listener backlog (128) is far smaller than the
-/// session count, so early connects race the accept loop and must back
-/// off. Uses the public [`Client::connect_with_retry`] policy (jittered
-/// backoff), sized to the `--timeout-secs` budget.
-fn connect_with_retry(addr: &ServeAddr, timeout: Duration) -> Result<Client, String> {
-    Client::connect_with_retry(addr, &RetryPolicy::within(timeout))
-        .map_err(|e| format!("connect to {addr}: {e}"))
-}
-
 fn run_session(
     addr: &ServeAddr,
     scenario: &str,
@@ -163,10 +154,13 @@ fn run_session(
         samples: 0,
         error: None,
     };
-    let mut client = match connect_with_retry(addr, timeout) {
+    // The listener backlog (128) is far smaller than the session count, so
+    // early connects race the accept loop and must back off within the
+    // `--timeout-secs` budget.
+    let mut client = match Client::connect_with_retry(addr, &RetryPolicy::within(timeout)) {
         Ok(client) => client,
         Err(e) => {
-            result.error = Some(e);
+            result.error = Some(format!("connect to {addr}: {e}"));
             start.wait();
             return result;
         }

@@ -15,10 +15,9 @@ use corrfade::SampleBlock;
 use crate::error::ServeError;
 use crate::net::{Conn, ServeAddr};
 use crate::protocol::{
-    decode_block_payload, decode_frame_payload, encode_request, tag, Frame, ProtocolError, Request,
-    MAX_FRAME_LEN,
+    decode_frame_payload, encode_request, frame_len, Frame, ProtocolError, Request,
 };
-use crate::retry::{Backoff, RetryPolicy};
+use crate::retry::{retry, RetryPolicy};
 
 /// Shape echo the server sends before the first block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,21 +72,11 @@ impl Client {
     /// # Errors
     /// [`ServeError::RetriesExhausted`] wrapping the final attempt's error.
     pub fn connect_with_retry(addr: &ServeAddr, policy: &RetryPolicy) -> Result<Self, ServeError> {
-        let mut backoff = Backoff::new(policy);
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match Self::connect_timeout(addr, policy.io_timeout) {
-                Ok(client) => return Ok(client),
-                Err(e) if attempts >= policy.max_attempts => {
-                    return Err(ServeError::RetriesExhausted {
-                        attempts,
-                        last: Box::new(e),
-                    });
-                }
-                Err(_) => backoff.sleep(),
-            }
-        }
+        retry(
+            policy,
+            |_| true,
+            || Self::connect_timeout(addr, policy.io_timeout),
+        )
     }
 
     /// Sends the request and reads the stream header. Must be called once,
@@ -115,7 +104,9 @@ impl Client {
     ///
     /// # Errors
     /// As [`Client::subscribe`]; additionally the server rejects cursors
-    /// whose span would overflow the `u32` wire block-index space.
+    /// whose span would overflow the `u32` wire block-index space. A
+    /// scenario name outside `1..=`[`MAX_NAME_LEN`](crate::protocol::MAX_NAME_LEN)
+    /// bytes is [`ServeError::Protocol`] before anything is sent.
     pub fn subscribe_at(
         &mut self,
         scenario: &str,
@@ -130,11 +121,10 @@ impl Client {
             cursor,
         };
         self.frame.clear();
-        encode_request(&request, &mut self.frame);
+        encode_request(&request, &mut self.frame)?;
         self.conn.write_all(&self.frame)?;
 
-        let payload = read_frame(&mut self.conn, &mut self.frame, "stream header")?;
-        match decode_frame_payload(payload)? {
+        match read_frame(&mut self.conn, &mut self.frame, "stream header")? {
             Frame::Header {
                 envelopes,
                 samples,
@@ -148,14 +138,9 @@ impl Client {
                 self.header = Some(header);
                 Ok(header)
             }
-            Frame::Error { code, message } => Err(ServeError::Server { code, message }),
-            Frame::Block { .. } => Err(ServeError::UnexpectedFrame {
+            _ => Err(ServeError::UnexpectedFrame {
                 expected: "header frame",
-                got: tag::BLOCK,
-            }),
-            Frame::End { .. } => Err(ServeError::UnexpectedFrame {
-                expected: "header frame",
-                got: tag::END,
+                got: self.frame[0],
             }),
         }
     }
@@ -185,12 +170,10 @@ impl Client {
                 got: 0,
             });
         };
-        let payload = read_frame(&mut self.conn, &mut self.frame, "block stream")?;
-        match payload.first().copied() {
-            Some(tag::BLOCK) => {
-                let (index, bytes) = decode_block_payload(payload)?;
+        match read_frame(&mut self.conn, &mut self.frame, "block stream")? {
+            Frame::Block { index, payload } => {
                 block
-                    .decode_le_from(header.envelopes as usize, header.samples as usize, bytes)
+                    .decode_le_from(header.envelopes as usize, header.samples as usize, payload)
                     .map_err(|e| {
                         ServeError::Protocol(ProtocolError::FrameSizeMismatch {
                             what: "block",
@@ -200,67 +183,35 @@ impl Client {
                     })?;
                 Ok(Some(index))
             }
-            Some(tag::END) => match decode_frame_payload(payload)? {
-                Frame::End { .. } => Ok(None),
-                _ => unreachable!("tag::END decodes to Frame::End or errors"),
-            },
-            _ => match decode_frame_payload(payload)? {
-                Frame::Error { code, message } => Err(ServeError::Server { code, message }),
-                Frame::Header { .. } => Err(ServeError::UnexpectedFrame {
-                    expected: "block or end frame",
-                    got: tag::HEADER,
-                }),
-                _ => unreachable!("block/end tags handled above"),
-            },
-        }
-    }
-
-    /// Reads the whole stream into freshly allocated blocks — the
-    /// convenience path for tests and small transfers; hot paths should
-    /// loop [`Client::next_block_into`] over one pooled block instead.
-    ///
-    /// # Errors
-    /// Any error [`Client::next_block_into`] can produce.
-    pub fn collect_blocks(&mut self) -> Result<Vec<SampleBlock>, ServeError> {
-        let mut blocks = Vec::new();
-        loop {
-            let mut block = SampleBlock::empty();
-            match self.next_block_into(&mut block)? {
-                Some(_) => blocks.push(block),
-                None => return Ok(blocks),
-            }
+            Frame::End { .. } => Ok(None),
+            _ => Err(ServeError::UnexpectedFrame {
+                expected: "block or end frame",
+                got: self.frame[0],
+            }),
         }
     }
 }
 
 /// Reads one length-prefixed frame into `frame` (reusing its capacity) and
-/// returns the payload slice.
+/// decodes it; an error frame becomes [`ServeError::Server`].
 fn read_frame<'a>(
     conn: &mut Conn,
     frame: &'a mut Vec<u8>,
     during: &'static str,
-) -> Result<&'a [u8], ServeError> {
+) -> Result<Frame<'a>, ServeError> {
     let mut prefix = [0u8; 4];
     read_exact_or_closed(conn, &mut prefix, during)?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len == 0 {
-        return Err(ServeError::Protocol(ProtocolError::FrameSizeMismatch {
-            what: "frame",
-            expected: 1,
-            got: 0,
-        }));
-    }
-    if len > MAX_FRAME_LEN {
-        return Err(ServeError::Protocol(ProtocolError::Oversized {
-            what: "frame payload",
-            len,
-            max: MAX_FRAME_LEN,
-        }));
-    }
+    let len = frame_len(prefix)?;
     frame.clear();
     frame.resize(len, 0);
     read_exact_or_closed(conn, frame, during)?;
-    Ok(frame)
+    match decode_frame_payload(frame)? {
+        Frame::Error { code, message } => Err(ServeError::Server {
+            code,
+            message: message.to_string(),
+        }),
+        decoded => Ok(decoded),
+    }
 }
 
 /// `read_exact` that maps a clean EOF to [`ServeError::ConnectionClosed`].

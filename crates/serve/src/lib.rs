@@ -7,14 +7,19 @@
 //!
 //! * [`protocol`] — the wire format: one request (magic, version, registry
 //!   scenario name, seed, block count), then length-prefixed response
-//!   frames (header / block / error / end). All decoders are total: hostile
-//!   bytes produce typed [`ProtocolError`]s, never panics.
+//!   frames (header / block / error / end). Each message has one encoder
+//!   and one decoder that the server, the client and the tests share; a
+//!   decoded [`Frame`] borrows its payload from the read buffer. All
+//!   decoders are total: hostile bytes produce typed [`ProtocolError`]s,
+//!   never panics.
 //! * [`server`] — [`Server`]: thread-per-connection, each connection
 //!   owning its own real-time generator; one pooled block and one pooled
 //!   wire buffer per connection give a zero-allocation steady-state send
 //!   path. Graceful shutdown joins every thread.
 //! * [`client`] — [`Client`]: blocking consumer that decodes frames
 //!   straight into a caller-owned [`SampleBlock`](corrfade::SampleBlock).
+//!   It checks a scenario name against the protocol's length rule before
+//!   sending the request.
 //! * [`retry`] — fault tolerance: [`RetryPolicy`] (jittered exponential
 //!   backoff) behind [`Client::connect_with_retry`], and
 //!   [`ResumingStream`], which reconnects and **resumes at its block

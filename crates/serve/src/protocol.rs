@@ -53,6 +53,10 @@
 //! standalone `Scenario::build_realtime(seed)` stream produces — the
 //! wire-equivalence test suite pins this with `f64::to_bits` comparisons.
 //!
+//! Each message has one encoder and one decoder, which the server, the
+//! client and the tests share. A decoded [`Frame`] borrows its block
+//! payload and error message from the bytes it was decoded from.
+//!
 //! All decoders in this module are *total*: any byte string — truncated,
 //! oversized, wrong-tagged, non-UTF-8 — decodes to a [`ProtocolError`],
 //! never a panic (enforced by the adversarial property tests).
@@ -69,9 +73,6 @@ pub const VERSION_V1: u16 = 1;
 /// cursor (fast-forward on the server) and the server may answer a
 /// [`code::BUSY`] error frame under admission control.
 pub const VERSION_V2: u16 = 2;
-
-/// Baseline protocol version (compatibility alias for [`VERSION_V1`]).
-pub const VERSION: u16 = VERSION_V1;
 
 /// Fixed byte length of the version-independent request prefix (v1
 /// requests carry the scenario name immediately after it; v2 requests
@@ -105,7 +106,7 @@ pub mod tag {
 pub mod code {
     /// Request did not start with [`super::MAGIC`].
     pub const BAD_MAGIC: u16 = 1;
-    /// Request version differs from [`super::VERSION`].
+    /// Request version is outside [`super::VERSION_V1`]..=[`super::VERSION_V2`].
     pub const UNSUPPORTED_VERSION: u16 = 2;
     /// A buffer ended before the structure it claimed to hold.
     pub const TRUNCATED: u16 = 3;
@@ -144,8 +145,9 @@ pub const FLAG_F32_STREAM: u16 = 1 << 15;
 /// Everything that can be wrong with bytes on the wire, as a typed error.
 ///
 /// Server-side, a `ProtocolError` is encoded into an error frame
-/// ([`encode_error_frame`]) and sent to the client before the connection
-/// closes; client-side, decoding failures surface through
+/// ([`Frame::Error`] with its [`code`](ProtocolError::code) and rendered
+/// message) and sent to the client before the connection closes;
+/// client-side, decoding and request-encoding failures surface through
 /// [`crate::ServeError::Protocol`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
@@ -210,7 +212,7 @@ pub enum ProtocolError {
         /// Payload bytes actually present.
         got: usize,
     },
-    /// The request set a precision flag this protocol version cannot serve.
+    /// The request set a precision flag this server cannot serve.
     PrecisionUnsupported {
         /// The raw flag bits the peer set (currently only
         /// [`FLAG_F32_STREAM`]).
@@ -291,8 +293,8 @@ impl core::fmt::Display for ProtocolError {
             ),
             ProtocolError::PrecisionUnsupported { flags } => write!(
                 f,
-                "precision flags {flags:#06x} are not supported by wire \
-                 version {VERSION}; this server streams f64 blocks only"
+                "precision flags {flags:#06x} are not supported; this server \
+                 streams f64 blocks only"
             ),
             ProtocolError::ServerShutdown => {
                 write!(f, "server is shutting down; stream ended early")
@@ -345,8 +347,7 @@ pub struct RequestHead {
 impl RequestHead {
     /// Bytes of cursor field following the prefix: [`REQUEST_CURSOR_LEN`]
     /// for a v2 request, zero for v1.
-    #[must_use]
-    pub fn cursor_len(&self) -> usize {
+    fn cursor_len(&self) -> usize {
         if self.version >= VERSION_V2 {
             REQUEST_CURSOR_LEN
         } else {
@@ -361,12 +362,10 @@ impl RequestHead {
     }
 }
 
-/// A fully decoded response frame — the owned, test-friendly view. Hot
-/// paths skip this allocation and use [`split_frame`] +
-/// [`decode_block_payload`] to lift samples straight into a pooled
-/// [`SampleBlock`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
+/// A decoded response frame. It borrows the block payload and the error
+/// message from the bytes it was decoded from, so decoding copies nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame<'a> {
     /// Stream shape echo sent before the first block.
     Header {
         /// Envelope count `N` of every block.
@@ -381,14 +380,14 @@ pub enum Frame {
         /// Zero-based block index within the stream.
         index: u32,
         /// `N·M × 16` bytes of planar little-endian complex samples.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// Typed error report; the connection closes after this frame.
     Error {
         /// Stable wire code (see [`code`]).
         code: u16,
         /// Human-readable message.
-        message: String,
+        message: &'a str,
     },
     /// Clean end of stream after the last block.
     End {
@@ -409,47 +408,48 @@ fn u64_at(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("slice is 8 bytes"))
 }
 
+/// The scenario-name rule both the encoder and the decoder apply: a name
+/// is `1..=`[`MAX_NAME_LEN`] bytes long. Returns the length field's value.
+fn check_name_len(len: usize) -> Result<u16, ProtocolError> {
+    if len == 0 {
+        return Err(ProtocolError::BadScenarioName {
+            reason: "scenario name is empty",
+        });
+    }
+    if len > MAX_NAME_LEN {
+        return Err(ProtocolError::Oversized {
+            what: "scenario name",
+            len,
+            max: MAX_NAME_LEN,
+        });
+    }
+    Ok(u16::try_from(len).expect("MAX_NAME_LEN fits u16"))
+}
+
 /// Appends the wire encoding of a request to `buf`. A request with cursor
 /// `0` encodes as wire v1 — byte-identical to what a pre-resume client
 /// sends — and a non-zero cursor selects the v2 layout.
-pub fn encode_request(request: &Request, buf: &mut Vec<u8>) {
-    encode_request_with_flags(request, 0, buf);
-}
-
-/// [`encode_request`] with explicit header flag bits OR-ed into the
-/// name-length field (currently only [`FLAG_F32_STREAM`]). What a
-/// forward-looking client — or the lifecycle test pinning the guard — uses
-/// to set the reserved bit.
-pub fn encode_request_with_flags(request: &Request, flags: u16, buf: &mut Vec<u8>) {
+///
+/// # Errors
+/// [`decode_request_header`]'s name rule: an empty name or one longer than
+/// [`MAX_NAME_LEN`] bytes is refused, and nothing is written.
+pub fn encode_request(request: &Request, buf: &mut Vec<u8>) -> Result<(), ProtocolError> {
+    let name_len = check_name_len(request.scenario.len())?;
     let version = if request.cursor == 0 {
         VERSION_V1
     } else {
         VERSION_V2
     };
-    encode_request_versioned(request, flags, version, buf);
-}
-
-/// Encodes a request in an explicitly chosen wire version — what the
-/// property tests use to pin the v2 layout even for cursor `0`.
-///
-/// # Panics
-/// When asked to encode a non-zero cursor in the v1 layout, which cannot
-/// carry one.
-pub fn encode_request_versioned(request: &Request, flags: u16, version: u16, buf: &mut Vec<u8>) {
-    assert!(
-        version >= VERSION_V2 || request.cursor == 0,
-        "wire v1 cannot carry a resume cursor"
-    );
     buf.extend_from_slice(&MAGIC);
     buf.extend_from_slice(&version.to_le_bytes());
-    let name_len = u16::try_from(request.scenario.len()).unwrap_or(u16::MAX);
-    buf.extend_from_slice(&(name_len | flags).to_le_bytes());
+    buf.extend_from_slice(&name_len.to_le_bytes());
     buf.extend_from_slice(&request.seed.to_le_bytes());
     buf.extend_from_slice(&request.blocks.to_le_bytes());
-    if version >= VERSION_V2 {
+    if version == VERSION_V2 {
         buf.extend_from_slice(&request.cursor.to_le_bytes());
     }
     buf.extend_from_slice(request.scenario.as_bytes());
+    Ok(())
 }
 
 /// Validates the fixed-size request prefix and returns the decoded
@@ -487,19 +487,8 @@ pub fn decode_request_header(buf: &[u8]) -> Result<RequestHead, ProtocolError> {
     if flags != 0 {
         return Err(ProtocolError::PrecisionUnsupported { flags });
     }
-    let name_len = usize::from(raw_len & !FLAG_F32_STREAM);
-    if name_len == 0 {
-        return Err(ProtocolError::BadScenarioName {
-            reason: "scenario name is empty",
-        });
-    }
-    if name_len > MAX_NAME_LEN {
-        return Err(ProtocolError::Oversized {
-            what: "scenario name",
-            len: name_len,
-            max: MAX_NAME_LEN,
-        });
-    }
+    let name_len = usize::from(raw_len);
+    check_name_len(name_len)?;
     Ok(RequestHead {
         version,
         seed: u64_at(buf, 8),
@@ -508,46 +497,39 @@ pub fn decode_request_header(buf: &[u8]) -> Result<RequestHead, ProtocolError> {
     })
 }
 
-/// Decodes and validates a v2 resume cursor from the bytes that follow
-/// the request prefix, checking that `cursor + blocks` stays within the
-/// `u32` wire block-index space (block frames carry `u32` indices).
+/// Decodes a complete request (prefix, v2 cursor and name) from one
+/// buffer. A v2 cursor must keep `cursor + blocks` within the `u32` wire
+/// block-index space, since block frames carry `u32` indices.
 ///
 /// # Errors
-/// [`ProtocolError::Truncated`] on short input,
-/// [`ProtocolError::Oversized`] when the resumed span would overflow the
-/// wire index space.
-pub fn decode_request_cursor(bytes: &[u8], blocks: u32) -> Result<u64, ProtocolError> {
-    if bytes.len() < REQUEST_CURSOR_LEN {
-        return Err(ProtocolError::Truncated {
-            what: "resume cursor",
-            needed: REQUEST_CURSOR_LEN,
-            got: bytes.len(),
-        });
-    }
-    let cursor = u64_at(bytes, 0);
-    match cursor.checked_add(u64::from(blocks)) {
-        Some(end) if end <= u64::from(u32::MAX) => Ok(cursor),
-        _ => Err(ProtocolError::Oversized {
-            what: "resume cursor",
-            len: usize::try_from(cursor).unwrap_or(usize::MAX),
-            max: u32::MAX as usize,
-        }),
-    }
-}
-
-/// Decodes a complete request (header + cursor + name) from one buffer —
-/// the single-shot counterpart of [`decode_request_header`] used by tests
-/// and by servers that read the whole request at once.
-///
-/// # Errors
-/// [`ProtocolError`] on any malformed input; never panics.
+/// [`ProtocolError`] on any malformed input; never panics. A resumed span
+/// that would overflow the wire index space is
+/// [`ProtocolError::Oversized`].
 pub fn decode_request(buf: &[u8]) -> Result<Request, ProtocolError> {
     let head = decode_request_header(buf)?;
-    let rest = buf.get(REQUEST_HEADER_LEN..).unwrap_or(&[]);
+    let rest = &buf[REQUEST_HEADER_LEN..];
     let cursor = if head.cursor_len() == 0 {
         0
     } else {
-        decode_request_cursor(rest, head.blocks)?
+        if rest.len() < REQUEST_CURSOR_LEN {
+            return Err(ProtocolError::Truncated {
+                what: "resume cursor",
+                needed: REQUEST_CURSOR_LEN,
+                got: rest.len(),
+            });
+        }
+        let cursor = u64_at(rest, 0);
+        if cursor
+            .checked_add(u64::from(head.blocks))
+            .is_none_or(|end| end > u64::from(u32::MAX))
+        {
+            return Err(ProtocolError::Oversized {
+                what: "resume cursor",
+                len: usize::try_from(cursor).unwrap_or(usize::MAX),
+                max: u32::MAX as usize,
+            });
+        }
+        cursor
     };
     let name_at = REQUEST_HEADER_LEN + head.cursor_len();
     let end = name_at + head.name_len;
@@ -570,89 +552,69 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, ProtocolError> {
     })
 }
 
-/// Validates the scenario-name bytes that follow the request header.
-///
-/// # Errors
-/// [`ProtocolError::BadScenarioName`] when the bytes are not UTF-8.
-pub fn decode_request_name(bytes: &[u8]) -> Result<&str, ProtocolError> {
-    core::str::from_utf8(bytes).map_err(|_| ProtocolError::BadScenarioName {
-        reason: "scenario name is not valid UTF-8",
-    })
+/// Appends a frame's length prefix and tag for a payload of `body_len`
+/// bytes after the tag.
+fn start_frame(buf: &mut Vec<u8>, tag: u8, body_len: usize) {
+    let len = u32::try_from(1 + body_len).expect("frame payload fits u32");
+    buf.reserve(5 + body_len);
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.push(tag);
 }
 
-/// Appends a header frame (length prefix included) to `buf`.
-pub fn encode_header_frame(buf: &mut Vec<u8>, envelopes: u32, samples: u32, blocks: u32) {
-    buf.extend_from_slice(&13u32.to_le_bytes());
-    buf.push(tag::HEADER);
-    buf.extend_from_slice(&envelopes.to_le_bytes());
-    buf.extend_from_slice(&samples.to_le_bytes());
-    buf.extend_from_slice(&blocks.to_le_bytes());
+/// Appends a block frame's length prefix, tag and index for
+/// `samples_len` sample bytes.
+fn start_block_frame(buf: &mut Vec<u8>, index: u32, samples_len: usize) {
+    start_frame(buf, tag::BLOCK, 4 + samples_len);
+    buf.extend_from_slice(&index.to_le_bytes());
 }
 
 /// Appends a block frame (length prefix included) carrying `block`'s planar
 /// samples to `buf` — zero heap allocation once `buf`'s capacity is warm.
+/// The bytes equal [`encode_frame`] of a [`Frame::Block`] holding
+/// [`SampleBlock::encode_le_into`]'s output, without that copy.
 pub fn encode_block_frame(buf: &mut Vec<u8>, index: u32, block: &SampleBlock) {
-    let payload_len = 5 + block.wire_len();
-    buf.reserve(4 + payload_len);
-    buf.extend_from_slice(
-        &u32::try_from(payload_len)
-            .expect("block exceeds u32")
-            .to_le_bytes(),
-    );
-    buf.push(tag::BLOCK);
-    buf.extend_from_slice(&index.to_le_bytes());
+    start_block_frame(buf, index, block.wire_len());
     block.encode_le_into(buf);
 }
 
-/// Appends an error frame (length prefix included) for `error` to `buf`.
-/// The message is truncated to `u16` length if the rendering is enormous.
-pub fn encode_error_frame(buf: &mut Vec<u8>, error: &ProtocolError) {
-    let message = error.to_string();
-    encode_error_frame_raw(buf, error.code(), &message);
-}
-
-/// Appends an error frame from a raw `(code, message)` pair — what the
-/// round-trip tests and forward-compatible senders use.
-pub fn encode_error_frame_raw(buf: &mut Vec<u8>, code: u16, message: &str) {
-    let msg = &message.as_bytes()[..message.len().min(usize::from(u16::MAX))];
-    let payload_len = 5 + msg.len();
-    buf.extend_from_slice(
-        &u32::try_from(payload_len)
-            .expect("message fits u32")
-            .to_le_bytes(),
-    );
-    buf.push(tag::ERROR);
-    buf.extend_from_slice(&code.to_le_bytes());
-    buf.extend_from_slice(
-        &u16::try_from(msg.len())
-            .expect("truncated above")
-            .to_le_bytes(),
-    );
-    buf.extend_from_slice(msg);
-}
-
-/// Appends an end frame (length prefix included) to `buf`.
-pub fn encode_end_frame(buf: &mut Vec<u8>, blocks_sent: u32) {
-    buf.extend_from_slice(&5u32.to_le_bytes());
-    buf.push(tag::END);
-    buf.extend_from_slice(&blocks_sent.to_le_bytes());
-}
-
-/// Splits a buffer that starts with a length-prefixed frame into
-/// `(payload, total_consumed)` without copying.
-///
-/// # Errors
-/// [`ProtocolError`] when the prefix is short, the declared length is zero
-/// or exceeds [`MAX_FRAME_LEN`], or the payload is incomplete.
-pub fn split_frame(buf: &[u8]) -> Result<(&[u8], usize), ProtocolError> {
-    if buf.len() < 4 {
-        return Err(ProtocolError::Truncated {
-            what: "frame length prefix",
-            needed: 4,
-            got: buf.len(),
-        });
+/// Appends `frame` (length prefix included) to `buf` — the inverse of
+/// [`split_frame`] + [`decode_frame_payload`]. An error message longer
+/// than `u16::MAX` bytes is truncated to fit its length field.
+pub fn encode_frame(frame: &Frame<'_>, buf: &mut Vec<u8>) {
+    match *frame {
+        Frame::Header {
+            envelopes,
+            samples,
+            blocks,
+        } => {
+            start_frame(buf, tag::HEADER, 12);
+            buf.extend_from_slice(&envelopes.to_le_bytes());
+            buf.extend_from_slice(&samples.to_le_bytes());
+            buf.extend_from_slice(&blocks.to_le_bytes());
+        }
+        Frame::Block { index, payload } => {
+            start_block_frame(buf, index, payload.len());
+            buf.extend_from_slice(payload);
+        }
+        Frame::Error { code, message } => {
+            let msg = &message.as_bytes()[..message.len().min(usize::from(u16::MAX))];
+            start_frame(buf, tag::ERROR, 4 + msg.len());
+            buf.extend_from_slice(&code.to_le_bytes());
+            let msg_len = u16::try_from(msg.len()).expect("truncated above");
+            buf.extend_from_slice(&msg_len.to_le_bytes());
+            buf.extend_from_slice(msg);
+        }
+        Frame::End { blocks_sent } => {
+            start_frame(buf, tag::END, 4);
+            buf.extend_from_slice(&blocks_sent.to_le_bytes());
+        }
     }
-    let len = u32_at(buf, 0) as usize;
+}
+
+/// Checks a frame's 4-byte length prefix — non-zero, since every payload
+/// holds its tag, and at most [`MAX_FRAME_LEN`] — and returns the length.
+pub(crate) fn frame_len(prefix: [u8; 4]) -> Result<usize, ProtocolError> {
+    let len = u32::from_le_bytes(prefix) as usize;
     if len == 0 {
         return Err(ProtocolError::FrameSizeMismatch {
             what: "frame",
@@ -667,6 +629,24 @@ pub fn split_frame(buf: &[u8]) -> Result<(&[u8], usize), ProtocolError> {
             max: MAX_FRAME_LEN,
         });
     }
+    Ok(len)
+}
+
+/// Splits a buffer that starts with a length-prefixed frame into
+/// `(payload, total_consumed)` without copying.
+///
+/// # Errors
+/// [`ProtocolError`] when the prefix is short, the declared length is zero
+/// or exceeds [`MAX_FRAME_LEN`], or the payload is incomplete.
+pub fn split_frame(buf: &[u8]) -> Result<(&[u8], usize), ProtocolError> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Err(ProtocolError::Truncated {
+            what: "frame length prefix",
+            needed: 4,
+            got: buf.len(),
+        });
+    };
+    let len = frame_len(*prefix)?;
     if buf.len() < 4 + len {
         return Err(ProtocolError::Truncated {
             what: "frame payload",
@@ -677,34 +657,12 @@ pub fn split_frame(buf: &[u8]) -> Result<(&[u8], usize), ProtocolError> {
     Ok((&buf[4..4 + len], 4 + len))
 }
 
-/// Decodes a block-frame payload into `(index, sample bytes)` without
-/// copying — the zero-allocation client read path; pair with
-/// [`SampleBlock::decode_le_from`](corrfade::SampleBlock::decode_le_from).
-///
-/// # Errors
-/// [`ProtocolError`] when the payload is not a block frame or too short.
-pub fn decode_block_payload(payload: &[u8]) -> Result<(u32, &[u8]), ProtocolError> {
-    if payload.first() != Some(&tag::BLOCK) {
-        return Err(ProtocolError::UnknownFrameTag {
-            tag: payload.first().copied().unwrap_or(0),
-        });
-    }
-    if payload.len() < 5 {
-        return Err(ProtocolError::Truncated {
-            what: "block frame",
-            needed: 5,
-            got: payload.len(),
-        });
-    }
-    Ok((u32_at(payload, 1), &payload[5..]))
-}
-
-/// Decodes one frame payload (the bytes after the length prefix) into the
-/// owned [`Frame`] view.
+/// Decodes one frame payload (the bytes after the length prefix) into a
+/// [`Frame`] that borrows from `payload`.
 ///
 /// # Errors
 /// [`ProtocolError`] on any malformed payload; never panics.
-pub fn decode_frame_payload(payload: &[u8]) -> Result<Frame, ProtocolError> {
+pub fn decode_frame_payload(payload: &[u8]) -> Result<Frame<'_>, ProtocolError> {
     match payload.first() {
         None => Err(ProtocolError::Truncated {
             what: "frame tag",
@@ -726,10 +684,16 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<Frame, ProtocolError> {
             })
         }
         Some(&tag::BLOCK) => {
-            let (index, bytes) = decode_block_payload(payload)?;
+            if payload.len() < 5 {
+                return Err(ProtocolError::Truncated {
+                    what: "block frame",
+                    needed: 5,
+                    got: payload.len(),
+                });
+            }
             Ok(Frame::Block {
-                index,
-                payload: bytes.to_vec(),
+                index: u32_at(payload, 1),
+                payload: &payload[5..],
             })
         }
         Some(&tag::ERROR) => {
@@ -749,11 +713,11 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<Frame, ProtocolError> {
                     got: payload.len(),
                 });
             }
-            let message = core::str::from_utf8(&payload[5..])
-                .map_err(|_| ProtocolError::BadScenarioName {
+            let message = core::str::from_utf8(&payload[5..]).map_err(|_| {
+                ProtocolError::BadScenarioName {
                     reason: "error message is not valid UTF-8",
-                })?
-                .to_string();
+                }
+            })?;
             Ok(Frame::Error { code, message })
         }
         Some(&tag::END) => {
@@ -772,35 +736,58 @@ pub fn decode_frame_payload(payload: &[u8]) -> Result<Frame, ProtocolError> {
     }
 }
 
-/// Encodes a [`Frame`] (length prefix included) — the inverse of
-/// [`split_frame`] + [`decode_frame_payload`], used by the round-trip
-/// property tests.
-pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) {
-    match frame {
-        Frame::Header {
-            envelopes,
-            samples,
-            blocks,
-        } => encode_header_frame(buf, *envelopes, *samples, *blocks),
-        Frame::Block { index, payload } => {
-            let payload_len = 5 + payload.len();
-            buf.extend_from_slice(
-                &u32::try_from(payload_len)
-                    .expect("payload fits u32")
-                    .to_le_bytes(),
-            );
-            buf.push(tag::BLOCK);
-            buf.extend_from_slice(&index.to_le_bytes());
-            buf.extend_from_slice(payload);
-        }
-        Frame::Error { code, message } => encode_error_frame_raw(buf, *code, message),
-        Frame::End { blocks_sent } => encode_end_frame(buf, *blocks_sent),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One value of every `ProtocolError` variant.
+    fn every_variant() -> Vec<ProtocolError> {
+        vec![
+            ProtocolError::BadMagic { got: [0; 4] },
+            ProtocolError::UnsupportedVersion {
+                got: 0,
+                supported: 1,
+            },
+            ProtocolError::Truncated {
+                what: "x",
+                needed: 1,
+                got: 0,
+            },
+            ProtocolError::Oversized {
+                what: "x",
+                len: 2,
+                max: 1,
+            },
+            ProtocolError::UnknownFrameTag { tag: 0 },
+            ProtocolError::BadScenarioName { reason: "x" },
+            ProtocolError::UnknownScenario {
+                name: String::new(),
+                suggestion: None,
+            },
+            ProtocolError::ScenarioRejected {
+                message: String::new(),
+            },
+            ProtocolError::FrameSizeMismatch {
+                what: "x",
+                expected: 1,
+                got: 0,
+            },
+            ProtocolError::ServerShutdown,
+            ProtocolError::PrecisionUnsupported {
+                flags: FLAG_F32_STREAM,
+            },
+            ProtocolError::Busy { active: 1, max: 1 },
+        ]
+    }
+
+    /// A 2 × 3 block with distinct, non-trivial samples.
+    fn sample_block() -> SampleBlock {
+        let mut block = SampleBlock::new(2, 3);
+        for (i, z) in block.as_mut_slice().iter_mut().enumerate() {
+            *z = corrfade_linalg::c64(i as f64, -(i as f64) / 3.0);
+        }
+        block
+    }
 
     #[test]
     fn request_round_trips() {
@@ -811,7 +798,7 @@ mod tests {
             cursor: 0,
         };
         let mut wire = Vec::new();
-        encode_request(&request, &mut wire);
+        encode_request(&request, &mut wire).unwrap();
         assert_eq!(wire.len(), REQUEST_HEADER_LEN + 14);
         // Cursor 0 encodes as wire v1, byte-stable with pre-resume clients.
         assert_eq!(u16_at(&wire, 4), VERSION_V1);
@@ -827,29 +814,26 @@ mod tests {
             cursor: 1_000,
         };
         let mut wire = Vec::new();
-        encode_request(&request, &mut wire);
+        encode_request(&request, &mut wire).unwrap();
         assert_eq!(u16_at(&wire, 4), VERSION_V2);
         assert_eq!(wire.len(), REQUEST_HEADER_LEN + REQUEST_CURSOR_LEN + 14);
         assert_eq!(decode_request(&wire).unwrap(), request);
 
-        // The explicit-version encoder pins the v2 layout for cursor 0 too,
-        // and both decoders agree on it.
+        // The v2 layout also carries cursor 0, and the prefix decoder sizes
+        // its cursor and name.
+        wire[REQUEST_HEADER_LEN..REQUEST_HEADER_LEN + REQUEST_CURSOR_LEN].fill(0);
         let fresh = Request {
             cursor: 0,
             ..request
         };
-        let mut v2 = Vec::new();
-        encode_request_versioned(&fresh, 0, VERSION_V2, &mut v2);
-        assert_eq!(u16_at(&v2, 4), VERSION_V2);
-        assert_eq!(decode_request(&v2).unwrap(), fresh);
-        let head = decode_request_header(&v2).unwrap();
-        assert_eq!(head.cursor_len(), REQUEST_CURSOR_LEN);
+        assert_eq!(decode_request(&wire).unwrap(), fresh);
+        let head = decode_request_header(&wire).unwrap();
+        assert_eq!(head.version, VERSION_V2);
         assert_eq!(head.trailing_len(), REQUEST_CURSOR_LEN + 14);
     }
 
     #[test]
     fn hostile_cursors_are_rejected_not_wrapped() {
-        // Truncated cursor field.
         let request = Request {
             scenario: "x".into(),
             seed: 1,
@@ -857,23 +841,33 @@ mod tests {
             cursor: 7,
         };
         let mut wire = Vec::new();
-        encode_request(&request, &mut wire);
+        encode_request(&request, &mut wire).unwrap();
+        // Truncated cursor field.
         assert!(matches!(
             decode_request(&wire[..REQUEST_HEADER_LEN + 3]),
-            Err(ProtocolError::Truncated { .. })
+            Err(ProtocolError::Truncated {
+                what: "resume cursor",
+                ..
+            })
         ));
 
         // cursor + blocks must stay within the u32 wire index space.
+        let with_cursor = |cursor: u64| {
+            let mut wire = wire.clone();
+            wire[REQUEST_HEADER_LEN..REQUEST_HEADER_LEN + REQUEST_CURSOR_LEN]
+                .copy_from_slice(&cursor.to_le_bytes());
+            decode_request(&wire).map(|r| r.cursor)
+        };
         assert!(matches!(
-            decode_request_cursor(&u64::MAX.to_le_bytes(), 1),
+            with_cursor(u64::MAX),
             Err(ProtocolError::Oversized { .. })
         ));
         assert!(matches!(
-            decode_request_cursor(&(u64::from(u32::MAX)).to_le_bytes(), 1),
+            with_cursor(u64::from(u32::MAX)),
             Err(ProtocolError::Oversized { .. })
         ));
         assert_eq!(
-            decode_request_cursor(&(u64::from(u32::MAX) - 1).to_le_bytes(), 1),
+            with_cursor(u64::from(u32::MAX) - 1),
             Ok(u64::from(u32::MAX) - 1)
         );
     }
@@ -889,7 +883,8 @@ mod tests {
                 cursor: 0,
             },
             &mut wire,
-        );
+        )
+        .unwrap();
 
         let mut bad_magic = wire.clone();
         bad_magic[0] = b'X';
@@ -939,20 +934,111 @@ mod tests {
     }
 
     #[test]
+    fn the_encoder_applies_the_decoders_name_rule() {
+        let encode = |scenario: String| {
+            let mut wire = Vec::new();
+            let result = encode_request(
+                &Request {
+                    scenario,
+                    seed: 1,
+                    blocks: 1,
+                    cursor: 0,
+                },
+                &mut wire,
+            );
+            (result, wire)
+        };
+        // A name of 2^15 bytes or more would set the precision flag bit of
+        // the length field; the encoder refuses it as oversized instead.
+        assert_eq!(
+            encode("x".repeat(40_000)),
+            (
+                Err(ProtocolError::Oversized {
+                    what: "scenario name",
+                    len: 40_000,
+                    max: MAX_NAME_LEN,
+                }),
+                Vec::new()
+            )
+        );
+        assert_eq!(
+            encode(String::new()),
+            (
+                Err(ProtocolError::BadScenarioName {
+                    reason: "scenario name is empty"
+                }),
+                Vec::new()
+            )
+        );
+        let (result, wire) = encode("x".repeat(MAX_NAME_LEN));
+        assert_eq!(result, Ok(()));
+        assert_eq!(decode_request_header(&wire).unwrap().name_len, MAX_NAME_LEN);
+    }
+
+    #[test]
     fn block_frame_carries_planar_samples_bit_exactly() {
-        let mut block = SampleBlock::new(2, 3);
-        for (i, z) in block.as_mut_slice().iter_mut().enumerate() {
-            *z = corrfade_linalg::c64(i as f64, -(i as f64) / 3.0);
-        }
+        let block = sample_block();
         let mut wire = Vec::new();
         encode_block_frame(&mut wire, 7, &block);
         let (payload, consumed) = split_frame(&wire).unwrap();
         assert_eq!(consumed, wire.len());
-        let (index, bytes) = decode_block_payload(payload).unwrap();
+        let Frame::Block { index, payload } = decode_frame_payload(payload).unwrap() else {
+            panic!("expected a block frame");
+        };
         assert_eq!(index, 7);
         let mut decoded = SampleBlock::empty();
-        decoded.decode_le_from(2, 3, bytes).unwrap();
+        decoded.decode_le_from(2, 3, payload).unwrap();
         assert_eq!(decoded, block);
+    }
+
+    #[test]
+    fn server_and_client_share_one_frame_format() {
+        // The server's zero-copy block encoder and the generic frame encoder
+        // write the same bytes, and the one decoder reads them back.
+        let block = sample_block();
+        let mut samples = Vec::new();
+        block.encode_le_into(&mut samples);
+        let mut wire = Vec::new();
+        encode_block_frame(&mut wire, 9, &block);
+        let (payload, _) = split_frame(&wire).unwrap();
+        assert_eq!(
+            decode_frame_payload(payload).unwrap(),
+            Frame::Block {
+                index: 9,
+                payload: &samples
+            }
+        );
+        let mut generic = Vec::new();
+        encode_frame(
+            &Frame::Block {
+                index: 9,
+                payload: &samples,
+            },
+            &mut generic,
+        );
+        assert_eq!(generic, wire);
+
+        // Every error the server can report decodes to its code and message.
+        for error in every_variant() {
+            let message = error.to_string();
+            let mut wire = Vec::new();
+            encode_frame(
+                &Frame::Error {
+                    code: error.code(),
+                    message: &message,
+                },
+                &mut wire,
+            );
+            let (payload, _) = split_frame(&wire).unwrap();
+            assert_eq!(
+                decode_frame_payload(payload).unwrap(),
+                Frame::Error {
+                    code: error.code(),
+                    message: &message
+                },
+                "{error:?}"
+            );
+        }
     }
 
     #[test]
@@ -962,7 +1048,13 @@ mod tests {
             suggestion: Some("fig4a-spectral".into()),
         };
         let mut wire = Vec::new();
-        encode_error_frame(&mut wire, &e);
+        encode_frame(
+            &Frame::Error {
+                code: e.code(),
+                message: &e.to_string(),
+            },
+            &mut wire,
+        );
         let (payload, _) = split_frame(&wire).unwrap();
         let Frame::Error { code, message } = decode_frame_payload(payload).unwrap() else {
             panic!("expected an error frame");
@@ -989,42 +1081,7 @@ mod tests {
 
     #[test]
     fn every_error_code_is_unique_and_stable() {
-        let variants = [
-            ProtocolError::BadMagic { got: [0; 4] },
-            ProtocolError::UnsupportedVersion {
-                got: 0,
-                supported: 1,
-            },
-            ProtocolError::Truncated {
-                what: "x",
-                needed: 1,
-                got: 0,
-            },
-            ProtocolError::Oversized {
-                what: "x",
-                len: 2,
-                max: 1,
-            },
-            ProtocolError::UnknownFrameTag { tag: 0 },
-            ProtocolError::BadScenarioName { reason: "x" },
-            ProtocolError::UnknownScenario {
-                name: String::new(),
-                suggestion: None,
-            },
-            ProtocolError::ScenarioRejected {
-                message: String::new(),
-            },
-            ProtocolError::FrameSizeMismatch {
-                what: "x",
-                expected: 1,
-                got: 0,
-            },
-            ProtocolError::ServerShutdown,
-            ProtocolError::PrecisionUnsupported {
-                flags: FLAG_F32_STREAM,
-            },
-            ProtocolError::Busy { active: 1, max: 1 },
-        ];
+        let variants = every_variant();
         let mut codes: Vec<u16> = variants.iter().map(ProtocolError::code).collect();
         codes.sort_unstable();
         codes.dedup();
@@ -1040,19 +1097,24 @@ mod tests {
             blocks: 2,
             cursor: 0,
         };
-        let mut wire = Vec::new();
-        encode_request_with_flags(&request, FLAG_F32_STREAM, &mut wire);
+        let mut plain = Vec::new();
+        encode_request(&request, &mut plain).unwrap();
+        let mut flagged = plain.clone();
+        // Bit 15 of the little-endian name-length field at offset 6.
+        flagged[7] |= 0x80;
         // The flag must win over every name-length check: the masked length
         // is valid here, and the error is the precision one, not Oversized.
+        let err = decode_request_header(&flagged).unwrap_err();
         assert_eq!(
-            decode_request_header(&wire),
-            Err(ProtocolError::PrecisionUnsupported {
+            err,
+            ProtocolError::PrecisionUnsupported {
                 flags: FLAG_F32_STREAM
-            })
+            }
         );
+        // The flag is refused for v1 and v2 requests alike, so the message
+        // names no wire version.
+        assert!(!err.to_string().contains("version"), "{err}");
         // Unflagged encoding of the identical request still round-trips.
-        let mut plain = Vec::new();
-        encode_request(&request, &mut plain);
         assert_eq!(decode_request(&plain).unwrap(), request);
         // The flag bit cannot collide with a legal name length.
         assert!(u16::try_from(MAX_NAME_LEN).unwrap() & FLAG_F32_STREAM == 0);

@@ -4,12 +4,12 @@
 //! [`RetryPolicy`] is the one retry/backoff knob set of the crate —
 //! exponential backoff with jitter (deterministic when seeded, so tests
 //! can pin schedules) and an attempt budget that turns into a typed
-//! [`ServeError::RetriesExhausted`] give-up. [`Client::connect_with_retry`]
-//! uses it for connection establishment (promoted from the loadgen binary,
-//! which now shares the same tested path), and [`ResumingStream`] builds on
-//! it to survive mid-stream faults: on a read timeout, EOF, reset, or a
-//! transient server refusal (`BUSY`, `SERVER_SHUTDOWN`) it reconnects and
-//! sends a **v2 resume request** at its current block cursor, so the
+//! [`ServeError::RetriesExhausted`] give-up. One retry loop runs under it:
+//! [`Client::connect_with_retry`] retries every failed connect, and
+//! [`ResumingStream`] survives mid-stream faults with it: on a read
+//! timeout, EOF, reset, or a transient server refusal (`BUSY`,
+//! `SERVER_SHUTDOWN`) — the faults [`is_resumable`] accepts — it reconnects
+//! and sends a **v2 resume request** at its current block cursor, so the
 //! delivered sample sequence is bit-identical to an uninterrupted stream —
 //! no block replayed, none skipped. The chaos test suite drives both
 //! through deterministic fault injection to pin that guarantee.
@@ -87,14 +87,14 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// One retry loop's backoff state.
-pub(crate) struct Backoff {
+struct Backoff {
     base: Duration,
     max: Duration,
     rng: u64,
 }
 
 impl Backoff {
-    pub(crate) fn new(policy: &RetryPolicy) -> Self {
+    fn new(policy: &RetryPolicy) -> Self {
         let rng = policy.jitter_seed.unwrap_or_else(|| {
             use std::hash::{BuildHasher, Hasher};
             // Randomly seeded per process by std — entropy without a
@@ -111,17 +111,39 @@ impl Backoff {
     }
 
     /// The next jittered backoff duration (advances the schedule).
-    pub(crate) fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         let base = self.base;
         self.base = (self.base * 2).min(self.max);
         let nanos = u64::try_from(base.as_nanos()).unwrap_or(u64::MAX);
         let jittered = nanos / 2 + splitmix64(&mut self.rng) % (nanos / 2 + 1);
         Duration::from_nanos(jittered)
     }
+}
 
-    /// Sleeps for the next jittered backoff.
-    pub(crate) fn sleep(&mut self) {
-        std::thread::sleep(self.next_delay());
+/// The one retry loop of the crate: runs `attempt` until it succeeds,
+/// sleeping a jittered backoff between tries. An error `retryable` rejects
+/// surfaces at once; once `policy.max_attempts` attempts have failed, the
+/// last error comes back wrapped in [`ServeError::RetriesExhausted`].
+pub(crate) fn retry<T>(
+    policy: &RetryPolicy,
+    retryable: impl Fn(&ServeError) -> bool,
+    mut attempt: impl FnMut() -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
+    let mut backoff = Backoff::new(policy);
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        match attempt() {
+            Ok(value) => return Ok(value),
+            Err(e) if !retryable(&e) => return Err(e),
+            Err(e) if attempts >= policy.max_attempts => {
+                return Err(ServeError::RetriesExhausted {
+                    attempts,
+                    last: Box::new(e),
+                });
+            }
+            Err(_) => std::thread::sleep(backoff.next_delay()),
+        }
     }
 }
 
@@ -235,35 +257,15 @@ impl ResumingStream {
     /// Connects and subscribes at the current cursor, retrying transient
     /// failures within the policy's budget.
     fn resubscribe(&mut self) -> Result<(), ServeError> {
-        let mut backoff = Backoff::new(&self.policy);
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let attempt = Client::connect_timeout(&self.addr, self.policy.io_timeout).and_then(
-                |mut client| {
-                    client
-                        .subscribe_at(&self.scenario, self.seed, self.remaining(), self.cursor)
-                        .map(|header| (client, header))
-                },
-            );
-            match attempt {
-                Ok((client, header)) => {
-                    if self.header.is_none() {
-                        self.header = Some(header);
-                    }
-                    self.client = Some(client);
-                    return Ok(());
-                }
-                Err(e) if !is_resumable(&e) => return Err(e),
-                Err(e) if attempts >= self.policy.max_attempts => {
-                    return Err(ServeError::RetriesExhausted {
-                        attempts,
-                        last: Box::new(e),
-                    });
-                }
-                Err(_) => backoff.sleep(),
-            }
-        }
+        let (client, header) = retry(&self.policy, is_resumable, || {
+            let mut client = Client::connect_timeout(&self.addr, self.policy.io_timeout)?;
+            let header =
+                client.subscribe_at(&self.scenario, self.seed, self.remaining(), self.cursor)?;
+            Ok((client, header))
+        })?;
+        self.header.get_or_insert(header);
+        self.client = Some(client);
+        Ok(())
     }
 
     /// Reads the next block, reconnecting and resuming across any number
@@ -307,22 +309,6 @@ impl ResumingStream {
                     self.client = None;
                 }
                 Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Reads the whole (remaining) stream into freshly allocated blocks —
-    /// the convenience mirror of [`Client::collect_blocks`].
-    ///
-    /// # Errors
-    /// Any error [`ResumingStream::next_block_into`] can produce.
-    pub fn collect_blocks(&mut self) -> Result<Vec<SampleBlock>, ServeError> {
-        let mut blocks = Vec::new();
-        loop {
-            let mut block = SampleBlock::empty();
-            match self.next_block_into(&mut block)? {
-                Some(_) => blocks.push(block),
-                None => return Ok(blocks),
             }
         }
     }

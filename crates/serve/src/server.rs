@@ -47,9 +47,8 @@ use corrfade_scenarios::{lookup, ScenarioError};
 use crate::error::ServeError;
 use crate::net::{Conn, Listener, ServeAddr};
 use crate::protocol::{
-    decode_request_cursor, decode_request_header, decode_request_name, encode_block_frame,
-    encode_end_frame, encode_error_frame, encode_header_frame, ProtocolError, Request,
-    REQUEST_HEADER_LEN,
+    decode_request, decode_request_header, encode_block_frame, encode_frame, Frame, ProtocolError,
+    Request, REQUEST_HEADER_LEN,
 };
 
 /// Number of distinct wire error codes (plus the unused slot 0) tracked by
@@ -365,27 +364,17 @@ impl Drop for GaugeGuard<'_> {
     }
 }
 
-/// Reads the fixed-size request header, the v2 cursor when present, and
-/// the scenario name.
+/// Reads the fixed-size request prefix, then the bytes it says follow (the
+/// v2 cursor when present, and the scenario name), into `wire`, and
+/// decodes the whole request.
 fn read_request(conn: &mut Conn, wire: &mut Vec<u8>) -> Result<Request, ServeError> {
-    let mut header = [0u8; REQUEST_HEADER_LEN];
-    conn.read_exact(&mut header)?;
-    let head = decode_request_header(&header)?;
     wire.clear();
-    wire.resize(head.trailing_len(), 0);
+    wire.resize(REQUEST_HEADER_LEN, 0);
     conn.read_exact(wire)?;
-    let cursor = if head.cursor_len() == 0 {
-        0
-    } else {
-        decode_request_cursor(wire, head.blocks)?
-    };
-    let scenario = decode_request_name(&wire[head.cursor_len()..])?.to_string();
-    Ok(Request {
-        scenario,
-        seed: head.seed,
-        blocks: head.blocks,
-        cursor,
-    })
+    let head = decode_request_header(wire)?;
+    wire.resize(REQUEST_HEADER_LEN + head.trailing_len(), 0);
+    conn.read_exact(&mut wire[REQUEST_HEADER_LEN..])?;
+    Ok(decode_request(wire)?)
 }
 
 /// Sends `error` as a typed error frame, counting it; write failures are
@@ -405,7 +394,13 @@ fn send_error_frame(conn: &mut Conn, wire: &mut Vec<u8>, shared: &Shared, error:
         counter.fetch_add(1, Ordering::Relaxed);
     }
     wire.clear();
-    encode_error_frame(wire, error);
+    encode_frame(
+        &Frame::Error {
+            code: error.code(),
+            message: &error.to_string(),
+        },
+        wire,
+    );
     let _ = conn.write_all(wire);
     conn.shutdown_write();
     let _ = conn.set_timeouts(Some(Duration::from_millis(250)), None);
@@ -442,7 +437,7 @@ fn serve_session(shared: &Shared, conn: &mut Conn) {
         return;
     }
 
-    // The one wire buffer of this connection: request name, then every
+    // The one wire buffer of this connection: the request, then every
     // frame it ever sends — steady-state writes reuse its capacity.
     let mut wire: Vec<u8> = Vec::new();
 
@@ -537,7 +532,14 @@ fn stream_blocks(
     let envelopes = u32::try_from(scenario.envelopes).unwrap_or(u32::MAX);
     let samples = u32::try_from(scenario.doppler.idft_size).unwrap_or(u32::MAX);
     wire.clear();
-    encode_header_frame(wire, envelopes, samples, request.blocks);
+    encode_frame(
+        &Frame::Header {
+            envelopes,
+            samples,
+            blocks: request.blocks,
+        },
+        wire,
+    );
     if conn.write_all(wire).is_err() {
         return;
     }
@@ -568,6 +570,6 @@ fn stream_blocks(
     }
 
     wire.clear();
-    encode_end_frame(wire, sent);
+    encode_frame(&Frame::End { blocks_sent: sent }, wire);
     let _ = conn.write_all(wire);
 }

@@ -11,9 +11,8 @@
 use proptest::prelude::*;
 
 use corrfade_serve::protocol::{
-    code, decode_block_payload, decode_frame_payload, decode_request, decode_request_cursor,
-    decode_request_header, encode_error_frame_raw, encode_frame, encode_request,
-    encode_request_versioned, split_frame, Frame, ProtocolError, Request, MAX_NAME_LEN,
+    code, decode_frame_payload, decode_request, decode_request_header, encode_frame,
+    encode_request, split_frame, Frame, ProtocolError, Request, MAGIC, MAX_NAME_LEN,
     REQUEST_CURSOR_LEN, REQUEST_HEADER_LEN, VERSION_V2,
 };
 
@@ -23,8 +22,31 @@ fn ascii(bytes: &[u8]) -> String {
     bytes.iter().map(|b| (b' ' + b % 95) as char).collect()
 }
 
+/// Reference encoder of the v2 request layout, written field by field from
+/// the wire diagram: it pins the v2 bytes for every cursor, 0 included
+/// (which the library encoder sends as v1), and any cursor, overflowing
+/// ones included.
+fn v2_request_wire(request: &Request) -> Vec<u8> {
+    let mut wire = MAGIC.to_vec();
+    wire.extend_from_slice(&VERSION_V2.to_le_bytes());
+    let name_len = u16::try_from(request.scenario.len()).unwrap();
+    wire.extend_from_slice(&name_len.to_le_bytes());
+    wire.extend_from_slice(&request.seed.to_le_bytes());
+    wire.extend_from_slice(&request.blocks.to_le_bytes());
+    wire.extend_from_slice(&request.cursor.to_le_bytes());
+    wire.extend_from_slice(request.scenario.as_bytes());
+    wire
+}
+
 /// Builds one of the four frame variants from undifferentiated randomness.
-fn frame_from_parts(kind: u8, a: u32, b: u32, c: u32, bytes: Vec<u8>) -> Frame {
+fn frame_from_parts<'a>(
+    kind: u8,
+    a: u32,
+    b: u32,
+    c: u32,
+    bytes: &'a [u8],
+    message: &'a str,
+) -> Frame<'a> {
     match kind {
         0 => Frame::Header {
             envelopes: a,
@@ -37,7 +59,7 @@ fn frame_from_parts(kind: u8, a: u32, b: u32, c: u32, bytes: Vec<u8>) -> Frame {
         },
         2 => Frame::Error {
             code: a as u16,
-            message: ascii(&bytes),
+            message,
         },
         _ => Frame::End { blocks_sent: a },
     }
@@ -56,7 +78,8 @@ proptest! {
         c in 0u32..=u32::MAX,
         bytes in proptest::collection::vec(0u8..=255, 0..256),
     ) {
-        let frame = frame_from_parts(kind, a, b, c, bytes);
+        let message = ascii(&bytes);
+        let frame = frame_from_parts(kind, a, b, c, &bytes, &message);
         let mut wire = Vec::new();
         encode_frame(&frame, &mut wire);
         let (payload, consumed) = split_frame(&wire).unwrap();
@@ -65,18 +88,20 @@ proptest! {
         prop_assert_eq!(decoded, frame);
     }
 
-    /// Block payload bytes come back bit-for-bit through the zero-copy
-    /// decoder, regardless of content (including NaN-patterned bytes).
+    /// Block payload bytes come back bit-for-bit, borrowed from the wire
+    /// buffer, regardless of content (including NaN-patterned bytes).
     #[test]
     fn block_payloads_are_bit_exact(
         index in 0u32..=u32::MAX,
         bytes in proptest::collection::vec(0u8..=255, 0..512),
     ) {
-        let frame = Frame::Block { index, payload: bytes.clone() };
         let mut wire = Vec::new();
-        encode_frame(&frame, &mut wire);
+        encode_frame(&Frame::Block { index, payload: &bytes }, &mut wire);
         let (payload, _) = split_frame(&wire).unwrap();
-        let (got_index, got_bytes) = decode_block_payload(payload).unwrap();
+        let Frame::Block { index: got_index, payload: got_bytes } =
+            decode_frame_payload(payload).unwrap() else {
+            panic!("expected a block frame");
+        };
         prop_assert_eq!(got_index, index);
         prop_assert_eq!(got_bytes, &bytes[..]);
     }
@@ -96,13 +121,12 @@ proptest! {
         let cursor = cursor % (u64::from(u32::MAX) - u64::from(blocks) + 1);
         let request = Request { scenario: ascii(&name_bytes), seed, blocks, cursor };
         let mut wire = Vec::new();
-        encode_request(&request, &mut wire);
+        encode_request(&request, &mut wire).unwrap();
         prop_assert_eq!(decode_request(&wire).unwrap(), request);
     }
 
-    /// The explicit v2 encoding round-trips for every cursor, including 0,
-    /// and the streaming header/cursor decoders agree with the one-shot
-    /// decoder.
+    /// The v2 layout decodes for every cursor, including 0, and the prefix
+    /// decoder sizes exactly the cursor and name that follow it.
     #[test]
     fn v2_requests_round_trip(
         name_bytes in proptest::collection::vec(0u8..=255, 1..=MAX_NAME_LEN),
@@ -112,16 +136,12 @@ proptest! {
     ) {
         let cursor = cursor % (u64::from(u32::MAX) - u64::from(blocks) + 1);
         let request = Request { scenario: ascii(&name_bytes), seed, blocks, cursor };
-        let mut wire = Vec::new();
-        encode_request_versioned(&request, 0, VERSION_V2, &mut wire);
+        let wire = v2_request_wire(&request);
         prop_assert_eq!(decode_request(&wire).unwrap(), request.clone());
         let head = decode_request_header(&wire).unwrap();
         prop_assert_eq!(head.version, VERSION_V2);
-        prop_assert_eq!(head.cursor_len(), REQUEST_CURSOR_LEN);
-        prop_assert_eq!(
-            decode_request_cursor(&wire[REQUEST_HEADER_LEN..], head.blocks).unwrap(),
-            cursor
-        );
+        prop_assert_eq!(REQUEST_HEADER_LEN + head.trailing_len(), wire.len());
+        prop_assert_eq!(head.trailing_len(), REQUEST_CURSOR_LEN + name_bytes.len());
     }
 
     /// Hostile cursors: any `(cursor, blocks)` pair either decodes to the
@@ -133,9 +153,10 @@ proptest! {
         blocks in 0u32..=u32::MAX,
         short in 0usize..REQUEST_CURSOR_LEN,
     ) {
-        match decode_request_cursor(&cursor.to_le_bytes(), blocks) {
+        let wire = v2_request_wire(&Request { scenario: "x".into(), seed: 1, blocks, cursor });
+        match decode_request(&wire) {
             Ok(got) => {
-                prop_assert_eq!(got, cursor);
+                prop_assert_eq!(got.cursor, cursor);
                 prop_assert!(cursor + u64::from(blocks) <= u64::from(u32::MAX));
             }
             Err(ProtocolError::Oversized { .. }) => {
@@ -146,9 +167,10 @@ proptest! {
             }
             Err(other) => prop_assert!(false, "unexpected error {other:?}"),
         }
-        // A truncated cursor field is always the typed truncation error.
+        // A request cut inside the cursor field is always the typed
+        // truncation error.
         prop_assert!(matches!(
-            decode_request_cursor(&cursor.to_le_bytes()[..short], blocks),
+            decode_request(&wire[..REQUEST_HEADER_LEN + short]),
             Err(ProtocolError::Truncated { .. })
         ));
     }
@@ -169,8 +191,7 @@ proptest! {
             blocks: 3,
             cursor: cursor % 1_000_000,
         };
-        let mut wire = Vec::new();
-        encode_request_versioned(&request, 0, VERSION_V2, &mut wire);
+        let mut wire = v2_request_wire(&request);
 
         let _ = decode_request(&wire[..cut % (wire.len() + 1)]);
 
@@ -192,7 +213,7 @@ proptest! {
         let code = if pick_busy == 1 { code::BUSY } else { raw_code };
         let message = ascii(&msg_bytes);
         let mut wire = Vec::new();
-        encode_error_frame_raw(&mut wire, code, &message);
+        encode_frame(&Frame::Error { code, message: &message }, &mut wire);
         let (payload, consumed) = split_frame(&wire).unwrap();
         prop_assert_eq!(consumed, wire.len());
         let Frame::Error { code: got_code, message: got_message } =
@@ -209,8 +230,8 @@ proptest! {
         raw in proptest::collection::vec(0u8..=255, 0..128),
     ) {
         let _ = decode_request(&raw);
+        let _ = decode_request_header(&raw);
         let _ = decode_frame_payload(&raw);
-        let _ = decode_block_payload(&raw);
         if let Ok((payload, consumed)) = split_frame(&raw) {
             prop_assert!(consumed <= raw.len());
             let _ = decode_frame_payload(payload);
@@ -246,7 +267,8 @@ proptest! {
         flip_at in 0usize..=usize::MAX,
         flip_bits in 1u8..=255,
     ) {
-        let frame = frame_from_parts(kind, a, a ^ 0x5555_5555, !a, bytes);
+        let message = ascii(&bytes);
+        let frame = frame_from_parts(kind, a, a ^ 0x5555_5555, !a, &bytes, &message);
         let mut wire = Vec::new();
         encode_frame(&frame, &mut wire);
 

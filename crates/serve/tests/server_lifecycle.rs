@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use corrfade::{ChannelStream, SampleBlock};
 use corrfade_scenarios::lookup;
 use corrfade_serve::protocol::{
-    code, decode_frame_payload, encode_request, encode_request_with_flags, split_frame, Frame,
-    Request, FLAG_F32_STREAM, MAGIC,
+    code, decode_frame_payload, encode_request, split_frame, Frame, ProtocolError, Request, MAGIC,
+    MAX_NAME_LEN,
 };
 use corrfade_serve::{Client, Conn, ServeAddr, ServeError, Server, ServerConfig};
 
@@ -51,6 +51,16 @@ fn standalone(scenario: &str, seed: u64, blocks: u32) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Reads `client`'s stream up to its end frame, as bit patterns.
+fn drain(client: &mut Client) -> Vec<Vec<u64>> {
+    let mut block = SampleBlock::empty();
+    let mut blocks = Vec::new();
+    while client.next_block_into(&mut block).unwrap().is_some() {
+        blocks.push(bits(&block));
+    }
+    blocks
+}
+
 /// Polls `f` until it returns true or the deadline expires.
 fn wait_until(what: &str, mut f: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -82,9 +92,7 @@ fn concurrent_clients_get_independent_deterministic_streams() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).unwrap();
                 client.subscribe(scenario, seed, 3).unwrap();
-                let streamed: Vec<Vec<u64>> =
-                    client.collect_blocks().unwrap().iter().map(bits).collect();
-                (scenario, seed, streamed)
+                (scenario, seed, drain(&mut client))
             })
         })
         .collect();
@@ -142,8 +150,7 @@ fn mid_stream_disconnect_does_not_poison_the_fleet() {
     // exact (scenario, seed) the dropped client was using.
     let mut client = Client::connect(&addr).unwrap();
     client.subscribe("two-envelope-complex", 5, 2).unwrap();
-    let streamed: Vec<Vec<u64>> = client.collect_blocks().unwrap().iter().map(bits).collect();
-    assert_eq!(streamed, standalone("two-envelope-complex", 5, 2));
+    assert_eq!(drain(&mut client), standalone("two-envelope-complex", 5, 2));
     server.shutdown().unwrap();
 }
 
@@ -174,7 +181,8 @@ fn protocol_errors_arrive_as_typed_frames() {
             cursor: 0,
         },
         &mut request,
-    );
+    )
+    .unwrap();
     request[4] = 0xFE; // version := 0xFFFE
     request[5] = 0xFF;
     let mut raw = Conn::connect(&addr, Duration::from_secs(10)).unwrap();
@@ -229,16 +237,18 @@ fn f32_stream_requests_get_a_typed_precision_error_frame() {
     let addr = server.local_addr().clone();
 
     let mut request = Vec::new();
-    encode_request_with_flags(
+    encode_request(
         &Request {
             scenario: "two-envelope-complex".into(),
             seed: 1,
             blocks: 1,
             cursor: 0,
         },
-        FLAG_F32_STREAM,
         &mut request,
-    );
+    )
+    .unwrap();
+    // Set the f32 flag: bit 15 of the little-endian name-length field.
+    request[7] |= 0x80;
     let mut raw = Conn::connect(&addr, Duration::from_secs(10)).unwrap();
     raw.write_all(&request).unwrap();
     let mut response = Vec::new();
@@ -256,6 +266,46 @@ fn f32_stream_requests_get_a_typed_precision_error_frame() {
     wait_until("error-frame counter", || server.stats().error_frames == 1);
     assert_eq!(server.stats().error_count(code::PRECISION_UNSUPPORTED), 1);
     assert_eq!(server.stats().subscribers, 0);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn names_the_wire_cannot_carry_are_refused_before_sending() {
+    // A name of 2^15 bytes or more would spill into the precision-flag bit
+    // of the length field and earn PRECISION_UNSUPPORTED from the server.
+    // The client applies the protocol's name rule itself and sends nothing.
+    let server = tcp_server();
+    let addr = server.local_addr().clone();
+
+    let mut client = Client::connect(&addr).unwrap();
+    let err = client.subscribe(&"x".repeat(40_000), 1, 1).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Protocol(ProtocolError::Oversized {
+                len: 40_000,
+                max: MAX_NAME_LEN,
+                ..
+            })
+        ),
+        "expected the client-side oversized-name error, got {err}"
+    );
+    let err = client.subscribe("", 1, 1).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Protocol(ProtocolError::BadScenarioName { .. })
+        ),
+        "expected the client-side empty-name error, got {err}"
+    );
+
+    // Nothing reached the server: the same connection still subscribes
+    // normally, and no error frame was ever sent.
+    client.subscribe("two-envelope-complex", 1, 1).unwrap();
+    assert_eq!(drain(&mut client), standalone("two-envelope-complex", 1, 1));
+    let stats = server.stats();
+    assert_eq!(stats.accepted, 1);
+    assert_eq!(stats.error_frames, 0);
     server.shutdown().unwrap();
 }
 
@@ -286,7 +336,7 @@ fn resumed_sessions_are_bit_identical_and_counted() {
     // A cursor-0 subscribe stays a v1 request and does not count.
     let mut fresh = Client::connect(&addr).unwrap();
     fresh.subscribe("two-envelope-complex", 21, 1).unwrap();
-    fresh.collect_blocks().unwrap();
+    drain(&mut fresh);
 
     wait_until("subscriptions released", || server.stats().subscribers == 0);
     let stats = server.stats();
@@ -338,7 +388,7 @@ fn admission_control_answers_busy_and_counts_it() {
     wait_until("slot released", || server.stats().active == 0);
     let mut third = Client::connect(&addr).unwrap();
     third.subscribe("two-envelope-complex", 3, 1).unwrap();
-    assert_eq!(third.collect_blocks().unwrap().len(), 1);
+    assert_eq!(drain(&mut third).len(), 1);
     server.shutdown().unwrap();
 }
 
