@@ -140,7 +140,6 @@ proptest! {
         prop_assert_eq!(decode_request(&wire).unwrap(), request.clone());
         let head = decode_request_header(&wire).unwrap();
         prop_assert_eq!(head.version, VERSION_V2);
-        prop_assert_eq!(REQUEST_HEADER_LEN + head.trailing_len(), wire.len());
         prop_assert_eq!(head.trailing_len(), REQUEST_CURSOR_LEN + name_bytes.len());
     }
 
