@@ -8,9 +8,13 @@
 //! `network-scale` CI job regression-gates.
 //!
 //! * `network/advance_1012/*` — one lockstep epoch, sequentially and on
-//!   pools of several sizes.
-//! * `network/metrics_1012` — the per-link trace-extraction pass (envelope
-//!   view + outage/LCR/AFD) over a warm epoch, allocation-free by contract.
+//!   pools of several sizes; each advance also computes every block's
+//!   envelope view.
+//! * `network/metrics_1012` — the per-link trace-extraction pass (one
+//!   outage/LCR/AFD pass per link over the envelope view) over a warm
+//!   epoch, allocation-free by contract.
+//! * `network/epoch_1012/advance_and_metrics` — a pooled advance followed
+//!   by every link's metrics: the whole epoch a network simulator drives.
 
 use corrfade_models::wsn::LinkCorrelationModel;
 use corrfade_network::{NetworkSim, NetworkSimConfig, Topology};
@@ -63,6 +67,15 @@ fn bench_network_advance(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every link's metrics for the current epoch, reduced to one figure.
+fn all_link_metrics(sim: &mut NetworkSim) -> f64 {
+    let mut outages = 0.0f64;
+    for link in 0..sim.link_count() {
+        outages += sim.link_metrics(link).unwrap().outage_probability;
+    }
+    outages
+}
+
 fn bench_network_metrics(c: &mut Criterion) {
     let mut sim = open_sim();
     sim.advance().unwrap();
@@ -73,16 +86,32 @@ fn bench_network_metrics(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("trace_extraction", |b| {
+        b.iter(|| all_link_metrics(&mut sim))
+    });
+    group.finish();
+}
+
+fn bench_network_epoch(c: &mut Criterion) {
+    let mut sim = open_sim();
+    let links = sim.link_count() as u64;
+
+    let mut group = c.benchmark_group("network/epoch_1012");
+    group.throughput(Throughput::Elements(links));
+    group.sample_size(10);
+
+    group.bench_function("advance_and_metrics", |b| {
         b.iter(|| {
-            let mut outages = 0.0f64;
-            for link in 0..sim.link_count() {
-                outages += sim.link_metrics(link).unwrap().outage_probability;
-            }
-            outages
+            sim.advance().unwrap();
+            all_link_metrics(&mut sim)
         })
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_network_advance, bench_network_metrics);
+criterion_group!(
+    benches,
+    bench_network_advance,
+    bench_network_metrics,
+    bench_network_epoch
+);
 criterion_main!(benches);

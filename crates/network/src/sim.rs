@@ -25,9 +25,7 @@ use corrfade_linalg::CMatrix;
 use corrfade_models::wsn::{link_field_covariance, LinkCorrelationModel, LogDistancePathLoss};
 use corrfade_parallel::{Runtime, StreamFleet};
 use corrfade_scenarios::DopplerSettings;
-use corrfade_stats::fading_metrics::{
-    empirical_afd_block, empirical_lcr_block, outage_count_block,
-};
+use corrfade_stats::fading_metrics::fade_counts;
 
 use crate::error::NetworkError;
 use crate::groups::{partition_links, CorrelationGroups};
@@ -421,15 +419,15 @@ impl NetworkSim {
         }
         let (stream, offset) = self.slot(index)?;
         let threshold = self.outage_threshold / power_gain.sqrt();
-        let block = self.fleet.block_mut(stream);
-        let samples = block.samples();
+        let envelope = self.fleet.block_mut(stream).envelope_path(offset);
+        let samples = envelope.len() as f64;
+        let counts = fade_counts(envelope, threshold);
         Ok(LinkMetrics {
             link: index,
             mean_snr_db: self.mean_snr_db[index] + 10.0 * power_gain.log10(),
-            outage_probability: outage_count_block(block, offset, threshold) as f64
-                / samples as f64,
-            lcr: empirical_lcr_block(block, offset, threshold),
-            afd: empirical_afd_block(block, offset, threshold),
+            outage_probability: counts.below as f64 / samples,
+            lcr: counts.up_crossings as f64 / samples,
+            afd: counts.mean_fade_len(),
         })
     }
 }

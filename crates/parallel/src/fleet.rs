@@ -18,9 +18,14 @@
 //!   block for *every* stream concurrently on the persistent
 //!   [`Runtime`] pool, one item per stream, and each stream's block lands
 //!   in that stream's own pooled
-//!   [`SampleBlock`]. After warm-up an advance performs **zero heap
-//!   allocation** (the workspace's allocation-regression test measures
-//!   this end to end through the pool).
+//!   [`SampleBlock`], together with that block's envelope view `|z|`
+//!   ([`SampleBlock::envelope_slice`]): the executor that generated a block
+//!   computes its envelopes while the samples are still in cache, so
+//!   consumers of the envelopes (the network layer's per-link metrics)
+//!   read them without a serial pass after the advance. After warm-up an
+//!   advance performs **zero heap allocation** (the workspace's
+//!   allocation-regression test measures this end to end through the
+//!   pool).
 //! * **Isolation by construction** — stream `i` owns an independent RNG
 //!   stream seeded with [`stream_seed`]`(master_seed, i)`. Which worker
 //!   generates which block, and how many workers exist, cannot influence
@@ -66,6 +71,18 @@ struct FleetSlot {
 /// cascading the panic.
 fn slot_mut(slot: &mut Mutex<FleetSlot>) -> &mut FleetSlot {
     slot.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl FleetSlot {
+    /// One stream's share of an advance: its next block, then that block's
+    /// envelope view, computed while the fresh samples are still in the
+    /// executor's cache.
+    fn step(&mut self) {
+        self.stream
+            .next_block_into(&mut self.block)
+            .expect("realtime generation is infallible after construction");
+        let _ = self.block.envelope_slice();
+    }
 }
 
 /// A batch of named real-time channel streams generated together on the
@@ -271,11 +288,10 @@ impl StreamFleet {
     pub fn advance_on(&mut self, runtime: &Runtime) -> Result<(), ParallelError> {
         let slots = &self.slots;
         runtime.try_for_each(slots.len(), &|i| {
-            let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
-            let FleetSlot { stream, block } = &mut *slot;
-            stream
-                .next_block_into(block)
-                .expect("realtime generation is infallible after construction");
+            slots[i]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .step();
         })
     }
 
@@ -288,10 +304,7 @@ impl StreamFleet {
     /// See [`StreamFleet::advance`].
     pub fn advance_sequential(&mut self) -> Result<(), ParallelError> {
         for slot in &mut self.slots {
-            let FleetSlot { stream, block } = slot_mut(slot);
-            stream
-                .next_block_into(block)
-                .expect("realtime generation is infallible after construction");
+            slot_mut(slot).step();
         }
         Ok(())
     }
@@ -308,10 +321,12 @@ impl StreamFleet {
     }
 
     /// Mutable access to the most recently generated block of stream `i` —
-    /// needed by consumers of the **lazy envelope view**
-    /// ([`SampleBlock::envelope_path`] caches `|z|` inside the block), e.g.
-    /// per-link fading-metric extraction in the network layer. The next
-    /// advance overwrites the complex data and invalidates that cache.
+    /// the receiver [`SampleBlock::envelope_path`] needs, e.g. for per-link
+    /// fading-metric extraction in the network layer. Every advance
+    /// computes each block's envelope view on the executor that generated
+    /// the block, so reading it here is a slice borrow; mutating the
+    /// complex data through this handle invalidates the view, and the next
+    /// read recomputes it.
     ///
     /// # Panics
     /// Panics when `i` is out of range.

@@ -15,11 +15,17 @@
 //! The experiment harness uses the empirical estimators to verify the
 //! real-time generator produces sequences consistent with the theory.
 //!
+//! All three empirical estimators read one [`FadeCounts`], which
+//! [`fade_counts`] gathers in a single branch-free pass over the envelope:
+//! samples below the threshold, fades and upward crossings. A caller that
+//! needs all three figures for one envelope (the `corrfade-network` layer's
+//! per-link metrics, once per link per epoch) calls [`fade_counts`] once
+//! instead of scanning the envelope three times.
+//!
 //! The `_block` variants ([`empirical_lcr_block`], [`empirical_afd_block`],
 //! [`outage_count_block`]) evaluate the same estimators directly on a
-//! [`SampleBlock`]'s lazily cached envelope view — no per-envelope copy, so
-//! a warm per-link trace-extraction pass (the `corrfade-network` layer runs
-//! one per link per epoch) performs **zero heap allocation**.
+//! [`SampleBlock`]'s cached envelope view — no per-envelope copy, so a warm
+//! block is measured with **zero heap allocation**.
 
 use corrfade_linalg::SampleBlock;
 
@@ -40,6 +46,49 @@ pub fn theoretical_afd(rho: f64, fm: f64) -> f64 {
     ((rho * rho).exp() - 1.0) / (rho * fm * (2.0 * core::f64::consts::PI).sqrt())
 }
 
+/// Threshold statistics of one envelope, counted by [`fade_counts`] in a
+/// single pass: everything the outage, LCR and AFD estimators read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FadeCounts {
+    /// Samples strictly below the threshold (`r < t`).
+    pub below: usize,
+    /// Fades: maximal runs of consecutive below-threshold samples.
+    pub fades: usize,
+    /// Upward crossings: adjacent pairs with `r[l−1] < t` and `r[l] ≥ t`.
+    pub up_crossings: usize,
+}
+
+impl FadeCounts {
+    /// Mean fade length in samples, `below / fades` — `0.0` when the
+    /// envelope never fades.
+    #[must_use]
+    pub fn mean_fade_len(&self) -> f64 {
+        if self.fades == 0 {
+            0.0
+        } else {
+            self.below as f64 / self.fades as f64
+        }
+    }
+}
+
+/// Counts the samples below `threshold`, the fades and the upward crossings
+/// of `envelope` in one branch-free pass with two predicates, `r < t` and
+/// `r ≥ t`. A NaN sample satisfies neither: it is not below, ends a fade
+/// and completes no crossing.
+#[must_use]
+pub fn fade_counts(envelope: &[f64], threshold: f64) -> FadeCounts {
+    let mut counts = FadeCounts::default();
+    let mut was_below = false;
+    for &r in envelope {
+        let is_below = r < threshold;
+        counts.below += usize::from(is_below);
+        counts.fades += usize::from(is_below & !was_below);
+        counts.up_crossings += usize::from(was_below & (r >= threshold));
+        was_below = is_below;
+    }
+    counts
+}
+
 /// Empirical level-crossing rate: number of upward crossings of `threshold`
 /// divided by the number of samples (crossings per sample).
 ///
@@ -50,11 +99,7 @@ pub fn empirical_lcr(envelope: &[f64], threshold: f64) -> f64 {
         envelope.len() >= 2,
         "empirical_lcr: need at least two samples"
     );
-    let crossings = envelope
-        .windows(2)
-        .filter(|w| w[0] < threshold && w[1] >= threshold)
-        .count();
-    crossings as f64 / envelope.len() as f64
+    fade_counts(envelope, threshold).up_crossings as f64 / envelope.len() as f64
 }
 
 /// Empirical average fade duration: mean number of consecutive samples spent
@@ -65,25 +110,7 @@ pub fn empirical_lcr(envelope: &[f64], threshold: f64) -> f64 {
 /// Panics if `envelope` is empty.
 pub fn empirical_afd(envelope: &[f64], threshold: f64) -> f64 {
     assert!(!envelope.is_empty(), "empirical_afd: empty envelope");
-    let mut fades = 0usize;
-    let mut total_below = 0usize;
-    let mut in_fade = false;
-    for &r in envelope {
-        if r < threshold {
-            total_below += 1;
-            if !in_fade {
-                fades += 1;
-                in_fade = true;
-            }
-        } else {
-            in_fade = false;
-        }
-    }
-    if fades == 0 {
-        0.0
-    } else {
-        total_below as f64 / fades as f64
-    }
+    fade_counts(envelope, threshold).mean_fade_len()
 }
 
 /// Number of samples of `envelope` strictly below `threshold` — the outage
@@ -91,7 +118,7 @@ pub fn empirical_afd(envelope: &[f64], threshold: f64) -> f64 {
 /// `Pr[r < R_th]`.
 #[must_use]
 pub fn outage_count(envelope: &[f64], threshold: f64) -> usize {
-    envelope.iter().filter(|&&r| r < threshold).count()
+    fade_counts(envelope, threshold).below
 }
 
 /// [`empirical_lcr`] evaluated on envelope `j` of a [`SampleBlock`] through
@@ -217,6 +244,139 @@ mod tests {
     #[should_panic(expected = "at least two samples")]
     fn lcr_needs_two_samples() {
         let _ = empirical_lcr(&[1.0], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty envelope")]
+    fn afd_needs_a_sample() {
+        let _ = empirical_afd(&[], 0.5);
+    }
+
+    /// The three single-purpose loops the estimators ran before
+    /// [`fade_counts`]: `(outage count, LCR, AFD)`.
+    fn three_pass_reference(envelope: &[f64], threshold: f64) -> (usize, f64, f64) {
+        let below = envelope.iter().filter(|&&r| r < threshold).count();
+        let crossings = envelope
+            .windows(2)
+            .filter(|w| w[0] < threshold && w[1] >= threshold)
+            .count();
+        let lcr = crossings as f64 / envelope.len() as f64;
+        let mut fades = 0usize;
+        let mut total_below = 0usize;
+        let mut in_fade = false;
+        for &r in envelope {
+            if r < threshold {
+                total_below += 1;
+                if !in_fade {
+                    fades += 1;
+                    in_fade = true;
+                }
+            } else {
+                in_fade = false;
+            }
+        }
+        let afd = if fades == 0 {
+            0.0
+        } else {
+            total_below as f64 / fades as f64
+        };
+        (below, lcr, afd)
+    }
+
+    /// Asserts `fade_counts` and the three estimators equal the reference
+    /// loops exactly on `envelope` at `threshold`.
+    fn assert_matches_reference(envelope: &[f64], threshold: f64) {
+        let (below, lcr, afd) = three_pass_reference(envelope, threshold);
+        let counts = fade_counts(envelope, threshold);
+        let context = format!("len {}, threshold {threshold}", envelope.len());
+        assert_eq!(counts.below, below, "below, {context}");
+        assert_eq!(
+            outage_count(envelope, threshold),
+            below,
+            "outage, {context}"
+        );
+        assert_eq!(
+            counts.up_crossings as f64 / envelope.len() as f64,
+            lcr,
+            "crossings, {context}"
+        );
+        assert_eq!(counts.mean_fade_len().to_bits(), afd.to_bits(), "{context}");
+        if envelope.len() >= 2 {
+            assert_eq!(empirical_lcr(envelope, threshold).to_bits(), lcr.to_bits());
+        }
+        if !envelope.is_empty() {
+            assert_eq!(empirical_afd(envelope, threshold).to_bits(), afd.to_bits());
+        }
+    }
+
+    #[test]
+    fn fade_counts_match_the_three_loops_on_random_envelopes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xFADE);
+        for len in [1usize, 2, 63, 64, 65, 256] {
+            for _ in 0..50 {
+                // A slowly varying envelope, so fades span several samples.
+                let mut level: f64 = rng.gen_range(0.0..2.0);
+                let envelope: Vec<f64> = (0..len)
+                    .map(|_| {
+                        level = (level + rng.gen_range(-0.4..0.4)).abs();
+                        level
+                    })
+                    .collect();
+                for threshold in [0.0, 0.3, 1.0, 1.7, 3.0] {
+                    assert_matches_reference(&envelope, threshold);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fade_counts_match_the_three_loops_on_edge_cases() {
+        for len in [1usize, 2, 63, 64, 65, 256] {
+            // All below, all above, and every sample exactly at the
+            // threshold (`r >= t` holds, so nothing is below).
+            assert_matches_reference(&vec![0.5; len], 1.0);
+            assert_matches_reference(&vec![2.0; len], 1.0);
+            assert_matches_reference(&vec![1.0; len], 1.0);
+            // Alternating below / at the threshold: a fade and a crossing at
+            // every other sample, across the 64-sample boundaries.
+            let alternating: Vec<f64> = (0..len).map(|l| [0.5, 1.0][l % 2]).collect();
+            assert_matches_reference(&alternating, 1.0);
+            let counts = fade_counts(&alternating, 1.0);
+            assert_eq!(counts.fades, len.div_ceil(2));
+            assert_eq!(counts.up_crossings, len / 2);
+        }
+        // NaN satisfies neither predicate: it is not below, ends a fade and
+        // completes no crossing. ±∞ compare as ordinary values.
+        let special = [
+            0.5,
+            f64::NAN,
+            0.5,
+            2.0,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NAN,
+            f64::NAN,
+            0.5,
+            0.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for threshold in [1.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for len in 1..=special.len() {
+                assert_matches_reference(&special[..len], threshold);
+            }
+        }
+        let counts = fade_counts(&special, 1.0);
+        assert_eq!(
+            counts,
+            FadeCounts {
+                below: 5,
+                fades: 4,
+                up_crossings: 3,
+            }
+        );
+        assert_eq!(fade_counts(&[], 1.0), FadeCounts::default());
     }
 
     #[test]
