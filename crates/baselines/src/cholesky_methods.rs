@@ -51,7 +51,7 @@ fn cholesky_or_error(k: &CMatrix, method: &'static str) -> Result<CMatrix, Basel
 /// Implements [`ChannelStream`] by batching independent snapshots into
 /// planar blocks.
 #[derive(Debug, Clone)]
-pub struct BeaulieuMeraniGenerator {
+pub(crate) struct BeaulieuMeraniGenerator {
     coloring: CMatrix,
     rng: RandomStream,
     gaussian: ComplexGaussian,
@@ -66,7 +66,7 @@ impl BeaulieuMeraniGenerator {
     /// # Errors
     /// Unequal powers and non-positive-definite covariances are rejected —
     /// the two restrictions the paper's Sec. 1 attributes to this method.
-    pub fn new(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
+    pub(crate) fn new(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
         const METHOD: &str = "Beaulieu-Merani [4]";
         validate_square_hermitian(k, METHOD)?;
         let p0 = k[(0, 0)].re;
@@ -85,22 +85,12 @@ impl BeaulieuMeraniGenerator {
         })
     }
 
-    /// Number of envelopes.
-    pub fn dimension(&self) -> usize {
-        self.coloring.rows()
-    }
-
     /// Draws one correlated complex Gaussian vector.
-    pub fn sample_gaussian(&mut self) -> Vec<Complex64> {
+    pub(crate) fn sample_gaussian(&mut self) -> Vec<Complex64> {
         let w = self
             .gaussian
             .sample_vec(&mut self.rng, self.coloring.rows(), 1.0);
         self.coloring.matvec(&w)
-    }
-
-    /// Draws one vector of correlated Rayleigh envelopes.
-    pub fn sample_envelopes(&mut self) -> Vec<f64> {
-        self.sample_gaussian().iter().map(|z| z.abs()).collect()
     }
 }
 
@@ -253,7 +243,6 @@ mod tests {
         assert_eq!(g.dimension(), 3);
         let khat = stream_covariance(&mut g, 59);
         assert!(relative_frobenius_error(&khat, &k) < 0.04);
-        assert_eq!(g.sample_envelopes().len(), 3);
     }
 
     #[test]

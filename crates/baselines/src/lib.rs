@@ -6,15 +6,15 @@
 //! chart where each one fails and quantify the advantage of the proposed
 //! algorithm:
 //!
-//! | Baseline | Module | Restrictions reproduced |
-//! |----------|--------|------------------------|
-//! | Salz & Winters \[1\] | [`salz_winters_gen`] | equal powers; covariance must be PSD |
-//! | Ertel & Reed \[2\] | [`two_envelope`] | N = 2, equal powers |
-//! | Beaulieu \[3\] | [`two_envelope`] | N = 2, equal powers, real covariance |
-//! | Beaulieu & Merani \[4\] | [`cholesky_methods`] | equal powers, Cholesky (PD required) |
-//! | Natarajan et al. \[5\] | [`cholesky_methods`] | Cholesky (PD required), covariances forced real |
-//! | Sorooshyari & Daut \[6\] | [`sorooshyari_daut`] | equal powers, ε-PSD forcing + Cholesky, unit-variance Doppler combination |
-//! | Young & Beaulieu \[7\] | re-exported from `corrfade-dsp` | single envelope only (no cross-correlation) |
+//! | Baseline | Entry point | Restrictions reproduced |
+//! |----------|-------------|------------------------|
+//! | Salz & Winters \[1\] | [`SalzWintersGenerator`] | equal powers; covariance must be PSD |
+//! | Ertel & Reed \[2\] | [`BaselineMethod::ErtelReed`] | N = 2, equal powers |
+//! | Beaulieu \[3\] | [`BaselineMethod::Beaulieu`] | N = 2, equal powers, real covariance |
+//! | Beaulieu & Merani \[4\] | [`BaselineMethod::BeaulieuMerani`] | equal powers, Cholesky (PD required) |
+//! | Natarajan et al. \[5\] | [`NatarajanGenerator`] | Cholesky (PD required), covariances forced real |
+//! | Sorooshyari & Daut \[6\] | [`SorooshyariDautGenerator`], [`SorooshyariDautRealtimeGenerator`] | equal powers, ε-PSD forcing + Cholesky, unit-variance Doppler combination |
+//! | Young & Beaulieu \[7\] | `corrfade_dsp::IdftRayleighGenerator` | single envelope only (no cross-correlation) |
 //!
 //! The proposed algorithm itself lives in the `corrfade` crate.
 //!
@@ -26,26 +26,22 @@
 
 #![warn(missing_docs)]
 
-pub mod cholesky_methods;
-pub mod error;
-pub mod salz_winters_gen;
-pub mod sorooshyari_daut;
+mod cholesky_methods;
+mod error;
+mod salz_winters_gen;
+mod sorooshyari_daut;
 mod streaming;
-pub mod two_envelope;
+mod two_envelope;
 
-pub use cholesky_methods::{BeaulieuMeraniGenerator, NatarajanGenerator};
+use cholesky_methods::BeaulieuMeraniGenerator;
+use two_envelope::{BeaulieuGenerator, ErtelReedGenerator};
+
+pub use cholesky_methods::NatarajanGenerator;
 pub use error::BaselineError;
 pub use salz_winters_gen::SalzWintersGenerator;
 pub use sorooshyari_daut::{
     epsilon_psd_forcing, SorooshyariDautGenerator, SorooshyariDautRealtimeGenerator,
-    DEFAULT_EPSILON,
 };
-pub use two_envelope::{two_envelope_covariance, BeaulieuGenerator, ErtelReedGenerator};
-
-// Baseline [7] — the stand-alone Young–Beaulieu IDFT generator for a single
-// envelope — is the substrate the real-time algorithms are built on; it lives
-// in `corrfade-dsp` and is re-exported here under its baseline name.
-pub use corrfade_dsp::IdftRayleighGenerator as YoungBeaulieuGenerator;
 
 /// Identifies one of the reproduced conventional methods (used by the
 /// experiment harness to build the E10 shortcoming matrix).
@@ -156,6 +152,7 @@ impl BaselineMethod {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::two_envelope::two_envelope_covariance;
     use corrfade_linalg::CMatrix;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 

@@ -19,7 +19,7 @@
 //!   producing a wrong (complex) coloring matrix.
 
 use corrfade::{ChannelStream, CorrfadeError};
-use corrfade_linalg::{c64, hermitian_eigen, vector, CMatrix, Complex64, SampleBlock};
+use corrfade_linalg::{c64, hermitian_eigen, CMatrix, Complex64, SampleBlock};
 use corrfade_randn::{NormalSampler, RandomStream};
 
 use crate::error::BaselineError;
@@ -135,7 +135,7 @@ impl SalzWintersGenerator {
         } = self;
         sampler.fill(rng, a, 0.0, 1.0);
         for (ci, row) in c.iter_mut().zip(coloring.chunks_exact(dim)) {
-            *ci = vector::rdot(row, a);
+            *ci = row.iter().zip(a.iter()).map(|(&x, &y)| x * y).sum();
         }
     }
 

@@ -26,7 +26,7 @@ use crate::streaming::{fill_snapshot_block, SNAPSHOT_STREAM_BLOCK_LEN};
 
 /// The default ε used when rebuilding a non-PSD covariance matrix, matching
 /// the "small positive number" of ref. \[6\].
-pub const DEFAULT_EPSILON: f64 = 1e-4;
+pub(crate) const DEFAULT_EPSILON: f64 = 1e-4;
 
 /// Replaces every non-positive eigenvalue of `k` with `epsilon` and rebuilds
 /// the matrix (the ref.-\[6\] approximation). Returns the rebuilt matrix and
@@ -293,7 +293,7 @@ impl ChannelStream for SorooshyariDautRealtimeGenerator {
 mod tests {
     use super::*;
     use corrfade_dsp::{color_idft_block_with, ifft_in_place_with};
-    use corrfade_linalg::{kernel, Backend};
+    use corrfade_linalg::kernel::{self, Backend};
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
     use corrfade_stats::relative_frobenius_error;
 

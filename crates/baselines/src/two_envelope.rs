@@ -16,7 +16,7 @@
 //! faithfully: `N = 2` only, equal power only, and (for \[3\]) real
 //! correlations only.
 
-use corrfade_linalg::{c64, CMatrix, Complex64};
+use corrfade_linalg::{CMatrix, Complex64};
 use corrfade_randn::{ComplexGaussian, RandomStream};
 
 use crate::error::BaselineError;
@@ -66,7 +66,7 @@ fn extract_two_envelope_params(
 
 /// The Ertel–Reed two-envelope generator (baseline \[2\]).
 #[derive(Debug, Clone)]
-pub struct ErtelReedGenerator {
+pub(crate) struct ErtelReedGenerator {
     sigma_sq: f64,
     rho: Complex64,
     rng: RandomStream,
@@ -79,7 +79,7 @@ impl ErtelReedGenerator {
     ///
     /// # Errors
     /// See [`BaselineError`]; N ≠ 2 and unequal powers are rejected.
-    pub fn new(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
+    pub(crate) fn new(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
         let (sigma_sq, rho) = extract_two_envelope_params(k, "Ertel-Reed [2]")?;
         Ok(Self {
             sigma_sq,
@@ -89,30 +89,20 @@ impl ErtelReedGenerator {
         })
     }
 
-    /// The complex correlation coefficient in use.
-    pub fn rho(&self) -> Complex64 {
-        self.rho
-    }
-
     /// Draws one correlated complex Gaussian pair.
-    pub fn sample_gaussian(&mut self) -> Vec<Complex64> {
+    pub(crate) fn sample_gaussian(&mut self) -> Vec<Complex64> {
         let u1 = self.gaussian.sample(&mut self.rng, self.sigma_sq);
         let u2 = self.gaussian.sample(&mut self.rng, self.sigma_sq);
         // z2 = conj(rho)·u1 + sqrt(1-|rho|²)·u2 so that E[z1·conj(z2)] = rho·σ².
         let z2 = self.rho.conj() * u1 + u2.scale((1.0 - self.rho.norm_sqr()).max(0.0).sqrt());
         vec![u1, z2]
     }
-
-    /// Draws one pair of correlated Rayleigh envelopes.
-    pub fn sample_envelopes(&mut self) -> Vec<f64> {
-        self.sample_gaussian().iter().map(|z| z.abs()).collect()
-    }
 }
 
 /// The Beaulieu two-envelope generator (baseline \[3\]), which additionally
 /// requires the cross-covariance to be **real**.
 #[derive(Debug, Clone)]
-pub struct BeaulieuGenerator {
+pub(crate) struct BeaulieuGenerator {
     inner: ErtelReedGenerator,
 }
 
@@ -123,7 +113,7 @@ impl BeaulieuGenerator {
     /// In addition to the [`ErtelReedGenerator`] restrictions, a complex
     /// cross-covariance is rejected with
     /// [`BaselineError::ComplexCovarianceUnsupported`].
-    pub fn new(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
+    pub(crate) fn new(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
         let (_, rho) = extract_two_envelope_params(k, "Beaulieu [3]")?;
         if rho.im.abs() > 1e-9 {
             return Err(BaselineError::ComplexCovarianceUnsupported {
@@ -137,28 +127,28 @@ impl BeaulieuGenerator {
     }
 
     /// Draws one correlated complex Gaussian pair.
-    pub fn sample_gaussian(&mut self) -> Vec<Complex64> {
+    pub(crate) fn sample_gaussian(&mut self) -> Vec<Complex64> {
         self.inner.sample_gaussian()
-    }
-
-    /// Draws one pair of correlated Rayleigh envelopes.
-    pub fn sample_envelopes(&mut self) -> Vec<f64> {
-        self.inner.sample_envelopes()
     }
 }
 
 /// Builds the 2×2 equal-power covariance matrix with complex correlation
-/// coefficient `rho` — a convenience for tests and benches.
-pub fn two_envelope_covariance(sigma_sq: f64, rho: Complex64) -> CMatrix {
+/// coefficient `rho`.
+#[cfg(test)]
+pub(crate) fn two_envelope_covariance(sigma_sq: f64, rho: Complex64) -> CMatrix {
     CMatrix::from_rows(&[
-        vec![c64(sigma_sq, 0.0), rho.scale(sigma_sq)],
-        vec![rho.conj().scale(sigma_sq), c64(sigma_sq, 0.0)],
+        vec![corrfade_linalg::c64(sigma_sq, 0.0), rho.scale(sigma_sq)],
+        vec![
+            rho.conj().scale(sigma_sq),
+            corrfade_linalg::c64(sigma_sq, 0.0),
+        ],
     ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corrfade_linalg::c64;
     use corrfade_stats::{relative_frobenius_error, sample_covariance_from_paths};
 
     /// Sample covariance of a run of length-2 snapshots.
@@ -174,7 +164,7 @@ mod tests {
         let rho = c64(0.5, 0.3);
         let k = two_envelope_covariance(1.0, rho);
         let mut g = ErtelReedGenerator::new(&k, 11).unwrap();
-        assert!(g.rho().approx_eq(rho, 1e-12));
+        assert!(g.rho.approx_eq(rho, 1e-12));
         let snaps: Vec<_> = (0..80_000).map(|_| g.sample_gaussian()).collect();
         let khat = sample_covariance(&snaps);
         assert!(relative_frobenius_error(&khat, &k) < 0.03);
@@ -184,7 +174,7 @@ mod tests {
     fn ertel_reed_envelopes_are_rayleigh() {
         let k = two_envelope_covariance(2.0, c64(0.7, 0.0));
         let mut g = ErtelReedGenerator::new(&k, 3).unwrap();
-        let env: Vec<f64> = (0..20_000).map(|_| g.sample_envelopes()[1]).collect();
+        let env: Vec<f64> = (0..20_000).map(|_| g.sample_gaussian()[1].abs()).collect();
         let sigma = corrfade_stats::rayleigh_scale(2.0);
         let t = corrfade_stats::ks_test(&env, |r| corrfade_specfun::rayleigh_cdf(r, sigma));
         assert!(t.passes(0.001), "{t:?}");
@@ -228,7 +218,6 @@ mod tests {
         let snaps: Vec<_> = (0..60_000).map(|_| g.sample_gaussian()).collect();
         let khat = sample_covariance(&snaps);
         assert!(relative_frobenius_error(&khat, &real_k) < 0.03);
-        assert_eq!(g.sample_envelopes().len(), 2);
 
         let complex_k = two_envelope_covariance(1.0, c64(0.4, 0.4));
         assert!(matches!(

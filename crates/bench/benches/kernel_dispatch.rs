@@ -12,9 +12,9 @@ use corrfade_dsp::{
     color_idft_block_with, ifft_in_place_with, DopplerFilter, IdftRayleighGenerator,
 };
 use corrfade_linalg::kernel::{
-    accumulate_covariance_with, color_block_with, envelope_into_with, matvec_into_with,
+    accumulate_covariance_with, color_block_with, envelope_into_with, matvec_into_with, Backend,
 };
-use corrfade_linalg::{c64, Backend, Complex64};
+use corrfade_linalg::{c64, Complex64};
 use corrfade_randn::RandomStream;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -19,12 +19,6 @@ use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 
 pub mod report;
 
-/// The paper's real-time generation settings (Sec. 6): `M = 4096`,
-/// `f_m = 0.05`, `σ²_orig = 1/2`.
-pub fn paper_realtime_config(covariance: CMatrix, seed: u64) -> RealtimeConfig {
-    RealtimeConfig::paper_defaults(covariance, seed)
-}
-
 /// Builds the paper's spectral-scenario covariance matrix (should equal
 /// Eq. 22) by resolving the registered `fig4a-spectral` scenario.
 pub fn computed_spectral_covariance() -> CMatrix {
@@ -59,7 +53,7 @@ pub fn reported_spatial_covariance() -> CMatrix {
 /// quantity plotted in Fig. 4. Streams one planar block and reads the lazy
 /// envelope view.
 pub fn fig4_envelope_traces(covariance: CMatrix, samples: usize, seed: u64) -> Vec<Vec<f64>> {
-    let mut gen = RealtimeGenerator::new(paper_realtime_config(covariance, seed))
+    let mut gen = RealtimeGenerator::new(RealtimeConfig::paper_defaults(covariance, seed))
         .expect("paper configuration is valid");
     let mut block = SampleBlock::empty();
     gen.next_block_into(&mut block)
@@ -139,7 +133,7 @@ mod tests {
     #[test]
     fn stream_covariance_matches_materialized_paths() {
         let k = reported_spatial_covariance();
-        let cfg = paper_realtime_config(k.clone(), 9);
+        let cfg = RealtimeConfig::paper_defaults(k.clone(), 9);
         let mut a = RealtimeGenerator::new(cfg.clone()).unwrap();
         let mut b = RealtimeGenerator::new(cfg).unwrap();
         let paths = collect_stream_paths(&mut a, 4);

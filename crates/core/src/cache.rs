@@ -33,7 +33,7 @@ use crate::error::CorrfadeError;
 /// covariance matrices any realistic workload touches (the scenario
 /// registry holds a few dozen); acts as a safety valve for workloads that
 /// sweep many matrices (property tests, parameter scans).
-pub const COLORING_CACHE_CAPACITY: usize = 128;
+pub(crate) const COLORING_CACHE_CAPACITY: usize = 128;
 
 static EIGEN_CACHE: FactorCache<MatrixKey, Coloring> = FactorCache::new(COLORING_CACHE_CAPACITY);
 

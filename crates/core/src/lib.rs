@@ -24,7 +24,7 @@
 //! Both modes (and the conventional baselines in `corrfade-baselines`)
 //! implement the zero-allocation streaming interface [`ChannelStream`],
 //! which writes blocks into caller-owned planar [`SampleBlock`] buffers —
-//! see the [`stream`] module for the streaming quick start.
+//! see [`ChannelStream`] for the streaming quick start.
 //!
 //! ## Pipeline
 //!
@@ -62,23 +62,22 @@
 
 #![warn(missing_docs)]
 
-pub mod builder;
-pub mod cache;
-pub mod coloring;
-pub mod error;
-pub mod generator;
-pub mod power;
-pub mod psd;
-pub mod realtime;
-pub mod stream;
+mod builder;
+mod cache;
+mod coloring;
+mod error;
+mod generator;
+mod power;
+mod psd;
+mod realtime;
+mod stream;
 
 pub use builder::GeneratorBuilder;
 pub use cache::{cached_eigen_coloring, clear_coloring_caches, coloring_cache_stats};
 pub use coloring::{cholesky_coloring, eigen_coloring, Coloring};
 pub use error::CorrfadeError;
 pub use generator::{CorrelatedRayleighGenerator, Sample};
-pub use power::PowerSpec;
-pub use psd::{force_positive_semidefinite, validate_covariance, PsdForcing};
+pub use psd::{force_positive_semidefinite, PsdForcing};
 pub use realtime::{Precision, RealtimeConfig, RealtimeGenerator};
 pub use stream::ChannelStream;
 
@@ -93,5 +92,4 @@ pub use corrfade_dsp as dsp;
 pub use corrfade_linalg as linalg;
 pub use corrfade_models as models;
 pub use corrfade_randn as randn;
-pub use corrfade_specfun as specfun;
 pub use corrfade_stats as stats;

@@ -16,7 +16,7 @@ use crate::error::CorrfadeError;
 
 /// How the per-envelope powers are specified.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PowerSpec {
+pub(crate) enum PowerSpec {
     /// Powers of the complex Gaussian variables, `σ_g²_j` (used directly on
     /// the diagonal of the covariance matrix).
     Gaussian(Vec<f64>),
@@ -26,18 +26,6 @@ pub enum PowerSpec {
 }
 
 impl PowerSpec {
-    /// Number of envelopes described.
-    pub fn len(&self) -> usize {
-        match self {
-            PowerSpec::Gaussian(v) | PowerSpec::Envelope(v) => v.len(),
-        }
-    }
-
-    /// `true` when no envelopes are described.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Resolves the specification into the Gaussian powers `σ_g²_j` that go
     /// on the diagonal of the covariance matrix (applying Eq. 11 where
     /// needed).
@@ -45,7 +33,7 @@ impl PowerSpec {
     /// # Errors
     /// [`CorrfadeError::NegativePower`] if any power is negative or NaN,
     /// [`CorrfadeError::EmptyCovariance`] if the list is empty.
-    pub fn gaussian_powers(&self) -> Result<Vec<f64>, CorrfadeError> {
+    pub(crate) fn gaussian_powers(&self) -> Result<Vec<f64>, CorrfadeError> {
         let raw = match self {
             PowerSpec::Gaussian(v) | PowerSpec::Envelope(v) => v,
         };
@@ -75,8 +63,6 @@ mod tests {
     fn gaussian_spec_passes_through() {
         let p = PowerSpec::Gaussian(vec![1.0, 2.0]);
         assert_eq!(p.gaussian_powers().unwrap(), vec![1.0, 2.0]);
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::error::CorrfadeError;
 /// Tolerance below which an eigenvalue is considered numerically zero when
 /// classifying the input as PSD / not PSD. Clipping itself uses the exact
 /// `max(λ, 0)` rule of the paper.
-pub const PSD_CLASSIFICATION_TOL: f64 = 1e-12;
+pub(crate) const PSD_CLASSIFICATION_TOL: f64 = 1e-12;
 
 /// Outcome of the PSD-forcing step.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ pub struct PsdForcing {
     /// How many eigenvalues were negative and got clipped.
     pub clipped_count: usize,
     /// `true` when the input was already positive semi-definite (up to
-    /// [`PSD_CLASSIFICATION_TOL`] scaled by the largest eigenvalue).
+    /// `PSD_CLASSIFICATION_TOL` (1e-12) scaled by the largest eigenvalue).
     pub was_positive_semidefinite: bool,
     /// Frobenius distance `‖K − K̄‖_F` — zero when the input was PSD.
     pub frobenius_gap: f64,
@@ -46,7 +46,7 @@ pub struct PsdForcing {
 
 /// Validates that `k` is a usable covariance matrix: square, Hermitian,
 /// non-empty, with non-negative real diagonal.
-pub fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
+pub(crate) fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
     if !k.is_square() {
         return Err(CorrfadeError::NotSquare {
             rows: k.rows(),
@@ -73,7 +73,10 @@ pub fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
 /// Performs the paper's PSD-forcing step on a Hermitian covariance matrix.
 ///
 /// # Errors
-/// * validation errors from [`validate_covariance`],
+/// * [`CorrfadeError::NotSquare`], [`CorrfadeError::EmptyCovariance`],
+///   [`CorrfadeError::NotHermitian`] or [`CorrfadeError::NegativePower`]
+///   if `k` is not square, Hermitian and non-empty with a non-negative
+///   real diagonal,
 /// * [`CorrfadeError::Linalg`] if the eigendecomposition fails (it cannot for
 ///   a Hermitian matrix, but the error path is kept honest).
 pub fn force_positive_semidefinite(k: &CMatrix) -> Result<PsdForcing, CorrfadeError> {

@@ -22,7 +22,7 @@ use core::ops::Range;
 
 use corrfade_linalg::kernel::{self, Backend};
 use corrfade_linalg::{c64, Complex64};
-use corrfade_randn::normal::{polar_normals, polar_points_into};
+use corrfade_randn::{polar_normals, polar_points_into};
 use corrfade_specfun::bessel_j0;
 use rand::Rng;
 
@@ -215,46 +215,32 @@ impl IdftRayleighGenerator {
     }
 
     /// Generates one fading sequence `u[l]`, `l = 0 … M−1`:
-    /// `u = IDFT{ F[k]·(A[k] − i·B[k]) }`.
+    /// `u = IDFT{ F[k]·(A[k] − i·B[k]) }` — the Young–Beaulieu generator of
+    /// ref. \[7\]: the spectrum of
+    /// [`IdftRayleighGenerator::fill_spectrum_into`], transformed in place.
     ///
     /// The envelope `|u[l]|` is Rayleigh distributed and the sequence has the
     /// autocorrelation of Eq. (16).
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<Complex64> {
         let mut out = vec![Complex64::ZERO; self.filter.len()];
-        self.generate_into(rng, &mut out);
+        self.fill_spectrum_into(rng, &mut out);
+        ifft_in_place(&mut out);
         out
-    }
-
-    /// Generates one fading sequence directly into a caller-owned buffer:
-    /// the Doppler-weighted spectrum is written into `out` and transformed
-    /// in place, so for power-of-two `M` the call performs **no
-    /// steady-state heap allocation** (on the vector kernel backend the
-    /// first transform of a given `M` builds the shared Stockham plan, and
-    /// the first on a thread grows its second buffer — see
-    /// [`crate::fft::ifft_in_place`]). Numerically (and RNG-stream)
-    /// identical to [`IdftRayleighGenerator::generate`], and bit-identical
-    /// across releases under `CORRFADE_KERNEL=scalar`.
-    ///
-    /// # Panics
-    /// Panics if `out.len()` differs from the filter length `M`.
-    pub fn generate_into<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [Complex64]) {
-        self.fill_spectrum_into(rng, out);
-        ifft_in_place(out);
     }
 
     /// Writes the Doppler-weighted spectrum `F[k]·(A[k] − i·B[k])` into
     /// `out` **without** transforming it — the first half of
-    /// [`IdftRayleighGenerator::generate_into`], split out so the realtime
+    /// [`IdftRayleighGenerator::generate`], split out so the realtime
     /// path can transform and color `N` stacked spectra in one call
     /// ([`color_idft_block`], which on the vector backend colors only the
     /// bins this leaves nonzero, before the transform).
     /// Consumes exactly the same RNG draws in the same order as
-    /// `generate_into`.
+    /// `generate`.
     ///
     /// Each bin takes one accepted Marsaglia-polar point `x + i·y`
-    /// ([`corrfade_randn::normal::polar_points_into`] draws them all
+    /// ([`corrfade_randn::polar_points_into`] draws them all
     /// first, into `out`). With `(x·g, y·g)` from
-    /// [`corrfade_randn::normal::polar_normals`],
+    /// [`corrfade_randn::polar_normals`],
     /// `A[k] = 0 + σ_orig·(x·g)` and `B[k] = 0 + σ_orig·(y·g)`: the
     /// arithmetic of two `NormalSampler::sample_with(rng, 0, σ_orig)` calls
     /// on a sampler whose pair cache starts empty. A bin with `F[k] = 0`
@@ -270,7 +256,7 @@ impl IdftRayleighGenerator {
         assert_eq!(
             out.len(),
             m,
-            "generate_into: buffer length {} does not match IDFT size {m}",
+            "fill_spectrum_into: buffer length {} does not match IDFT size {m}",
             out.len()
         );
         // One accepted polar point per bin, in bin order, then the
@@ -322,7 +308,7 @@ impl IdftRayleighGenerator {
 /// The coloring acts on each time instant and the IDFT along each row, so
 /// `A·IDFT(u) = IDFT(A·u)`, and the two backends use the two orders:
 ///
-/// * scalar: [`ifft_in_place`] per row, then [`kernel::color_block_with`]
+/// * scalar: `ifft_in_place` per row, then [`kernel::color_block_with`]
 ///   over all `m` samples — the bit-exact reference;
 /// * vector: one pass over the rows finds the `K` bins that are nonzero in
 ///   some row, `color_block_with` colors those `K` columns only (gathered
@@ -686,14 +672,14 @@ mod tests {
     }
 
     #[test]
-    fn generate_into_is_bit_identical_to_generate() {
+    fn generate_is_the_idft_of_fill_spectrum_into() {
         for m in [1024usize, 1000] {
             let f = DopplerFilter::new(m, 0.05).unwrap();
             let gen = IdftRayleighGenerator::new(f, 0.5).unwrap();
             let a = gen.generate(&mut RandomStream::new(11));
-            let mut b = vec![Complex64::ZERO; m];
-            gen.generate_into(&mut RandomStream::new(11), &mut b);
-            assert_eq!(a, b, "m = {m}");
+            let mut spectrum = vec![Complex64::ZERO; m];
+            gen.fill_spectrum_into(&mut RandomStream::new(11), &mut spectrum);
+            assert_eq!(a, ifft(&spectrum), "m = {m}");
         }
     }
 
@@ -802,11 +788,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "does not match IDFT size")]
-    fn generate_into_checks_buffer_length() {
+    fn fill_spectrum_into_checks_buffer_length() {
         let f = DopplerFilter::new(1024, 0.05).unwrap();
         let gen = IdftRayleighGenerator::new(f, 0.5).unwrap();
         let mut short = vec![Complex64::ZERO; 512];
-        gen.generate_into(&mut RandomStream::new(1), &mut short);
+        gen.fill_spectrum_into(&mut RandomStream::new(1), &mut short);
     }
 
     #[test]

@@ -688,13 +688,13 @@ pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
 /// power-of-two path, by the `alloc_regression` suite. The fallback is
 /// numerically identical to [`ifft`] and covered by
 /// `ifft_in_place_matches_ifft` and the `bluestein_fallback_*` tests.
-pub fn ifft_in_place(data: &mut [Complex64]) {
+pub(crate) fn ifft_in_place(data: &mut [Complex64]) {
     ifft_in_place_with(backend(), data);
 }
 
-/// [`ifft_in_place`] on an explicit kernel backend — the entry point the
+/// In-place inverse DFT on an explicit kernel backend — the entry point the
 /// scalar-vs-vector equivalence tests and the `kernel_dispatch` benchmark
-/// drive. Same allocation behavior as [`ifft_in_place`].
+/// drive; the library calls it with the process-wide backend.
 pub fn ifft_in_place_with(b: Backend, data: &mut [Complex64]) {
     let n = data.len();
     if n == 0 {

@@ -4,7 +4,8 @@
 //! lengths, in both directions, and both agree with the naive DFT.
 
 use corrfade_dsp::{dft_naive, fft, ifft_in_place_with, DopplerFilter, IdftRayleighGenerator};
-use corrfade_linalg::{c64, Backend, Complex64};
+use corrfade_linalg::kernel::Backend;
+use corrfade_linalg::{c64, Complex64};
 use proptest::prelude::*;
 
 fn cvec(len: usize) -> impl Strategy<Value = Vec<Complex64>> {

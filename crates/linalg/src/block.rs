@@ -25,8 +25,8 @@ use crate::matrix::CMatrix;
 /// computed envelope view.
 ///
 /// The complex data is envelope-major: [`SampleBlock::path`]`(j)` is the
-/// contiguous time series of envelope `j`. See the [module
-/// docs](self) for the layout rationale.
+/// contiguous time series of envelope `j`, sample `l` of it at index
+/// `j·M + l` of [`SampleBlock::as_slice`].
 #[derive(Debug, Clone, Default)]
 pub struct SampleBlock {
     envelopes: usize,
@@ -270,7 +270,7 @@ impl SampleBlock {
 
 /// Bytes one complex sample occupies in the [`SampleBlock::encode_le_into`]
 /// wire encoding: two little-endian IEEE-754 `f64` words.
-pub const WIRE_BYTES_PER_SAMPLE: usize = 16;
+pub(crate) const WIRE_BYTES_PER_SAMPLE: usize = 16;
 
 /// Typed rejection of a wire payload whose length does not match the block
 /// shape it claims — returned by [`SampleBlock::decode_le_from`] so

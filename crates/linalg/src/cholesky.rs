@@ -26,7 +26,7 @@ use crate::matrix::CMatrix;
 /// * [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive (the
 ///   matrix is indefinite, semi-definite, or round-off pushed a tiny
 ///   eigenvalue below zero).
-pub fn cholesky_with_tol(a: &CMatrix, pivot_tol: f64) -> Result<CMatrix, LinalgError> {
+pub(crate) fn cholesky_with_tol(a: &CMatrix, pivot_tol: f64) -> Result<CMatrix, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
             rows: a.rows(),
@@ -74,7 +74,7 @@ pub fn cholesky_with_tol(a: &CMatrix, pivot_tol: f64) -> Result<CMatrix, LinalgE
 }
 
 /// Cholesky factorization with a zero pivot tolerance (any strictly positive
-/// pivot is accepted). See [`cholesky_with_tol`].
+/// pivot is accepted).
 pub fn cholesky(a: &CMatrix) -> Result<CMatrix, LinalgError> {
     cholesky_with_tol(a, 0.0)
 }

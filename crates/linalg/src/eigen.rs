@@ -40,12 +40,12 @@ use crate::matrix::CMatrix;
 /// decomposing it. The covariance builders in `corrfade-models` produce
 /// matrices that are Hermitian to machine precision; anything larger than
 /// this usually indicates a bug in the caller.
-pub const DEFAULT_HERMITIAN_TOL: f64 = 1e-9;
+pub(crate) const DEFAULT_HERMITIAN_TOL: f64 = 1e-9;
 
 /// Maximum number of Jacobi sweeps before reporting a convergence failure.
 /// Jacobi converges quadratically once the off-diagonal mass is small; 64
 /// sweeps is far beyond what any `N ≤ 1024` Hermitian matrix needs.
-pub const MAX_SWEEPS: usize = 64;
+pub(crate) const MAX_SWEEPS: usize = 64;
 
 /// Eigendecomposition `A = V · diag(λ) · Vᴴ` of a Hermitian matrix.
 #[derive(Debug, Clone)]
@@ -162,9 +162,9 @@ fn off_diagonal_norm_sqr_col_major(w: &[Complex64], n: usize) -> f64 {
 /// # Errors
 /// * [`LinalgError::NotSquare`] if the matrix is not square.
 /// * [`LinalgError::NotHermitian`] if `‖A − Aᴴ‖_max` exceeds
-///   [`DEFAULT_HERMITIAN_TOL`] (scaled by the matrix magnitude).
+///   `DEFAULT_HERMITIAN_TOL` (1e-9, scaled by the matrix magnitude).
 /// * [`LinalgError::ConvergenceFailure`] if the off-diagonal mass does not
-///   reach machine precision within [`MAX_SWEEPS`] sweeps (not observed in
+///   reach machine precision within `MAX_SWEEPS` (64) sweeps (not observed in
 ///   practice for Hermitian inputs).
 pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     if !a.is_square() {

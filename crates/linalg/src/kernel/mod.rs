@@ -103,7 +103,7 @@ pub fn vector_uses_fma() -> bool {
 ///
 /// # Errors
 /// A human-readable diagnostic for any unrecognized value.
-pub fn parse_backend(value: Option<&str>) -> Result<Backend, String> {
+pub(crate) fn parse_backend(value: Option<&str>) -> Result<Backend, String> {
     let Some(raw) = value else {
         return Ok(Backend::Vector);
     };
@@ -122,8 +122,8 @@ pub fn parse_backend(value: Option<&str>) -> Result<Backend, String> {
 /// The process-wide backend, latched from `CORRFADE_KERNEL` on first call.
 ///
 /// # Panics
-/// Panics if `CORRFADE_KERNEL` is set to an unrecognized value (see
-/// [`parse_backend`]) — a typo silently falling back would make
+/// Panics if `CORRFADE_KERNEL` is set to a value other than `scalar` or
+/// `vector` — a typo silently falling back would make
 /// determinism hunts miserable.
 pub fn backend() -> Backend {
     static BACKEND: OnceLock<Backend> = OnceLock::new();
@@ -149,7 +149,7 @@ pub fn backend() -> Backend {
 ///
 /// # Panics
 /// Panics if the three slices have different lengths.
-pub fn deinterleave_into(src: &[Complex64], re: &mut [f64], im: &mut [f64]) {
+pub(crate) fn deinterleave_into(src: &[Complex64], re: &mut [f64], im: &mut [f64]) {
     assert!(
         src.len() == re.len() && src.len() == im.len(),
         "deinterleave_into: length mismatch ({} vs {}/{})",

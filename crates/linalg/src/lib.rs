@@ -25,23 +25,22 @@
 
 #![warn(missing_docs)]
 
-pub mod block;
-pub mod cache;
-pub mod cholesky;
-pub mod complex;
-pub mod eigen;
-pub mod error;
+mod block;
+mod cache;
+mod cholesky;
+mod complex;
+mod eigen;
+mod error;
 pub mod kernel;
-pub mod matrix;
-pub mod vector;
+mod matrix;
+mod vector;
 
-pub use block::{BlockWireError, SampleBlock, WIRE_BYTES_PER_SAMPLE};
+pub use block::{BlockWireError, SampleBlock};
 pub use cache::{CacheStats, FactorCache, MatrixKey};
-pub use cholesky::{cholesky, cholesky_with_tol, is_positive_definite};
+pub use cholesky::{cholesky, is_positive_definite};
 pub use complex::{c64, Complex64};
 pub use eigen::{hermitian_eigen, HermitianEigen};
 pub use error::LinalgError;
-pub use kernel::Backend;
 pub use matrix::CMatrix;
 
 #[cfg(test)]

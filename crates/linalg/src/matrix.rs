@@ -258,7 +258,7 @@ impl CMatrix {
     /// Matrix–vector product `A·x` written into a caller-owned buffer — the
     /// allocation-free primitive behind the streaming `Z = L·W/σ_g` hot
     /// path. Dispatches through [`crate::kernel`]: the scalar backend is
-    /// the historical per-row [`vector::dot`] fold (bit-exact), the vector
+    /// the historical per-row `vector::dot` fold (bit-exact), the vector
     /// backend a multi-lane reduction within ≤ 1e-12 of it.
     ///
     /// # Panics

@@ -11,7 +11,7 @@ use crate::complex::Complex64;
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-pub fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
+pub(crate) fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
     assert_eq!(
         a.len(),
         b.len(),
@@ -24,20 +24,11 @@ pub fn dot(a: &[Complex64], b: &[Complex64]) -> Complex64 {
         .fold(Complex64::ZERO, |acc, (&x, &y)| x.mul_add(y, acc))
 }
 
-/// Real dot product `Σ aᵢ·bᵢ`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn rdot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "rdot: length mismatch");
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
-}
-
 /// Maximum absolute deviation between two complex vectors.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-pub fn max_abs_diff(a: &[Complex64], b: &[Complex64]) -> f64 {
+pub(crate) fn max_abs_diff(a: &[Complex64], b: &[Complex64]) -> f64 {
     assert_eq!(a.len(), b.len(), "max_abs_diff: length mismatch");
     a.iter()
         .zip(b.iter())
@@ -56,7 +47,6 @@ mod tests {
         let b = vec![c64(0.0, 1.0), c64(1.0, -1.0)];
         // dot = (1+i)(i) + 2(1-i) = (i - 1) + (2 - 2i) = 1 - i
         assert!(dot(&a, &b).approx_eq(c64(1.0, -1.0), 1e-12));
-        assert!((rdot(&[1.0, 2.0], &[3.0, 4.0]) - 11.0).abs() < 1e-12);
     }
 
     #[test]

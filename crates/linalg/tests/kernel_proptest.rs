@@ -7,9 +7,9 @@
 //! and degenerate 1×1 shapes.
 
 use corrfade_linalg::kernel::{
-    accumulate_covariance_with, color_block_with, envelope_into_with, matvec_into_with,
+    accumulate_covariance_with, color_block_with, envelope_into_with, matvec_into_with, Backend,
 };
-use corrfade_linalg::{c64, Backend, Complex64};
+use corrfade_linalg::{c64, Complex64};
 use proptest::prelude::*;
 
 /// Random complex vector with entries in the unit box.

@@ -105,7 +105,7 @@ impl std::error::Error for CovarianceBuildError {}
 
 /// Incremental builder of the covariance matrix **K** of Eq. (12)–(13).
 #[derive(Debug, Clone)]
-pub struct CovarianceBuilder {
+pub(crate) struct CovarianceBuilder {
     n: usize,
     matrix: CMatrix,
 }
@@ -116,7 +116,7 @@ impl CovarianceBuilder {
     ///
     /// # Errors
     /// [`CovarianceBuildError::NegativePower`] if any power is negative.
-    pub fn new(gaussian_powers: &[f64]) -> Result<Self, CovarianceBuildError> {
+    pub(crate) fn new(gaussian_powers: &[f64]) -> Result<Self, CovarianceBuildError> {
         for (i, &p) in gaussian_powers.iter().enumerate() {
             if p < 0.0 || p.is_nan() {
                 return Err(CovarianceBuildError::NegativePower { index: i, value: p });
@@ -130,17 +130,12 @@ impl CovarianceBuilder {
         Ok(Self { n, matrix })
     }
 
-    /// Number of envelopes.
-    pub fn dimension(&self) -> usize {
-        self.n
-    }
-
     /// Sets the off-diagonal pair `(k, j)` (and its Hermitian mirror) from a
     /// covariance quadruple.
     ///
     /// # Panics
     /// Panics if `k == j` or either index is out of range.
-    pub fn set_pair(&mut self, k: usize, j: usize, cov: QuadCovariance) -> &mut Self {
+    pub(crate) fn set_pair(&mut self, k: usize, j: usize, cov: QuadCovariance) -> &mut Self {
         assert!(
             k != j,
             "set_pair: use the constructor powers for the diagonal"
@@ -157,7 +152,7 @@ impl CovarianceBuilder {
     ///
     /// # Panics
     /// Panics if `k == j` or either index is out of range.
-    pub fn set_complex_pair(&mut self, k: usize, j: usize, mu: Complex64) -> &mut Self {
+    pub(crate) fn set_complex_pair(&mut self, k: usize, j: usize, mu: Complex64) -> &mut Self {
         assert!(
             k != j,
             "set_complex_pair: use the constructor powers for the diagonal"
@@ -173,7 +168,10 @@ impl CovarianceBuilder {
 
     /// Fills every off-diagonal pair from a closure producing the covariance
     /// quadruple for `(k, j)` with `k < j`.
-    pub fn fill_pairs(&mut self, mut f: impl FnMut(usize, usize) -> QuadCovariance) -> &mut Self {
+    pub(crate) fn fill_pairs(
+        &mut self,
+        mut f: impl FnMut(usize, usize) -> QuadCovariance,
+    ) -> &mut Self {
         for k in 0..self.n {
             for j in (k + 1)..self.n {
                 self.set_pair(k, j, f(k, j));
@@ -183,14 +181,14 @@ impl CovarianceBuilder {
     }
 
     /// Finishes the build and returns the Hermitian covariance matrix.
-    pub fn build(&self) -> CMatrix {
+    pub(crate) fn build(&self) -> CMatrix {
         self.matrix.clone()
     }
 }
 
 /// Convenience: builds the covariance matrix for equal-power envelopes from a
 /// closure giving the covariance quadruple of each pair `k < j`.
-pub fn covariance_matrix_equal_power(
+pub(crate) fn covariance_matrix_equal_power(
     n: usize,
     sigma_g_sq: f64,
     f: impl FnMut(usize, usize) -> QuadCovariance,
@@ -223,11 +221,11 @@ mod tests {
     fn builder_produces_hermitian_matrix_with_powers_on_diagonal() {
         let powers = [1.0, 2.0, 0.5];
         let mut b = CovarianceBuilder::new(&powers).unwrap();
-        assert_eq!(b.dimension(), 3);
         b.set_pair(0, 1, QuadCovariance::symmetric(0.3, 0.1));
         b.set_complex_pair(0, 2, c64(0.2, -0.4));
         b.set_pair(1, 2, QuadCovariance::new(0.05, 0.1, 0.0, 0.02));
         let k = b.build();
+        assert_eq!(k.rows(), 3);
         assert!(k.is_hermitian(1e-14));
         for (i, &p) in powers.iter().enumerate() {
             assert!(k[(i, i)].approx_eq(c64(p, 0.0), 1e-15));

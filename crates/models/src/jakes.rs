@@ -21,11 +21,11 @@ use crate::covariance::{covariance_matrix_equal_power, CovarianceBuildError, Qua
 
 /// Speed of light in m/s, used to derive the maximum Doppler frequency from
 /// carrier frequency and mobile speed.
-pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
+pub(crate) const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 
 /// Maximum Doppler frequency `F_m = v·f_c/c` for a mobile speed `v` (m/s) and
 /// carrier frequency `f_c` (Hz).
-pub fn max_doppler_frequency(mobile_speed_mps: f64, carrier_freq_hz: f64) -> f64 {
+pub(crate) fn max_doppler_frequency(mobile_speed_mps: f64, carrier_freq_hz: f64) -> f64 {
     assert!(
         mobile_speed_mps >= 0.0 && carrier_freq_hz > 0.0,
         "invalid Doppler parameters"

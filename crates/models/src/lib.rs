@@ -4,14 +4,16 @@
 //! `corrfade` workspace — the "step 1 to step 3" part of the paper's
 //! algorithm:
 //!
-//! * [`jakes`] — spectral/temporal correlation as a function of frequency
-//!   separation and arrival delay (paper Eq. 3–4; OFDM scenario, Eq. 22),
-//! * [`salz_winters`] — spatial correlation across a uniform linear antenna
-//!   array (paper Eq. 5–7; MIMO scenario, Eq. 23),
-//! * [`covariance`] — the covariance quadruple of Eq. (1)–(2) and the
-//!   assembly of the complex covariance matrix **K** of Eq. (12)–(13),
-//! * [`params`] — physical channel parameters (carrier, speed, sampling
-//!   rate) and the derived normalized Doppler quantities,
+//! * [`JakesSpectralModel`] — spectral/temporal correlation as a function of
+//!   frequency separation and arrival delay (paper Eq. 3–4; OFDM scenario,
+//!   Eq. 22),
+//! * [`SalzWintersSpatialModel`] — spatial correlation across a uniform
+//!   linear antenna array (paper Eq. 5–7; MIMO scenario, Eq. 23),
+//! * [`QuadCovariance`] — the covariance quadruple of Eq. (1)–(2), from
+//!   which the models assemble the complex covariance matrix **K** of
+//!   Eq. (12)–(13),
+//! * [`ChannelParams`] — physical channel parameters (carrier, speed,
+//!   sampling rate) and the derived normalized Doppler quantities,
 //! * [`wsn`] — network-scale spatial-field helpers: node layouts, link
 //!   extraction by connectivity radius, exponential-decay link correlation,
 //!   log-distance path loss and the assembled link-field covariance the
@@ -26,24 +28,18 @@
 
 #![warn(missing_docs)]
 
-pub mod covariance;
-pub mod jakes;
-pub mod params;
-pub mod salz_winters;
+mod covariance;
+mod jakes;
+mod params;
+mod salz_winters;
 pub mod wsn;
 
-pub use covariance::{
-    covariance_matrix_equal_power, CovarianceBuildError, CovarianceBuilder, QuadCovariance,
-};
+pub use covariance::{CovarianceBuildError, QuadCovariance};
 pub use jakes::{
-    max_doppler_frequency, pairwise_delays_from_arrival_times, paper_covariance_matrix_22,
-    paper_spectral_scenario, JakesSpectralModel, SPEED_OF_LIGHT,
+    pairwise_delays_from_arrival_times, paper_covariance_matrix_22, paper_spectral_scenario,
+    JakesSpectralModel,
 };
 pub use params::ChannelParams;
 pub use salz_winters::{
     paper_covariance_matrix_23, paper_spatial_scenario, SalzWintersSpatialModel,
-};
-pub use wsn::{
-    grid_positions, link_field_covariance, links_within_radius, LinkCorrelationModel,
-    LogDistancePathLoss,
 };

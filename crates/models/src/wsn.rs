@@ -14,7 +14,7 @@
 //! * [`LogDistancePathLoss`] — log-distance path loss mapping link length
 //!   to a per-link mean SNR (the per-envelope Gaussian power),
 //! * [`link_field_covariance`] — the assembled Hermitian covariance **K**
-//!   over a set of links, built through [`crate::CovarianceBuilder`]
+//!   over a set of links, built through the crate's covariance builder
 //!   (paper Eq. 12–13) with the path-loss powers on the diagonal.
 //!
 //! All functions are pure and iterate in a fixed order, so the produced

@@ -1,7 +1,7 @@
 //! Typed errors of the network layer.
 
 use corrfade::CorrfadeError;
-use corrfade_models::covariance::CovarianceBuildError;
+use corrfade_models::CovarianceBuildError;
 use corrfade_parallel::ParallelError;
 
 /// Errors produced while building or driving a network simulation.

@@ -32,10 +32,10 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod groups;
-pub mod sim;
-pub mod topology;
+mod error;
+mod groups;
+mod sim;
+mod topology;
 
 pub use error::NetworkError;
 pub use groups::{partition_links, CorrelationGroups};

@@ -25,7 +25,7 @@ use corrfade_linalg::CMatrix;
 use corrfade_models::wsn::{link_field_covariance, LinkCorrelationModel, LogDistancePathLoss};
 use corrfade_parallel::{Runtime, StreamFleet};
 use corrfade_scenarios::DopplerSettings;
-use corrfade_stats::fading_metrics::fade_counts;
+use corrfade_stats::fade_counts;
 
 use crate::error::NetworkError;
 use crate::groups::{partition_links, CorrelationGroups};

@@ -8,7 +8,7 @@ use corrfade_network::{NetworkSimConfig, Topology};
 use corrfade_scenarios::DopplerSettings;
 
 /// The topology and config of the `wsn-epoch` network.
-pub fn network() -> (Topology, NetworkSimConfig) {
+pub(crate) fn network() -> (Topology, NetworkSimConfig) {
     let config = NetworkSimConfig {
         correlation: LinkCorrelationModel::distance_only(0.4),
         correlation_threshold: 0.1,
@@ -25,7 +25,7 @@ pub fn network() -> (Topology, NetworkSimConfig) {
 
 /// Its group covariances in group order: the matrices `NetworkSim::open`
 /// decomposes.
-pub fn group_covariances() -> Vec<CMatrix> {
+pub(crate) fn group_covariances() -> Vec<CMatrix> {
     let (topology, config) = network();
     config
         .link_groups(&topology)

@@ -59,9 +59,8 @@ impl Default for ParallelConfig {
 
 impl ParallelConfig {
     /// The chunk size actually used to partition `total` samples:
-    /// [`Self::chunk_size`] bounded by the load-balancing heuristic
-    /// ([`balanced_chunk_size`]), which targets [`crate::TARGET_CHUNKS`]
-    /// chunks so the pool self-schedules evenly instead of degenerating to
+    /// [`Self::chunk_size`] bounded by a load-balancing heuristic that
+    /// targets 64 chunks so the pool self-schedules evenly instead of degenerating to
     /// one oversized chunk per thread.
     ///
     /// Depends only on `(total, chunk_size)` — never on the pool size — so

@@ -86,7 +86,7 @@ impl FleetSlot {
 }
 
 /// A batch of named real-time channel streams generated together on the
-/// persistent worker pool. See the [module docs](self).
+/// persistent worker pool.
 ///
 /// # Examples
 ///

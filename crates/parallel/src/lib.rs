@@ -3,7 +3,7 @@
 //! Multi-threaded Monte-Carlo engine and multi-stream batch runtime for the
 //! `corrfade` generators, built on a persistent worker pool:
 //!
-//! * [`runtime::Runtime`] — a pool of long-lived workers created once and
+//! * [`Runtime`] — a pool of long-lived workers created once and
 //!   reused across calls, with one entry point:
 //!   [`Runtime::try_for_each`]`(count, &|i| …)` runs every index of
 //!   `0..count` once, executors claiming indices from the pool's one atomic
@@ -12,11 +12,11 @@
 //!   and the caller never idles at the completion barrier;
 //!   [`Runtime::global()`] is the process-wide instance behind the free
 //!   functions,
-//! * [`engine::monte_carlo_covariance`] — streaming estimation of
+//! * [`monte_carlo_covariance`] — streaming estimation of
 //!   `E[Z·Zᴴ]` without materializing the ensemble, one item per chunk
 //!   (bit-identical for any pool size thanks to per-chunk accumulators
 //!   merged in chunk order),
-//! * [`fleet::StreamFleet`] — the multi-stream batch engine: open many
+//! * [`StreamFleet`] — the multi-stream batch engine: open many
 //!   named scenarios from `corrfade-scenarios`, or generator
 //!   configurations, at once and generate blocks (real-time Doppler blocks
 //!   included) for all of them concurrently on the pool. Open resolves
@@ -41,20 +41,18 @@
 //! fleet's and engine's fallible calls) while the pool itself survives for
 //! subsequent submits — no poisoned-mutex cascade. Malformed
 //! `CORRFADE_POOL_THREADS` values are rejected with a clear diagnostic
-//! ([`runtime::parse_pool_threads`]) instead of being silently ignored.
+//! instead of being silently ignored.
 
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod error;
-pub mod fleet;
-pub mod partition;
-pub mod runtime;
+mod engine;
+mod error;
+mod fleet;
+mod partition;
+mod runtime;
 
 pub use engine::{monte_carlo_covariance, monte_carlo_covariance_on, ParallelConfig};
 pub use error::ParallelError;
 pub use fleet::{stream_seed, StreamFleet};
-pub use partition::{
-    balanced_chunk_size, chunk_seed, partition, Chunk, MIN_CHUNK_SAMPLES, TARGET_CHUNKS,
-};
-pub use runtime::{parse_pool_threads, Runtime};
+pub use partition::{chunk_seed, MIN_CHUNK_SAMPLES};
+pub use runtime::Runtime;

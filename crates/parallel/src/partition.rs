@@ -7,7 +7,7 @@
 
 /// Description of one chunk of work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     /// Index of the chunk (also the RNG sub-stream identifier).
     pub index: usize,
     /// Offset of the chunk's first sample in the overall ensemble.
@@ -20,7 +20,7 @@ pub struct Chunk {
 ///
 /// # Panics
 /// Panics if `chunk_size` is zero.
-pub fn partition(total: usize, chunk_size: usize) -> Vec<Chunk> {
+pub(crate) fn partition(total: usize, chunk_size: usize) -> Vec<Chunk> {
     assert!(chunk_size > 0, "chunk_size must be positive");
     let mut chunks = Vec::with_capacity(total.div_ceil(chunk_size));
     let mut start = 0usize;
@@ -45,11 +45,11 @@ pub fn partition(total: usize, chunk_size: usize) -> Vec<Chunk> {
 /// sample, so deriving it from the thread count would silently break the
 /// thread-count-invariance guarantee, and deriving it from
 /// `available_parallelism` would make ensembles machine-dependent.
-pub const TARGET_CHUNKS: usize = 64;
+pub(crate) const TARGET_CHUNKS: usize = 64;
 
 /// Minimum samples per chunk: below this the per-chunk setup (cloning the
 /// coloring, seeding a generator) outweighs the generation work, so small
-/// totals are not shredded into confetti just to reach [`TARGET_CHUNKS`].
+/// totals are not shredded into confetti just to reach `TARGET_CHUNKS` (64).
 pub const MIN_CHUNK_SAMPLES: usize = 64;
 
 /// The load-balancing chunk-size heuristic: treats `max_chunk_size` (the
@@ -64,7 +64,7 @@ pub const MIN_CHUNK_SAMPLES: usize = 64;
 /// # Panics
 /// Panics if `max_chunk_size` is zero.
 #[must_use]
-pub fn balanced_chunk_size(total: usize, max_chunk_size: usize) -> usize {
+pub(crate) fn balanced_chunk_size(total: usize, max_chunk_size: usize) -> usize {
     assert!(max_chunk_size > 0, "chunk_size must be positive");
     total
         .div_ceil(TARGET_CHUNKS)

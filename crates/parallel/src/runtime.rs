@@ -89,8 +89,8 @@ fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A persistent pool of worker threads running indexed items, with the
 /// submitting thread participating as an executor.
 ///
-/// See the [module docs](self) for the design; see [`Runtime::global`] for
-/// the process-wide instance behind the free-function API.
+/// See [`Runtime::global`] for the process-wide instance behind the
+/// free-function API.
 pub struct Runtime {
     shared: Arc<Shared>,
     workers: usize,
@@ -117,7 +117,7 @@ impl std::fmt::Debug for Runtime {
 ///
 /// # Errors
 /// A human-readable diagnostic for any malformed value.
-pub fn parse_pool_threads(value: Option<&str>) -> Result<usize, String> {
+pub(crate) fn parse_pool_threads(value: Option<&str>) -> Result<usize, String> {
     let Some(raw) = value else {
         return Ok(0);
     };
@@ -178,7 +178,7 @@ impl Runtime {
     /// stream fleet. Created on first use — race-safe under concurrent
     /// first callers — with one executor per available core, overridable
     /// via the `CORRFADE_POOL_THREADS` environment variable (`0` or unset
-    /// means "all cores"; see [`parse_pool_threads`]).
+    /// means "all cores").
     ///
     /// The global pool lives for the remainder of the process; its workers
     /// spend idle time parked on a condvar.

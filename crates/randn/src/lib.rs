@@ -15,10 +15,10 @@
 
 #![warn(missing_docs)]
 
-pub mod complex_gaussian;
-pub mod normal;
-pub mod streams;
+mod complex_gaussian;
+mod normal;
+mod streams;
 
 pub use complex_gaussian::ComplexGaussian;
-pub use normal::NormalSampler;
+pub use normal::{polar_normals, polar_points_into, NormalSampler};
 pub use streams::RandomStream;

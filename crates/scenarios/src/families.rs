@@ -16,7 +16,7 @@ use corrfade_linalg::{c64, CMatrix};
 /// An exponentially-decaying equal-power correlation matrix
 /// `K_{kj} = ρ^{|k−j|}` — always positive definite; used for scaling
 /// benchmarks at arbitrary `N`.
-pub fn exponential_correlation(n: usize, rho: f64) -> CMatrix {
+pub(crate) fn exponential_correlation(n: usize, rho: f64) -> CMatrix {
     assert!((0.0..1.0).contains(&rho), "rho must lie in [0, 1)");
     CMatrix::from_fn(n, n, |i, j| c64(rho.powi((i as i32 - j as i32).abs()), 0.0))
 }
@@ -24,7 +24,7 @@ pub fn exponential_correlation(n: usize, rho: f64) -> CMatrix {
 /// A complex-valued Hermitian positive-definite covariance with phase ramp
 /// `K_{kj} = ρ^{|k−j|}·e^{iθ(k−j)}` — exercises the complex-covariance path
 /// that ref. \[5\] cannot represent.
-pub fn complex_exponential_correlation(n: usize, rho: f64, theta: f64) -> CMatrix {
+pub(crate) fn complex_exponential_correlation(n: usize, rho: f64, theta: f64) -> CMatrix {
     assert!((0.0..1.0).contains(&rho), "rho must lie in [0, 1)");
     CMatrix::from_fn(n, n, |i, j| {
         let d = i as i32 - j as i32;
@@ -37,7 +37,7 @@ pub fn complex_exponential_correlation(n: usize, rho: f64, theta: f64) -> CMatri
 /// pair is overwritten with an inconsistent sign. Used to exercise the
 /// PSD-forcing path. The returned matrix is Hermitian but has at least
 /// one negative eigenvalue for `n ≥ 3` and `rho ≥ 0.6`.
-pub fn indefinite_correlation(n: usize, rho: f64) -> CMatrix {
+pub(crate) fn indefinite_correlation(n: usize, rho: f64) -> CMatrix {
     assert!(
         n >= 3,
         "need at least 3 envelopes to build an indefinite example"
@@ -54,7 +54,7 @@ pub fn indefinite_correlation(n: usize, rho: f64) -> CMatrix {
 /// correlation `1 − eps` between all envelopes. For small `eps` the smallest
 /// eigenvalue is ≈ `eps`, which is where MATLAB-style Cholesky round-off
 /// failures live.
-pub fn near_singular_correlation(n: usize, eps: f64) -> CMatrix {
+pub(crate) fn near_singular_correlation(n: usize, eps: f64) -> CMatrix {
     assert!(eps > 0.0 && eps < 1.0, "eps must lie in (0, 1)");
     CMatrix::from_fn(n, n, |i, j| {
         if i == j {
@@ -67,7 +67,7 @@ pub fn near_singular_correlation(n: usize, eps: f64) -> CMatrix {
 
 /// Unequal-power variant of [`exponential_correlation`]: powers follow a
 /// geometric profile `p_j = base^j`.
-pub fn unequal_power_exponential(n: usize, rho: f64, base: f64) -> CMatrix {
+pub(crate) fn unequal_power_exponential(n: usize, rho: f64, base: f64) -> CMatrix {
     let corr = exponential_correlation(n, rho);
     let powers: Vec<f64> = (0..n).map(|j| base.powi(j as i32)).collect();
     CMatrix::from_fn(n, n, |i, j| {
@@ -79,7 +79,7 @@ pub fn unequal_power_exponential(n: usize, rho: f64, base: f64) -> CMatrix {
 /// `sigma_sq` and complex correlation coefficient `rho` — the restricted
 /// setting of the paper's two-envelope references, used by the
 /// `two-envelope-complex` registry entry.
-pub fn two_envelope_complex(sigma_sq: f64, rho_re: f64, rho_im: f64) -> CMatrix {
+pub(crate) fn two_envelope_complex(sigma_sq: f64, rho_re: f64, rho_im: f64) -> CMatrix {
     assert!(sigma_sq > 0.0, "power must be strictly positive");
     let rho = c64(rho_re, rho_im);
     CMatrix::from_rows(&[

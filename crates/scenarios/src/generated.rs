@@ -114,7 +114,7 @@ fn build_grid16_link(name: &'static str, link: usize) -> Scenario {
 /// Returns `None` for names outside the bounded `network/` grammar.
 /// [`crate::lookup`] falls back to this automatically; it is public so
 /// tooling can distinguish "generated" from "catalogued" names.
-pub fn resolve(name: &str) -> Option<&'static Scenario> {
+pub(crate) fn resolve(name: &str) -> Option<&'static Scenario> {
     if !name.starts_with("network/") {
         return None;
     }

@@ -88,19 +88,20 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod families;
-pub mod generated;
-pub mod registry;
-pub mod scenario;
+mod error;
+mod families;
+mod generated;
+mod registry;
+mod scenario;
 
 pub use error::ScenarioError;
-pub use registry::{iter, lookup, names, suggest, PAPER_CHANNEL, REGISTRY};
+pub use registry::{iter, lookup, names, REGISTRY};
 pub use scenario::{CovarianceSpec, DopplerSettings, PowerProfile, Provenance, Scenario};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::PAPER_CHANNEL;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 
     /// The satellite acceptance test: every registered scenario bridges into

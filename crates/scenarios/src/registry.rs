@@ -16,7 +16,7 @@ use crate::scenario::{CovarianceSpec, DopplerSettings, PowerProfile, Provenance,
 /// The physical channel of the paper's Sec. 6 experiments: GSM 900
 /// (900 MHz), 60 km/h, `F_s` = 1 kHz, `σ_τ` = 1 µs — giving `F_m ≈ 50 Hz`
 /// and `f_m ≈ 0.05`.
-pub const PAPER_CHANNEL: ChannelParams = ChannelParams {
+pub(crate) const PAPER_CHANNEL: ChannelParams = ChannelParams {
     carrier_freq_hz: 900e6,
     mobile_speed_mps: 60.0 / 3.6,
     sampling_freq_hz: 1e3,
@@ -120,7 +120,7 @@ pub static REGISTRY: &[Scenario] = &[
     Scenario {
         name: "mimo-offbroadside",
         title: "Off-broadside ULA (Phi = 45 degrees) — complex covariance",
-        provenance: Provenance::Extended("mimo_spatial example; covariance_build bench"),
+        provenance: Provenance::Extended("mimo_spatial example"),
         description: "Scatter arriving 45 degrees off broadside makes the spatial covariance \
                       genuinely complex — the general case the paper's algorithm supports and \
                       several conventional methods (refs [4]/[5]) do not.",
@@ -326,8 +326,8 @@ pub fn names() -> Vec<&'static str> {
 }
 
 /// Looks a scenario up by its registry name. Names in the `network/`
-/// namespace resolve through the generated families of [`crate::generated`]
-/// (built, leaked and cached on first use) instead of the static catalog.
+/// namespace resolve through the generated network families (built,
+/// leaked and cached on first use) instead of the static catalog.
 ///
 /// # Errors
 /// Returns [`ScenarioError::UnknownScenario`] — including a closest-name
@@ -354,22 +354,7 @@ pub fn lookup(name: &str) -> Result<&'static Scenario, ScenarioError> {
 
 /// The registered name sharing the longest prefix with `name` (at least
 /// four characters), if any — the "did you mean" suggestion attached to
-/// [`ScenarioError::UnknownScenario`], exported so remote-facing layers
-/// (the `corrfade-serve` wire protocol) can embed the same suggestion in
-/// their own typed error frames.
-///
-/// ```
-/// assert_eq!(
-///     corrfade_scenarios::suggest("fig4a-spektral"),
-///     Some("fig4a-spectral")
-/// );
-/// assert_eq!(corrfade_scenarios::suggest("zzz"), None);
-/// ```
-#[must_use]
-pub fn suggest(name: &str) -> Option<&'static str> {
-    closest_name(name)
-}
-
+/// [`ScenarioError::UnknownScenario`].
 fn closest_name(name: &str) -> Option<&'static str> {
     REGISTRY
         .iter()

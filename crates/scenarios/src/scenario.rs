@@ -66,7 +66,7 @@ pub enum PowerProfile {
 ///
 /// Physical families (`Spectral`, `Spatial`) go through the corresponding
 /// correlation model in `corrfade-models`; synthetic families go through the
-/// generators in [`crate::families`]; `Explicit` carries the matrix entries
+/// crate's closed-form family generators; `Explicit` carries the matrix entries
 /// verbatim (row-major `(re, im)` pairs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CovarianceSpec {
@@ -97,43 +97,37 @@ pub enum CovarianceSpec {
         /// Angular spread `Δ` of the arriving scatter in radians.
         angular_spread_rad: f64,
     },
-    /// Real exponential correlation `ρ^{|k−j|}`
-    /// ([`families::exponential_correlation`]).
+    /// Real exponential correlation `ρ^{|k−j|}`.
     Exponential {
         /// Adjacent-envelope correlation coefficient in `[0, 1)`.
         rho: f64,
     },
-    /// Complex exponential correlation with a phase ramp
-    /// ([`families::complex_exponential_correlation`]).
+    /// Complex exponential correlation with a phase ramp.
     ComplexExponential {
         /// Adjacent-envelope correlation magnitude in `[0, 1)`.
         rho: f64,
         /// Phase increment per index difference in radians.
         theta: f64,
     },
-    /// Exponential correlation with a geometric power profile
-    /// ([`families::unequal_power_exponential`]).
+    /// Exponential correlation with a geometric power profile.
     UnequalPowerExponential {
         /// Adjacent-envelope correlation coefficient in `[0, 1)`.
         rho: f64,
         /// Geometric power ratio: envelope `j` has power `base^j`.
         base: f64,
     },
-    /// A deliberately indefinite (non-PSD) target
-    /// ([`families::indefinite_correlation`]) that exercises the paper's
+    /// A deliberately indefinite (non-PSD) target that exercises the paper's
     /// Sec. 4.2 eigenvalue clipping.
     Indefinite {
         /// Correlation strength; the matrix is indefinite for `rho ≥ 0.6`.
         rho: f64,
     },
-    /// A nearly-singular positive-definite target
-    /// ([`families::near_singular_correlation`]).
+    /// A nearly-singular positive-definite target.
     NearSingular {
         /// Approximate smallest eigenvalue of the matrix.
         eps: f64,
     },
-    /// Two equal-power envelopes with a complex correlation coefficient
-    /// ([`families::two_envelope_complex`]).
+    /// Two equal-power envelopes with a complex correlation coefficient.
     TwoEnvelopeComplex {
         /// Common Gaussian power `σ_g²`.
         sigma_sq: f64,
@@ -204,7 +198,7 @@ impl DopplerSettings {
 /// desired covariance structure ([`CovarianceSpec`]), the power profile
 /// ([`PowerProfile`]) and the real-time Doppler settings
 /// ([`DopplerSettings`]). Scenarios are registered by name in
-/// [`crate::registry`] and resolved with [`crate::lookup`].
+/// the [`REGISTRY`](crate::REGISTRY) and resolved with [`crate::lookup`].
 ///
 /// The bridge into the generator stack is [`Scenario::to_builder`], which
 /// returns a pre-configured [`GeneratorBuilder`]; [`Scenario::build`] and

@@ -114,8 +114,10 @@ impl ChaosSchedule {
     }
 }
 
-/// A fault-injecting proxy in front of a real server. See the
-/// [module docs](self).
+/// A fault-injecting proxy in front of a real server: it forwards bytes
+/// while a seeded [`ChaosSchedule`] fragments, stalls and cuts the
+/// server→client direction of at most [`ChaosSchedule::max_faults`]
+/// connections, so a failing chaos test replays from its seed.
 pub struct ChaosProxy {
     local_addr: ServeAddr,
     shutting_down: Arc<AtomicBool>,

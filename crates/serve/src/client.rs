@@ -105,7 +105,7 @@ impl Client {
     /// # Errors
     /// As [`Client::subscribe`]; additionally the server rejects cursors
     /// whose span would overflow the `u32` wire block-index space. A
-    /// scenario name outside `1..=`[`MAX_NAME_LEN`](crate::protocol::MAX_NAME_LEN)
+    /// scenario name outside `1..=`[`MAX_NAME_LEN`](crate::MAX_NAME_LEN)
     /// bytes is [`ServeError::Protocol`] before anything is sent.
     pub fn subscribe_at(
         &mut self,

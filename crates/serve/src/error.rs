@@ -13,7 +13,7 @@ pub enum ServeError {
     /// Bytes on the wire violated the protocol (see [`ProtocolError`]).
     Protocol(ProtocolError),
     /// The server reported a typed error frame; `code` is one of
-    /// [`crate::protocol::code`]'s values.
+    /// [`crate::code`]'s values.
     Server {
         /// Stable wire code of the server-side error.
         code: u16,

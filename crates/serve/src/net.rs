@@ -20,7 +20,7 @@ use std::time::Duration;
 /// retry/idle decision in the client and server goes through this one
 /// predicate instead of matching either kind directly.
 #[must_use]
-pub fn is_timeout(e: &std::io::Error) -> bool {
+pub(crate) fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut

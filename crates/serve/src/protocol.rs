@@ -572,7 +572,7 @@ fn start_block_frame(buf: &mut Vec<u8>, index: u32, samples_len: usize) {
 /// samples to `buf` — zero heap allocation once `buf`'s capacity is warm.
 /// The bytes equal [`encode_frame`] of a [`Frame::Block`] holding
 /// [`SampleBlock::encode_le_into`]'s output, without that copy.
-pub fn encode_block_frame(buf: &mut Vec<u8>, index: u32, block: &SampleBlock) {
+pub(crate) fn encode_block_frame(buf: &mut Vec<u8>, index: u32, block: &SampleBlock) {
     start_block_frame(buf, index, block.wire_len());
     block.encode_le_into(buf);
 }

@@ -148,7 +148,7 @@ pub(crate) fn retry<T>(
 }
 
 /// Whether `error` is a transient fault worth a reconnect-and-resume:
-/// socket timeouts ([`is_timeout`] — `WouldBlock` and `TimedOut` are the
+/// socket timeouts (`WouldBlock` and `TimedOut`, which are the
 /// same platform-dependent condition), resets, EOFs, and the server's two
 /// transient refusals (`BUSY` admission control, `SERVER_SHUTDOWN`).
 /// Protocol violations and typed request rejections are real errors and

@@ -53,7 +53,11 @@ use crate::protocol::{
 
 /// Number of distinct wire error codes (plus the unused slot 0) tracked by
 /// the per-code counters: codes `1..=12` index directly into the array.
-pub const ERROR_CODE_SLOTS: usize = 13;
+pub(crate) const ERROR_CODE_SLOTS: usize = 13;
+
+/// Blocks a resume skips between two checks of the shutdown flag: about
+/// 8 ms of skipping per `fig4a-spectral` chunk in a release build.
+const SKIP_CHUNK_BLOCKS: u64 = 64;
 
 /// Server tuning knobs. `Default` suits tests and local use.
 #[derive(Debug, Clone)]
@@ -121,7 +125,7 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Error frames sent under wire code `code` (see
-    /// [`crate::protocol::code`]); zero for out-of-range codes.
+    /// [`crate::code`]); zero for out-of-range codes.
     #[must_use]
     pub fn error_count(&self, code: u16) -> u64 {
         self.errors_by_code
@@ -146,7 +150,7 @@ struct ConnEntry {
     socket: Option<Conn>,
 }
 
-/// A running channel-as-a-service server. See the [module docs](self).
+/// A running channel-as-a-service server.
 ///
 /// Dropping the server performs a full [`Server::shutdown`].
 ///
@@ -509,8 +513,19 @@ fn serve_session(shared: &Shared, conn: &mut Conn) {
     // v2 resume: fast-forward the fresh stream past the cursor by replaying
     // only its RNG draws (no IDFT/coloring work), so the blocks streamed
     // below are bit-identical to `cursor..` of the uninterrupted stream.
+    // The skip runs in chunks so a shutdown is never held up by more than
+    // one chunk of it.
     if request.cursor > 0 {
-        stream.skip_blocks(request.cursor);
+        let mut left = request.cursor;
+        while left > 0 {
+            if shared.shutting_down.load(Ordering::Relaxed) {
+                send_error_frame(conn, &mut wire, shared, &ProtocolError::ServerShutdown);
+                return;
+            }
+            let chunk = left.min(SKIP_CHUNK_BLOCKS);
+            stream.skip_blocks(chunk);
+            left -= chunk;
+        }
         shared
             .counters
             .resumed_sessions

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 
-use corrfade_serve::protocol::{
+use corrfade_serve::{
     code, decode_frame_payload, decode_request, decode_request_header, encode_frame,
     encode_request, split_frame, Frame, ProtocolError, Request, MAGIC, MAX_NAME_LEN,
     REQUEST_CURSOR_LEN, REQUEST_HEADER_LEN, VERSION_V2,

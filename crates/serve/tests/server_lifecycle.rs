@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use corrfade::{ChannelStream, SampleBlock};
 use corrfade_scenarios::lookup;
-use corrfade_serve::protocol::{
+use corrfade_serve::{
     code, decode_frame_payload, encode_request, split_frame, Frame, ProtocolError, Request, MAGIC,
     MAX_NAME_LEN,
 };
@@ -313,7 +313,7 @@ fn names_the_wire_cannot_carry_are_refused_before_sending() {
 fn resumed_sessions_are_bit_identical_and_counted() {
     let server = tcp_server();
     let addr = server.local_addr().clone();
-    let full = standalone("two-envelope-complex", 21, 7);
+    let full = standalone("two-envelope-complex", 21, 131);
 
     // A v2 resume at cursor 3 delivers exactly blocks 3..7 of the
     // uninterrupted stream, with absolute wire indices.
@@ -333,6 +333,25 @@ fn resumed_sessions_are_bit_identical_and_counted() {
     }
     assert_eq!(client.next_block_into(&mut block).unwrap(), None);
 
+    // Cursors on both sides of the server's 64-block skip chunks.
+    let chunk_edges = [63u64, 64, 65, 128, 129];
+    for cursor in chunk_edges {
+        let mut client = Client::connect(&addr).unwrap();
+        client
+            .subscribe_at("two-envelope-complex", 21, 2, cursor)
+            .unwrap();
+        for expect in cursor..cursor + 2 {
+            let index = client.next_block_into(&mut block).unwrap();
+            assert_eq!(index.map(u64::from), Some(expect));
+            assert_eq!(
+                bits(&block),
+                full[expect as usize],
+                "block {expect} resumed at cursor {cursor} is not bit-identical"
+            );
+        }
+        assert_eq!(client.next_block_into(&mut block).unwrap(), None);
+    }
+
     // A cursor-0 subscribe stays a v1 request and does not count.
     let mut fresh = Client::connect(&addr).unwrap();
     fresh.subscribe("two-envelope-complex", 21, 1).unwrap();
@@ -340,8 +359,8 @@ fn resumed_sessions_are_bit_identical_and_counted() {
 
     wait_until("subscriptions released", || server.stats().subscribers == 0);
     let stats = server.stats();
-    assert_eq!(stats.resumed_sessions, 1);
-    assert_eq!(stats.blocks_sent, 5);
+    assert_eq!(stats.resumed_sessions, 1 + chunk_edges.len() as u64);
+    assert_eq!(stats.blocks_sent, 5 + 2 * chunk_edges.len() as u64);
     assert_eq!(stats.error_frames, 0);
     server.shutdown().unwrap();
 }
@@ -468,4 +487,46 @@ fn shutdown_joins_all_connection_threads_and_stops_streams() {
 
     // The listener is gone: new connections are refused.
     assert!(Conn::connect(&addr, Duration::from_millis(500)).is_err());
+}
+
+/// Blocks of the `fig4a-spectral` resume skip that this test asks for:
+/// 16 times what the server skips between two checks of its shutdown flag,
+/// and about ten seconds of skipping in a debug build.
+const LONG_RESUME_CURSOR: u64 = 1024;
+
+#[test]
+fn shutdown_during_a_long_resume_skip_returns_within_the_drain_window() {
+    // What one 64-block chunk of the skip costs on this build and host. The
+    // drain window fits two, so the session answers before it is cut off.
+    let mut probe = lookup("fig4a-spectral").unwrap().build_realtime(5).unwrap();
+    let started = Instant::now();
+    probe.skip_blocks(64);
+    let chunk = started.elapsed();
+    let drain = 2 * chunk;
+    let server = tcp_server_with(ServerConfig {
+        drain_timeout: drain,
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr().clone();
+
+    let client = std::thread::spawn(move || {
+        let mut client = Client::connect(&addr).unwrap();
+        client.subscribe_at("fig4a-spectral", 5, 1, LONG_RESUME_CURSOR)
+    });
+    // The subscriber gauge rises once the stream is built, before the skip.
+    wait_until("the resume to start skipping", || {
+        server.stats().subscribers == 1
+    });
+
+    let started = Instant::now();
+    server.shutdown().unwrap();
+    let took = started.elapsed();
+    assert!(
+        took < drain + chunk + Duration::from_millis(100),
+        "shutdown took {took:?} with a {drain:?} drain window and {chunk:?} per skip chunk"
+    );
+    match client.join().expect("client thread panicked") {
+        Err(ServeError::Server { code: c, .. }) => assert_eq!(c, code::SERVER_SHUTDOWN),
+        other => panic!("expected a SERVER_SHUTDOWN frame, got {other:?}"),
+    }
 }

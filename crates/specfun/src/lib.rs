@@ -3,10 +3,11 @@
 //! Special functions required by the correlated Rayleigh-fading models:
 //!
 //! * Bessel functions of the first kind `J₀`, `J₁`, `Jₙ`
-//!   ([`bessel`]) — the spectral covariance of Eq. (3), the spatial
+//!   ([`bessel_j0`], [`bessel_j1`], [`bessel_jn`]) — the spectral
+//!   covariance of Eq. (3), the spatial
 //!   covariance series of Eq. (5)–(6) and the Doppler autocorrelation
 //!   target `J₀(2π·fm·d)` of Eq. (20) of the paper,
-//! * the Rayleigh CDF ([`rayleigh`]) — Kolmogorov–Smirnov tests on the
+//! * the Rayleigh CDF ([`rayleigh_cdf`]) — Kolmogorov–Smirnov tests on the
 //!   generated envelopes.
 //!
 //! Everything is implemented from scratch (power series, asymptotic
@@ -15,8 +16,8 @@
 
 #![warn(missing_docs)]
 
-pub mod bessel;
-pub mod rayleigh;
+mod bessel;
+mod rayleigh;
 
 pub use bessel::{bessel_j0, bessel_j1, bessel_jn};
 pub use rayleigh::rayleigh_cdf;

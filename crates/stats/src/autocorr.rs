@@ -15,7 +15,7 @@ use corrfade_linalg::Complex64;
 ///
 /// # Panics
 /// Panics if `data` is empty or `max_lag >= data.len()`.
-pub fn autocorrelation(data: &[Complex64], max_lag: usize) -> Vec<Complex64> {
+pub(crate) fn autocorrelation(data: &[Complex64], max_lag: usize) -> Vec<Complex64> {
     assert!(!data.is_empty(), "autocorrelation: empty data");
     assert!(
         max_lag < data.len(),
@@ -38,8 +38,8 @@ pub fn autocorrelation(data: &[Complex64], max_lag: usize) -> Vec<Complex64> {
 /// against the `J₀(2π·f_m·d)` target.
 ///
 /// # Panics
-/// Panics under the same conditions as [`autocorrelation`], or if the
-/// zero-lag power vanishes.
+/// Panics if `data` is empty, `max_lag >= data.len()`, or the zero-lag
+/// power vanishes.
 pub fn normalized_autocorrelation(data: &[Complex64], max_lag: usize) -> Vec<f64> {
     let r = autocorrelation(data, max_lag);
     let r0 = r[0].re;

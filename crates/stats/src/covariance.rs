@@ -3,11 +3,9 @@
 //! The headline claim of the paper is `E(Z·Zᴴ) = K̄` (Sec. 4.5): the sample
 //! covariance of the generated vectors must converge to the (PSD-forced)
 //! desired covariance matrix. This module estimates that matrix from the
-//! generated sample paths, along with the four real covariances
-//! `Rxx`, `Ryy`, `Rxy`, `Ryx` of Eq. (1)–(2) so tests can verify the
-//! decomposition in Eq. (13) term by term.
+//! generated sample paths.
 
-use corrfade_linalg::{c64, CMatrix, Complex64, SampleBlock};
+use corrfade_linalg::{CMatrix, Complex64, SampleBlock};
 
 /// Sample covariance `K̂ = (1/S)·Σ_s z_s·z_sᴴ` of `N` zero-mean complex
 /// processes from their sample paths: `paths[j]` is the whole time series
@@ -58,39 +56,6 @@ pub fn sample_covariance_from_block(block: &SampleBlock) -> CMatrix {
     k.scale_real(1.0 / block.samples() as f64)
 }
 
-/// The four real cross-covariances of Eq. (1)–(2) between processes `k` and
-/// `j`, estimated from their sample paths:
-/// `(Rxx, Ryy, Rxy, Ryx)` with `Rxy = E[x_k·y_j]` etc.
-///
-/// # Panics
-/// Panics if the paths have different lengths.
-pub fn real_imag_covariances(path_k: &[Complex64], path_j: &[Complex64]) -> (f64, f64, f64, f64) {
-    assert_eq!(
-        path_k.len(),
-        path_j.len(),
-        "real_imag_covariances: length mismatch"
-    );
-    assert!(!path_k.is_empty(), "real_imag_covariances: empty paths");
-    let n = path_k.len() as f64;
-    let mut rxx = 0.0;
-    let mut ryy = 0.0;
-    let mut rxy = 0.0;
-    let mut ryx = 0.0;
-    for (&zk, &zj) in path_k.iter().zip(path_j.iter()) {
-        rxx += zk.re * zj.re;
-        ryy += zk.im * zj.im;
-        rxy += zk.re * zj.im;
-        ryx += zk.im * zj.re;
-    }
-    (rxx / n, ryy / n, rxy / n, ryx / n)
-}
-
-/// Assembles the complex covariance `µ_{k,j}` of Eq. (13) from the four real
-/// covariances: `(Rxx + Ryy) − i·(Rxy − Ryx)`.
-pub fn complex_covariance_from_parts(rxx: f64, ryy: f64, rxy: f64, ryx: f64) -> Complex64 {
-    c64(rxx + ryy, -(rxy - ryx))
-}
-
 /// Correlation-coefficient matrix obtained by normalizing a covariance
 /// matrix: `ρ_{k,j} = K_{k,j} / √(K_{k,k}·K_{j,j})`.
 ///
@@ -125,6 +90,7 @@ pub fn relative_frobenius_error(achieved: &CMatrix, desired: &CMatrix) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use corrfade_linalg::c64;
 
     /// `(1/S)·Σ_s z_s·z_sᴴ` folded snapshot by snapshot — the sample-major
     /// order the block estimate follows on the scalar backend.
@@ -189,22 +155,6 @@ mod tests {
         let k1 = snapshot_covariance(&snapshots);
         let k2 = sample_covariance_from_paths(&paths);
         assert!(k1.approx_eq(&k2, 1e-12));
-    }
-
-    #[test]
-    fn real_imag_parts_compose_to_complex_covariance() {
-        let a = vec![c64(1.0, 2.0), c64(-0.5, 1.0), c64(2.0, -1.0)];
-        let b = vec![c64(0.5, -1.0), c64(1.5, 0.5), c64(-1.0, 2.0)];
-        let (rxx, ryy, rxy, ryx) = real_imag_covariances(&a, &b);
-        let mu = complex_covariance_from_parts(rxx, ryy, rxy, ryx);
-        // Must equal E[z_a conj(z_b)] directly.
-        let direct: Complex64 = a
-            .iter()
-            .zip(b.iter())
-            .map(|(&x, &y)| x * y.conj())
-            .sum::<Complex64>()
-            / 3.0;
-        assert!(mu.approx_eq(direct, 1e-12));
     }
 
     #[test]

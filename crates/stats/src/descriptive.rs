@@ -2,11 +2,11 @@
 //!
 //! These are the primitives the experiment harness uses to check the
 //! envelope statistics the paper derives analytically (Eq. 14–15): sample
-//! means, variances and higher moments of Rayleigh envelopes and of the
+//! means, variances and correlations of Rayleigh envelopes and of the
 //! real/imaginary parts of the generated complex Gaussian variables.
 
 /// Arithmetic mean. Returns `0.0` for an empty slice.
-pub fn mean(data: &[f64]) -> f64 {
+pub(crate) fn mean(data: &[f64]) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
@@ -32,70 +32,8 @@ pub fn mean_square(data: &[f64]) -> f64 {
 }
 
 /// Root-mean-square value.
-pub fn rms(data: &[f64]) -> f64 {
+pub(crate) fn rms(data: &[f64]) -> f64 {
     mean_square(data).sqrt()
-}
-
-/// Sample skewness (third standardized moment). Returns `0.0` when the
-/// variance vanishes.
-pub fn skewness(data: &[f64]) -> f64 {
-    let m = mean(data);
-    let v = variance(data);
-    if v <= 0.0 || data.is_empty() {
-        return 0.0;
-    }
-    let n = data.len() as f64;
-    data.iter().map(|&x| (x - m).powi(3)).sum::<f64>() / n / v.powf(1.5)
-}
-
-/// Sample excess-free kurtosis (fourth standardized moment; 3 for a normal
-/// distribution). Returns `0.0` when the variance vanishes.
-pub fn kurtosis(data: &[f64]) -> f64 {
-    let m = mean(data);
-    let v = variance(data);
-    if v <= 0.0 || data.is_empty() {
-        return 0.0;
-    }
-    let n = data.len() as f64;
-    data.iter().map(|&x| (x - m).powi(4)).sum::<f64>() / n / (v * v)
-}
-
-/// Minimum value. Returns `f64::NAN` for an empty slice.
-pub fn min(data: &[f64]) -> f64 {
-    data.iter().copied().fold(f64::NAN, f64::min)
-}
-
-/// Maximum value. Returns `f64::NAN` for an empty slice.
-pub fn max(data: &[f64]) -> f64 {
-    data.iter().copied().fold(f64::NAN, f64::max)
-}
-
-/// Linear-interpolated quantile `q ∈ [0, 1]` of the data.
-///
-/// # Panics
-/// Panics if `q` is outside `[0, 1]` or the slice is empty.
-pub fn quantile(data: &[f64], q: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&q),
-        "quantile must be in [0, 1], got {q}"
-    );
-    assert!(!data.is_empty(), "quantile of empty slice");
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(core::cmp::Ordering::Equal));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
-}
-
-/// Median (the 0.5 quantile).
-pub fn median(data: &[f64]) -> f64 {
-    quantile(data, 0.5)
 }
 
 /// Pearson correlation coefficient between two equally-long real sequences.
@@ -134,7 +72,6 @@ mod tests {
         assert!((variance(&data) - 2.0).abs() < 1e-15);
         assert!((mean_square(&data) - 11.0).abs() < 1e-15);
         assert!((rms(&data) - 11.0f64.sqrt()).abs() < 1e-15);
-        assert!(skewness(&data).abs() < 1e-12, "symmetric data has no skew");
     }
 
     #[test]
@@ -142,35 +79,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
-        assert_eq!(skewness(&[2.0, 2.0, 2.0]), 0.0);
-        assert_eq!(kurtosis(&[2.0, 2.0]), 0.0);
-        assert!(min(&[]).is_nan());
-        assert!(max(&[]).is_nan());
-    }
-
-    #[test]
-    fn min_max_median_quantiles() {
-        let data = [5.0, 1.0, 3.0, 2.0, 4.0];
-        assert_eq!(min(&data), 1.0);
-        assert_eq!(max(&data), 5.0);
-        assert_eq!(median(&data), 3.0);
-        assert_eq!(quantile(&data, 0.0), 1.0);
-        assert_eq!(quantile(&data, 1.0), 5.0);
-        assert!((quantile(&data, 0.25) - 2.0).abs() < 1e-15);
-        assert!((quantile(&data, 0.125) - 1.5).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in")]
-    fn quantile_range_checked() {
-        let _ = quantile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn kurtosis_of_two_point_distribution() {
-        // Symmetric ±1 distribution has kurtosis 1.
-        let data = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-        assert!((kurtosis(&data) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -183,11 +91,5 @@ mod tests {
         let flat = [1.0, 1.0, 1.0, 1.0];
         assert_eq!(pearson_correlation(&a, &flat), 0.0);
         assert_eq!(pearson_correlation(&[1.0], &[2.0]), 0.0);
-    }
-
-    #[test]
-    fn skewness_of_asymmetric_data_is_positive() {
-        let data = [0.0, 0.0, 0.0, 0.0, 10.0];
-        assert!(skewness(&data) > 1.0);
     }
 }

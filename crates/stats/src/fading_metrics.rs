@@ -117,7 +117,7 @@ pub fn empirical_afd(envelope: &[f64], threshold: f64) -> f64 {
 /// count, with `outage_count / len` the empirical outage probability
 /// `Pr[r < R_th]`.
 #[must_use]
-pub fn outage_count(envelope: &[f64], threshold: f64) -> usize {
+pub(crate) fn outage_count(envelope: &[f64], threshold: f64) -> usize {
     fade_counts(envelope, threshold).below
 }
 
@@ -140,7 +140,8 @@ pub fn empirical_afd_block(block: &mut SampleBlock, j: usize, threshold: f64) ->
     empirical_afd(block.envelope_path(j), threshold)
 }
 
-/// [`outage_count`] evaluated on envelope `j` of a [`SampleBlock`] through
+/// The outage count (samples strictly below `threshold`, the `below` field
+/// of [`fade_counts`]) of envelope `j` of a [`SampleBlock`], read through
 /// its cached envelope view (zero-copy, zero-allocation when warm).
 ///
 /// # Panics

@@ -33,7 +33,7 @@ pub fn envelope_variance(sigma_g_sq: f64) -> f64 {
 }
 
 /// Theoretical mean-square (power) of the envelope, `E[r²] = σ_g²`.
-pub fn envelope_mean_square(sigma_g_sq: f64) -> f64 {
+pub(crate) fn envelope_mean_square(sigma_g_sq: f64) -> f64 {
     assert!(sigma_g_sq >= 0.0, "variance must be non-negative");
     sigma_g_sq
 }
@@ -50,16 +50,6 @@ pub fn gaussian_variance_from_envelope_variance(sigma_r_sq: f64) -> f64 {
 pub fn rayleigh_scale(sigma_g_sq: f64) -> f64 {
     assert!(sigma_g_sq >= 0.0, "variance must be non-negative");
     (sigma_g_sq / 2.0).sqrt()
-}
-
-/// Maximum-likelihood estimate of the Rayleigh scale from envelope samples:
-/// `σ̂² = (1/2n)·Σ r²`.
-///
-/// # Panics
-/// Panics if `data` is empty.
-pub fn rayleigh_mle_scale(data: &[f64]) -> f64 {
-    assert!(!data.is_empty(), "rayleigh_mle_scale: empty data");
-    (data.iter().map(|&r| r * r).sum::<f64>() / (2.0 * data.len() as f64)).sqrt()
 }
 
 /// Summary of how closely an envelope sample matches the Rayleigh statistics
@@ -148,14 +138,6 @@ mod tests {
         let sg2 = 1.8;
         let total = envelope_variance(sg2) + envelope_mean(sg2).powi(2);
         assert!((total - sg2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mle_recovers_scale_from_exact_moments() {
-        // If every sample equals sqrt(2)·σ, then Σr²/(2n) = σ².
-        let sigma = 0.9;
-        let data = vec![sigma * 2.0f64.sqrt(); 100];
-        assert!((rayleigh_mle_scale(&data) - sigma).abs() < 1e-12);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! backend latch is first read, and no other test may race that write.
 
 use corrfade::{ChannelStream, CorrelatedRayleighGenerator, RealtimeConfig, RealtimeGenerator};
-use corrfade_linalg::{Backend, SampleBlock};
+use corrfade_linalg::kernel::Backend;
+use corrfade_linalg::SampleBlock;
 use corrfade_models::paper_covariance_matrix_22;
 use rand::RngCore;
 
