@@ -1,28 +1,29 @@
-//! Planar, caller-owned sample buffers for streaming generation.
-//!
-//! Every generator in the workspace produces blocks of `N` correlated
-//! envelope processes observed over `M` time samples. Materializing each
-//! block as a fresh `Vec<Vec<Complex64>>` (one heap allocation per envelope
-//! per block, plus a redundant envelope copy) caps throughput and makes
-//! serving many concurrent channel simulations impossible. [`SampleBlock`]
-//! fixes the data layout instead:
-//!
-//! * one contiguous `Vec<Complex64>` holding the `N × M` complex Gaussian
-//!   samples **planar** (envelope-major): sample `l` of envelope `j` lives at
-//!   index `j·M + l`, so each envelope path is a contiguous slice,
-//! * a **lazy** envelope (modulus) view computed on demand and cached until
-//!   the complex data is mutably borrowed again,
-//! * capacity-reusing [`SampleBlock::resize`] so a block pooled by a caller
-//!   (or a worker thread) performs **zero heap allocation** in steady state.
-//!
-//! The streaming trait that fills these buffers (`ChannelStream`) lives in
-//! the `corrfade` core crate; this module only owns the data layout.
+//! Planar, caller-owned sample buffers for streaming generation; their
+//! design notes are on [`SampleBlock`].
 
 use crate::complex::Complex64;
 use crate::matrix::CMatrix;
 
 /// A planar `N × M` block of complex Gaussian fading samples with a lazily
 /// computed envelope view.
+///
+/// Every generator in the workspace produces blocks of `N` correlated
+/// envelope processes observed over `M` time samples. Materializing each
+/// block as a fresh `Vec<Vec<Complex64>>` (one heap allocation per envelope
+/// per block, plus a redundant envelope copy) caps throughput and makes
+/// serving many concurrent channel simulations impossible. [`SampleBlock`]
+/// fixes the data layout instead:
+///
+/// * one contiguous `Vec<Complex64>` holding the `N × M` complex Gaussian
+///   samples **planar** (envelope-major): sample `l` of envelope `j` lives at
+///   index `j·M + l`, so each envelope path is a contiguous slice,
+/// * a **lazy** envelope (modulus) view computed on demand and cached until
+///   the complex data is mutably borrowed again,
+/// * capacity-reusing [`SampleBlock::resize`] so a block pooled by a caller
+///   (or a worker thread) performs **zero heap allocation** in steady state.
+///
+/// The streaming trait that fills these buffers (`ChannelStream`) lives in
+/// the `corrfade` core crate; this type only owns the data layout.
 ///
 /// The complex data is envelope-major: [`SampleBlock::path`]`(j)` is the
 /// contiguous time series of envelope `j`, sample `l` of it at index

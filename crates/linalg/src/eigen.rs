@@ -5,24 +5,46 @@
 //! Hermitian by construction, so the unconditionally-convergent Jacobi
 //! iteration is a natural fit: it is simple, backward-stable and — unlike
 //! Cholesky — does not care whether the matrix is positive (semi-)definite.
-//! For the matrix sizes that appear in fading simulation (a handful to a few
-//! dozen sub-carriers or antennas) its `O(N³)` per-sweep cost is irrelevant.
+//! Its cost is `O(N³)` per sweep, and at open it is a large part of a
+//! network's set-up time (16 decompositions at `N = 64` for the `wsn-epoch`
+//! grid).
 //!
 //! The matrix is diagonalized directly with complex Jacobi rotations (a
 //! phase factor absorbs the argument of the pivot entry, then a real Givens
 //! rotation annihilates it). Eigenvalues are returned in **descending**
 //! order together with the matching orthonormal eigenvectors.
 //!
-//! # Storage of the Hermitian sweep
+//! # Storage and schedule of the Hermitian sweep
 //!
 //! Every generated stream depends on the eigenvector bits, so
 //! [`hermitian_eigen`] keeps the operations and order of the plain cyclic
 //! loop (rotate columns `p` and `q`, mirror them into rows `p` and `q`,
-//! zero the pivot pair, accumulate `V`) and changes only where the numbers
-//! live. The working matrix is **column-major**, so a rotation reads and
-//! writes its two columns contiguously (an AVX2 body with separate
-//! multiplies and adds, never FMA); only the mirrored row writes
-//! are strided. `V` is kept transposed for the same reason.
+//! zero the pivot pair, accumulate `V`, until the off-diagonal mass reaches
+//! its target or 64 sweeps have run) and changes only where the numbers
+//! live and which writes are skipped because nothing reads them:
+//!
+//! * **Column-major, padded.** A rotation reads and writes its two columns
+//!   contiguously (AVX-512F and AVX2 bodies with separate multiplies and
+//!   adds, never FMA, so each element gets the scalar loop's bits); `V` is
+//!   kept transposed for the same reason. The column stride is `n + 4`
+//!   entries, so that the strided writes of a mirrored row do not all map
+//!   to the same few L1 sets, as they would at a power-of-two stride. The
+//!   padding is never read.
+//! * **Row `p` mirrored once per `p`-loop.** Within the loop over `q` for
+//!   one `p`, only column `p` and column `q` change, and the only entry of
+//!   row `p` any later step reads is the next pivot `(p, q)`. So that pivot
+//!   is mirrored just before it is read (once the loop has rotated), and
+//!   the rest of row `p` up to the last rotated pivot when the loop ends,
+//!   from the final column `p`: the value the last eager mirror would have
+//!   written (past that pivot, column `p` has not changed since the pivots
+//!   were mirrored). The pivot the last rotation zeroed keeps its `+0+0i`,
+//!   as it did when the zeroing came after the mirror. Row `q` is still
+//!   mirrored at every rotation.
+//! * **Stop after a dead sweep.** A sweep that applies no rotation writes
+//!   nothing, so the next sweep would see the same matrix and skip the same
+//!   pivots until the sweep limit. The loop stops instead and counts the
+//!   sweeps as if it had run out the limit, so a convergence failure
+//!   reports the same payload.
 //!
 //! The matrix cannot instead be stored once and column `p` read as the
 //! conjugate of row `p`: the pivot pair is zeroed as `+0+0i` on *both*
@@ -46,6 +68,11 @@ pub(crate) const DEFAULT_HERMITIAN_TOL: f64 = 1e-9;
 /// Jacobi converges quadratically once the off-diagonal mass is small; 64
 /// sweeps is far beyond what any `N ≤ 1024` Hermitian matrix needs.
 pub(crate) const MAX_SWEEPS: usize = 64;
+
+/// Padding of the column stride of the sweep's working storage: with a
+/// stride of exactly `n` entries (1 KiB at `n = 64`) the strided mirror
+/// writes of a row fall into only a few L1 sets.
+const STRIDE_PAD: usize = 4;
 
 /// Eigendecomposition `A = V · diag(λ) · Vᴴ` of a Hermitian matrix.
 #[derive(Debug, Clone)]
@@ -142,14 +169,14 @@ impl HermitianEigen {
 }
 
 /// Sum of squared moduli of the strictly-off-diagonal entries of an `n × n`
-/// column-major matrix — the quantity driven to zero by the Jacobi sweeps.
-/// Summed in row-major order, entry `(i, j)` at `w[j·n + i]`.
-fn off_diagonal_norm_sqr_col_major(w: &[Complex64], n: usize) -> f64 {
+/// column-major matrix of stride `ld` — the quantity driven to zero by the
+/// Jacobi sweeps. Summed in row-major order, entry `(i, j)` at `w[j·ld + i]`.
+fn off_diagonal_norm_sqr_col_major(w: &[Complex64], n: usize, ld: usize) -> f64 {
     let mut s = 0.0;
     for i in 0..n {
         for j in 0..n {
             if i != j {
-                s += w[j * n + i].norm_sqr();
+                s += w[j * ld + i].norm_sqr();
             }
         }
     }
@@ -190,22 +217,43 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     }
 
     // Work on an exactly-Hermitian copy so that round-off in the caller's
-    // matrix cannot leak into the iteration, stored column-major (`w[c·n + r]`
-    // is entry `(r, c)`) so a rotation's two columns are contiguous.
+    // matrix cannot leak into the iteration, stored column-major with a
+    // padded stride (`w[c·ld + r]` is entry `(r, c)`) so a rotation's two
+    // columns are contiguous.
     let mut m = a.clone();
     m.hermitianize();
     let frob = m.frobenius_norm().max(f64::MIN_POSITIVE);
     let target = (f64::EPSILON * frob).powi(2);
-    let mut w = m.transpose().as_slice().to_vec();
+    let ld = n + STRIDE_PAD;
+    let mut w = vec![Complex64::ZERO; ld * n];
+    for c in 0..n {
+        for r in 0..n {
+            w[c * ld + r] = m[(r, c)];
+        }
+    }
     // Vᵀ: row `c` of `vt` is eigenvector column `c`.
-    let mut vt = CMatrix::identity(n).as_slice().to_vec();
+    let mut vt = vec![Complex64::ZERO; ld * n];
+    for c in 0..n {
+        vt[c * ld + c] = Complex64::ONE;
+    }
 
+    // Column `q` after its rotation, read while row `q` is written.
+    let mut col_copy = vec![Complex64::ZERO; n];
     let mut sweeps = 0;
-    while off_diagonal_norm_sqr_col_major(&w, n) > target && sweeps < MAX_SWEEPS {
+    while off_diagonal_norm_sqr_col_major(&w, n, ld) > target && sweeps < MAX_SWEEPS {
         sweeps += 1;
+        let mut sweep_applied = false;
         for p in 0..n {
+            // The `q` of the last rotation this `p`-loop applied; row `p`
+            // is stale from then until the flush below.
+            let mut last_q = None;
             for q in (p + 1)..n {
-                let apq = w[q * n + p];
+                if last_q.is_some() {
+                    // The one entry of the stale row `p` read before the
+                    // flush: the pivot.
+                    w[q * ld + p] = w[p * ld + q].conj();
+                }
+                let apq = w[q * ld + p];
                 let abs_apq = apq.abs();
                 if abs_apq <= f64::EPSILON * frob {
                     continue;
@@ -215,8 +263,8 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
                 let phase = apq.unscale(abs_apq);
                 let phase_conj = phase.conj();
 
-                let app = w[p * n + p].re;
-                let aqq = w[q * n + q].re;
+                let app = w[p * ld + p].re;
+                let aqq = w[q * ld + q].re;
                 let tau = (aqq - app) / (2.0 * abs_apq);
                 let t = if tau >= 0.0 {
                     1.0 / (tau + (1.0 + tau * tau).sqrt())
@@ -226,31 +274,47 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = t * c;
 
-                // Rotate columns p and q, then mirror them into rows p and q.
+                // Rotate columns p and q, then mirror column q into row q.
                 // Rows p and q of the two columns are rotated too; the
                 // diagonal block below overwrites all four of them.
-                let (col_p, col_q) = two_columns_mut(&mut w, n, p, q);
+                let (col_p, col_q) = two_columns_mut(&mut w, ld, n, p, q);
                 rotate_columns(col_p, col_q, c, s, phase_conj);
-                for r in 0..n {
-                    w[r * n + p] = w[p * n + r].conj();
-                    w[r * n + q] = w[q * n + r].conj();
+                col_copy.copy_from_slice(col_q);
+                for (col, x) in w.chunks_exact_mut(ld).zip(&col_copy) {
+                    col[q] = x.conj();
                 }
 
                 // Diagonal block.
-                w[p * n + p] = c64(app - t * abs_apq, 0.0);
-                w[q * n + q] = c64(aqq + t * abs_apq, 0.0);
-                w[q * n + p] = Complex64::ZERO;
-                w[p * n + q] = Complex64::ZERO;
+                w[p * ld + p] = c64(app - t * abs_apq, 0.0);
+                w[q * ld + q] = c64(aqq + t * abs_apq, 0.0);
+                w[q * ld + p] = Complex64::ZERO;
+                w[p * ld + q] = Complex64::ZERO;
 
                 // Accumulate the rotation into the eigenvector matrix:
                 // V ← V · U with U = P·J as documented above.
-                let (v_p, v_q) = two_columns_mut(&mut vt, n, p, q);
+                let (v_p, v_q) = two_columns_mut(&mut vt, ld, n, p, q);
                 rotate_columns(v_p, v_q, c, s, phase_conj);
+                last_q = Some(q);
             }
+            // Mirror column p into row p up to the pivot the last rotation
+            // zeroed, except the diagonal: the entries past it were written
+            // as pivots after column p last changed.
+            if let Some(last_q) = last_q {
+                for r in (0..last_q).filter(|&r| r != p) {
+                    w[r * ld + p] = w[p * ld + r].conj();
+                }
+                sweep_applied = true;
+            }
+        }
+        if !sweep_applied {
+            // Nothing changed, so every further sweep would skip the same
+            // pivots until the sweep limit.
+            sweeps = MAX_SWEEPS;
+            break;
         }
     }
 
-    let residual = off_diagonal_norm_sqr_col_major(&w, n).sqrt();
+    let residual = off_diagonal_norm_sqr_col_major(&w, n, ld).sqrt();
     if residual * residual > target * 4.0 && residual > 1e-10 * frob {
         return Err(LinalgError::ConvergenceFailure {
             iterations: sweeps,
@@ -259,7 +323,7 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     }
 
     let mut order: Vec<usize> = (0..n).collect();
-    let raw: Vec<f64> = (0..n).map(|i| w[i * n + i].re).collect();
+    let raw: Vec<f64> = (0..n).map(|i| w[i * ld + i].re).collect();
     order.sort_by(|&i, &j| {
         raw[j]
             .partial_cmp(&raw[i])
@@ -267,7 +331,7 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     });
 
     let eigenvalues: Vec<f64> = order.iter().map(|&i| raw[i]).collect();
-    let eigenvectors = CMatrix::from_fn(n, n, |i, j| vt[order[j] * n + i]);
+    let eigenvectors = CMatrix::from_fn(n, n, |i, j| vt[order[j] * ld + i]);
 
     Ok(HermitianEigen {
         eigenvalues,
@@ -275,22 +339,24 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     })
 }
 
-/// Columns `p < q` of an `n`-row column-major matrix, borrowed mutably.
+/// The `n` entries of columns `p < q` of a column-major matrix of stride
+/// `ld`, borrowed mutably.
 fn two_columns_mut(
     data: &mut [Complex64],
+    ld: usize,
     n: usize,
     p: usize,
     q: usize,
 ) -> (&mut [Complex64], &mut [Complex64]) {
-    let (head, tail) = data.split_at_mut(q * n);
-    (&mut head[p * n..(p + 1) * n], &mut tail[..n])
+    let (head, tail) = data.split_at_mut(q * ld);
+    (&mut head[p * ld..p * ld + n], &mut tail[..n])
 }
 
 /// One complex Jacobi rotation of two columns, element by element:
 /// `x_p ← c·x_p − s·(x_q·e^{−iφ})`, `x_q ← s·x_p + c·(x_q·e^{−iφ})`, each a
 /// separate multiply, add or subtract (no FMA), so every bit is fixed. On a
-/// CPU with AVX2 (detected once per process) [`rotate_avx2`] runs the same
-/// operations on 2 elements at a time.
+/// CPU with AVX-512F or AVX2 (detected once per process) [`rotate_avx512`]
+/// and [`rotate_avx2`] run the same operations on 4 and 2 elements at a time.
 fn rotate_columns(
     col_p: &mut [Complex64],
     col_q: &mut [Complex64],
@@ -300,7 +366,14 @@ fn rotate_columns(
 ) {
     assert_eq!(col_p.len(), col_q.len(), "rotate_columns: column lengths");
     #[cfg(target_arch = "x86_64")]
-    let done = if crate::kernel::has_fma_isa() {
+    let done = if crate::kernel::has_avx512_isa() {
+        // SAFETY: the CPU has AVX-512F and AVX2; each body touches only the
+        // first elements of the columns it is given, as many as it returns.
+        unsafe {
+            let wide = rotate_avx512(col_p, col_q, c, s, phase_conj);
+            wide + rotate_avx2(&mut col_p[wide..], &mut col_q[wide..], c, s, phase_conj)
+        }
+    } else if crate::kernel::has_fma_isa() {
         // SAFETY: the CPU has AVX2; the body touches only the first
         // `done ≤ len` elements of both columns.
         unsafe { rotate_avx2(col_p, col_q, c, s, phase_conj) }
@@ -316,6 +389,53 @@ fn rotate_columns(
         *xp = new_p;
         *xq = new_q;
     }
+}
+
+/// [`rotate_columns`] on whole quadruples of elements, 4 complex values per
+/// AVX-512 register; returns how many it did. It computes `x_q·e^{−iφ}` as
+/// [`rotate_avx2`] does, with the missing `addsub` as a subtract of all
+/// lanes and an add of the odd (imaginary) lanes over it.
+///
+/// # Safety
+/// The CPU must support AVX-512F (`has_avx512_isa`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rotate_avx512(
+    col_p: &mut [Complex64],
+    col_q: &mut [Complex64],
+    c: f64,
+    s: f64,
+    phase_conj: Complex64,
+) -> usize {
+    use std::arch::x86_64::*;
+    let full = col_p.len() - col_p.len() % 4;
+    let (vc, vs) = (_mm512_set1_pd(c), _mm512_set1_pd(s));
+    let (pr, pi) = (_mm512_set1_pd(phase_conj.re), _mm512_set1_pd(phase_conj.im));
+    let (p, q) = (
+        col_p.as_mut_ptr().cast::<f64>(),
+        col_q.as_mut_ptr().cast::<f64>(),
+    );
+    for k in (0..2 * full).step_by(8) {
+        // SAFETY: `Complex64` is `#[repr(C)]` (re, im), so elements
+        // k/2..k/2 + 4 ≤ full are the eight doubles at k.
+        unsafe {
+            let xp = _mm512_loadu_pd(p.add(k));
+            let xq = _mm512_loadu_pd(q.add(k));
+            let re_products = _mm512_mul_pd(xq, pr);
+            let im_products = _mm512_mul_pd(_mm512_permute_pd::<0b0101_0101>(xq), pi);
+            let rotated = _mm512_mask_add_pd(
+                _mm512_sub_pd(re_products, im_products),
+                0b1010_1010,
+                re_products,
+                im_products,
+            );
+            let new_p = _mm512_sub_pd(_mm512_mul_pd(xp, vc), _mm512_mul_pd(rotated, vs));
+            let new_q = _mm512_add_pd(_mm512_mul_pd(xp, vs), _mm512_mul_pd(rotated, vc));
+            _mm512_storeu_pd(p.add(k), new_p);
+            _mm512_storeu_pd(q.add(k), new_q);
+        }
+    }
+    full
 }
 
 /// [`rotate_columns`] on whole pairs of elements; returns how many it did.
@@ -629,6 +749,50 @@ mod tests {
             .collect()
     }
 
+    /// The scalar rotation of [`rotate_columns`], element by element.
+    #[cfg(target_arch = "x86_64")]
+    fn scalar_rotation(case: &RotationCase) -> (Vec<Complex64>, Vec<Complex64>) {
+        let (p, q, c, s, phase) = case;
+        let (mut want_p, mut want_q) = (p.clone(), q.clone());
+        for (xp, xq) in want_p.iter_mut().zip(want_q.iter_mut()) {
+            let rotated = *xq * *phase;
+            (*xp, *xq) = (
+                xp.scale(*c) - rotated.scale(*s),
+                xp.scale(*s) + rotated.scale(*c),
+            );
+        }
+        (want_p, want_q)
+    }
+
+    /// Runs a rotation body on one case and checks the first `width`-multiple
+    /// elements against the scalar rotation and the rest untouched.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_body_matches_scalar(
+        case: &RotationCase,
+        width: usize,
+        body: impl Fn(&mut [Complex64], &mut [Complex64], f64, f64, Complex64) -> usize,
+    ) {
+        let (p, q, c, s, phase) = case;
+        let (want_p, want_q) = scalar_rotation(case);
+        let (mut got_p, mut got_q) = (p.clone(), q.clone());
+        let done = body(&mut got_p, &mut got_q, *c, *s, *phase);
+        assert_eq!(done, p.len() - p.len() % width);
+        for k in 0..p.len() {
+            let want = if k < done {
+                (want_p[k], want_q[k])
+            } else {
+                (p[k], q[k])
+            };
+            for (a, b) in [(want.0, got_p[k]), (want.1, got_q[k])] {
+                assert!(
+                    same_bits(a.re, b.re) && same_bits(a.im, b.im),
+                    "width {width}, len {} element {k}: {a:?} vs {b:?}",
+                    p.len()
+                );
+            }
+        }
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_rotation_body_matches_the_scalar_rotation_bit_for_bit() {
@@ -636,33 +800,35 @@ mod tests {
             eprintln!("skipped: this CPU lacks AVX2");
             return;
         }
-        for (p, q, c, s, phase) in rotation_cases() {
-            let (mut want_p, mut want_q) = (p.clone(), q.clone());
-            for (xp, xq) in want_p.iter_mut().zip(want_q.iter_mut()) {
-                let rotated = *xq * phase;
-                (*xp, *xq) = (
-                    xp.scale(c) - rotated.scale(s),
-                    xp.scale(s) + rotated.scale(c),
-                );
-            }
-            let (mut got_p, mut got_q) = (p.clone(), q.clone());
+        for case in rotation_cases() {
             // SAFETY: the CPU has AVX2, checked above.
-            let done = unsafe { rotate_avx2(&mut got_p, &mut got_q, c, s, phase) };
-            assert_eq!(done, p.len() - p.len() % 2);
-            for k in 0..p.len() {
-                let want = if k < done {
-                    (want_p[k], want_q[k])
-                } else {
-                    (p[k], q[k])
-                };
-                for (a, b) in [(want.0, got_p[k]), (want.1, got_q[k])] {
-                    assert!(
-                        same_bits(a.re, b.re) && same_bits(a.im, b.im),
-                        "len {} element {k}: {a:?} vs {b:?}",
-                        p.len()
-                    );
-                }
-            }
+            assert_body_matches_scalar(&case, 2, |p, q, c, s, phase| unsafe {
+                rotate_avx2(p, q, c, s, phase)
+            });
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_rotation_body_matches_the_scalar_rotation_bit_for_bit() {
+        if !crate::kernel::has_avx512_isa() {
+            eprintln!("skipped: this CPU lacks AVX-512F");
+            return;
+        }
+        for case in rotation_cases() {
+            // SAFETY: the CPU has AVX-512F, checked above.
+            assert_body_matches_scalar(&case, 4, |p, q, c, s, phase| unsafe {
+                rotate_avx512(p, q, c, s, phase)
+            });
+        }
+        // Lengths 0..=9, through the dispatching `rotate_columns`, which
+        // hands the tail past the last quadruple to the AVX2 body and the
+        // scalar loop.
+        for case in rotation_cases().iter().take(10) {
+            assert_body_matches_scalar(case, 1, |p, q, c, s, phase| {
+                rotate_columns(p, q, c, s, phase);
+                p.len()
+            });
         }
     }
 

@@ -1,38 +1,4 @@
-//! The multi-stream batch engine: many named scenarios, one worker pool.
-//!
-//! A network simulator or a channel emulator advances many correlated
-//! channels in lockstep: K streams, each over a named scenario from
-//! `corrfade-scenarios` (or a generator configuration), each producing its
-//! next block of Doppler-shaped samples at every epoch. [`StreamFleet`] is
-//! that lockstep engine:
-//!
-//! * **Open on the pool** — [`StreamFleet::open`] resolves each name
-//!   through the scenario registry, and [`StreamFleet::open_configs`],
-//!   which every open goes through, builds the real-time generators as the
-//!   items of one [`Runtime::try_for_each`] through the process-wide
-//!   decomposition cache ([`corrfade::cached_eigen_coloring`]): K streams
-//!   over the same covariance matrix pay for one eigendecomposition, and
-//!   distinct matrices decompose concurrently. Per-stream setup is paid
-//!   once, at open.
-//! * **Generate in batch** — [`StreamFleet::advance`] produces the next
-//!   block for *every* stream concurrently on the persistent
-//!   [`Runtime`] pool, one item per stream, and each stream's block lands
-//!   in that stream's own pooled
-//!   [`SampleBlock`], together with that block's envelope view `|z|`
-//!   ([`SampleBlock::envelope_slice`]): the executor that generated a block
-//!   computes its envelopes while the samples are still in cache, so
-//!   consumers of the envelopes (the network layer's per-link metrics)
-//!   read them without a serial pass after the advance. After warm-up an
-//!   advance performs **zero heap allocation** (the workspace's
-//!   allocation-regression test measures this end to end through the
-//!   pool).
-//! * **Isolation by construction** — stream `i` owns an independent RNG
-//!   stream seeded with [`stream_seed`]`(master_seed, i)`. Which worker
-//!   generates which block, and how many workers exist, cannot influence
-//!   the output: every stream's blocks are **bit-identical** to running
-//!   that scenario alone with the same per-stream seed
-//!   ([`Scenario::build_realtime`] + repeated `next_block_into`), on any
-//!   thread count and both kernel backends.
+//! The multi-stream batch engine; its design notes are on [`StreamFleet`].
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -87,6 +53,40 @@ impl FleetSlot {
 
 /// A batch of named real-time channel streams generated together on the
 /// persistent worker pool.
+///
+/// A network simulator or a channel emulator advances many correlated
+/// channels in lockstep: K streams, each over a named scenario from
+/// `corrfade-scenarios` (or a generator configuration), each producing its
+/// next block of Doppler-shaped samples at every epoch. [`StreamFleet`] is
+/// that lockstep engine:
+///
+/// * **Open on the pool** — [`StreamFleet::open`] resolves each name
+///   through the scenario registry, and [`StreamFleet::open_configs`],
+///   which every open goes through, builds the real-time generators as the
+///   items of one [`Runtime::try_for_each`] through the process-wide
+///   decomposition cache ([`corrfade::cached_eigen_coloring`]): K streams
+///   over the same covariance matrix pay for one eigendecomposition, and
+///   distinct matrices decompose concurrently. Per-stream setup is paid
+///   once, at open.
+/// * **Generate in batch** — [`StreamFleet::advance`] produces the next
+///   block for *every* stream concurrently on the persistent
+///   [`Runtime`] pool, one item per stream, and each stream's block lands
+///   in that stream's own pooled
+///   [`SampleBlock`], together with that block's envelope view `|z|`
+///   ([`SampleBlock::envelope_slice`]): the executor that generated a block
+///   computes its envelopes while the samples are still in cache, so
+///   consumers of the envelopes (the network layer's per-link metrics)
+///   read them without a serial pass after the advance. After warm-up an
+///   advance performs **zero heap allocation** (the workspace's
+///   allocation-regression test measures this end to end through the
+///   pool).
+/// * **Isolation by construction** — stream `i` owns an independent RNG
+///   stream seeded with [`stream_seed`]`(master_seed, i)`. Which worker
+///   generates which block, and how many workers exist, cannot influence
+///   the output: every stream's blocks are **bit-identical** to running
+///   that scenario alone with the same per-stream seed
+///   ([`Scenario::build_realtime`] + repeated `next_block_into`), on any
+///   thread count and both kernel backends.
 ///
 /// # Examples
 ///

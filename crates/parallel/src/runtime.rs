@@ -1,42 +1,4 @@
-//! The persistent worker-pool runtime.
-//!
-//! Every engine entry point used to spawn (and join) a fresh
-//! `std::thread::scope` pool per call. That is correct but pays thread
-//! creation, stack setup and tear-down on every request — the dominant cost
-//! on small workloads, and pure waste for a service that answers a stream of
-//! them. [`Runtime`] replaces it with a pool created **once** and reused
-//! across calls. Its one entry point, [`Runtime::try_for_each`], runs
-//! `item(i)` for every index `i` of `0..count`:
-//!
-//! * a pool of `workers` executors consists of `workers - 1` long-lived OS
-//!   threads parked on a condvar **plus the submitting thread itself**,
-//!   which claims items alongside the woken workers instead of blocking
-//!   behind them. The caller-runs discipline means a pool sized larger than
-//!   the machine degrades gracefully (the submitter simply does the work
-//!   the unscheduled workers never claim — no oversubscription penalty),
-//!   and on a multi-core machine no core idles while the submitter waits.
-//!   A 1-worker pool spawns no thread and runs every item inline;
-//! * executors claim indices from one atomic cursor, so a skewed workload
-//!   (items of very different cost) keeps every executor busy until the
-//!   last item is claimed;
-//! * a panicking item is contained (`catch_unwind` around every item) and
-//!   counted; [`Runtime::try_for_each`] reports the count as the typed
-//!   [`ParallelError::JobPanicked`] after every other item has run. No
-//!   runtime mutex is ever held across item code, so a panic cannot poison
-//!   the pool — subsequent submissions run normally instead of cascading
-//!   `lock().unwrap()` panics;
-//! * dropping the runtime shuts the pool down gracefully: workers observe
-//!   the shutdown flag, exit their loop, and `Drop` joins every handle — no
-//!   leaked threads (a lifecycle test pins this via the pool's own
-//!   reference counts).
-//!
-//! Which executor runs which item is irrelevant to the output because all
-//! randomness derives from `(master seed, item index)` — the
-//! thread-count-invariance guarantee of every caller rests on that.
-//!
-//! [`Runtime::global()`] exposes one process-wide pool (sized from
-//! `CORRFADE_POOL_THREADS`, default: all cores) so the free functions keep
-//! their signatures and become thin wrappers over it.
+//! The persistent worker-pool runtime; its design notes are on [`Runtime`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -89,8 +51,43 @@ fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A persistent pool of worker threads running indexed items, with the
 /// submitting thread participating as an executor.
 ///
-/// See [`Runtime::global`] for the process-wide instance behind the
-/// free-function API.
+/// Every engine entry point used to spawn (and join) a fresh
+/// `std::thread::scope` pool per call. That is correct but pays thread
+/// creation, stack setup and tear-down on every request — the dominant cost
+/// on small workloads, and pure waste for a service that answers a stream of
+/// them. [`Runtime`] replaces it with a pool created **once** and reused
+/// across calls. Its one entry point, [`Runtime::try_for_each`], runs
+/// `item(i)` for every index `i` of `0..count`:
+///
+/// * a pool of `workers` executors consists of `workers - 1` long-lived OS
+///   threads parked on a condvar **plus the submitting thread itself**,
+///   which claims items alongside the woken workers instead of blocking
+///   behind them. The caller-runs discipline means a pool sized larger than
+///   the machine degrades gracefully (the submitter simply does the work
+///   the unscheduled workers never claim — no oversubscription penalty),
+///   and on a multi-core machine no core idles while the submitter waits.
+///   A 1-worker pool spawns no thread and runs every item inline;
+/// * executors claim indices from one atomic cursor, so a skewed workload
+///   (items of very different cost) keeps every executor busy until the
+///   last item is claimed;
+/// * a panicking item is contained (`catch_unwind` around every item) and
+///   counted; [`Runtime::try_for_each`] reports the count as the typed
+///   [`ParallelError::JobPanicked`] after every other item has run. No
+///   runtime mutex is ever held across item code, so a panic cannot poison
+///   the pool — subsequent submissions run normally instead of cascading
+///   `lock().unwrap()` panics;
+/// * dropping the runtime shuts the pool down gracefully: workers observe
+///   the shutdown flag, exit their loop, and `Drop` joins every handle — no
+///   leaked threads (a lifecycle test pins this via the pool's own
+///   reference counts).
+///
+/// Which executor runs which item is irrelevant to the output because all
+/// randomness derives from `(master seed, item index)` — the
+/// thread-count-invariance guarantee of every caller rests on that.
+///
+/// [`Runtime::global()`] exposes one process-wide pool (sized from
+/// `CORRFADE_POOL_THREADS`, default: all cores) so the free functions keep
+/// their signatures and become thin wrappers over it.
 pub struct Runtime {
     shared: Arc<Shared>,
     workers: usize,

@@ -1,21 +1,5 @@
-//! Deterministic fault injection for the serving path.
-//!
-//! [`ChaosProxy`] sits between a client and a real server, forwarding
-//! bytes while injecting transport faults from a **seeded schedule**: the
-//! server→client direction can be fragmented into tiny partial
-//! writes/short reads, stalled, and **cut** (truncated + abruptly
-//! disconnected) at a schedule-chosen byte offset. Every fault decision is
-//! a pure function of `(schedule seed, connection index)`, so a failing
-//! chaos test replays byte-for-byte identically from its seed.
-//!
-//! The proxy faults at most [`ChaosSchedule::max_faults`] connections and
-//! passes the rest through untouched — a resuming client is therefore
-//! guaranteed to finish eventually, and the test asserts the *output* is
-//! bit-identical to the fault-free stream.
-//!
-//! This lives in the crate (not the test tree) so the chaos-smoke CI job,
-//! integration tests, and future soak binaries all drive one
-//! implementation.
+//! Deterministic fault injection for the serving path; its design notes are
+//! on [`ChaosProxy`].
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -114,10 +98,24 @@ impl ChaosSchedule {
     }
 }
 
-/// A fault-injecting proxy in front of a real server: it forwards bytes
-/// while a seeded [`ChaosSchedule`] fragments, stalls and cuts the
-/// server→client direction of at most [`ChaosSchedule::max_faults`]
-/// connections, so a failing chaos test replays from its seed.
+/// A deterministic fault-injecting proxy in front of a real server.
+///
+/// [`ChaosProxy`] sits between a client and a real server, forwarding
+/// bytes while injecting transport faults from a **seeded schedule**: the
+/// server→client direction can be fragmented into tiny partial
+/// writes/short reads, stalled, and **cut** (truncated + abruptly
+/// disconnected) at a schedule-chosen byte offset. Every fault decision is
+/// a pure function of `(schedule seed, connection index)`, so a failing
+/// chaos test replays byte-for-byte identically from its seed.
+///
+/// The proxy faults at most [`ChaosSchedule::max_faults`] connections and
+/// passes the rest through untouched — a resuming client is therefore
+/// guaranteed to finish eventually, and the test asserts the *output* is
+/// bit-identical to the fault-free stream.
+///
+/// It lives in the crate (not the test tree) so the chaos-smoke CI job,
+/// integration tests, and future soak binaries all drive one
+/// implementation.
 pub struct ChaosProxy {
     local_addr: ServeAddr,
     shutting_down: Arc<AtomicBool>,

@@ -1,39 +1,4 @@
-//! The channel-as-a-service server: accepts TCP/Unix-socket connections,
-//! resolves each request against the scenario registry, and streams
-//! length-prefixed [`SampleBlock`]-framed Doppler blocks.
-//!
-//! ## Threading model
-//!
-//! One accept thread plus one thread per live connection. Every connection
-//! builds its own `(scenario, seed)` real-time generator through the
-//! process-wide decomposition cache, so connections share no mutable state
-//! and generate concurrently. It owns **one pooled block** and one pooled
-//! wire buffer — after the first block, a connection's steady state
-//! performs **zero heap allocation** (generate into the pooled block,
-//! encode into the warm buffer, `write_all` to the socket; the workspace
-//! allocation-regression test measures this through a real socket).
-//!
-//! ## Failure behavior
-//!
-//! * Malformed requests, unknown scenarios (with a did-you-mean
-//!   suggestion), version mismatches and build failures are answered with a
-//!   typed **error frame** before the connection closes — never a silent
-//!   drop.
-//! * A client that disappears mid-stream only tears down its own
-//!   stream; every other connection is untouched.
-//! * When [`ServerConfig::max_sessions`] is set, a connection beyond the
-//!   cap is answered with a typed `BUSY` error frame (admission control)
-//!   instead of queueing behind the accept backlog; the client's retry
-//!   machinery treats it as transient and backs off.
-//! * A v2 **resume** request (non-zero block cursor) fast-forwards a fresh
-//!   stream past the cursor — replaying only the RNG draws, skipping
-//!   IDFT/coloring work — so the resumed stream is bit-identical to the
-//!   uninterrupted one from that cursor.
-//! * [`Server::shutdown`] stops accepting, then **drains**: in-flight
-//!   connections get [`ServerConfig::drain_timeout`] to finish their
-//!   current block and send a `SERVER_SHUTDOWN` error frame before any
-//!   still-blocked socket is forcibly interrupted; all threads are joined
-//!   and the Unix socket file is removed.
+//! The channel-as-a-service server; its design notes are on [`Server`].
 
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,10 +19,6 @@ use crate::protocol::{
 /// Number of distinct wire error codes (plus the unused slot 0) tracked by
 /// the per-code counters: codes `1..=12` index directly into the array.
 pub(crate) const ERROR_CODE_SLOTS: usize = 13;
-
-/// Blocks a resume skips between two checks of the shutdown flag: about
-/// 8 ms of skipping per `fig4a-spectral` chunk in a release build.
-const SKIP_CHUNK_BLOCKS: u64 = 64;
 
 /// Server tuning knobs. `Default` suits tests and local use.
 #[derive(Debug, Clone)]
@@ -150,7 +111,43 @@ struct ConnEntry {
     socket: Option<Conn>,
 }
 
-/// A running channel-as-a-service server.
+/// A running channel-as-a-service server: it accepts TCP/Unix-socket
+/// connections, resolves each request against the scenario registry, and
+/// streams length-prefixed [`SampleBlock`]-framed Doppler blocks.
+///
+/// # Threading model
+///
+/// One accept thread plus one thread per live connection. Every connection
+/// builds its own `(scenario, seed)` real-time generator through the
+/// process-wide decomposition cache, so connections share no mutable state
+/// and generate concurrently. It owns **one pooled block** and one pooled
+/// wire buffer — after the first block, a connection's steady state
+/// performs **zero heap allocation** (generate into the pooled block,
+/// encode into the warm buffer, `write_all` to the socket; the workspace
+/// allocation-regression test measures this through a real socket).
+///
+/// # Failure behavior
+///
+/// * Malformed requests, unknown scenarios (with a did-you-mean
+///   suggestion), version mismatches and build failures are answered with a
+///   typed **error frame** before the connection closes — never a silent
+///   drop.
+/// * A client that disappears mid-stream only tears down its own
+///   stream; every other connection is untouched.
+/// * When [`ServerConfig::max_sessions`] is set, a connection beyond the
+///   cap is answered with a typed `BUSY` error frame (admission control)
+///   instead of queueing behind the accept backlog; the client's retry
+///   machinery treats it as transient and backs off.
+/// * A v2 **resume** request (non-zero block cursor) fast-forwards a fresh
+///   stream past the cursor — replaying only the RNG draws, skipping
+///   IDFT/coloring work — so the resumed stream is bit-identical to the
+///   uninterrupted one from that cursor. It checks the shutdown flag
+///   before every skipped block, so a shutdown waits for at most one.
+/// * [`Server::shutdown`] stops accepting, then **drains**: in-flight
+///   connections get [`ServerConfig::drain_timeout`] to finish their
+///   current block and send a `SERVER_SHUTDOWN` error frame before any
+///   still-blocked socket is forcibly interrupted; all threads are joined
+///   and the Unix socket file is removed.
 ///
 /// Dropping the server performs a full [`Server::shutdown`].
 ///
@@ -513,18 +510,15 @@ fn serve_session(shared: &Shared, conn: &mut Conn) {
     // v2 resume: fast-forward the fresh stream past the cursor by replaying
     // only its RNG draws (no IDFT/coloring work), so the blocks streamed
     // below are bit-identical to `cursor..` of the uninterrupted stream.
-    // The skip runs in chunks so a shutdown is never held up by more than
-    // one chunk of it.
+    // The shutdown flag is checked before every skipped block, so a
+    // shutdown is never held up by more than one block of the skip.
     if request.cursor > 0 {
-        let mut left = request.cursor;
-        while left > 0 {
+        for _ in 0..request.cursor {
             if shared.shutting_down.load(Ordering::Relaxed) {
                 send_error_frame(conn, &mut wire, shared, &ProtocolError::ServerShutdown);
                 return;
             }
-            let chunk = left.min(SKIP_CHUNK_BLOCKS);
-            stream.skip_blocks(chunk);
-            left -= chunk;
+            stream.skip_blocks(1);
         }
         shared
             .counters

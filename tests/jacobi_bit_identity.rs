@@ -8,10 +8,12 @@
 //! included. [`reference_hermitian_eigen`] below is that earlier loop,
 //! kept here as the reference and nowhere in the library.
 //!
-//! The inputs cover n = 1..=70 with complex entries, real entries whose
-//! imaginary parts are `+0.0` or `-0.0`, degenerate spectra (identity,
-//! repeated blocks), rank-1, indefinite matrices, and the 16 group
-//! covariances of the 1012-link `wsn-epoch` network.
+//! The inputs cover n = 1..=70, 96 and 128 with complex entries, real
+//! entries whose imaginary parts are `+0.0` or `-0.0`, degenerate spectra
+//! (identity, repeated blocks), rank-1, indefinite matrices, couplings that
+//! the sweep skips (exact zeros and entries below its threshold), an
+//! off-diagonal mass that stalls above the convergence target, and the 16
+//! group covariances of the 1012-link `wsn-epoch` network.
 
 #[path = "../crates/network/tests/support/wsn_epoch.rs"]
 mod wsn_epoch;
@@ -177,6 +179,104 @@ fn real_matrices_with_signed_zero_imaginary_parts_n1_to_70() {
     for n in 1..=70 {
         let a = random_hermitian(n, 1000 + n as u64, true, 2.0);
         assert_same_bits(&a, &format!("real n={n}"));
+    }
+}
+
+#[test]
+fn complex_and_real_matrices_n96_and_n128() {
+    for n in [96usize, 128] {
+        let a = random_hermitian(n, 4000 + n as u64, false, 2.0);
+        assert_same_bits(&a, &format!("complex n={n}"));
+        let a = random_hermitian(n, 5000 + n as u64, true, 2.0);
+        assert_same_bits(&a, &format!("real n={n}"));
+    }
+}
+
+/// Matrices whose `p`-loops end on skipped pivots after applied rotations.
+/// Couplings between indices of different residues mod `k` are zero (which
+/// rotations within a residue class keep zero, up to sign) or far below the
+/// skip threshold, and the last index is decoupled from the rest, so many
+/// `p`-loops rotate first and then skip their last pivots.
+#[test]
+fn p_loops_ending_on_skipped_pivots() {
+    for n in [3usize, 5, 8, 17, 33, 64] {
+        for k in [2usize, 3] {
+            for (tiny, real) in [(0.0, false), (0.0, true), (1e-20, false)] {
+                let a = random_hermitian(n, 6000 + (n * k) as u64, real, 2.0);
+                let mut d = Draws(7000 + n as u64);
+                let classes = CMatrix::from_fn(n, n, |i, j| {
+                    if i % k == j % k {
+                        a[(i, j)]
+                    } else {
+                        let z = c64(tiny * d.next(), tiny * d.next());
+                        if i < j {
+                            z
+                        } else {
+                            // Not Hermitian, but within the input tolerance;
+                            // `hermitianize` averages it away.
+                            z.conj()
+                        }
+                    }
+                });
+                let label = format!("residues mod {k}, n={n}, tiny={tiny}, real={real}");
+                assert_same_bits(&classes, &label);
+            }
+        }
+        let a = random_hermitian(n, 8000 + n as u64, false, 2.0);
+        let decoupled = CMatrix::from_fn(n, n, |i, j| {
+            if i != j && (i == n - 1 || j == n - 1) {
+                Complex64::ZERO
+            } else {
+                a[(i, j)]
+            }
+        });
+        assert_same_bits(&decoupled, &format!("last index decoupled n={n}"));
+    }
+}
+
+/// Off-diagonal entries each at or below the skip threshold `ε·‖A‖_F` but
+/// together above the target `(ε·‖A‖_F)²`: a sweep applies no rotation and
+/// the mass never falls, so the reference loop runs out its 64 sweeps. With
+/// `couple` (n ≥ 9, so that enough small entries are left), one large
+/// coupling of indices 0 and 1 is rotated away first.
+#[test]
+fn off_diagonal_mass_that_stalls_above_target() {
+    for n in [3usize, 4, 9, 16, 64] {
+        for couple in [false, true] {
+            if couple && n < 9 {
+                continue;
+            }
+            let tiny = 0.5 * f64::EPSILON * (n as f64).sqrt();
+            let mut d = Draws(9000 + n as u64);
+            let mut a = CMatrix::zeros(n, n);
+            for i in 0..n {
+                a[(i, i)] = c64(1.0 + 0.25 * d.next(), 0.0);
+                for j in (i + 1)..n {
+                    let phase = 6.0 * d.next();
+                    let z = if couple && (i, j) == (0, 1) {
+                        c64(0.3, 0.2)
+                    } else if couple && i < 2 {
+                        Complex64::ZERO
+                    } else {
+                        c64(tiny * phase.cos(), tiny * phase.sin())
+                    };
+                    a[(i, j)] = z;
+                    a[(j, i)] = z.conj();
+                }
+            }
+            let threshold = f64::EPSILON * a.frobenius_norm();
+            let mut mass = 0.0;
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j && !(couple && i < 2 && j < 2) {
+                        assert!(a[(i, j)].abs() <= threshold);
+                        mass += a[(i, j)].norm_sqr();
+                    }
+                }
+            }
+            assert!(mass > threshold * threshold, "n={n}: the mass must stall");
+            assert_same_bits(&a, &format!("stalled n={n}, couple={couple}"));
+        }
     }
 }
 
