@@ -53,13 +53,6 @@ pub enum BaselineError {
         /// Largest imaginary magnitude found among the off-diagonal entries.
         max_imaginary: f64,
     },
-    /// The method has no block-streaming (`ChannelStream`) reproduction
-    /// (the two-envelope formulations of refs \[2\]/\[3\] are reproduced
-    /// sample-by-sample only).
-    StreamingUnsupported {
-        /// Human-readable method name.
-        method: &'static str,
-    },
     /// Any other invalid configuration.
     Invalid {
         /// Description of the problem.
@@ -96,9 +89,6 @@ impl fmt::Display for BaselineError {
                 f,
                 "{method} forces covariances to be real but the target has imaginary parts up to {max_imaginary:.3e}"
             ),
-            BaselineError::StreamingUnsupported { method } => {
-                write!(f, "{method} has no block-streaming reproduction")
-            }
             BaselineError::Invalid { reason } => write!(f, "invalid configuration: {reason}"),
         }
     }
@@ -137,10 +127,6 @@ mod tests {
             max_imaginary: 0.4,
         };
         assert!(e.to_string().contains("imaginary"));
-        let e = BaselineError::StreamingUnsupported {
-            method: "Ertel-Reed [2]",
-        };
-        assert!(e.to_string().contains("streaming"));
         let e = BaselineError::Invalid { reason: "empty" };
         assert!(e.to_string().contains("empty"));
     }

@@ -6,42 +6,46 @@
 //! chart where each one fails and quantify the advantage of the proposed
 //! algorithm:
 //!
-//! | Baseline | Entry point | Restrictions reproduced |
-//! |----------|-------------|------------------------|
-//! | Salz & Winters \[1\] | [`SalzWintersGenerator`] | equal powers; covariance must be PSD |
-//! | Ertel & Reed \[2\] | [`BaselineMethod::ErtelReed`] | N = 2, equal powers |
-//! | Beaulieu \[3\] | [`BaselineMethod::Beaulieu`] | N = 2, equal powers, real covariance |
-//! | Beaulieu & Merani \[4\] | [`BaselineMethod::BeaulieuMerani`] | equal powers, Cholesky (PD required) |
-//! | Natarajan et al. \[5\] | [`NatarajanGenerator`] | Cholesky (PD required), covariances forced real |
-//! | Sorooshyari & Daut \[6\] | [`SorooshyariDautGenerator`], [`SorooshyariDautRealtimeGenerator`] | equal powers, ε-PSD forcing + Cholesky, unit-variance Doppler combination |
-//! | Young & Beaulieu \[7\] | `corrfade_dsp::IdftRayleighGenerator` | single envelope only (no cross-correlation) |
+//! | Baseline | Entry point | Square root of `K` | Restrictions reproduced |
+//! |----------|-------------|--------------------|-------------------------|
+//! | Salz & Winters \[1\] | [`BaselineMethod::SalzWinters`] | real root of the `2N × 2N` embedding | equal powers; covariance must be PSD |
+//! | Ertel & Reed \[2\] | [`BaselineMethod::ErtelReed`] | closed-form 2×2 factor | N = 2, equal powers |
+//! | Beaulieu \[3\] | [`BaselineMethod::Beaulieu`] | closed-form 2×2 factor | N = 2, equal powers, real covariance |
+//! | Beaulieu & Merani \[4\] | [`BaselineMethod::BeaulieuMerani`] | Cholesky | equal powers, PD required |
+//! | Natarajan et al. \[5\] | [`BaselineMethod::Natarajan`], [`natarajan_lossy_stream`] | Cholesky of `Re(K)` | PD required, covariances forced real |
+//! | Sorooshyari & Daut \[6\] | [`BaselineMethod::SorooshyariDaut`], [`SorooshyariDautRealtimeGenerator`] | ε-PSD forcing + Cholesky | equal powers, unit-variance Doppler combination |
+//! | Young & Beaulieu \[7\] | `corrfade_dsp::IdftRayleighGenerator` | — | single envelope only (no cross-correlation) |
 //!
 //! The proposed algorithm itself lives in the `corrfade` crate.
 //!
-//! The constructible `N ≥ 2` baselines (\[1\], \[4\], \[5\], \[6\] in both
-//! modes) also implement [`corrfade::ChannelStream`], writing planar
-//! [`corrfade::SampleBlock`] buffers like the proposed generators, so the
-//! E8/E10 ablations compare every method through one streaming interface
-//! ([`BaselineMethod::try_stream`]).
+//! Refs \[2\]–\[6\] differ only in their restriction checks and in how
+//! they get a square root `L` of `K`; one sampler colors white complex
+//! Gaussian vectors with it. Salz–Winters' real root is not a complex
+//! `N × N` coloring, so it keeps its own sampler. Every method implements
+//! [`corrfade::ChannelStream`] through [`BaselineMethod::try_stream`],
+//! writing planar [`corrfade::SampleBlock`] buffers like the proposed
+//! generators, so the E8/E10 ablations compare every method through one
+//! streaming interface.
 
 #![warn(missing_docs)]
 
+mod checks;
 mod cholesky_methods;
 mod error;
 mod salz_winters_gen;
+mod sampler;
 mod sorooshyari_daut;
-mod streaming;
 mod two_envelope;
 
-use cholesky_methods::BeaulieuMeraniGenerator;
-use two_envelope::{BeaulieuGenerator, ErtelReedGenerator};
+use corrfade::ChannelStream;
+use corrfade_linalg::{CMatrix, Complex64};
 
-pub use cholesky_methods::NatarajanGenerator;
+use checks::check_covariance;
+use salz_winters_gen::SalzWintersSampler;
+use sampler::SnapshotSampler;
+
 pub use error::BaselineError;
-pub use salz_winters_gen::SalzWintersGenerator;
-pub use sorooshyari_daut::{
-    epsilon_psd_forcing, SorooshyariDautGenerator, SorooshyariDautRealtimeGenerator,
-};
+pub use sorooshyari_daut::{epsilon_psd_forcing, SorooshyariDautRealtimeGenerator};
 
 /// Identifies one of the reproduced conventional methods (used by the
 /// experiment harness to build the E10 shortcoming matrix).
@@ -59,6 +63,16 @@ pub enum BaselineMethod {
     Natarajan,
     /// Sorooshyari & Daut \[6\].
     SorooshyariDaut,
+}
+
+/// A method's square root of `K`, after its restriction checks.
+enum Root {
+    /// A complex `N × N` coloring `L`: snapshots are `L·w` (refs
+    /// \[2\]–\[6\]).
+    Complex(CMatrix),
+    /// Salz–Winters' real root of the `2N × 2N` embedding, row-major (ref.
+    /// \[1\]).
+    RealEmbedding(Vec<f64>),
 }
 
 impl BaselineMethod {
@@ -84,76 +98,80 @@ impl BaselineMethod {
         }
     }
 
-    /// Attempts to build the method for the given covariance matrix and draw
-    /// a single snapshot, returning the failure if the method cannot handle
-    /// the scenario. This is the primitive behind the E10 shortcoming
-    /// matrix.
-    pub fn try_generate(
-        self,
-        k: &corrfade_linalg::CMatrix,
-        seed: u64,
-    ) -> Result<Vec<corrfade_linalg::Complex64>, BaselineError> {
-        match self {
+    /// Checks `k` against the method's restrictions and computes its
+    /// square root.
+    fn root(self, k: &CMatrix) -> Result<Root, BaselineError> {
+        check_covariance(k)?;
+        let method = self.name();
+        Ok(match self {
             BaselineMethod::SalzWinters => {
-                SalzWintersGenerator::new(k, seed).map(|mut g| g.sample_gaussian())
+                Root::RealEmbedding(salz_winters_gen::real_root(k, method)?)
             }
-            BaselineMethod::ErtelReed => {
-                ErtelReedGenerator::new(k, seed).map(|mut g| g.sample_gaussian())
-            }
-            BaselineMethod::Beaulieu => {
-                BeaulieuGenerator::new(k, seed).map(|mut g| g.sample_gaussian())
-            }
+            BaselineMethod::ErtelReed => Root::Complex(two_envelope::ertel_reed(k, method)?),
+            BaselineMethod::Beaulieu => Root::Complex(two_envelope::beaulieu(k, method)?),
             BaselineMethod::BeaulieuMerani => {
-                BeaulieuMeraniGenerator::new(k, seed).map(|mut g| g.sample_gaussian())
+                Root::Complex(cholesky_methods::beaulieu_merani(k, method)?)
             }
-            BaselineMethod::Natarajan => {
-                NatarajanGenerator::new(k, seed).map(|mut g| g.sample_gaussian())
-            }
+            BaselineMethod::Natarajan => Root::Complex(cholesky_methods::natarajan(k, method)?),
             BaselineMethod::SorooshyariDaut => {
-                SorooshyariDautGenerator::new(k, seed).map(|mut g| g.sample_gaussian())
+                Root::Complex(sorooshyari_daut::sorooshyari_daut(k, method)?)
             }
-        }
+        })
     }
 
-    /// Attempts to build the method as a boxed
-    /// [`corrfade::ChannelStream`] for the given covariance matrix, so the
-    /// E10 shortcoming matrix (and any service layer) can drive every
-    /// constructible baseline through the same streaming interface as the
-    /// proposed algorithm.
+    /// Attempts to build the method for the given covariance matrix and draw
+    /// a single snapshot, returning the failure if the method cannot handle
+    /// the scenario.
     ///
     /// # Errors
-    /// Construction failures (the method cannot handle the scenario), or
-    /// [`BaselineError::StreamingUnsupported`] for the two-envelope methods
-    /// \[2\]/\[3\], whose historical formulations are reproduced
-    /// sample-by-sample only.
+    /// The restriction the scenario violates, as a [`BaselineError`].
+    pub fn try_generate(self, k: &CMatrix, seed: u64) -> Result<Vec<Complex64>, BaselineError> {
+        Ok(match self.root(k)? {
+            Root::Complex(l) => SnapshotSampler::new(l, seed).sample_gaussian(),
+            Root::RealEmbedding(r) => SalzWintersSampler::new(k.rows(), r, seed).sample_gaussian(),
+        })
+    }
+
+    /// Attempts to build the method as a boxed [`ChannelStream`] for the
+    /// given covariance matrix, so the E10 shortcoming matrix (and any
+    /// service layer) can drive every baseline through the same streaming
+    /// interface as the proposed algorithm.
+    ///
+    /// # Errors
+    /// The restriction the scenario violates, as a [`BaselineError`].
     pub fn try_stream(
         self,
-        k: &corrfade_linalg::CMatrix,
+        k: &CMatrix,
         seed: u64,
-    ) -> Result<Box<dyn corrfade::ChannelStream>, BaselineError> {
-        match self {
-            BaselineMethod::SalzWinters => SalzWintersGenerator::new(k, seed)
-                .map(|g| Box::new(g) as Box<dyn corrfade::ChannelStream>),
-            BaselineMethod::BeaulieuMerani => BeaulieuMeraniGenerator::new(k, seed)
-                .map(|g| Box::new(g) as Box<dyn corrfade::ChannelStream>),
-            BaselineMethod::Natarajan => NatarajanGenerator::new(k, seed)
-                .map(|g| Box::new(g) as Box<dyn corrfade::ChannelStream>),
-            BaselineMethod::SorooshyariDaut => SorooshyariDautGenerator::new(k, seed)
-                .map(|g| Box::new(g) as Box<dyn corrfade::ChannelStream>),
-            BaselineMethod::ErtelReed | BaselineMethod::Beaulieu => {
-                Err(BaselineError::StreamingUnsupported {
-                    method: self.name(),
-                })
-            }
-        }
+    ) -> Result<Box<dyn ChannelStream>, BaselineError> {
+        Ok(match self.root(k)? {
+            Root::Complex(l) => Box::new(SnapshotSampler::new(l, seed)),
+            Root::RealEmbedding(r) => Box::new(SalzWintersSampler::new(k.rows(), r, seed)),
+        })
     }
+}
+
+/// Natarajan \[5\] the way it actually behaves on complex covariances: the
+/// imaginary parts are silently dropped (`K ← Re(K)`) and generation
+/// proceeds, streaming like [`BaselineMethod::try_stream`]. Used to
+/// quantify the resulting bias.
+///
+/// # Errors
+/// Malformed input, and the Cholesky failure on a `Re(K)` that is not
+/// positive definite.
+pub fn natarajan_lossy_stream(
+    k: &CMatrix,
+    seed: u64,
+) -> Result<Box<dyn ChannelStream>, BaselineError> {
+    check_covariance(k)?;
+    let coloring = cholesky_methods::natarajan_lossy(k, BaselineMethod::Natarajan.name())?;
+    Ok(Box::new(SnapshotSampler::new(coloring, seed)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::two_envelope::two_envelope_covariance;
-    use corrfade_linalg::CMatrix;
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 
     #[test]
@@ -211,39 +229,29 @@ mod tests {
 
     #[test]
     fn streaming_baselines_match_their_per_snapshot_sampling_bit_for_bit() {
-        use corrfade::{ChannelStream, SampleBlock};
-        let k = paper_covariance_matrix_23();
+        use corrfade::SampleBlock;
+        let k23 = paper_covariance_matrix_23();
+        let k2 = two_envelope_covariance(1.0, corrfade_linalg::c64(0.5, 0.0));
         let mut block = SampleBlock::empty();
-        for method in [
-            BaselineMethod::SalzWinters,
-            BaselineMethod::BeaulieuMerani,
-            BaselineMethod::Natarajan,
-            BaselineMethod::SorooshyariDaut,
-        ] {
-            let mut stream = method.try_stream(&k, 42).unwrap();
+        for method in BaselineMethod::ALL {
+            let two_envelope =
+                matches!(method, BaselineMethod::ErtelReed | BaselineMethod::Beaulieu);
+            let k = if two_envelope { &k2 } else { &k23 };
+            let mut stream = method.try_stream(k, 42).unwrap();
             stream.next_block_into(&mut block).unwrap();
             let m = block.samples();
-            assert_eq!(block.envelopes(), 3, "{}", method.name());
+            assert_eq!(block.envelopes(), k.rows(), "{}", method.name());
             // The same seed through the per-snapshot API must produce the
             // identical sample sequence.
-            let mut sample_gaussian: Box<dyn FnMut() -> Vec<_>> = match method {
-                BaselineMethod::SalzWinters => {
-                    let mut g = SalzWintersGenerator::new(&k, 42).unwrap();
+            let mut sample_gaussian: Box<dyn FnMut() -> Vec<_>> = match method.root(k).unwrap() {
+                Root::Complex(l) => {
+                    let mut g = SnapshotSampler::new(l, 42);
                     Box::new(move || g.sample_gaussian())
                 }
-                BaselineMethod::BeaulieuMerani => {
-                    let mut g = BeaulieuMeraniGenerator::new(&k, 42).unwrap();
+                Root::RealEmbedding(r) => {
+                    let mut g = SalzWintersSampler::new(k.rows(), r, 42);
                     Box::new(move || g.sample_gaussian())
                 }
-                BaselineMethod::Natarajan => {
-                    let mut g = NatarajanGenerator::new(&k, 42).unwrap();
-                    Box::new(move || g.sample_gaussian())
-                }
-                BaselineMethod::SorooshyariDaut => {
-                    let mut g = SorooshyariDautGenerator::new(&k, 42).unwrap();
-                    Box::new(move || g.sample_gaussian())
-                }
-                _ => unreachable!(),
             };
             for l in 0..m {
                 for (j, expected) in sample_gaussian().into_iter().enumerate() {
@@ -251,12 +259,6 @@ mod tests {
                 }
             }
         }
-        // The two-envelope methods report a typed streaming gap.
-        let k2 = two_envelope_covariance(1.0, corrfade_linalg::c64(0.5, 0.0));
-        assert!(matches!(
-            BaselineMethod::ErtelReed.try_stream(&k2, 1),
-            Err(BaselineError::StreamingUnsupported { .. })
-        ));
     }
 
     #[test]

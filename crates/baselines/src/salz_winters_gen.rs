@@ -22,100 +22,80 @@ use corrfade::{ChannelStream, CorrfadeError};
 use corrfade_linalg::{c64, hermitian_eigen, CMatrix, Complex64, SampleBlock};
 use corrfade_randn::{NormalSampler, RandomStream};
 
+use crate::checks::require_equal_powers;
 use crate::error::BaselineError;
-use crate::streaming::SNAPSHOT_STREAM_BLOCK_LEN;
+use crate::sampler::SNAPSHOT_STREAM_BLOCK_LEN;
 
 /// Relative tolerance below which a negative eigenvalue of the real
 /// embedding is attributed to round-off rather than genuine indefiniteness.
 const PSD_TOL: f64 = 1e-10;
 
-/// The Salz–Winters real-embedding generator (baseline \[1\]).
+/// The real `2N × 2N` coloring matrix (row-major) of the Salz–Winters
+/// embedding of a covariance that passed
+/// [`crate::checks::check_covariance`].
 ///
-/// Implements [`ChannelStream`] by batching independent snapshots into
-/// planar blocks, like the proposed single-instant generator.
+/// # Errors
+/// * [`BaselineError::UnequalPowersUnsupported`] if the diagonal entries
+///   differ (the method was derived for equal powers only),
+/// * [`BaselineError::NotPositiveSemidefinite`] if the embedding has a
+///   negative eigenvalue (the real square root does not exist).
+pub(crate) fn real_root(k: &CMatrix, method: &'static str) -> Result<Vec<f64>, BaselineError> {
+    require_equal_powers(k, method)?;
+
+    // 2N×2N real covariance of (x_1..x_N, y_1..y_N). For a circularly
+    // symmetric complex Gaussian vector with covariance K = A + iB:
+    // Cov(x,x) = Cov(y,y) = A/2, Cov(x,y) = -B/2, Cov(y,x) = B/2.
+    let embedding = k.real_embedding().scale_real(0.5);
+    let eig = hermitian_eigen(&embedding).map_err(|_| BaselineError::Invalid {
+        reason: "eigendecomposition of the real embedding failed",
+    })?;
+    let lambda_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(1e-300);
+    if eig.eigenvalues.iter().any(|&l| l < -PSD_TOL * lambda_max) {
+        return Err(BaselineError::NotPositiveSemidefinite {
+            method,
+            min_eigenvalue: *eig.eigenvalues.last().expect("non-empty eigenvalue list"),
+        });
+    }
+
+    // Real coloring matrix: V·√Λ (clamping round-off negatives to zero).
+    // The eigenvectors of a real embedding are real, so `.re` drops
+    // nothing.
+    let dim = 2 * k.rows();
+    let mut coloring = Vec::with_capacity(dim * dim);
+    for i in 0..dim {
+        for j in 0..dim {
+            coloring.push(eig.eigenvectors[(i, j)].re * eig.eigenvalues[j].max(0.0).sqrt());
+        }
+    }
+    Ok(coloring)
+}
+
+/// Draws Salz–Winters snapshots: `2N` white real Gaussians colored by
+/// [`real_root`], the first `N` the real parts and the last `N` the
+/// imaginary parts.
 #[derive(Debug, Clone)]
-pub struct SalzWintersGenerator {
+pub(crate) struct SalzWintersSampler {
     n: usize,
     /// Real coloring matrix of the 2N×2N embedding, row-major.
     coloring: Vec<f64>,
     rng: RandomStream,
     sampler: NormalSampler,
-    /// White `2N` real vector scratch for the streaming path.
+    /// White `2N` real vector scratch.
     a: Vec<f64>,
-    /// Colored `2N` real vector scratch for the streaming path.
+    /// Colored `2N` real vector scratch.
     c: Vec<f64>,
 }
 
-impl SalzWintersGenerator {
-    /// Builds the generator for a desired complex covariance matrix `K`
-    /// (equal powers on the diagonal).
-    ///
-    /// # Errors
-    /// * [`BaselineError::UnequalPowersUnsupported`] if the diagonal entries
-    ///   differ (the method was derived for equal powers only),
-    /// * [`BaselineError::NotPositiveSemidefinite`] if the embedding has a
-    ///   negative eigenvalue (the real square root does not exist),
-    /// * [`BaselineError::Invalid`] for malformed input.
-    pub fn new(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
-        if !k.is_square() || k.rows() == 0 {
-            return Err(BaselineError::Invalid {
-                reason: "covariance matrix must be square and non-empty",
-            });
-        }
-        if !k.is_hermitian(1e-9 * k.max_abs().max(1.0)) {
-            return Err(BaselineError::Invalid {
-                reason: "covariance matrix must be Hermitian",
-            });
-        }
-        let n = k.rows();
-        let p0 = k[(0, 0)].re;
-        for i in 0..n {
-            if (k[(i, i)].re - p0).abs() > 1e-9 * p0.abs().max(1.0) {
-                return Err(BaselineError::UnequalPowersUnsupported {
-                    method: "Salz-Winters [1]",
-                });
-            }
-        }
-
-        // 2N×2N real covariance of (x_1..x_N, y_1..y_N). For a circularly
-        // symmetric complex Gaussian vector with covariance K = A + iB:
-        // Cov(x,x) = Cov(y,y) = A/2, Cov(x,y) = -B/2, Cov(y,x) = B/2.
-        let embedding = k.real_embedding().scale_real(0.5);
-        let eig = hermitian_eigen(&embedding).map_err(|_| BaselineError::Invalid {
-            reason: "eigendecomposition of the real embedding failed",
-        })?;
-        let lambda_max = eig.eigenvalues.first().copied().unwrap_or(0.0).max(1e-300);
-        if eig.eigenvalues.iter().any(|&l| l < -PSD_TOL * lambda_max) {
-            return Err(BaselineError::NotPositiveSemidefinite {
-                method: "Salz-Winters [1]",
-                min_eigenvalue: *eig.eigenvalues.last().expect("non-empty eigenvalue list"),
-            });
-        }
-
-        // Real coloring matrix: V·√Λ (clamping round-off negatives to zero).
-        // The eigenvectors of a real embedding are real, so `.re` drops
-        // nothing.
-        let dim = 2 * n;
-        let mut coloring = Vec::with_capacity(dim * dim);
-        for i in 0..dim {
-            for j in 0..dim {
-                coloring.push(eig.eigenvectors[(i, j)].re * eig.eigenvalues[j].max(0.0).sqrt());
-            }
-        }
-
-        Ok(Self {
+impl SalzWintersSampler {
+    pub(crate) fn new(n: usize, coloring: Vec<f64>, seed: u64) -> Self {
+        Self {
             n,
             coloring,
             rng: RandomStream::new(seed),
             sampler: NormalSampler::default(),
-            a: Vec::new(),
-            c: Vec::new(),
-        })
-    }
-
-    /// Number of envelopes.
-    pub fn dimension(&self) -> usize {
-        self.n
+            a: vec![0.0; 2 * n],
+            c: vec![0.0; 2 * n],
+        }
     }
 
     /// Draws one real `2N` colored embedding vector into the internal
@@ -123,8 +103,6 @@ impl SalzWintersGenerator {
     /// sampling methods and the streaming path.
     fn draw_embedding(&mut self) {
         let dim = 2 * self.n;
-        self.a.resize(dim, 0.0);
-        self.c.resize(dim, 0.0);
         let Self {
             rng,
             sampler,
@@ -140,20 +118,15 @@ impl SalzWintersGenerator {
     }
 
     /// Draws one correlated complex Gaussian vector.
-    pub fn sample_gaussian(&mut self) -> Vec<Complex64> {
+    pub(crate) fn sample_gaussian(&mut self) -> Vec<Complex64> {
         self.draw_embedding();
         (0..self.n)
             .map(|j| c64(self.c[j], self.c[j + self.n]))
             .collect()
     }
-
-    /// Draws one vector of correlated Rayleigh envelopes.
-    pub fn sample_envelopes(&mut self) -> Vec<f64> {
-        self.sample_gaussian().iter().map(|z| z.abs()).collect()
-    }
 }
 
-impl ChannelStream for SalzWintersGenerator {
+impl ChannelStream for SalzWintersSampler {
     fn dimension(&self) -> usize {
         self.n
     }
@@ -183,14 +156,17 @@ mod tests {
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
     use corrfade_stats::relative_frobenius_error;
 
-    use crate::streaming::stream_covariance;
+    use crate::sampler::stream_covariance;
+    use crate::BaselineMethod;
+
+    const METHOD: &str = "Salz-Winters [1]";
 
     #[test]
     fn reproduces_equal_power_psd_covariance() {
         for k in [paper_covariance_matrix_22(), paper_covariance_matrix_23()] {
-            let mut g = SalzWintersGenerator::new(&k, 5).unwrap();
+            let mut g = BaselineMethod::SalzWinters.try_stream(&k, 5).unwrap();
             assert_eq!(g.dimension(), 3);
-            let khat = stream_covariance(&mut g, 59);
+            let khat = stream_covariance(g.as_mut(), 59);
             let err = relative_frobenius_error(&khat, &k);
             assert!(err < 0.04, "relative covariance error {err}");
         }
@@ -199,8 +175,8 @@ mod tests {
     #[test]
     fn envelopes_are_rayleigh_distributed() {
         let k = paper_covariance_matrix_23();
-        let mut g = SalzWintersGenerator::new(&k, 9).unwrap();
-        let env: Vec<f64> = (0..20_000).map(|_| g.sample_envelopes()[0]).collect();
+        let mut g = SalzWintersSampler::new(3, real_root(&k, METHOD).unwrap(), 9);
+        let env: Vec<f64> = (0..20_000).map(|_| g.sample_gaussian()[0].abs()).collect();
         let sigma = corrfade_stats::rayleigh_scale(1.0);
         let t = corrfade_stats::ks_test(&env, |r| corrfade_specfun::rayleigh_cdf(r, sigma));
         assert!(t.passes(0.001), "{t:?}");
@@ -210,7 +186,7 @@ mod tests {
     fn rejects_unequal_powers() {
         let k = CMatrix::from_real_slice(2, 2, &[1.0, 0.2, 0.2, 2.0]);
         assert!(matches!(
-            SalzWintersGenerator::new(&k, 1),
+            BaselineMethod::SalzWinters.try_generate(&k, 1),
             Err(BaselineError::UnequalPowersUnsupported { .. })
         ));
     }
@@ -221,19 +197,20 @@ mod tests {
         // real square root complex, so the method cannot proceed.
         let k = CMatrix::from_real_slice(3, 3, &[1.0, 0.9, -0.9, 0.9, 1.0, 0.9, -0.9, 0.9, 1.0]);
         assert!(matches!(
-            SalzWintersGenerator::new(&k, 1),
+            BaselineMethod::SalzWinters.try_generate(&k, 1),
             Err(BaselineError::NotPositiveSemidefinite { .. })
         ));
     }
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(SalzWintersGenerator::new(&CMatrix::zeros(2, 3), 1).is_err());
+        let sw = BaselineMethod::SalzWinters;
+        assert!(sw.try_generate(&CMatrix::zeros(2, 3), 1).is_err());
         let non_herm = CMatrix::from_rows(&[
             vec![c64(1.0, 0.0), c64(0.5, 0.0)],
             vec![c64(0.1, 0.0), c64(1.0, 0.0)],
         ]);
-        assert!(SalzWintersGenerator::new(&non_herm, 1).is_err());
+        assert!(sw.try_generate(&non_herm, 1).is_err());
     }
 
     #[test]
@@ -241,8 +218,7 @@ mod tests {
         // Fully correlated equal-power pair — PSD but singular; the
         // eigen-based square root still exists.
         let k = CMatrix::from_real_slice(2, 2, &[1.0, 1.0, 1.0, 1.0]);
-        let mut g = SalzWintersGenerator::new(&k, 3).unwrap();
-        let s = g.sample_gaussian();
+        let s = BaselineMethod::SalzWinters.try_generate(&k, 3).unwrap();
         assert!(
             (s[0] - s[1]).abs() < 1e-9,
             "fully correlated fades must coincide"
@@ -272,9 +248,8 @@ mod tests {
             let eig = hermitian_eigen(&embedding).unwrap();
             assert!(eig.eigenvectors.as_slice().iter().all(|z| z.im == 0.0));
 
-            let g = SalzWintersGenerator::new(k, 1).unwrap();
+            let c = real_root(k, METHOD).unwrap();
             let dim = 2 * k.rows();
-            let c = &g.coloring;
             for i in 0..dim {
                 for j in 0..dim {
                     let cct: f64 = (0..dim).map(|l| c[i * dim + l] * c[j * dim + l]).sum();

@@ -18,11 +18,12 @@
 
 use corrfade::{ChannelStream, CorrfadeError};
 use corrfade_dsp::{color_idft_block, DopplerFilter, IdftRayleighGenerator};
-use corrfade_linalg::{cholesky, hermitian_eigen, CMatrix, Complex64, LinalgError, SampleBlock};
-use corrfade_randn::{ComplexGaussian, RandomStream};
+use corrfade_linalg::{hermitian_eigen, CMatrix, Complex64, SampleBlock};
+use corrfade_randn::RandomStream;
 
+use crate::checks::{check_covariance, cholesky_or_error, require_equal_powers};
 use crate::error::BaselineError;
-use crate::streaming::{fill_snapshot_block, SNAPSHOT_STREAM_BLOCK_LEN};
+use crate::BaselineMethod;
 
 /// The default ε used when rebuilding a non-PSD covariance matrix, matching
 /// the "small positive number" of ref. \[6\].
@@ -33,15 +34,12 @@ pub(crate) const DEFAULT_EPSILON: f64 = 1e-4;
 /// the number of replaced eigenvalues.
 ///
 /// # Errors
-/// [`BaselineError::Invalid`] when the matrix is not square/Hermitian.
+/// [`BaselineError::Invalid`] when the matrix is not square, non-empty,
+/// finite and Hermitian.
 pub fn epsilon_psd_forcing(k: &CMatrix, epsilon: f64) -> Result<(CMatrix, usize), BaselineError> {
-    if !k.is_square() || k.rows() == 0 {
-        return Err(BaselineError::Invalid {
-            reason: "covariance matrix must be square and non-empty",
-        });
-    }
+    check_covariance(k)?;
     let eig = hermitian_eigen(k).map_err(|_| BaselineError::Invalid {
-        reason: "covariance matrix must be Hermitian",
+        reason: "eigendecomposition of the covariance matrix failed",
     })?;
     let replaced = eig.eigenvalues.iter().filter(|&&l| l <= 0.0).count();
     if replaced == 0 {
@@ -55,132 +53,20 @@ pub fn epsilon_psd_forcing(k: &CMatrix, epsilon: f64) -> Result<(CMatrix, usize)
     Ok((eig.reconstruct_with(&adjusted), replaced))
 }
 
-/// The Sorooshyari–Daut single-instant generator (baseline \[6\]): equal-power
-/// envelopes, ε-forced PSD approximation, Cholesky coloring.
+/// The Sorooshyari–Daut coloring (baseline \[6\]): equal-power envelopes,
+/// ε-forced PSD approximation, Cholesky factor.
 ///
-/// Implements [`ChannelStream`] by batching independent snapshots into
-/// planar blocks, so the E10 shortcoming matrix drives it through the same
-/// interface as the proposed algorithm.
-#[derive(Debug, Clone)]
-pub struct SorooshyariDautGenerator {
-    coloring: CMatrix,
-    forced: CMatrix,
-    replaced_eigenvalues: usize,
-    rng: RandomStream,
-    gaussian: ComplexGaussian,
-    /// White-vector scratch for the streaming path.
-    w: Vec<Complex64>,
-    /// Colored-vector scratch for the streaming path.
-    z: Vec<Complex64>,
-}
-
-impl SorooshyariDautGenerator {
-    /// Builds the generator with the default ε.
-    pub fn new(k: &CMatrix, seed: u64) -> Result<Self, BaselineError> {
-        Self::with_epsilon(k, DEFAULT_EPSILON, seed)
-    }
-
-    /// Builds the generator with an explicit ε.
-    ///
-    /// # Errors
-    /// Unequal powers are rejected; Cholesky failure on the ε-forced matrix
-    /// (which ref. \[6\] reports happening in MATLAB for some complex
-    /// covariances) is surfaced as [`BaselineError::CholeskyFailed`].
-    pub fn with_epsilon(k: &CMatrix, epsilon: f64, seed: u64) -> Result<Self, BaselineError> {
-        const METHOD: &str = "Sorooshyari-Daut [6]";
-        if !k.is_square() || k.rows() == 0 {
-            return Err(BaselineError::Invalid {
-                reason: "covariance matrix must be square and non-empty",
-            });
-        }
-        if !k.is_hermitian(1e-9 * k.max_abs().max(1.0)) {
-            return Err(BaselineError::Invalid {
-                reason: "covariance matrix must be Hermitian",
-            });
-        }
-        let p0 = k[(0, 0)].re;
-        for i in 0..k.rows() {
-            if (k[(i, i)].re - p0).abs() > 1e-9 * p0.abs().max(1.0) {
-                return Err(BaselineError::UnequalPowersUnsupported { method: METHOD });
-            }
-        }
-        let (forced, replaced_eigenvalues) = epsilon_psd_forcing(k, epsilon)?;
-        let coloring = match cholesky(&forced) {
-            Ok(l) => l,
-            Err(LinalgError::NotPositiveDefinite { pivot, .. }) => {
-                return Err(BaselineError::CholeskyFailed {
-                    method: METHOD,
-                    pivot,
-                })
-            }
-            Err(_) => {
-                return Err(BaselineError::Invalid {
-                    reason: "Cholesky factorization failed",
-                })
-            }
-        };
-        Ok(Self {
-            coloring,
-            forced,
-            replaced_eigenvalues,
-            rng: RandomStream::new(seed),
-            gaussian: ComplexGaussian::default(),
-            w: Vec::new(),
-            z: Vec::new(),
-        })
-    }
-
-    /// Number of envelopes.
-    pub fn dimension(&self) -> usize {
-        self.coloring.rows()
-    }
-
-    /// The ε-forced covariance the generator actually targets.
-    pub fn forced_covariance(&self) -> &CMatrix {
-        &self.forced
-    }
-
-    /// How many eigenvalues were replaced by ε.
-    pub fn replaced_eigenvalues(&self) -> usize {
-        self.replaced_eigenvalues
-    }
-
-    /// Draws one correlated complex Gaussian vector (unit-variance white
-    /// input, as in ref. \[6\]).
-    pub fn sample_gaussian(&mut self) -> Vec<Complex64> {
-        let w = self
-            .gaussian
-            .sample_vec(&mut self.rng, self.coloring.rows(), 1.0);
-        self.coloring.matvec(&w)
-    }
-
-    /// Draws one vector of correlated Rayleigh envelopes.
-    pub fn sample_envelopes(&mut self) -> Vec<f64> {
-        self.sample_gaussian().iter().map(|z| z.abs()).collect()
-    }
-}
-
-impl ChannelStream for SorooshyariDautGenerator {
-    fn dimension(&self) -> usize {
-        self.coloring.rows()
-    }
-
-    fn block_len(&self) -> usize {
-        SNAPSHOT_STREAM_BLOCK_LEN
-    }
-
-    fn next_block_into(&mut self, block: &mut SampleBlock) -> Result<(), CorrfadeError> {
-        let Self {
-            coloring,
-            gaussian,
-            rng,
-            w,
-            z,
-            ..
-        } = self;
-        fill_snapshot_block(coloring, gaussian, rng, w, z, block);
-        Ok(())
-    }
+/// # Errors
+/// Unequal powers are rejected; Cholesky failure on the ε-forced matrix
+/// (which ref. \[6\] reports happening in MATLAB for some complex
+/// covariances) is surfaced as [`BaselineError::CholeskyFailed`].
+pub(crate) fn sorooshyari_daut(
+    k: &CMatrix,
+    method: &'static str,
+) -> Result<CMatrix, BaselineError> {
+    require_equal_powers(k, method)?;
+    let (forced, _) = epsilon_psd_forcing(k, DEFAULT_EPSILON)?;
+    cholesky_or_error(&forced, method)
 }
 
 /// The flawed real-time combination of ref. \[6\]: Doppler-filtered sequences
@@ -196,7 +82,6 @@ pub struct SorooshyariDautRealtimeGenerator {
     coloring: CMatrix,
     idft: IdftRayleighGenerator,
     rng: RandomStream,
-    n: usize,
     /// Planar `N × M` scratch for the Doppler-weighted spectra.
     raw: Vec<Complex64>,
     /// Gather scratch of [`color_idft_block`].
@@ -209,8 +94,8 @@ impl SorooshyariDautRealtimeGenerator {
     /// Builds the flawed real-time generator.
     ///
     /// # Errors
-    /// Same construction errors as [`SorooshyariDautGenerator`], plus the
-    /// Doppler-filter design errors.
+    /// The construction errors of [`BaselineMethod::SorooshyariDaut`], plus
+    /// the Doppler-filter design errors.
     pub fn new(
         k: &CMatrix,
         idft_size: usize,
@@ -218,7 +103,8 @@ impl SorooshyariDautRealtimeGenerator {
         sigma_orig_sq: f64,
         seed: u64,
     ) -> Result<Self, BaselineError> {
-        let single = SorooshyariDautGenerator::new(k, seed)?;
+        check_covariance(k)?;
+        let coloring = sorooshyari_daut(k, BaselineMethod::SorooshyariDaut.name())?;
         let filter = DopplerFilter::new(idft_size, normalized_doppler).map_err(|_| {
             BaselineError::Invalid {
                 reason: "invalid Doppler filter parameters",
@@ -230,8 +116,7 @@ impl SorooshyariDautRealtimeGenerator {
             }
         })?;
         Ok(Self {
-            n: single.dimension(),
-            coloring: single.coloring,
+            coloring,
             idft,
             rng: RandomStream::new(seed),
             raw: Vec::new(),
@@ -239,22 +124,11 @@ impl SorooshyariDautRealtimeGenerator {
             planes: Vec::new(),
         })
     }
-
-    /// Number of envelopes.
-    pub fn dimension(&self) -> usize {
-        self.n
-    }
-
-    /// The true output variance of the Doppler generators (Eq. 19) — the
-    /// value this method *should* use but does not.
-    pub fn actual_doppler_variance(&self) -> f64 {
-        self.idft.output_variance()
-    }
 }
 
 impl ChannelStream for SorooshyariDautRealtimeGenerator {
     fn dimension(&self) -> usize {
-        self.n
+        self.coloring.rows()
     }
 
     fn block_len(&self) -> usize {
@@ -265,7 +139,7 @@ impl ChannelStream for SorooshyariDautRealtimeGenerator {
     /// unit-variance assumption: `Z[l] = L·W[l]` with no `1/σ_g` scaling,
     /// that is [`color_idft_block`] with scale 1.
     fn next_block_into(&mut self, block: &mut SampleBlock) -> Result<(), CorrfadeError> {
-        let n = self.n;
+        let n = self.coloring.rows();
         let m = self.idft.filter().len();
         block.resize(n, m);
         self.raw.resize(n * m, Complex64::ZERO);
@@ -297,17 +171,18 @@ mod tests {
     use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
     use corrfade_stats::relative_frobenius_error;
 
-    use crate::streaming::stream_covariance;
+    use crate::sampler::stream_covariance;
 
     #[test]
     fn single_instant_mode_works_on_pd_covariances() {
         let k = paper_covariance_matrix_23();
-        let mut g = SorooshyariDautGenerator::new(&k, 3).unwrap();
+        let mut g = BaselineMethod::SorooshyariDaut.try_stream(&k, 3).unwrap();
         assert_eq!(g.dimension(), 3);
-        assert_eq!(g.replaced_eigenvalues(), 0);
-        let khat = stream_covariance(&mut g, 59);
+        assert_eq!(epsilon_psd_forcing(&k, DEFAULT_EPSILON).unwrap().1, 0);
+        let khat = stream_covariance(g.as_mut(), 59);
         assert!(relative_frobenius_error(&khat, &k) < 0.04);
-        assert_eq!(g.sample_envelopes().len(), 3);
+        let snapshot = BaselineMethod::SorooshyariDaut.try_generate(&k, 3);
+        assert_eq!(snapshot.unwrap().len(), 3);
     }
 
     #[test]
@@ -330,17 +205,18 @@ mod tests {
     #[test]
     fn indefinite_covariance_is_handled_via_epsilon() {
         let k = CMatrix::from_real_slice(3, 3, &[1.0, 0.9, -0.9, 0.9, 1.0, 0.9, -0.9, 0.9, 1.0]);
-        let g = SorooshyariDautGenerator::new(&k, 5).unwrap();
-        assert_eq!(g.replaced_eigenvalues(), 1);
+        assert!(BaselineMethod::SorooshyariDaut.try_generate(&k, 5).is_ok());
+        let (forced, replaced) = epsilon_psd_forcing(&k, DEFAULT_EPSILON).unwrap();
+        assert_eq!(replaced, 1);
         // The forced covariance differs from K (it must — K is not PSD).
-        assert!(g.forced_covariance().max_abs_diff(&k) > 1e-3);
+        assert!(forced.max_abs_diff(&k) > 1e-3);
     }
 
     #[test]
     fn unequal_powers_rejected() {
         let k = CMatrix::from_real_slice(2, 2, &[1.0, 0.1, 0.1, 2.0]);
         assert!(matches!(
-            SorooshyariDautGenerator::new(&k, 1),
+            BaselineMethod::SorooshyariDaut.try_generate(&k, 1),
             Err(BaselineError::UnequalPowersUnsupported { .. })
         ));
     }
@@ -352,7 +228,7 @@ mod tests {
         let k = paper_covariance_matrix_22();
         let mut flawed = SorooshyariDautRealtimeGenerator::new(&k, 1024, 0.05, 0.5, 11).unwrap();
         assert_eq!(flawed.dimension(), 3);
-        let sigma_g_sq = flawed.actual_doppler_variance();
+        let sigma_g_sq = flawed.idft.output_variance();
         assert!(
             (sigma_g_sq - 1.0).abs() > 0.05,
             "test premise: σ_g² must differ from 1"

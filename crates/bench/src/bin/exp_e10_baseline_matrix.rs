@@ -45,7 +45,7 @@ fn main() {
     widths[0] = 28;
     println!("{}", report::table_row(&header, &widths));
 
-    // Every constructible method is additionally driven through the shared
+    // Every constructible method is driven through the shared
     // ChannelStream interface into this pooled planar block, so the matrix
     // certifies like-for-like streaming as well as constructibility.
     let mut block = SampleBlock::empty();
@@ -66,16 +66,13 @@ fn main() {
             Err(e) => cells.push(format!("FAIL: {e}")),
         }
         for method in BaselineMethod::ALL {
-            match method.try_generate(&k, 0xE10) {
-                Ok(_) => match method.try_stream(&k, 0xE10) {
-                    Ok(mut stream) => {
-                        stream
-                            .next_block_into(&mut block)
-                            .expect("streaming never fails after construction");
-                        cells.push("ok (stream)".into());
-                    }
-                    Err(_) => cells.push("ok (sample)".into()),
-                },
+            match method.try_stream(&k, 0xE10) {
+                Ok(mut stream) => {
+                    stream
+                        .next_block_into(&mut block)
+                        .expect("streaming never fails after construction");
+                    cells.push("ok (stream)".into());
+                }
                 Err(e) => cells.push(short_reason(&e)),
             }
         }
@@ -85,8 +82,7 @@ fn main() {
     println!();
     println!("legend: 'unequal' = equal-power restriction, 'N=2' = two-envelope restriction,");
     println!("        'complex' = real-covariance restriction, 'chol' = Cholesky/PSD failure,");
-    println!("        '(stream)' = drives the shared ChannelStream block interface,");
-    println!("        '(sample)' = constructible but reproduced sample-by-sample only.");
+    println!("        '(stream)' = drives the shared ChannelStream block interface.");
     println!();
     println!(
         "Expected shape (paper Sec. 1): only the proposed algorithm handles every scenario; each \
@@ -102,7 +98,6 @@ fn short_reason(e: &corrfade_baselines::BaselineError) -> String {
         E::CholeskyFailed { .. } => "fail: chol".into(),
         E::NotPositiveSemidefinite { .. } => "fail: not PSD".into(),
         E::ComplexCovarianceUnsupported { .. } => "fail: complex".into(),
-        E::StreamingUnsupported { .. } => "fail: no stream".into(),
         E::Invalid { .. } => "fail: invalid".into(),
     }
 }

@@ -42,9 +42,8 @@
 //!   mirrored at every rotation.
 //! * **Stop after a dead sweep.** A sweep that applies no rotation writes
 //!   nothing, so the next sweep would see the same matrix and skip the same
-//!   pivots until the sweep limit. The loop stops instead and counts the
-//!   sweeps as if it had run out the limit, so a convergence failure
-//!   reports the same payload.
+//!   pivots until the sweep limit. The loop stops instead; a convergence
+//!   failure reports the sweeps that ran, the dead one included.
 //!
 //! The matrix cannot instead be stored once and column `p` read as the
 //! conjugate of row `p`: the pivot pair is zeroed as `+0+0i` on *both*
@@ -188,11 +187,17 @@ fn off_diagonal_norm_sqr_col_major(w: &[Complex64], n: usize, ld: usize) -> f64 
 ///
 /// # Errors
 /// * [`LinalgError::NotSquare`] if the matrix is not square.
+/// * [`LinalgError::NonFinite`] if an entry is NaN or infinite. Such an
+///   entry would otherwise slip through: `max_abs` skips NaN, and against a
+///   NaN or infinite magnitude every pivot and convergence test is false,
+///   so no sweep would run and the input would come back as its own
+///   eigendecomposition.
 /// * [`LinalgError::NotHermitian`] if `‖A − Aᴴ‖_max` exceeds
 ///   `DEFAULT_HERMITIAN_TOL` (1e-9, scaled by the matrix magnitude).
 /// * [`LinalgError::ConvergenceFailure`] if the off-diagonal mass does not
-///   reach machine precision within `MAX_SWEEPS` (64) sweeps (not observed in
-///   practice for Hermitian inputs).
+///   reach machine precision within `MAX_SWEEPS` (64) sweeps, or before a
+///   sweep that applies no rotation (not observed in practice for Hermitian
+///   inputs). Its `iterations` counts the sweeps that ran.
 pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
@@ -201,6 +206,16 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
         });
     }
     let n = a.rows();
+    if let Some(i) = a
+        .as_slice()
+        .iter()
+        .position(|z| !(z.re.is_finite() && z.im.is_finite()))
+    {
+        return Err(LinalgError::NonFinite {
+            row: i / n,
+            col: i % n,
+        });
+    }
     let scale = a.max_abs().max(1.0);
     let herm_dev = a.max_abs_diff(&a.adjoint());
     if herm_dev > DEFAULT_HERMITIAN_TOL * scale {
@@ -309,7 +324,6 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
         if !sweep_applied {
             // Nothing changed, so every further sweep would skip the same
             // pivots until the sweep limit.
-            sweeps = MAX_SWEEPS;
             break;
         }
     }

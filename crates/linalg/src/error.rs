@@ -12,6 +12,13 @@ pub enum LinalgError {
         /// Number of columns of the offending matrix.
         cols: usize,
     },
+    /// An entry of the matrix is NaN or infinite.
+    NonFinite {
+        /// Row of the first non-finite entry, in row-major order.
+        row: usize,
+        /// Column of that entry.
+        col: usize,
+    },
     /// The operation requires a Hermitian (or real-symmetric) matrix.
     NotHermitian {
         /// Largest deviation `max |a_ij − conj(a_ji)|` found.
@@ -50,6 +57,9 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { rows, cols } => {
                 write!(f, "matrix must be square, got {rows}×{cols}")
             }
+            LinalgError::NonFinite { row, col } => {
+                write!(f, "matrix entry ({row}, {col}) is not finite")
+            }
             LinalgError::NotHermitian { deviation } => {
                 write!(f, "matrix is not Hermitian (max |a_ij - conj(a_ji)| = {deviation:.3e})")
             }
@@ -80,6 +90,8 @@ mod tests {
     fn display_messages_are_informative() {
         let e = LinalgError::NotSquare { rows: 2, cols: 3 };
         assert!(e.to_string().contains("2×3"));
+        let e = LinalgError::NonFinite { row: 1, col: 2 };
+        assert!(e.to_string().contains("(1, 2)"));
         let e = LinalgError::NotHermitian { deviation: 0.5 };
         assert!(e.to_string().contains("Hermitian"));
         let e = LinalgError::NotPositiveDefinite {

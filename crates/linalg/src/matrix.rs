@@ -209,11 +209,6 @@ impl CMatrix {
         (0..n).map(|i| self[(i, i)]).collect()
     }
 
-    /// Transpose (no conjugation).
-    pub fn transpose(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
     /// Conjugate (Hermitian) transpose `Aᴴ`.
     pub fn adjoint(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
@@ -585,10 +580,8 @@ mod tests {
     }
 
     #[test]
-    fn transpose_and_adjoint() {
+    fn adjoint_and_conj() {
         let m = sample();
-        let t = m.transpose();
-        assert_eq!(t[(0, 1)], m[(1, 0)]);
         let h = m.adjoint();
         assert_eq!(h[(0, 1)], m[(1, 0)].conj());
         assert_eq!(m.conj()[(0, 1)], m[(0, 1)].conj());
@@ -669,7 +662,8 @@ mod tests {
         let m = sample();
         let e = m.real_embedding();
         assert_eq!(e.shape(), (4, 4));
-        assert!(e.approx_eq(&e.transpose(), 1e-12));
+        // Real, so symmetric exactly when it equals its adjoint.
+        assert!(e.approx_eq(&e.adjoint(), 1e-12));
         assert_eq!(e[(0, 1)], c64(m[(0, 1)].re, 0.0));
         assert_eq!(e[(0, 3)], c64(-m[(0, 1)].im, 0.0));
         assert_eq!(e[(2, 1)], c64(m[(0, 1)].im, 0.0));

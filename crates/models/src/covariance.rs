@@ -53,17 +53,6 @@ impl QuadCovariance {
     pub fn complex_covariance(&self) -> Complex64 {
         c64(self.rxx + self.ryy, -(self.rxy - self.ryx))
     }
-
-    /// The covariance quadruple seen from the swapped pair `(j, k)`:
-    /// `Rxx` and `Ryy` are symmetric, `Rxy` and `Ryx` swap roles.
-    pub fn transposed(&self) -> Self {
-        Self {
-            rxx: self.rxx,
-            ryy: self.ryy,
-            rxy: self.ryx,
-            ryx: self.rxy,
-        }
-    }
 }
 
 /// Errors produced while assembling a covariance matrix.
@@ -207,9 +196,6 @@ mod tests {
         let q = QuadCovariance::new(0.2, 0.3, 0.1, -0.05);
         let mu = q.complex_covariance();
         assert!(mu.approx_eq(c64(0.5, -0.15), 1e-15));
-        let t = q.transposed();
-        assert_eq!(t.rxy, -0.05);
-        assert_eq!(t.ryx, 0.1);
         // Symmetric constructor implements Rxx=Ryy, Rxy=-Ryx.
         let s = QuadCovariance::symmetric(0.25, 0.1);
         assert_eq!(s.ryy, 0.25);

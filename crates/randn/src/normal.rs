@@ -49,12 +49,6 @@ impl NormalSampler {
             *x = self.sample_with(rng, mean, std);
         }
     }
-
-    /// Discards any cached spare sample (useful when reproducibility across
-    /// differently-sized draws matters more than throughput).
-    pub fn reset(&mut self) {
-        self.cached = None;
-    }
 }
 
 /// The accept step of Marsaglia's polar method, for `points.len()`
@@ -188,15 +182,6 @@ mod tests {
             );
         }
         assert_eq!(rng_points.next_u64(), rng_sampler.next_u64());
-    }
-
-    #[test]
-    fn reset_discards_cached_sample() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut s = NormalSampler::default();
-        let _ = s.sample(&mut rng);
-        s.reset();
-        assert!(s.cached.is_none());
     }
 
     #[test]

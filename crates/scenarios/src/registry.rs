@@ -311,8 +311,10 @@ pub static REGISTRY: &[Scenario] = &[
 /// Iterates over every registered scenario in catalog order.
 ///
 /// ```
+/// use corrfade_scenarios::Provenance;
+///
 /// let paper_count = corrfade_scenarios::iter()
-///     .filter(|s| s.provenance.is_paper())
+///     .filter(|s| matches!(s.provenance, Provenance::Paper(_)))
 ///     .count();
 /// assert_eq!(paper_count, 2);
 /// ```

@@ -31,12 +31,6 @@ impl Provenance {
             Provenance::Paper(s) | Provenance::Extended(s) => s,
         }
     }
-
-    /// `true` when the scenario reproduces a configuration printed in the
-    /// source paper.
-    pub fn is_paper(&self) -> bool {
-        matches!(self, Provenance::Paper(_))
-    }
 }
 
 /// How the per-envelope powers of a scenario are specified.
@@ -610,8 +604,7 @@ mod tests {
 
     #[test]
     fn provenance_helpers() {
-        assert!(Provenance::Paper("Eq. (22)").is_paper());
-        assert!(!Provenance::Extended("E9").is_paper());
+        assert_eq!(Provenance::Paper("Eq. (22)").reference(), "Eq. (22)");
         assert_eq!(Provenance::Extended("E9").reference(), "E9");
     }
 }

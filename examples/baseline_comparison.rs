@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example baseline_comparison`
 
 use corrfade::{ChannelStream, SampleBlock};
-use corrfade_baselines::{BaselineMethod, NatarajanGenerator};
+use corrfade_baselines::{natarajan_lossy_stream, BaselineMethod};
 use corrfade_linalg::CMatrix;
 use corrfade_scenarios::lookup;
 use corrfade_stats::relative_frobenius_error;
@@ -86,12 +86,10 @@ fn main() {
             &k,
             &mut block,
         );
-        // Natarajan[5] runs in its lossy mode (imaginary parts dropped), a
-        // constructor `try_stream` does not expose.
+        // Natarajan[5] runs in its lossy mode (imaginary parts dropped),
+        // which `try_stream` does not expose.
         let nat = err_or_fail(
-            NatarajanGenerator::new_lossy(&k, 1)
-                .map(|g| Box::new(g) as Box<dyn ChannelStream>)
-                .map_err(|_| "fail".to_string()),
+            natarajan_lossy_stream(&k, 1).map_err(|_| "fail".to_string()),
             &k,
             &mut block,
         );

@@ -22,6 +22,8 @@ use corrfade::{
     ChannelStream, CorrelatedRayleighGenerator, Precision, RealtimeConfig, RealtimeGenerator,
     SampleBlock,
 };
+use corrfade_baselines::BaselineMethod;
+use corrfade_linalg::CMatrix;
 use corrfade_models::{paper_covariance_matrix_22, paper_covariance_matrix_23};
 
 /// A [`System`]-backed allocator that counts allocation calls.
@@ -145,9 +147,8 @@ fn next_block_into_is_allocation_free_after_warmup() {
     }
 
     // The baseline streams honour the same contract: the flawed realtime
-    // combination, the real-embedding generator (its own scratch path), and
-    // one user of the shared snapshot-batching helper (which also covers
-    // BeaulieuMerani and Natarajan).
+    // combination and every method's `try_stream` (the real-embedding
+    // sampler of Salz-Winters and the shared snapshot sampler of the rest).
     let k = paper_covariance_matrix_23();
     let mut baseline =
         corrfade_baselines::SorooshyariDautRealtimeGenerator::new(&k, 1024, 0.05, 0.5, 1).unwrap();
@@ -157,19 +158,20 @@ fn next_block_into_is_allocation_free_after_warmup() {
         "SorooshyariDautRealtimeGenerator::next_block_into allocated {delta} time(s) after warm-up"
     );
 
-    let mut salz = corrfade_baselines::SalzWintersGenerator::new(&k, 1).unwrap();
-    let delta = measure(&mut salz, &mut block);
-    assert_eq!(
-        delta, 0,
-        "SalzWintersGenerator::next_block_into allocated {delta} time(s) after warm-up"
-    );
-
-    let mut sd = corrfade_baselines::SorooshyariDautGenerator::new(&k, 1).unwrap();
-    let delta = measure(&mut sd, &mut block);
-    assert_eq!(
-        delta, 0,
-        "SorooshyariDautGenerator::next_block_into allocated {delta} time(s) after warm-up"
-    );
+    let k2 = CMatrix::from_real_slice(2, 2, &[1.0, 0.5, 0.5, 1.0]);
+    for method in BaselineMethod::ALL {
+        let two_envelope = matches!(method, BaselineMethod::ErtelReed | BaselineMethod::Beaulieu);
+        let mut stream = method
+            .try_stream(if two_envelope { &k2 } else { &k }, 1)
+            .unwrap();
+        let delta = measure(&mut stream, &mut block);
+        assert_eq!(
+            delta,
+            0,
+            "{} next_block_into allocated {delta} time(s) after warm-up",
+            method.name()
+        );
+    }
 
     // The multi-stream fleet: K named scenarios generated concurrently on
     // the persistent worker pool. Warm-up spawns the global pool, sizes the
