@@ -13,10 +13,7 @@ pub(crate) fn check_covariance(k: &CMatrix) -> Result<(), BaselineError> {
         });
     }
     // Checked before the Hermitian test, which NaN entries would pass.
-    if k.as_slice()
-        .iter()
-        .any(|z| !(z.re.is_finite() && z.im.is_finite()))
-    {
+    if k.first_non_finite().is_some() {
         return Err(BaselineError::Invalid {
             reason: "covariance matrix entries must be finite",
         });

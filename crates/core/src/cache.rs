@@ -43,9 +43,11 @@ static EIGEN_CACHE: FactorCache<MatrixKey, Coloring> = FactorCache::new(COLORING
 /// later request for the same matrix shares it.
 ///
 /// The returned value is bit-identical to what an uncached
-/// [`eigen_coloring`] call would produce. Callers that need an owned
-/// [`Coloring`] (e.g. [`crate::RealtimeGenerator::from_coloring`]) clone the
-/// `Arc`'s contents — still far cheaper than re-decomposing.
+/// [`eigen_coloring`] call would produce. Hand the `Arc` itself to
+/// [`crate::RealtimeGenerator::from_coloring`] or
+/// [`crate::CorrelatedRayleighGenerator::from_coloring`]: generators only
+/// read their coloring, so every generator over one covariance shares this
+/// one copy of the matrix and its PSD-forcing metadata.
 ///
 /// # Errors
 /// Propagates the validation / decomposition errors of [`eigen_coloring`];

@@ -15,6 +15,8 @@
 //! calls are independent over time (the correlated-in-time variant is
 //! [`crate::realtime::RealtimeGenerator`]).
 
+use std::sync::Arc;
+
 use corrfade_linalg::{CMatrix, Complex64, SampleBlock};
 use corrfade_randn::{ComplexGaussian, RandomStream};
 
@@ -59,7 +61,8 @@ const SNAPSHOT_TILE: usize = 64;
 /// can be driven — and compared — through the same streaming interface.
 #[derive(Debug, Clone)]
 pub struct CorrelatedRayleighGenerator {
-    coloring: Coloring,
+    /// Shared, read-only: see [`Self::from_coloring`].
+    coloring: Arc<Coloring>,
     desired: CMatrix,
     driving_variance: f64,
     rng: RandomStream,
@@ -95,14 +98,18 @@ impl CorrelatedRayleighGenerator {
         Self::from_coloring(coloring, covariance, driving_variance, seed)
     }
 
-    /// Assembles a generator from a precomputed coloring (used by the builder
-    /// and the real-time generator to avoid re-decomposing).
+    /// Assembles a generator from a precomputed coloring of `desired`, so
+    /// callers that build many generators over one covariance (the parallel
+    /// engine, one per chunk) decompose it once. Pass the `Arc` of
+    /// [`crate::cached_eigen_coloring`] to share its one copy of the
+    /// matrix; an owned [`Coloring`] is wrapped in a fresh `Arc`.
     pub fn from_coloring(
-        coloring: Coloring,
+        coloring: impl Into<Arc<Coloring>>,
         desired: CMatrix,
         driving_variance: f64,
         seed: u64,
     ) -> Result<Self, CorrfadeError> {
+        let coloring = coloring.into();
         if driving_variance <= 0.0 || driving_variance.is_nan() {
             return Err(CorrfadeError::InvalidDrivingVariance {
                 value: driving_variance,

@@ -15,7 +15,7 @@
 //! Sorooshyari & Daut (paper ref. \[6\], reproduced in `corrfade-baselines`
 //! for the E7 ablation).
 
-use corrfade_linalg::{hermitian_eigen, CMatrix, HermitianEigen};
+use corrfade_linalg::{hermitian_eigen, CMatrix, HermitianEigen, LinalgError};
 
 use crate::error::CorrfadeError;
 
@@ -44,8 +44,8 @@ pub struct PsdForcing {
     pub frobenius_gap: f64,
 }
 
-/// Validates that `k` is a usable covariance matrix: square, Hermitian,
-/// non-empty, with non-negative real diagonal.
+/// Validates that `k` is a usable covariance matrix: square, non-empty,
+/// finite, Hermitian, with non-negative real diagonal.
 pub(crate) fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
     if !k.is_square() {
         return Err(CorrfadeError::NotSquare {
@@ -56,6 +56,11 @@ pub(crate) fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
     if k.rows() == 0 {
         return Err(CorrfadeError::EmptyCovariance);
     }
+    // Before the Hermitian and power tests: a NaN passes the first and a
+    // NaN or −∞ power would read as a negative one in the second.
+    if let Some((row, col)) = k.first_non_finite() {
+        return Err(LinalgError::NonFinite { row, col }.into());
+    }
     let scale = k.max_abs().max(1.0);
     let dev = k.max_abs_diff(&k.adjoint());
     if dev > 1e-9 * scale {
@@ -63,7 +68,7 @@ pub(crate) fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
     }
     for i in 0..k.rows() {
         let d = k[(i, i)].re;
-        if d < 0.0 || d.is_nan() {
+        if d < 0.0 {
             return Err(CorrfadeError::NegativePower { index: i, value: d });
         }
     }
@@ -77,8 +82,10 @@ pub(crate) fn validate_covariance(k: &CMatrix) -> Result<(), CorrfadeError> {
 ///   [`CorrfadeError::NotHermitian`] or [`CorrfadeError::NegativePower`]
 ///   if `k` is not square, Hermitian and non-empty with a non-negative
 ///   real diagonal,
-/// * [`CorrfadeError::Linalg`] if the eigendecomposition fails (it cannot for
-///   a Hermitian matrix, but the error path is kept honest).
+/// * [`CorrfadeError::Linalg`] with [`LinalgError::NonFinite`] for the first
+///   NaN or infinite entry in row-major order, or if the eigendecomposition
+///   fails (it cannot for a finite Hermitian matrix, but the error path is
+///   kept honest).
 pub fn force_positive_semidefinite(k: &CMatrix) -> Result<PsdForcing, CorrfadeError> {
     validate_covariance(k)?;
     let eigen = hermitian_eigen(k)?;

@@ -21,6 +21,8 @@
 //! (ref. \[6\]) that makes the realized covariance equal the desired one. The
 //! flawed variant is reproduced in `corrfade-baselines` for the E8 ablation.
 
+use std::sync::Arc;
+
 use corrfade_dsp::{DopplerFilter, IdftRayleighGenerator};
 use corrfade_linalg::{CMatrix, Complex64, SampleBlock};
 use corrfade_randn::RandomStream;
@@ -90,7 +92,9 @@ impl RealtimeConfig {
 /// heap allocation per block in steady state.
 #[derive(Debug, Clone)]
 pub struct RealtimeGenerator {
-    coloring: Coloring,
+    /// Shared, read-only: every generator over the same covariance can
+    /// hold the one decomposition of the process-wide cache.
+    coloring: Arc<Coloring>,
     desired: CMatrix,
     idft: IdftRayleighGenerator,
     sigma_g_sq: f64,
@@ -114,12 +118,15 @@ impl RealtimeGenerator {
 
     /// Assembles a generator from a precomputed coloring of
     /// `config.covariance` — lets callers that spin up many generators for
-    /// the same covariance matrix (e.g. the parallel engine, one RNG
-    /// sub-stream per block) pay for the eigendecomposition once.
+    /// the same covariance matrix (a fleet, a network's link groups, a
+    /// server's sessions) pay for the eigendecomposition once. Pass the
+    /// `Arc` of [`crate::cached_eigen_coloring`] to share its one copy of
+    /// the matrix; an owned [`Coloring`] is wrapped in a fresh `Arc`.
     pub fn from_coloring(
-        coloring: Coloring,
+        coloring: impl Into<Arc<Coloring>>,
         config: RealtimeConfig,
     ) -> Result<Self, CorrfadeError> {
+        let coloring = coloring.into();
         let filter = DopplerFilter::new(config.idft_size, config.normalized_doppler)?;
         let idft = IdftRayleighGenerator::new(filter, config.sigma_orig_sq)?;
         let sigma_g_sq = idft.output_variance();

@@ -206,15 +206,8 @@ pub fn hermitian_eigen(a: &CMatrix) -> Result<HermitianEigen, LinalgError> {
         });
     }
     let n = a.rows();
-    if let Some(i) = a
-        .as_slice()
-        .iter()
-        .position(|z| !(z.re.is_finite() && z.im.is_finite()))
-    {
-        return Err(LinalgError::NonFinite {
-            row: i / n,
-            col: i % n,
-        });
+    if let Some((row, col)) = a.first_non_finite() {
+        return Err(LinalgError::NonFinite { row, col });
     }
     let scale = a.max_abs().max(1.0);
     let herm_dev = a.max_abs_diff(&a.adjoint());

@@ -316,6 +316,14 @@ impl CMatrix {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
+    /// `(row, col)` of the first NaN or infinite entry in row-major order,
+    /// `None` when every entry is finite. [`Self::max_abs`] skips NaN, so a
+    /// check that must see one asks here first.
+    pub fn first_non_finite(&self) -> Option<(usize, usize)> {
+        let i = self.data.iter().position(|z| !z.is_finite())?;
+        Some((i / self.cols, i % self.cols))
+    }
+
     /// Maximum modulus over all entries.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|z| z.abs()).fold(0.0, f64::max)

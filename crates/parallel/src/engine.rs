@@ -26,7 +26,7 @@
 //! [`monte_carlo_covariance_on`] takes an explicit pool — the one knob for
 //! how many executors estimate.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use corrfade::{ChannelStream, Coloring, CorrelatedRayleighGenerator, SampleBlock};
 use corrfade_linalg::CMatrix;
@@ -90,13 +90,13 @@ impl ParallelConfig {
 /// `Σ Z·Zᴴ` over one chunk of snapshots: sample `l` of the chunk's block is
 /// snapshot `chunk.start + l` of the overall ensemble.
 fn chunk_covariance(
-    coloring: &Coloring,
+    coloring: &Arc<Coloring>,
     desired: &CMatrix,
     chunk: Chunk,
     master_seed: u64,
 ) -> CMatrix {
     let mut gen = CorrelatedRayleighGenerator::from_coloring(
-        coloring.clone(),
+        Arc::clone(coloring),
         desired.clone(),
         1.0,
         chunk_seed(master_seed, chunk.index),

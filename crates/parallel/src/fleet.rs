@@ -3,8 +3,8 @@
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use corrfade::{
-    cached_eigen_coloring, ChannelStream, Coloring, CorrfadeError, RealtimeConfig,
-    RealtimeGenerator, SampleBlock,
+    cached_eigen_coloring, ChannelStream, CorrfadeError, RealtimeConfig, RealtimeGenerator,
+    SampleBlock,
 };
 use corrfade_scenarios::{lookup, Scenario, ScenarioError};
 
@@ -204,7 +204,7 @@ impl StreamFleet {
             let config = &configs[i];
             let _ = built[i].set(
                 cached_eigen_coloring(&config.covariance).and_then(|coloring| {
-                    RealtimeGenerator::from_coloring(Coloring::clone(&coloring), config.clone())
+                    RealtimeGenerator::from_coloring(coloring, config.clone())
                 }),
             );
         })?;

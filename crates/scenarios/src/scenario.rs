@@ -2,8 +2,8 @@
 //! [`corrfade::GeneratorBuilder`].
 
 use corrfade::{
-    ChannelStream, Coloring, CorrelatedRayleighGenerator, GeneratorBuilder, Precision,
-    RealtimeConfig, RealtimeGenerator,
+    ChannelStream, CorrelatedRayleighGenerator, GeneratorBuilder, Precision, RealtimeConfig,
+    RealtimeGenerator,
 };
 use corrfade_linalg::{c64, CMatrix};
 use corrfade_models::{
@@ -418,10 +418,7 @@ impl Scenario {
     pub fn build_realtime_cached(&self, seed: u64) -> Result<RealtimeGenerator, ScenarioError> {
         let config = self.realtime_config(seed)?;
         let coloring = corrfade::cached_eigen_coloring(&config.covariance)?;
-        Ok(RealtimeGenerator::from_coloring(
-            Coloring::clone(&coloring),
-            config,
-        )?)
+        Ok(RealtimeGenerator::from_coloring(coloring, config)?)
     }
 
     /// Opens this scenario as a boxed [`ChannelStream`] in real-time
@@ -600,6 +597,21 @@ mod tests {
             fresh.next_block().unwrap(),
             "the decomposition cache must not change the generated values"
         );
+    }
+
+    #[test]
+    fn cached_realtime_builds_share_one_coloring() {
+        // A covariance no other test here decomposes, so no concurrent test
+        // holds its coloring.
+        let s = demo(CovarianceSpec::Exponential { rho: 0.37 }, 5);
+        let k = s.covariance_matrix().unwrap();
+        let handle = corrfade::cached_eigen_coloring(&k).unwrap();
+        let before = std::sync::Arc::strong_count(&handle);
+        let a = s.build_realtime_cached(1).unwrap();
+        let b = s.build_realtime_cached(2).unwrap();
+        assert_eq!(std::sync::Arc::strong_count(&handle), before + 2);
+        assert!(std::ptr::eq(a.coloring(), &*handle));
+        assert!(std::ptr::eq(b.coloring(), &*handle));
     }
 
     #[test]

@@ -52,13 +52,12 @@ fn hermitian_eigen_rejects_non_finite_entries() {
 
 #[test]
 fn proposed_generators_reject_non_finite_covariances() {
-    // A NaN or −∞ power is already a negative-power error; everything else
-    // reaches the eigensolver's check.
+    // The non-finite entry is reported as such, a NaN or −∞ power included,
+    // at the first poisoned position in row-major order.
     let typed = |e: &CorrfadeError| {
         matches!(
             e,
-            CorrfadeError::Linalg(LinalgError::NonFinite { .. })
-                | CorrfadeError::NegativePower { index: 0, .. }
+            CorrfadeError::Linalg(LinalgError::NonFinite { row: 0, col: 0 | 1 })
         )
     };
     for (label, k) in poisoned(&paper_covariance_matrix_23()) {
